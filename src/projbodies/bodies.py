@@ -173,12 +173,12 @@ class Polytope:
                         c ** self.n * self.volume)
 
 
-def simplex_measure(coords: np.ndarray) -> float:
-    """(d)-measure of a d-simplex given as (d+1, n) vertex coordinates."""
-    edges = coords[1:] - coords[0]
-    gram = edges @ edges.T
+def simplex_measure(coords: np.ndarray):
+    """(d)-measure of d-simplices given as (..., d+1, n) vertex coordinates."""
+    edges = coords[..., 1:, :] - coords[..., :1, :]
+    gram = edges @ edges.swapaxes(-1, -2)
     det = np.linalg.det(gram)
-    return math.sqrt(max(det, 0.0)) / math.factorial(len(coords) - 1)
+    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(coords.shape[-2] - 1)
 
 
 def build_polytope(points) -> Polytope:
@@ -227,7 +227,7 @@ def build_polytope(points) -> Polytope:
     volume = 0.0
     for g, members in enumerate(groups):
         simplices = np.stack([pts[hull.simplices[i]] for i in members])
-        meas = np.array([simplex_measure(s) for s in simplices])
+        meas = simplex_measure(simplices)
         area = float(meas.sum())
         if area <= 0.0:
             continue

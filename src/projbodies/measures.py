@@ -7,9 +7,16 @@ detection); builtin densities certify their declared flags against 1000
 random probes at construction time.
 
 Boundary integrals resolve per facet: mu(dK) is the facet-integral form of
-the weighted surface-area measure, computed by recursive simplex subdivision
+the weighted surface-area measure, computed by adaptive simplex subdivision
 with a degree-2 cubature rule.  For polytopes with phi continuous near dK
-this coincides with the liminf definition of the boundary measure.
+this coincides with the liminf definition of the boundary measure.  The
+simplices of all facets are refined together in batches: each batch makes
+one density call on all of its children's nodes, and batches are bounded
+in size so that memory stays flat however tight the tolerance.  Child
+measures are Gram determinants taken for the whole batch at once, and
+accepted values are summed in the order of a one-simplex-at-a-time
+recursion, so results do not depend on the batching.  The reported
+evaluation count is the number of points passed to the integrand.
 """
 
 from __future__ import annotations
@@ -38,6 +45,9 @@ class Density:
     ``concavity`` set may contain "log_concave" and "ehrhard_gaussian";
     ``s_concave`` (and ``s_concave_symmetric`` for concavity that only holds
     on symmetric convex bodies) carry the power-concavity exponent.
+    ``kind`` names the builtin family ("lebesgue", "gaussian", "exp_norm",
+    "radial_power") and is "custom" otherwise; exact paths dispatch on it,
+    never on the free-form ``label``.
     """
 
     n: int
@@ -50,13 +60,14 @@ class Density:
     s_concave: float | None = None
     s_concave_symmetric: float | None = None
     label: str = "custom"
+    kind: str = "custom"
 
     def __repr__(self):
         return f"Density({self.label}, n={self.n})"
 
     @property
     def is_lebesgue(self) -> bool:
-        return self.label == "lebesgue"
+        return self.kind == "lebesgue"
 
 
 def _certify_flags(d: Density, probes: int = 1000) -> Density:
@@ -88,7 +99,7 @@ def lebesgue(n: int) -> Density:
         grad=lambda p: np.zeros_like(np.atleast_2d(p), dtype=float),
         even=True, radially_nondecreasing=True, radially_decreasing=True,
         concavity=frozenset({"log_concave"}), s_concave=1.0 / n,
-        s_concave_symmetric=1.0 / n, label="lebesgue"))
+        s_concave_symmetric=1.0 / n, label="lebesgue", kind="lebesgue"))
 
 
 def gaussian(n: int) -> Density:
@@ -107,7 +118,7 @@ def gaussian(n: int) -> Density:
     return _certify_flags(Density(
         n=n, eval=ev, grad=gr, even=True, radially_decreasing=True,
         concavity=frozenset({"log_concave", "ehrhard_gaussian"}),
-        s_concave_symmetric=1.0 / n, label="gaussian"))
+        s_concave_symmetric=1.0 / n, label="gaussian", kind="gaussian"))
 
 
 def exp_norm(L: Polytope) -> Density:
@@ -132,7 +143,8 @@ def exp_norm(L: Polytope) -> Density:
 
     return _certify_flags(Density(
         n=L.n, eval=ev, grad=gr, even=True, radially_decreasing=True,
-        concavity=frozenset({"log_concave"}), label="exp_norm"))
+        concavity=frozenset({"log_concave"}), label="exp_norm",
+        kind="exp_norm"))
 
 
 def radial_power(n: int, alpha: float) -> Density:
@@ -155,11 +167,16 @@ def radial_power(n: int, alpha: float) -> Density:
 
     return _certify_flags(Density(
         n=n, eval=ev, grad=gr, even=True, radially_nondecreasing=True,
-        label=f"radial_power({alpha})"))
+        label=f"radial_power({alpha})", kind="radial_power"))
 
 
 def custom_density(n, eval, grad, label="custom", **flags) -> Density:
-    """User-supplied density; flags are declared, then probe-certified."""
+    """User-supplied density; flags are declared, then probe-certified.
+
+    Its kind is always "custom": a label never selects an exact path.
+    """
+    if "kind" in flags:
+        raise ConfigurationError("custom densities cannot declare a kind")
     return _certify_flags(Density(n=n, eval=eval, grad=grad, label=label, **flags))
 
 
@@ -221,9 +238,9 @@ def total_mass(mu: Density, grid: SphereGrid | None = None,
     angular integral of Gamma(n) rho_L^n: adaptive in the plane, grid
     quadrature for n >= 3 (pass ``body`` = the generating polytope).
     """
-    if mu.label == "gaussian":
+    if mu.kind == "gaussian":
         return QuadratureResult(1.0, 0.0, 0)
-    if mu.label != "exp_norm":
+    if mu.kind != "exp_norm":
         raise DomainError(f"total mass of {mu.label} is not finite/supported")
     if body is None:
         raise ConfigurationError("total_mass(exp_norm) needs the generating body")
@@ -245,108 +262,119 @@ def total_mass(mu: Density, grid: SphereGrid | None = None,
 _TET_A = 0.5854101966249685
 _TET_B = 0.1381966011250105
 _MAX_DEPTH = 14
+_BATCH = 4096  # simplices refined per density call: bounds memory at tight tol
 
 
-def _rule_nodes(simplex: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Degree-2 cubature nodes/weights (summing to 1) on a (d)-simplex."""
-    d = len(simplex) - 1
+def _rule(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree-2 rule on a d-simplex: barycentric nodes and weights summing to 1."""
     if d == 1:
         # 2-point Gauss-Legendre
         a = 0.5 - math.sqrt(3.0) / 6.0
-        bary = np.array([[1 - a, a], [a, 1 - a]])
-        w = np.array([0.5, 0.5])
-    elif d == 2:
-        # edge midpoints, exact for quadratics
-        bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-        w = np.array([1, 1, 1]) / 3.0
-    else:
-        bary = np.full((4, 4), _TET_B)
-        np.fill_diagonal(bary, _TET_A)
-        w = np.full(4, 0.25)
-    return bary @ simplex, w
-
-
-def _split_simplex(simplex: np.ndarray) -> list[np.ndarray]:
-    d = len(simplex) - 1
-    if d == 1:
-        m = 0.5 * (simplex[0] + simplex[1])
-        return [np.array([simplex[0], m]), np.array([m, simplex[1]])]
+        return np.array([[1 - a, a], [a, 1 - a]]), np.array([0.5, 0.5])
     if d == 2:
-        a, b, c = simplex
-        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-        return [np.array(t) for t in
-                ([a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca])]
-    # red refinement of a tetrahedron into 8 children
-    v = simplex
-    m = {(i, j): 0.5 * (v[i] + v[j]) for i in range(4) for j in range(i + 1, 4)}
-    kids = [
-        [v[0], m[0, 1], m[0, 2], m[0, 3]],
-        [v[1], m[0, 1], m[1, 2], m[1, 3]],
-        [v[2], m[0, 2], m[1, 2], m[2, 3]],
-        [v[3], m[0, 3], m[1, 3], m[2, 3]],
-        [m[0, 1], m[0, 2], m[0, 3], m[1, 3]],
-        [m[0, 1], m[0, 2], m[1, 2], m[1, 3]],
-        [m[0, 2], m[0, 3], m[1, 3], m[2, 3]],
-        [m[0, 2], m[1, 2], m[1, 3], m[2, 3]],
-    ]
-    return [np.array(k) for k in kids]
+        # edge midpoints, exact for quadratics
+        return (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+                np.array([1, 1, 1]) / 3.0)
+    bary = np.full((4, 4), _TET_B)
+    np.fill_diagonal(bary, _TET_A)
+    return bary, np.full(4, 0.25)
 
 
-def _simplex_integral(fn, simplex: np.ndarray, tol: float) -> tuple[float, float, int]:
-    """Adaptive integral of ``fn`` over one boundary simplex.
-
-    Refines until |parent rule - children rules| <= local tolerance, with
-    the tolerance split among children by measure.
-    """
-    total, err, evals = 0.0, 0.0, 0
-    meas0 = bodies.simplex_measure(simplex)
-    stack = [(simplex, meas0, tol, 0)]
-    while stack:
-        spx, meas, budget, depth = stack.pop()
-        nodes, w = _rule_nodes(spx)
-        vals = np.asarray(fn(nodes), dtype=float)
-        evals += len(w)
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError("density not finite on a boundary facet",
-                                  point=nodes[int(np.argmax(~np.isfinite(vals)))])
-        coarse = float(np.dot(w, vals)) * meas
-        kids = _split_simplex(spx)
-        fine = 0.0
-        kid_meas = []
-        for kid in kids:
-            km = bodies.simplex_measure(kid)
-            kid_meas.append(km)
-            knodes, kw = _rule_nodes(kid)
-            kvals = np.asarray(fn(knodes), dtype=float)
-            evals += len(kw)
-            fine += float(np.dot(kw, kvals)) * km
-        local_err = abs(fine - coarse)
-        if local_err <= budget or depth >= _MAX_DEPTH:
-            if depth >= _MAX_DEPTH and local_err > budget:
-                raise QuadratureFailure(
-                    "facet cubature refinement depth exhausted",
-                    QuadratureResult(total + fine, err + local_err, evals))
-            total += fine
-            err += local_err
-        else:
-            share = budget / len(kids)
-            for kid, km in zip(kids, kid_meas):
-                stack.append((kid, km, share, depth + 1))
-    return total, err, evals
+# Children of the midpoint (d = 1, 2) and red (d = 3, 8 tetrahedra)
+# refinements; child vertex (i, j) is the midpoint of parent vertices i, j.
+_CHILDREN = {d: np.array(kids) for d, kids in {
+    1: [[(0, 0), (0, 1)], [(0, 1), (1, 1)]],
+    2: [[(0, 0), (0, 1), (2, 0)], [(1, 1), (1, 2), (0, 1)],
+        [(2, 2), (2, 0), (1, 2)], [(0, 1), (1, 2), (2, 0)]],
+    3: [[(0, 0), (0, 1), (0, 2), (0, 3)], [(1, 1), (0, 1), (1, 2), (1, 3)],
+        [(2, 2), (0, 2), (1, 2), (2, 3)], [(3, 3), (0, 3), (1, 3), (2, 3)],
+        [(0, 1), (0, 2), (0, 3), (1, 3)], [(0, 1), (0, 2), (1, 2), (1, 3)],
+        [(0, 2), (0, 3), (1, 3), (2, 3)], [(0, 2), (1, 2), (1, 3), (2, 3)]],
+}.items()}
 
 
 def facet_integrals(K: Polytope, fn, tol: float = 1e-9):
-    """Integral of ``fn`` over each facet of K: (values, errors, evaluations)."""
+    """Integral of ``fn`` over each facet of K: (values, errors, evaluations).
+
+    Each facet's budget ``tol`` is split evenly among its simplices.  A
+    simplex is accepted when its children's rule sum differs from its own
+    rule value by at most its budget, and is otherwise refined with the
+    budget split evenly among its children; a simplex still over budget at
+    depth ``_MAX_DEPTH`` raises ``QuadratureFailure``.  All facets are refined together: a batch
+    of at most ``_BATCH`` simplices makes one call of ``fn`` on all of its
+    children's nodes, so memory stays flat however tight ``tol`` is.  A
+    child's rule value is kept as its coarse value when it is refined in
+    turn, so no rule is evaluated twice.  Accepted values are summed
+    depth-first, simplex by simplex, so the result does not depend on the
+    batching.  ``evaluations`` is the number of points passed to ``fn``.
+    """
+    roots = np.concatenate(K.facet_simplices)
+    d, n = roots.shape[1] - 1, roots.shape[2]
+    counts = [len(s) for s in K.facet_simplices]
+    bary, w = _rule(d)
+    pairs = _CHILDREN[d]
+    c = len(pairs)
+    stack, accepted = [], []
+    evals = 0
+
+    def rule(simplices):
+        """Rule values (without the measure) on (..., d+1, n) simplices."""
+        nonlocal evals
+        nodes = (bary @ simplices).reshape(-1, n)
+        vals = np.asarray(fn(nodes), dtype=float)
+        evals += len(nodes)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise EvaluationError("density not finite on a boundary facet",
+                                  point=nodes[int(np.argmax(bad))])
+        return vals.reshape(simplices.shape[:-2] + (len(w),)) @ w
+
+    def push(depth, spx, *fields):
+        for i in range(0, len(spx), _BATCH):
+            stack.append((depth, spx[i:i + _BATCH],
+                          *(f[i:i + _BATCH] for f in fields)))
+
+    # Per simplex: its root, its path code (child indices in base c, the
+    # first step most significant), its budget and its own rule value.
+    push(0, roots, np.arange(len(roots)), np.zeros(len(roots), dtype=np.int64),
+         np.repeat([tol / max(1, k) for k in counts], counts),
+         rule(roots) * bodies.simplex_measure(roots))
+    while stack:
+        depth, spx, root, code, budget, coarse = stack.pop()
+        kids = 0.5 * (spx[:, pairs[..., 0]] + spx[:, pairs[..., 1]])
+        kid_vals = rule(kids) * bodies.simplex_measure(kids)
+        fine = kid_vals[:, 0]  # children added in order, not pairwise
+        for j in range(1, c):
+            fine = fine + kid_vals[:, j]
+        local_err = np.abs(fine - coarse)
+        done = local_err <= budget
+        if depth >= _MAX_DEPTH and not done.all():
+            raise QuadratureFailure(
+                "facet cubature refinement depth exhausted",
+                QuadratureResult(sum(a[2].sum() for a in accepted) + fine.sum(),
+                                 sum(a[3].sum() for a in accepted)
+                                 + local_err.sum(), evals))
+        accepted.append((root[done], code[done], fine[done], local_err[done]))
+        todo = ~done
+        if todo.any():
+            step = np.arange(c) * c ** (_MAX_DEPTH - 1 - depth)
+            push(depth + 1, kids[todo].reshape(-1, d + 1, n),
+                 np.repeat(root[todo], c), (code[todo, None] + step).ravel(),
+                 np.repeat(budget[todo] / c, c), kid_vals[todo].ravel())
+
+    # Sum root by root, each depth-first with the last child first (codes
+    # descending), in sequence (cumsum): the order of a one-simplex-at-a-time
+    # recursion.
+    root, code, fine, err = (np.concatenate(a) for a in zip(*accepted))
+    order = np.lexsort((-code, root))
+    bounds = np.searchsorted(root[order], np.arange(len(roots) + 1))
+    fine, err = fine[order], err[order]
     values = np.zeros(K.facet_count)
     errors = np.zeros(K.facet_count)
-    evals = 0
-    for i, simplices in enumerate(K.facet_simplices):
-        share = tol / max(1, len(simplices))
-        for spx in simplices:
-            v, e, ne = _simplex_integral(fn, spx, share)
-            values[i] += v
-            errors[i] += e
-            evals += ne
+    for i, f in enumerate(np.repeat(np.arange(K.facet_count), counts)):
+        part = slice(bounds[i], bounds[i + 1])
+        values[f] += np.cumsum(fine[part])[-1]
+        errors[f] += np.cumsum(err[part])[-1]
     return values, errors, evals
 
 
@@ -357,7 +385,7 @@ def facet_weights(mu: Density, K: Polytope, tol: float = 1e-9):
     """
     if mu.is_lebesgue:
         return K.areas.copy(), np.zeros_like(K.areas)
-    if mu.label.startswith("radial_power") and np.min(K.offsets) <= 1e-12:
+    if mu.kind == "radial_power" and np.min(K.offsets) <= 1e-12:
         raise DomainError(
             "radial_power is singular at 0, which lies on the boundary")
     values, errors, _ = facet_integrals(K, mu.eval, tol)

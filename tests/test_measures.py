@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,3 +165,172 @@ def test_compose_linear(gauss2):
         e[j] = h
         fd = (muT.eval(pts + e) - muT.eval(pts - e)) / (2 * h)
         assert np.allclose(fd, g[:, j], atol=1e-6)
+
+
+# -- density kinds ------------------------------------------------------------
+
+def _constant(c):
+    return dict(eval=lambda p: c * np.ones(len(np.atleast_2d(p))),
+                grad=lambda p: np.zeros_like(np.atleast_2d(p), dtype=float))
+
+
+def test_label_does_not_select_lebesgue(square, stream):
+    """A custom density labelled "lebesgue" takes the general paths."""
+    mu = pb.custom_density(2, label="lebesgue", **_constant(5.0))
+    assert mu.kind == "custom" and not mu.is_lebesgue
+    res = pb.measure_body(mu, square, stream, 200_000)
+    # a constant integrand has zero sample variance: allow roundoff only
+    assert abs(res.value - 20.0) <= res.error_estimate + 1e-12
+    assert res.evaluations == 200_000
+    w, e = pb.facet_weights(mu, square, 1e-9)
+    assert np.all(np.abs(w - 10.0) <= 1e-9) and np.all(e <= 1e-9)
+
+
+def test_label_does_not_select_gaussian_mass(gauss2):
+    g = gauss2.eval
+    mu = pb.custom_density(2, eval=lambda p: 3.0 * g(p),
+                           grad=lambda p: 3.0 * gauss2.grad(p),
+                           label="gaussian", even=True)
+    with pytest.raises(pb.DomainError):
+        pb.total_mass(mu)
+    assert pb.total_mass(gauss2).value == 1.0
+
+
+def test_density_kinds(gauss2):
+    assert pb.lebesgue(2).kind == "lebesgue" and gauss2.kind == "gaussian"
+    assert pb.exp_norm(pb.cube(2)).kind == "exp_norm"
+    assert pb.radial_power(2, 1.0).kind == "radial_power"
+    assert pb.compose_linear(gauss2, np.eye(2)).kind == "custom"
+    assert dataclasses.replace(gauss2, eval=gauss2.eval).kind == "gaussian"
+    with pytest.raises(pb.ConfigurationError):
+        pb.custom_density(2, kind="lebesgue", **_constant(1.0))
+
+
+def test_radial_power_label_on_custom_density_is_not_rejected():
+    K = pb.build_polytope([[0, 0], [1, 0], [0, 1]])  # origin on boundary
+    mu = pb.custom_density(2, label="radial_power(1.0)", **_constant(1.0))
+    w, _ = pb.facet_weights(mu, K)
+    assert sorted(w) == pytest.approx([1.0, 1.0, math.sqrt(2)], abs=1e-9)
+
+
+# -- facet cubature -----------------------------------------------------------
+
+def test_facet_weights_4d_gaussian():
+    """Red refinement of tetrahedra: cube(4) facets against the product form."""
+    tol = 1e-5
+    w, e = pb.facet_weights(pb.gaussian(4), pb.cube(4), tol)
+    pdf1 = math.exp(-0.5) / math.sqrt(2 * math.pi)
+    oracle = pdf1 * (2 * pb.gaussian_cdf(1.0) - 1) ** 3
+    assert len(w) == 8
+    assert np.all(np.abs(w - oracle) <= e) and np.all(e <= tol)
+
+
+def test_facet_integrals_counts_every_point(cube3, gauss2, square):
+    for K, mu in ((cube3, pb.gaussian(3)), (square, gauss2)):
+        received = []
+
+        def fn(p):
+            received.append(len(p))
+            return mu.eval(p)
+
+        _, _, evals = pb.measures.facet_integrals(K, fn, 1e-7)
+        assert evals == sum(received) > 0
+
+
+def test_facet_integrals_depth_exhausted(square, gauss2):
+    with pytest.raises(pb.QuadratureFailure) as info:
+        pb.measures.facet_integrals(square, gauss2.eval, 0.0)
+    assert info.value.best.evaluations > 0
+
+
+def test_facet_integrals_non_finite_point_on_facet(square):
+    """phi is infinite on the upper half of the facet x = 1."""
+    def fn(p):
+        return np.where((p[:, 0] > 0.999) & (p[:, 1] > 0.5), np.inf, 1.0)
+
+    with pytest.raises(pb.EvaluationError) as info:
+        pb.measures.facet_integrals(square, fn, 1e-9)
+    x, y = info.value.point
+    assert x == pytest.approx(1.0) and 0.5 < y <= 1.0
+
+
+def test_facet_integrals_memory_is_bounded(cube3):
+    """Refinement runs in bounded batches, not whole levels at once."""
+    g = pb.gaussian(3)
+    tracemalloc.start()
+    try:
+        pb.measures.facet_integrals(cube3, g.eval, 1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+def _reference_integral(fn, spx, budget):
+    """One simplex at a time on an explicit stack, each child's rule value
+    kept as its coarse value: the arithmetic and order of the batched code."""
+    d = len(spx) - 1
+    bary, w = pb.measures._rule(d)
+
+    def value(s):
+        return float(np.dot(w, fn(bary @ s))) * pb.bodies.simplex_measure(s)
+
+    def split(s):
+        mid = {(i, j): 0.5 * (s[i] + s[j]) for i in range(d + 1)
+               for j in range(i, d + 1)}
+        return [np.array([mid[min(i, j), max(i, j)] for i, j in kid])
+                for kid in pb.measures._CHILDREN[d]]
+
+    total = err = 0.0
+    evals = len(w)
+    stack = [(spx, value(spx), budget, 0)]
+    while stack:
+        s, coarse, b, depth = stack.pop()
+        kids = split(s)
+        kid_vals = [value(k) for k in kids]
+        evals += len(w) * len(kids)
+        fine = 0.0
+        for v in kid_vals:
+            fine += v
+        if abs(fine - coarse) <= b or depth >= pb.measures._MAX_DEPTH:
+            total += fine
+            err += abs(fine - coarse)
+        else:
+            stack += [(k, v, b / len(kids), depth + 1)
+                      for k, v in zip(kids, kid_vals)]
+    return total, err, evals
+
+
+@pytest.mark.parametrize("n,tol", [(2, 1e-10), (3, 1e-6)])
+def test_facet_integrals_match_per_simplex_reference(n, tol):
+    K = pb.random_polytope(n, pb.RandomStream(77).substream(n))
+    mu = pb.gaussian(n)
+    values, errors, evals = pb.measures.facet_integrals(K, mu.eval, tol)
+    ref_values, ref_errors = np.zeros(len(values)), np.zeros(len(values))
+    ref_evals = 0
+    for i, simplices in enumerate(K.facet_simplices):
+        for spx in simplices:
+            v, e, ne = _reference_integral(mu.eval, spx, tol / len(simplices))
+            ref_values[i] += v
+            ref_errors[i] += e
+            ref_evals += ne
+    assert evals == ref_evals
+    if n == 2:
+        # the same arithmetic in the same order
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(errors, ref_errors)
+    else:
+        # 3-point dot products round differently batched than one at a time
+        assert np.allclose(values, ref_values, rtol=1e-13, atol=0)
+        assert np.allclose(errors, ref_errors, rtol=1e-8, atol=1e-15)
+
+
+def test_facet_integrals_independent_of_batch_size(cube3, monkeypatch):
+    g = pb.gaussian(3)
+    K = pb.random_polytope(3, pb.RandomStream(424242).substream(20))
+    full = [pb.measures.facet_integrals(B, g.eval, 1e-6) for B in (K, cube3)]
+    monkeypatch.setattr(pb.measures, "_BATCH", 5)
+    for B, (values, errors, evals) in zip((K, cube3), full):
+        v, e, ne = pb.measures.facet_integrals(B, g.eval, 1e-6)
+        assert np.array_equal(v, values) and np.array_equal(e, errors)
+        assert ne == evals
