@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from projbodies import cli
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run_cli(argv):
-    import contextlib
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
@@ -191,3 +194,77 @@ def test_byte_identical_reruns():
     _, out1 = run_cli(argv)
     _, out2 = run_cli(argv)
     assert out1 == out2
+
+
+def test_meanbody_spectral_endpoints():
+    # S_inf K = DK and S_-1 K = Vol(K) Pi°K; at theta = (1, 0) on the
+    # standard triangle rho_DK = 1 and h_{Pi K} = 1, so the radii are 1 and 1/2
+    code, out = run_cli(["meanbody", "spectral", "--body", "simplex:2",
+                         "--p", "inf", "--grid", "16"])
+    assert code == 0
+    outer = json.loads(out)
+    assert outer[0]["direction"] == [1.0, 0.0]
+    assert outer[0]["radius"] == pytest.approx(1.0, abs=1e-12)
+    code, out = run_cli(["meanbody", "spectral", "--body", "simplex:2",
+                         "--p", "-1", "--grid", "16"])
+    assert code == 0
+    inner = json.loads(out)
+    assert inner[0]["radius"] == pytest.approx(0.5, abs=1e-12)
+    assert all(a["radius"] <= b["radius"] + 1e-12 for a, b in zip(inner, outer))
+
+
+def test_meanbody_radial_csv_columns():
+    code, out = run_cli(["meanbody", "radial", "--body", "simplex:2",
+                         "--p", "1", "--grid", "8", "--format", "csv"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "radius,d0,d1"
+    assert len(lines) == 9
+    radius, d0, d1 = (float(v) for v in lines[1].split(","))
+    assert (d0, d1) == (1.0, 0.0)
+    assert radius == pytest.approx(1 / 3, abs=1e-6)
+
+
+def test_body_info_and_transform_ball():
+    code, out = run_cli(["body", "info", "--body", "ball:2:1.5"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["type"] == "ball" and data["dimension"] == 2
+    assert data["radius"] == 1.5 and data["center"] == [0.0, 0.0]
+    assert data["volume"] == pytest.approx(math.pi * 2.25)
+    code, out = run_cli(["body", "transform", "--body", "ball:2:1.5",
+                         "--map", "0,-2;2,0"])
+    assert code == 0
+    assert json.loads(out)["radius"] == pytest.approx(3.0)
+    code, _ = run_cli(["body", "transform", "--body", "ball:2:1.5",
+                       "--map", "2,0;0,0.5"])
+    assert code == 1  # only scaled isometries map a ball to a ball
+
+
+# The README's command-line examples, with the stdout they printed when the
+# golden files were recorded; any change to these bytes is a regression.
+README_GOLDEN = (
+    ("verify zhang_petty --body simplex:2 --format json",
+     "verify_zhang_petty.json"),
+    ("verify log_concave_zhang --body cube:2 --measure gaussian --seed 7",
+     "verify_log_concave_zhang.json"),
+    ("projbody polar-volume --body simplex:2 --grid 4096",
+     "projbody_polar_volume.json"),
+    ("covariogram profile --body simplex:2 --theta 1,0 --format csv",
+     "covariogram_profile.csv"),
+    ("meanbody chain --body simplex:2 --p-list 0,1,2", "meanbody_chain.json"),
+    ("isotropic reverse-iso --body cube:2 --measure gaussian --family log",
+     "isotropic_reverse_iso.json"),
+    ("sweep pe --body cube:2 --t-list 1,4,8,16 --format csv", "sweep_pe.csv"),
+)
+
+
+@pytest.mark.parametrize("command,golden", README_GOLDEN,
+                         ids=[g for _, g in README_GOLDEN])
+def test_readme_commands_golden(command, golden):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert f"projbodies {command}\n" in readme
+    code, out = run_cli(command.split())
+    assert code == 0
+    expected = (ROOT / "tests" / "golden" / golden).read_bytes()
+    assert out.encode("utf-8") == expected
