@@ -35,9 +35,10 @@ from .projection import (OffsetVector, Zonoid, ball_projection_body,
                          transform_law_residual, zonoid_polar_volume)
 from .meanbodies import (MeanBodyResult, c_np, inclusion_chain_report,
                          radial_mean_body, spectral_mean_body)
-from .inequalities import (INEQUALITY_IDS, Report, RunConfig, Witness,
-                           berwald_1d_check, ehrhard_bound_value,
-                           gaussian_sharpness_sweep, pe_sweep, verify)
+from .report import Report, RunConfig, Witness
+from .inequalities import (INEQUALITY_IDS, berwald_1d_check,
+                           ehrhard_bound_value, gaussian_sharpness_sweep,
+                           pe_sweep, verify)
 from .isotropic import (IsotropyCertificate, SLnPoint, I_functional,
                         ball_zonoid_volume_bound, isotropic_sandwich_check,
                         isotropic_volume_sandwich, isotropy_residual,

@@ -312,8 +312,6 @@ def radial_many(body, thetas: np.ndarray, x=None) -> np.ndarray:
 
 
 def volume(body) -> float:
-    if isinstance(body, Ball):
-        return body.volume
     return body.volume
 
 

@@ -10,24 +10,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
 import numpy as np
 
-from . import bodies, inequalities, isotropic, measures
+from . import bodies, isotropic, measures
 from .bodies import Ball, LinearMap
 from .covariogram import CovariogramQuery, mu_covariogram
-from .inequalities import (INEQUALITY_IDS, Report, RunConfig,
-                           ehrhard_bound_value, gaussian_sharpness_sweep,
-                           pe_sweep, verify)
+from .inequalities import (INEQUALITY_IDS, ehrhard_bound_value,
+                           gaussian_sharpness_sweep, pe_sweep, verify)
 from .meanbodies import (inclusion_chain_report, radial_mean_body,
                          spectral_mean_body)
 from .measures import ConcavityFamily
 from .numerics import (ConfigurationError, DomainError, sphere_directions)
 from .projection import (brightness_residual, offset_vector,
                          projection_zonoid, zonoid_polar_volume)
+from .report import Report, RunConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -179,11 +178,168 @@ def emit_rows(rows: list[dict], fmt: str, out) -> int:
     return EXIT_OK
 
 
+# -- command handlers: (args with specs resolved, out) -> exit code ------------
+
+def _body(args, out) -> int:
+    K = args.K
+    if args.action == "transform":
+        K = bodies.apply_linear(K, parse_map(args.map, K.n))
+    if isinstance(K, Ball):
+        return emit_json({"type": "ball", "dimension": K.n,
+                          "radius": K.radius,
+                          "center": list(K.center),
+                          "volume": K.volume}, out)
+    return emit_json({
+        "type": "polytope", "dimension": K.n,
+        "volume": K.volume,
+        "vertex_count": len(K.vertices),
+        "facet_count": K.facet_count,
+        "symmetric": K.is_symmetric(),
+        "diameter": K.diameter,
+        "vertices": K.vertices.tolist(),
+        "facet_normals": K.normals.tolist(),
+        "facet_offsets": K.offsets.tolist(),
+        "facet_areas": K.areas.tolist(),
+    }, out)
+
+
+def _query(args) -> CovariogramQuery:
+    return CovariogramQuery(args.K, args.mu, args.f, mode=args.mode,
+                            stream=args.cfg.stream(), N=args.samples)
+
+
+def _covariogram_eval(args, out) -> int:
+    res = mu_covariogram(_query(args), parse_vector(args.x))
+    return emit_json({"value": res.value,
+                      "error": res.error_estimate,
+                      "evaluations": res.evaluations}, out)
+
+
+def _covariogram_profile(args, out) -> int:
+    query = _query(args)
+    theta = parse_vector(args.theta)
+    theta = theta / np.linalg.norm(theta)
+    rho = bodies.radial_many(bodies.difference_body(args.K), theta[None, :])[0]
+    rows = []
+    for i in range(args.steps + 1):
+        r = rho * i / args.steps
+        res = mu_covariogram(query, r * theta)
+        rows.append({"r": r, "value": res.value,
+                     "error": res.error_estimate})
+    return emit_rows(rows, args.format, out)
+
+
+def _projbody_build(args, out) -> int:
+    K, mu, f = args.K, args.mu, args.f
+    zon = projection_zonoid(K, mu, f=f, tol=args.tol)
+    off = offset_vector(K, mu, f=f,
+                        stream=args.cfg.stream() if f is not None else None,
+                        N=args.samples, tol=args.tol)
+    return emit_json({
+        "generators": zon.generators.tolist(),
+        "weights": zon.weights.tolist(),
+        "weight_errors": zon.weight_errors.tolist(),
+        "offset": list(off.value),
+        "offset_error": off.error_estimate,
+        "offset_kind": off.which}, out)
+
+
+def _projbody_polar_volume(args, out) -> int:
+    zon = projection_zonoid(args.K, args.mu, tol=args.tol)
+    off = offset_vector(args.K, args.mu, tol=args.tol)
+    grid = sphere_directions(args.K.n, args.grid)
+    val = zonoid_polar_volume(zon.with_offset(off.value), grid)
+    return emit_json({"value": val, "grid": args.grid}, out)
+
+
+def _projbody_brightness(args, out) -> int:
+    res = brightness_residual(args.K, args.mu, parse_vector(args.theta),
+                              mode=args.mode, f=args.f,
+                              stream=args.cfg.stream(), N=args.samples,
+                              tol=args.tol)
+    return emit_json({"residual": res.value,
+                      "budget": res.error_estimate,
+                      "pass": bool(res.value <= 3.0 * res.error_estimate
+                                   + 1e-9)}, out)
+
+
+def _meanbody_chain(args, out) -> int:
+    p_list = [float(p) for p in args.p_list.split(",")]
+    grid = sphere_directions(args.K.n, min(args.grid, 256))
+    report = inclusion_chain_report(args.K, p_list, grid, tol=args.tol)
+    return emit_report(report, args.format, out)
+
+
+def _meanbody_radii(args, out) -> int:
+    grid = sphere_directions(args.K.n, min(args.grid, 256))
+    p = float("inf") if args.p == "inf" else float(args.p)
+    result = args.mean_body(args.K, p, grid, tol=args.tol)
+    rows = [{"direction": list(d), "radius": float(r)}
+            for d, r in zip(grid.directions, result.star.radii)]
+    if args.format == "csv":
+        rows = [{"radius": r["radius"],
+                 **{f"d{i}": v for i, v in enumerate(r["direction"])}}
+                for r in rows]
+    return emit_rows(rows, args.format, out)
+
+
+def _verify(args, out) -> int:
+    n = args.K.n
+    nu = parse_measure(args.nu, n) if args.nu else None
+    family = parse_family(args.family) if args.family else None
+    report = verify(args.id, args.K, mu=args.mu, nu=nu, f=args.f,
+                    family=family, s=args.s, precision=args.cfg)
+    return emit_report(report, args.format, out)
+
+
+def _isotropic_residual(args, out) -> int:
+    cert = isotropic.isotropy_residual(args.K, args.mu, args.tol)
+    return emit_json({"residual": cert.residual,
+                      "threshold": cert.threshold,
+                      "isotropic": cert.isotropic,
+                      "weights": cert.weights.tolist()}, out)
+
+
+def _isotropic_minimize(args, out) -> int:
+    point, value, converged = isotropic.minimize_I(
+        args.K, args.mu, stream=args.cfg.stream(), tol=args.tol)
+    return emit_json({"matrix": point.matrix.tolist(),
+                      "value": value,
+                      "converged": converged}, out)
+
+
+def _isotropic_reverse_iso(args, out) -> int:
+    report = isotropic.reverse_isoperimetric(args.K, args.mu,
+                                             parse_family(args.family),
+                                             mode=args.mode,
+                                             stream=args.cfg.stream(),
+                                             N=args.samples, cfg=args.cfg)
+    return emit_report(report, args.format, out)
+
+
+def _sweep_pe(args, out) -> int:
+    t_list = [float(t) for t in args.t_list.split(",")]
+    return emit_rows(pe_sweep(args.K, t_list, args.cfg), args.format, out)
+
+
+def _sweep_gaussian_sharpness(args, out) -> int:
+    r_list = [float(r) for r in args.r_list.split(",")]
+    return emit_rows(gaussian_sharpness_sweep(r_list, n=args.n), args.format,
+                     out)
+
+
+def _sweep_ehrhard(args, out) -> int:
+    x_list = [float(x) for x in args.x_list.split(",")]
+    rows = [{"x": x, "value": ehrhard_bound_value(args.n, x),
+             "error": 0.0} for x in x_list]
+    return emit_rows(rows, args.format, out)
+
+
 # -- argument plumbing ----------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, body=True, measure=False):
-    if body:
-        p.add_argument("--body", required=True, help="body spec (or @file)")
+def _add_common(p: argparse.ArgumentParser, run, measure=False):
+    p.set_defaults(run=run)
+    p.add_argument("--body", required=True, help="body spec (or @file)")
     if measure:
         p.add_argument("--measure", default="lebesgue",
                        help="measure spec (default lebesgue)")
@@ -199,21 +355,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     body = sub.add_parser("body").add_subparsers(dest="action", required=True)
-    p = body.add_parser("info")
-    _add_common(p)
+    _add_common(body.add_parser("info"), _body)
     p = body.add_parser("transform")
-    _add_common(p)
+    _add_common(p, _body)
     p.add_argument("--map", required=True, help="row-major 'a,b;c,d' or rot:angle")
 
     cov = sub.add_parser("covariogram").add_subparsers(dest="action", required=True)
     p = cov.add_parser("eval")
-    _add_common(p, measure=True)
+    _add_common(p, _covariogram_eval, measure=True)
     p.add_argument("--x", required=True, help="translation vector 'x1,x2,...'")
     p.add_argument("--mode", choices=("plain", "polarized", "functional"),
                    default="plain")
     p.add_argument("--f", default=None, help="density spec for functional mode")
     p = cov.add_parser("profile")
-    _add_common(p, measure=True)
+    _add_common(p, _covariogram_profile, measure=True)
     p.add_argument("--theta", required=True)
     p.add_argument("--steps", type=int, default=32)
     p.add_argument("--mode", choices=("plain", "polarized", "functional"),
@@ -222,30 +377,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     proj = sub.add_parser("projbody").add_subparsers(dest="action", required=True)
     p = proj.add_parser("build")
-    _add_common(p, measure=True)
+    _add_common(p, _projbody_build, measure=True)
     p.add_argument("--f", default=None)
-    p = proj.add_parser("polar-volume")
-    _add_common(p, measure=True)
+    _add_common(proj.add_parser("polar-volume"), _projbody_polar_volume,
+                measure=True)
     p = proj.add_parser("brightness")
-    _add_common(p, measure=True)
+    _add_common(p, _projbody_brightness, measure=True)
     p.add_argument("--theta", required=True)
     p.add_argument("--mode", choices=("plain", "polarized", "functional"),
                    default="plain")
     p.add_argument("--f", default=None)
 
     mean = sub.add_parser("meanbody").add_subparsers(dest="action", required=True)
-    for action in ("radial", "spectral"):
+    for action, fn in (("radial", radial_mean_body),
+                       ("spectral", spectral_mean_body)):
         p = mean.add_parser(action)
-        _add_common(p)
+        _add_common(p, _meanbody_radii)
+        p.set_defaults(mean_body=fn)
         p.add_argument("--p", required=True,
                        help="exponent (a float, or 'inf')")
     p = mean.add_parser("chain")
-    _add_common(p)
+    _add_common(p, _meanbody_chain)
     p.add_argument("--p-list", default="0,1,2")
 
     p = sub.add_parser("verify")
     p.add_argument("id", choices=INEQUALITY_IDS)
-    _add_common(p, measure=True)
+    _add_common(p, _verify, measure=True)
     p.add_argument("--nu", default=None, help="second measure spec")
     p.add_argument("--f", default=None, help="density spec for functional forms")
     p.add_argument("--family", default=None,
@@ -253,25 +410,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=None)
 
     iso = sub.add_parser("isotropic").add_subparsers(dest="action", required=True)
-    p = iso.add_parser("residual")
-    _add_common(p, measure=True)
-    p = iso.add_parser("minimize")
-    _add_common(p, measure=True)
+    _add_common(iso.add_parser("residual"), _isotropic_residual, measure=True)
+    _add_common(iso.add_parser("minimize"), _isotropic_minimize, measure=True)
     p = iso.add_parser("reverse-iso")
-    _add_common(p, measure=True)
+    _add_common(p, _isotropic_reverse_iso, measure=True)
     p.add_argument("--family", required=True)
     p.add_argument("--mode", choices=("q_form", "f_form"), default="q_form")
 
     sweep = sub.add_parser("sweep").add_subparsers(dest="action", required=True)
     p = sweep.add_parser("pe")
-    _add_common(p)
+    _add_common(p, _sweep_pe)
     p.add_argument("--t-list", default="0.5,1,2,4,8,12,16")
     p = sweep.add_parser("gaussian-sharpness")
+    p.set_defaults(run=_sweep_gaussian_sharpness)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--r-list", default="1,2,5,10,20")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p = sweep.add_parser("ehrhard")
+    p.set_defaults(run=_sweep_ehrhard)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--x-list", default="-2,-1,0,1,2")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -279,159 +436,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(seed=args.seed, samples=args.samples, grid=args.grid,
-                     tol=args.tol)
-
-
-def _run(args, out) -> int:
-    cmd = args.command
-    if cmd == "body":
-        K = parse_body(args.body)
-        if args.action == "transform":
-            K = bodies.apply_linear(K, parse_map(args.map, K.n))
-        if isinstance(K, Ball):
-            return emit_json({"type": "ball", "dimension": K.n,
-                              "radius": K.radius,
-                              "center": list(K.center),
-                              "volume": K.volume}, out)
-        return emit_json({
-            "type": "polytope", "dimension": K.n,
-            "volume": K.volume,
-            "vertex_count": len(K.vertices),
-            "facet_count": K.facet_count,
-            "symmetric": K.is_symmetric(),
-            "diameter": K.diameter,
-            "vertices": K.vertices.tolist(),
-            "facet_normals": K.normals.tolist(),
-            "facet_offsets": K.offsets.tolist(),
-            "facet_areas": K.areas.tolist(),
-        }, out)
-
-    if cmd == "covariogram":
-        K = parse_body(args.body)
-        mu = parse_measure(args.measure, K.n)
-        f = parse_measure(args.f, K.n) if args.f else None
-        cfg = _config(args)
-        query = CovariogramQuery(K, mu, f, mode=args.mode,
-                                 stream=cfg.stream(), N=args.samples)
-        if args.action == "eval":
-            res = mu_covariogram(query, parse_vector(args.x))
-            return emit_json({"value": res.value,
-                              "error": res.error_estimate,
-                              "evaluations": res.evaluations}, out)
-        theta = parse_vector(args.theta)
-        theta = theta / np.linalg.norm(theta)
-        rho = bodies.radial_many(bodies.difference_body(K), theta[None, :])[0]
-        rows = []
-        for i in range(args.steps + 1):
-            r = rho * i / args.steps
-            res = mu_covariogram(query, r * theta)
-            rows.append({"r": r, "value": res.value,
-                         "error": res.error_estimate})
-        return emit_rows(rows, args.format, out)
-
-    if cmd == "projbody":
-        K = parse_body(args.body)
-        cfg = _config(args)
-        mu = parse_measure(args.measure, K.n)
-        if args.action == "build":
-            f = parse_measure(args.f, K.n) if args.f else None
-            zon = projection_zonoid(K, mu, f=f, tol=args.tol)
-            off = offset_vector(K, mu, f=f,
-                                stream=cfg.stream() if f is not None else None,
-                                N=args.samples, tol=args.tol)
-            return emit_json({
-                "generators": zon.generators.tolist(),
-                "weights": zon.weights.tolist(),
-                "weight_errors": zon.weight_errors.tolist(),
-                "offset": list(off.value),
-                "offset_error": off.error_estimate,
-                "offset_kind": off.which}, out)
-        if args.action == "polar-volume":
-            zon = projection_zonoid(K, mu, tol=args.tol)
-            off = offset_vector(K, mu, tol=args.tol)
-            grid = sphere_directions(K.n, args.grid)
-            val = zonoid_polar_volume(zon.with_offset(off.value), grid)
-            return emit_json({"value": val, "grid": args.grid}, out)
-        theta = parse_vector(args.theta)
-        f = parse_measure(args.f, K.n) if args.f else None
-        res = brightness_residual(K, mu, theta, mode=args.mode, f=f,
-                                  stream=cfg.stream(), N=args.samples,
-                                  tol=args.tol)
-        return emit_json({"residual": res.value,
-                          "budget": res.error_estimate,
-                          "pass": bool(res.value <= 3.0 * res.error_estimate
-                                       + 1e-9)}, out)
-
-    if cmd == "meanbody":
-        K = parse_body(args.body)
-        grid = sphere_directions(K.n, min(args.grid, 256))
-        if args.action == "chain":
-            p_list = [float(p) for p in args.p_list.split(",")]
-            report = inclusion_chain_report(K, p_list, grid, tol=args.tol)
-            return emit_report(report, args.format, out)
-        p = float("inf") if args.p == "inf" else float(args.p)
-        fn = radial_mean_body if args.action == "radial" else spectral_mean_body
-        result = fn(K, p, grid, tol=args.tol)
-        rows = [{"direction": list(d), "radius": float(r)}
-                for d, r in zip(grid.directions, result.star.radii)]
-        if args.format == "csv":
-            rows = [{"radius": r["radius"],
-                     **{f"d{i}": v for i, v in enumerate(r["direction"])}}
-                    for r in rows]
-        return emit_rows(rows, args.format, out)
-
-    if cmd == "verify":
-        K = parse_body(args.body)
-        n = K.n
-        mu = parse_measure(args.measure, n)
-        nu = parse_measure(args.nu, n) if args.nu else None
-        f = parse_measure(args.f, n) if args.f else None
-        family = parse_family(args.family) if args.family else None
-        report = verify(args.id, K, mu=mu, nu=nu, f=f, family=family,
-                        s=args.s, precision=_config(args))
-        return emit_report(report, args.format, out)
-
-    if cmd == "isotropic":
-        K = parse_body(args.body)
-        mu = parse_measure(args.measure, K.n)
-        cfg = _config(args)
-        if args.action == "residual":
-            cert = isotropic.isotropy_residual(K, mu, args.tol)
-            return emit_json({"residual": cert.residual,
-                              "threshold": cert.threshold,
-                              "isotropic": cert.isotropic,
-                              "weights": cert.weights.tolist()}, out)
-        if args.action == "minimize":
-            point, value, converged = isotropic.minimize_I(
-                K, mu, stream=cfg.stream(), tol=args.tol)
-            return emit_json({"matrix": point.matrix.tolist(),
-                              "value": value,
-                              "converged": converged}, out)
-        family = parse_family(args.family)
-        report = isotropic.reverse_isoperimetric(K, mu, family,
-                                                 mode=args.mode,
-                                                 stream=cfg.stream(),
-                                                 N=args.samples, cfg=cfg)
-        return emit_report(report, args.format, out)
-
-    if cmd == "sweep":
-        if args.action == "pe":
-            K = parse_body(args.body)
-            t_list = [float(t) for t in args.t_list.split(",")]
-            rows = pe_sweep(K, t_list, _config(args))
-            return emit_rows(rows, args.format, out)
-        if args.action == "gaussian-sharpness":
-            r_list = [float(r) for r in args.r_list.split(",")]
-            rows = gaussian_sharpness_sweep(r_list, n=args.n)
-            return emit_rows(rows, args.format, out)
-        x_list = [float(x) for x in args.x_list.split(",")]
-        rows = [{"x": x, "value": ehrhard_bound_value(args.n, x),
-                 "error": 0.0} for x in x_list]
-        return emit_rows(rows, args.format, out)
-
-    raise ConfigurationError(f"unknown command {cmd!r}")
+def _resolve_specs(args):
+    """Parse the body, measure and --f specs and the run config, once."""
+    if not hasattr(args, "body"):
+        return
+    args.K = parse_body(args.body)
+    n = args.K.n
+    args.mu = parse_measure(args.measure, n) if hasattr(args, "measure") else None
+    args.f = parse_measure(args.f, n) if getattr(args, "f", None) else None
+    args.cfg = RunConfig(seed=args.seed, samples=args.samples, grid=args.grid,
+                         tol=args.tol)
 
 
 def main(argv=None) -> int:
@@ -441,7 +455,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return _run(args, sys.stdout)
+        _resolve_specs(args)
+        return args.run(args, sys.stdout)
     except (ConfigurationError, DomainError, FileNotFoundError,
             KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

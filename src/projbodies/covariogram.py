@@ -21,7 +21,7 @@ from .bodies import Polytope
 from .measures import Density, lebesgue, measure_body, DEFAULT_MC_SAMPLES
 from .numerics import (BoxSampler, ConfigurationError, DomainError,
                        PrecisionError, QuadratureResult, RandomStream,
-                       monte_carlo)
+                       mean_with_budget, monte_carlo)
 
 
 @dataclass
@@ -157,8 +157,7 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
         points = box.sample(gen, q.N)
         v0, v1, v2 = _brightness_values(q, points, theta, h)
         r = (4.0 * v1 - v2 - 3.0 * v0) * (box.measure / h)
-        value = float(r.mean())
-        err = float(3.0 * r.std(ddof=1) / np.sqrt(q.N))
+        value, err = map(float, mean_with_budget(r))
         evals = 3 * q.N
     if q.tol is not None and err > q.tol:
         raise PrecisionError(
@@ -218,9 +217,7 @@ def translated_average(kind: str, K, mu: Density | None = None,
     if kind == "mu_lambda":
         if mu is None:
             raise ConfigurationError("mu_lambda needs mu")
-        vals = mu.eval(ys - ws) * vol
-        mean = float(vals.mean())
-        err = float(3.0 * vals.std(ddof=1) / np.sqrt(N))
+        mean, err = map(float, mean_with_budget(mu.eval(ys - ws) * vol))
         return QuadratureResult(mean, err, N)
 
     if kind == "nu_mu_body":
@@ -233,20 +230,20 @@ def translated_average(kind: str, K, mu: Density | None = None,
             raise ConfigurationError("nu_mu_functional needs mu, nu and f")
         fe = _as_eval(f)
         num_vals = mu.eval(ys) * fe(ws) * nu.eval(ys - ws) * vol * vol
-        den = _l1_norm(f, mu, K, stream.substream(1), N)
+        den = l1_norm(f, mu, K, stream.substream(1), N)
     else:
         raise ConfigurationError(f"unknown translated-average kind {kind!r}")
 
     if den.value <= 0:
         raise DomainError(f"zero normalizer for kind {kind!r}")
-    num = float(num_vals.mean())
-    num_err = float(3.0 * num_vals.std(ddof=1) / np.sqrt(N))
+    num, num_err = map(float, mean_with_budget(num_vals))
     value = num / den.value
     err = num_err / den.value + abs(num) * den.error_estimate / den.value ** 2
     return QuadratureResult(value, err, 2 * N)
 
 
-def _l1_norm(f, mu: Density, K, stream: RandomStream, N: int) -> QuadratureResult:
+def l1_norm(f, mu: Density, K, stream: RandomStream,
+            N: int = DEFAULT_MC_SAMPLES) -> QuadratureResult:
     """L^1(mu, K) norm of f by Monte Carlo over K's bounding box."""
     lo, hi = K.bounding_box()
     box = BoxSampler(lo, hi)
@@ -256,8 +253,3 @@ def _l1_norm(f, mu: Density, K, stream: RandomStream, N: int) -> QuadratureResul
         return np.abs(fe(p)) * mu.eval(p) * K.contains(p)
 
     return monte_carlo(box, integrand, N, stream)
-
-
-def l1_norm(f, mu: Density, K, stream: RandomStream,
-            N: int = DEFAULT_MC_SAMPLES) -> QuadratureResult:
-    return _l1_norm(f, mu, K, stream, N)

@@ -1,20 +1,17 @@
 """The inequality verification suite.
 
 Every named inequality is evaluated as an lhs/rhs pair with a propagated
-error budget and normalized so that margin = rhs - lhs >= 0 means pass.
-Tolerances are three times the root-sum-square of the propagated error
-estimates; |margin| <= tolerance is flagged as "tight" in the witnesses but
-never asserted as mathematical equality.  Hypotheses that are assumptions
-of a theorem (density flags, concavity of a composed covariogram) are
-guarded: a missing flag raises a configuration error naming the hypothesis,
-a failed numeric concavity check yields a hypothesis-violation verdict
-rather than a failed inequality.
+error budget and reported through ``report.finish_report``, which sets the
+tolerance and the verdict.  Hypotheses that are assumptions of a theorem
+(density flags, concavity of a composed covariogram) are guarded: a missing
+flag raises a configuration error naming the hypothesis, a failed numeric
+concavity check yields a hypothesis-violation verdict rather than a failed
+inequality.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats
@@ -25,94 +22,14 @@ from .covariogram import (CovariogramQuery, l1_norm, mu_covariogram,
                           translated_average)
 from .measures import (ConcavityFamily, Density, boundary_measure,
                        exp_norm, exp_norm_mass_of_scaled, gaussian_ball_mass,
-                       lebesgue, measure_body, power_family,
-                       DEFAULT_MC_SAMPLES)
+                       lebesgue, measure_body, power_family)
 from .numerics import (BoxSampler, ConfigurationError, DomainError,
                        QuadratureResult, RandomStream, ball_volume,
-                       gaussian_quantile, integrate_1d, monte_carlo,
-                       sphere_directions)
-from .projection import (Zonoid, offset_vector, projection_zonoid,
-                         zonoid_polar_volume)
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A named intermediate value with its own error estimate."""
-
-    value: float
-    error: float = 0.0
-    note: str | None = None
-
-    def to_json_dict(self):
-        d = {"value": self.value, "error": self.error}
-        if self.note is not None:
-            d["note"] = self.note
-        return d
-
-
-@dataclass
-class Report:
-    """Verdict record for one inequality check."""
-
-    id: str
-    lhs: float
-    rhs: float
-    margin: float
-    tolerance: float
-    passed: bool
-    verdict: str  # "pass" | "fail" | "hypothesis_violation"
-    witnesses: dict
-    config: dict
-
-    def to_json_dict(self):
-        return {
-            "id": self.id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "verdict": self.verdict,
-            "witnesses": {k: w.to_json_dict() for k, w in self.witnesses.items()},
-            "config": self.config,
-        }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Precision knobs echoed into every report."""
-
-    seed: int = 0
-    samples: int = DEFAULT_MC_SAMPLES
-    grid: int = 4096
-    tol: float = 1e-8
-
-    def stream(self) -> RandomStream:
-        return RandomStream(self.seed)
-
-    def echo(self) -> dict:
-        return {"seed": self.seed, "samples": self.samples,
-                "grid": self.grid, "tol": self.tol}
-
-
-def _finish(id_, lhs, rhs, errors, witnesses, cfg, verdict=None) -> Report:
-    margin = rhs - lhs
-    tolerance = 3.0 * float(np.sqrt(np.sum(np.square(errors)))) if errors else 0.0
-    tolerance = max(tolerance, 1e-12 * (abs(lhs) + abs(rhs)))
-    passed = bool(margin >= -tolerance)
-    if verdict is None:
-        verdict = "pass" if passed else "fail"
-    if abs(margin) <= tolerance:
-        witnesses = dict(witnesses)
-        witnesses["tight"] = Witness(margin, tolerance, note="|margin| <= tolerance")
-    return Report(id_, float(lhs), float(rhs), float(margin), float(tolerance),
-                  passed, verdict, witnesses, cfg.echo())
-
-
-def _grid(n: int, count: int, cfg: RunConfig):
-    if n in (2, 3):
-        return sphere_directions(n, count)
-    return sphere_directions(n, count, "uniform_random", cfg.stream().substream(999))
+                       gaussian_cdf, gaussian_quantile, integrate_1d,
+                       mean_with_budget, monte_carlo)
+from .projection import Zonoid, offset_vector, projection_zonoid
+from .report import (Report, RunConfig, Witness, direction_grid,
+                     finish_report, polar_volume)
 
 
 def _binom(a: float, n: int) -> float:
@@ -121,16 +38,18 @@ def _binom(a: float, n: int) -> float:
                                            * special.gamma(a - n + 1.0)))
 
 
-def _polar_volume(Z: Zonoid, n: int, cfg: RunConfig):
-    """Polar volume of a (shifted) zonoid with a grid-refinement error bar."""
-    full = _grid(n, cfg.grid, cfg)
-    half = _grid(n, max(2 * n, cfg.grid // 2), cfg)
-    pv = zonoid_polar_volume(Z, full)
-    pv_half = zonoid_polar_volume(Z, half)
-    h = Z.support(full.directions)
-    herr = Z.support_error(full.directions)
-    sens = float(np.sum(full.weights * h ** (-n - 1) * herr))
-    return pv, abs(pv - pv_half) + sens
+def power_product_error(m: float, m_err: float, n: int, pv: float,
+                        pv_err: float) -> float:
+    """First-order error of m^n pv from the errors of m and pv."""
+    return n * m ** (n - 1) * m_err * pv + m ** n * pv_err
+
+
+def _shifted_zonoid(K: Polytope, mu: Density, cfg: RunConfig, f=None,
+                    stream: RandomStream | None = None):
+    """Pi_mu K (or Pi_{mu,f} K) shifted by its offset eta (or tau)."""
+    zon = projection_zonoid(K, mu, f=f, tol=cfg.tol)
+    off = offset_vector(K, mu, f=f, stream=stream, N=cfg.samples, tol=cfg.tol)
+    return zon.with_offset(off.value), off
 
 
 def _measure_support_set(nu: Density, Z: Zonoid, scale: float,
@@ -143,9 +62,9 @@ def _measure_support_set(nu: Density, Z: Zonoid, scale: float,
     """
     n = Z.n
     if nu.is_lebesgue:
-        pv, err = _polar_volume(Z, n, cfg)
+        pv, err = polar_volume(Z, n, cfg)
         return QuadratureResult(scale ** n * pv, scale ** n * err, 0)
-    dense = _grid(n, max(8192, cfg.grid), cfg)
+    dense = direction_grid(n, max(8192, cfg.grid), cfg)
     r_min = float(np.min(Z.support(dense.directions)))
     if r_min <= 0:
         raise DomainError("support-set region is unbounded (support <= 0)")
@@ -194,7 +113,6 @@ def ehrhard_bound_value(n: int, x: float, tol: float = 1e-10) -> float:
     ∫_0^inf z^n e^{-(z-x)^2/2} dz; always at most n!."""
     if n < 2:
         raise DomainError("need n >= 2")
-    from .numerics import gaussian_cdf
 
     def f(z):
         return z ** n * math.exp(-0.5 * (z - x) ** 2)
@@ -277,22 +195,19 @@ def _verify_zhang_petty(K, mu, nu, f, family, s, cfg) -> Report:
     if isinstance(K, Ball):
         # analytic path: Pi(RB) = kappa_{n-1} R^{n-1} B
         pv = ball_volume(n) / (ball_volume(n - 1) * K.radius ** (n - 1)) ** n
+        pv_err = 0.0
         product = K.volume ** (n - 1) * pv
         errors = [1e-12 * product]
-        witnesses = {"product": Witness(product, errors[0]),
-                     "vol": Witness(K.volume), "polar_volume": Witness(pv)}
     else:
-        pv, pv_err = _polar_volume(projection_zonoid(K), n, cfg)
+        pv, pv_err = polar_volume(projection_zonoid(K), n, cfg)
         product = K.volume ** (n - 1) * pv
         errors = [K.volume ** (n - 1) * pv_err]
-        witnesses = {"product": Witness(product, errors[0]),
-                     "vol": Witness(K.volume),
-                     "polar_volume": Witness(pv, pv_err)}
-    witnesses["zhang_bound"] = Witness(zhang)
-    witnesses["petty_bound"] = Witness(petty)
+    witnesses = {"product": Witness(product, errors[0]), "vol": Witness(K.volume),
+                 "polar_volume": Witness(pv, pv_err),
+                 "zhang_bound": Witness(zhang), "petty_bound": Witness(petty)}
     if product - zhang <= petty - product:
-        return _finish("zhang_petty", zhang, product, errors, witnesses, cfg)
-    return _finish("zhang_petty", product, petty, errors, witnesses, cfg)
+        return finish_report("zhang_petty", zhang, product, errors, witnesses, cfg)
+    return finish_report("zhang_petty", product, petty, errors, witnesses, cfg)
 
 
 def _verify_rogers_shephard(K, mu, nu, f, family, s, cfg) -> Report:
@@ -304,8 +219,8 @@ def _verify_rogers_shephard(K, mu, nu, f, family, s, cfg) -> Report:
                  "lower_bound": Witness(lo), "upper_bound": Witness(hi)}
     errors = [1e-12 * ratio]
     if ratio - lo <= hi - ratio:
-        return _finish("rogers_shephard", lo, ratio, errors, witnesses, cfg)
-    return _finish("rogers_shephard", ratio, hi, errors, witnesses, cfg)
+        return finish_report("rogers_shephard", lo, ratio, errors, witnesses, cfg)
+    return finish_report("rogers_shephard", ratio, hi, errors, witnesses, cfg)
 
 
 def _verify_rst(K, mu, nu, f, family, s, cfg) -> Report:
@@ -320,9 +235,9 @@ def _verify_rst(K, mu, nu, f, family, s, cfg) -> Report:
     rhs = _binom(2 * n, n) * avg.value
     witnesses = {"nu_DK": Witness(lhs.value, lhs.error_estimate),
                  "nu_lambda": Witness(avg.value, avg.error_estimate)}
-    return _finish("rst_radially_decreasing", lhs.value, rhs,
-                   [lhs.error_estimate, _binom(2 * n, n) * avg.error_estimate],
-                   witnesses, cfg)
+    return finish_report("rst_radially_decreasing", lhs.value, rhs,
+                         [lhs.error_estimate, _binom(2 * n, n) * avg.error_estimate],
+                         witnesses, cfg)
 
 
 def _verify_weak_zhang(K, mu, nu, f, family, s, cfg) -> Report:
@@ -335,8 +250,8 @@ def _verify_weak_zhang(K, mu, nu, f, family, s, cfg) -> Report:
     rhs = _measure_support_set(mu, Z, n * K.volume, cfg, st.substream(1))
     witnesses = {"mu_lambda": Witness(lhs.value, lhs.error_estimate),
                  "mu_of_nV_polar": Witness(rhs.value, rhs.error_estimate)}
-    return _finish("weak_zhang", lhs.value, rhs.value,
-                   [lhs.error_estimate, rhs.error_estimate], witnesses, cfg)
+    return finish_report("weak_zhang", lhs.value, rhs.value,
+                         [lhs.error_estimate, rhs.error_estimate], witnesses, cfg)
 
 
 def _verify_zhang_rad(K, mu, nu, f, family, s, cfg) -> Report:
@@ -356,8 +271,8 @@ def _verify_zhang_rad(K, mu, nu, f, family, s, cfg) -> Report:
     witnesses = {"nu_lambda_K": Witness(avg_pos.value, avg_pos.error_estimate),
                  "nu_lambda_negK": Witness(avg_neg.value, avg_neg.error_estimate),
                  "nu_of_nV_polar": Witness(rhs.value, rhs.error_estimate)}
-    return _finish("zhang_radial_nondecreasing", lhs, rhs.value,
-                   [lhs_err, rhs.error_estimate], witnesses, cfg)
+    return finish_report("zhang_radial_nondecreasing", lhs, rhs.value,
+                         [lhs_err, rhs.error_estimate], witnesses, cfg)
 
 
 def _verify_surface_lower_bound(K, mu, nu, f, family, s, cfg) -> Report:
@@ -366,14 +281,13 @@ def _verify_surface_lower_bound(K, mu, nu, f, family, s, cfg) -> Report:
     bm = boundary_measure(mu, K, cfg.tol)
     _require(bm.value > 0, "surface_lower_bound needs mu(dK) > 0")
     Z = projection_zonoid(K, mu, tol=cfg.tol)
-    pv, pv_err = _polar_volume(Z, n, cfg)
+    pv, pv_err = polar_volume(Z, n, cfg)
     lhs = (n * ball_volume(n) / ball_volume(n - 1)) ** n * ball_volume(n)
     rhs = bm.value ** n * pv
-    err = (n * bm.value ** (n - 1) * bm.error_estimate * pv
-           + bm.value ** n * pv_err)
+    err = power_product_error(bm.value, bm.error_estimate, n, pv, pv_err)
     witnesses = {"mu_boundary": Witness(bm.value, bm.error_estimate),
                  "polar_volume": Witness(pv, pv_err)}
-    return _finish("surface_lower_bound", lhs, rhs, [err], witnesses, cfg)
+    return finish_report("surface_lower_bound", lhs, rhs, [err], witnesses, cfg)
 
 
 def _verify_exp_norm_gradient(K, mu, nu, f, family, s, cfg) -> Report:
@@ -410,17 +324,16 @@ def _verify_exp_norm_gradient(K, mu, nu, f, family, s, cfg) -> Report:
         gen = cfg.stream().substream(3).generator()
         raw = gen.standard_normal((cfg.samples // 4, n))
         omega = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        vals = angular(omega)
+        mean, budget = map(float, mean_with_budget(angular(omega)))
         surf = n * ball_volume(n)
-        rhs = float(vals.mean()) * surf
-        rhs_err = float(3.0 * vals.std(ddof=1) / np.sqrt(len(vals))) * surf
+        rhs, rhs_err = mean * surf, budget * surf
     witnesses = {"mu_boundary": Witness(bm.value, bm.error_estimate),
                  "gradient_integral": Witness(rhs, rhs_err)}
     errors = [lhs_err, rhs_err]
     # identity check: margin is minus the absolute defect
     margin_lhs = abs(lhs - rhs)
-    return _finish("exp_norm_gradient_identity", margin_lhs, 0.0, errors,
-                   witnesses, cfg)
+    return finish_report("exp_norm_gradient_identity", margin_lhs, 0.0, errors,
+                         witnesses, cfg)
 
 
 def _boundary_density_min(K: Polytope, mu: Density) -> float:
@@ -457,7 +370,7 @@ def _verify_set_inclusion_big(K, mu, nu, f, family, s, cfg) -> Report:
                  "non-Lebesgue chain needs symmetric K and even mu")
         use_offset = False  # eta = 0 by symmetry; polarized route
     st = cfg.stream()
-    grid = _grid(n, min(cfg.grid, 512), cfg)
+    grid = direction_grid(n, min(cfg.grid, 512), cfg)
     zon_mu = projection_zonoid(K, mu, tol=cfg.tol)
     zon_le = projection_zonoid(K)
     h_mu = zon_mu.support(grid.directions)
@@ -496,10 +409,10 @@ def _verify_set_inclusion_big(K, mu, nu, f, family, s, cfg) -> Report:
     witnesses = {"worst_margin": Witness(worst, budget, note=worst_pair),
                  "mu_K": Witness(muK.value, muK.error_estimate),
                  "inf_phi_boundary": Witness(inf_phi)}
-    return _finish("set_inclusion_big", -worst, 0.0, [budget], witnesses, cfg)
+    return finish_report("set_inclusion_big", -worst, 0.0, [budget], witnesses, cfg)
 
 
-def _family_matches(mu: Density, family: ConcavityFamily) -> bool:
+def family_matches(mu: Density, family: ConcavityFamily) -> bool:
     if family.kind == "log":
         return "log_concave" in mu.concavity
     if family.kind == "gaussian_phi_inverse":
@@ -513,7 +426,7 @@ def _verify_q_concave(K, mu, nu, f, family, s, cfg) -> Report:
     """Vol(K) (or the f-weighted mass) against the Q-concavity bound."""
     _require(mu is not None, "q_concave_zhang needs a measure mu")
     _require(family is not None, "q_concave_zhang needs a concavity family Q")
-    _require(_family_matches(mu, family),
+    _require(family_matches(mu, family),
              f"mu ({mu.label}) is not certified {family.kind}-concave")
     n = K.n
     st = cfg.stream()
@@ -523,8 +436,7 @@ def _verify_q_concave(K, mu, nu, f, family, s, cfg) -> Report:
     if f is None:
         a, a_err = muK.value, muK.error_estimate
         lhs, lhs_err = K.volume, 0.0
-        zon = projection_zonoid(K, mu, tol=cfg.tol)
-        off = offset_vector(K, mu, tol=cfg.tol)
+        zon, _ = _shifted_zonoid(K, mu, cfg)
     else:
         norm = l1_norm(f, mu, K, st.substream(2), cfg.samples)
         a, a_err = norm.value, norm.error_estimate
@@ -532,11 +444,8 @@ def _verify_q_concave(K, mu, nu, f, family, s, cfg) -> Report:
         lhs = muK.value * f_mass.value
         lhs_err = (muK.error_estimate * f_mass.value
                    + muK.value * f_mass.error_estimate)
-        zon = projection_zonoid(K, mu, f=f, tol=cfg.tol)
-        off = offset_vector(K, mu, f=f, stream=st.substream(4),
-                            N=cfg.samples, tol=cfg.tol)
-    zon = zon.with_offset(off.value)
-    pv, pv_err = _polar_volume(zon, n, cfg)
+        zon, _ = _shifted_zonoid(K, mu, cfg, f=f, stream=st.substream(4))
+    pv, pv_err = polar_volume(zon, n, cfg)
     qprime = family.Fprime(a)
     _require(qprime != 0.0, "q_concave_zhang needs Q'(a) != 0")
 
@@ -559,8 +468,8 @@ def _verify_q_concave(K, mu, nu, f, family, s, cfg) -> Report:
                  "concavity_margin": Witness(worst, 0.0,
                                              note="max midpoint violation of Q∘g")}
     verdict = None if ok else "hypothesis_violation"
-    return _finish("q_concave_zhang", lhs, rhs, [lhs_err, rhs_err],
-                   witnesses, cfg, verdict=verdict)
+    return finish_report("q_concave_zhang", lhs, rhs, [lhs_err, rhs_err],
+                         witnesses, cfg, verdict=verdict)
 
 
 def _verify_log_concave(K, mu, nu, f, family, s, cfg) -> Report:
@@ -569,18 +478,17 @@ def _verify_log_concave(K, mu, nu, f, family, s, cfg) -> Report:
     n = K.n
     st = cfg.stream()
     muK = measure_body(mu, K, st.substream(0), cfg.samples)
-    zon = projection_zonoid(K, mu, tol=cfg.tol)
-    off = offset_vector(K, mu, tol=cfg.tol)
-    pv, pv_err = _polar_volume(zon.with_offset(off.value), n, cfg)
+    zon, off = _shifted_zonoid(K, mu, cfg)
+    pv, pv_err = polar_volume(zon, n, cfg)
     lhs = 1.0 / math.factorial(n)
     rhs = muK.value ** n * pv / K.volume
-    err = (n * muK.value ** (n - 1) * muK.error_estimate * pv
-           + muK.value ** n * pv_err) / K.volume
+    err = power_product_error(muK.value, muK.error_estimate, n, pv,
+                              pv_err) / K.volume
     witnesses = {"mu_K": Witness(muK.value, muK.error_estimate),
                  "polar_volume": Witness(pv, pv_err),
                  "eta": Witness(float(np.linalg.norm(off.value)),
                                 off.error_estimate)}
-    return _finish("log_concave_zhang", lhs, rhs, [err], witnesses, cfg)
+    return finish_report("log_concave_zhang", lhs, rhs, [err], witnesses, cfg)
 
 
 def _verify_ehrhard(K, mu, nu, f, family, s, cfg) -> Report:
@@ -589,9 +497,8 @@ def _verify_ehrhard(K, mu, nu, f, family, s, cfg) -> Report:
     n = K.n
     st = cfg.stream()
     muK = measure_body(mu, K, st.substream(0), cfg.samples)
-    zon = projection_zonoid(K, mu, tol=cfg.tol)
-    off = offset_vector(K, mu, tol=cfg.tol)
-    pv, pv_err = _polar_volume(zon.with_offset(off.value), n, cfg)
+    zon, _ = _shifted_zonoid(K, mu, cfg)
+    pv, pv_err = polar_volume(zon, n, cfg)
 
     def lhs_of(g):
         return K.volume / (g ** n * pv)
@@ -612,8 +519,8 @@ def _verify_ehrhard(K, mu, nu, f, family, s, cfg) -> Report:
                  "bound_below_factorial": Witness(
                      math.factorial(n) - rhs, 0.0,
                      note="Prop-type comparison margin")}
-    return _finish("ehrhard_gaussian", lhs, rhs, [lhs_err, rhs_err],
-                   witnesses, cfg)
+    return finish_report("ehrhard_gaussian", lhs, rhs, [lhs_err, rhs_err],
+                         witnesses, cfg)
 
 
 def _verify_two_measure(K, mu, nu, f, family, s, cfg) -> Report:
@@ -622,7 +529,7 @@ def _verify_two_measure(K, mu, nu, f, family, s, cfg) -> Report:
              "two_measure_zhang needs nu in Lambda_rad")
     _require(family is not None and family.kind == "power",
              "two_measure_zhang needs a nonnegative increasing family (power)")
-    _require(_family_matches(mu, family),
+    _require(family_matches(mu, family),
              f"mu ({mu.label}) is not certified {family.kind}-concave")
     n = K.n
     st = cfg.stream()
@@ -632,8 +539,7 @@ def _verify_two_measure(K, mu, nu, f, family, s, cfg) -> Report:
                                  stream=st.substream(1), N=cfg.samples)
         lhs, lhs_err = avg.value, avg.error_estimate
         a, a_err = muK.value, muK.error_estimate
-        zon = projection_zonoid(K, mu, tol=cfg.tol)
-        off = offset_vector(K, mu, tol=cfg.tol)
+        zon, _ = _shifted_zonoid(K, mu, cfg)
         pre = n / muK.value
     else:
         norm = l1_norm(f, mu, K, st.substream(2), cfg.samples)
@@ -643,13 +549,10 @@ def _verify_two_measure(K, mu, nu, f, family, s, cfg) -> Report:
         lhs_err = (norm.error_estimate * avg.value
                    + norm.value * avg.error_estimate)
         a, a_err = norm.value, norm.error_estimate
-        zon = projection_zonoid(K, mu, f=f, tol=cfg.tol)
-        off = offset_vector(K, mu, f=f, stream=st.substream(3),
-                            N=cfg.samples, tol=cfg.tol)
+        zon, _ = _shifted_zonoid(K, mu, cfg, f=f, stream=st.substream(3))
         pre = float(n)
     scale = family.F(a) / family.Fprime(a)
-    region = _measure_support_set(nu, zon.with_offset(off.value), scale,
-                                  cfg, st.substream(4))
+    region = _measure_support_set(nu, zon, scale, cfg, st.substream(4))
     unit = int_unit(family, a, n, cfg.tol)
     rhs = pre * region.value * unit.value
     rhs_err = pre * (region.error_estimate * unit.value
@@ -660,8 +563,8 @@ def _verify_two_measure(K, mu, nu, f, family, s, cfg) -> Report:
                  "a": Witness(a, a_err),
                  "region_measure": Witness(region.value, region.error_estimate),
                  "unit_integral": Witness(unit.value, unit.error_estimate)}
-    return _finish("two_measure_zhang", lhs, rhs, [lhs_err, rhs_err],
-                   witnesses, cfg)
+    return finish_report("two_measure_zhang", lhs, rhs, [lhs_err, rhs_err],
+                         witnesses, cfg)
 
 
 def _verify_s_concave(K, mu, nu, f, family, s, cfg) -> Report:
@@ -678,18 +581,17 @@ def _verify_s_concave(K, mu, nu, f, family, s, cfg) -> Report:
                              stream=st.substream(1), N=cfg.samples)
     coeff = _binom(n + 1.0 / s, n)
     lhs = coeff * avg.value
-    zon = projection_zonoid(K, mu, tol=cfg.tol)
-    off = offset_vector(K, mu, tol=cfg.tol)
-    region = _measure_support_set(nu, zon.with_offset(off.value),
-                                  muK.value / s, cfg, st.substream(2))
+    zon, _ = _shifted_zonoid(K, mu, cfg)
+    region = _measure_support_set(nu, zon, muK.value / s, cfg,
+                                  st.substream(2))
     witnesses = {"nu_mu": Witness(avg.value, avg.error_estimate),
                  "mu_K": Witness(muK.value, muK.error_estimate),
                  "binom": Witness(coeff),
                  "region_measure": Witness(region.value, region.error_estimate)}
-    return _finish("s_concave_zhang", lhs, region.value,
-                   [coeff * avg.error_estimate, region.error_estimate,
-                    region.value / max(muK.value, 1e-300) * muK.error_estimate],
-                   witnesses, cfg)
+    return finish_report("s_concave_zhang", lhs, region.value,
+                         [coeff * avg.error_estimate, region.error_estimate,
+                          region.value / max(muK.value, 1e-300) * muK.error_estimate],
+                         witnesses, cfg)
 
 
 def _verify_polarized(K, mu, nu, f, family, s, cfg) -> Report:
@@ -707,15 +609,14 @@ def _verify_polarized(K, mu, nu, f, family, s, cfg) -> Report:
     if nu is None or nu.is_lebesgue:
         # reduced closed form: s^n binom(n + 1/s, n) Vol(K) <= mu(K)^n Vol(Pi_mu°)
         muK = measure_body(mu, K, st.substream(0), cfg.samples)
-        pv, pv_err = _polar_volume(zon, n, cfg)
+        pv, pv_err = polar_volume(zon, n, cfg)
         lhs = s ** n * coeff * K.volume
         rhs = muK.value ** n * pv
-        err = (n * muK.value ** (n - 1) * muK.error_estimate * pv
-               + muK.value ** n * pv_err)
+        err = power_product_error(muK.value, muK.error_estimate, n, pv, pv_err)
         witnesses = {"mu_K": Witness(muK.value, muK.error_estimate),
                      "polar_volume": Witness(pv, pv_err),
                      "binom": Witness(coeff)}
-        return _finish("polarized_zhang", lhs, rhs, [err], witnesses, cfg)
+        return finish_report("polarized_zhang", lhs, rhs, [err], witnesses, cfg)
     _require(nu.radially_nondecreasing, "polarized_zhang needs nu in Lambda_rad")
     muK = measure_body(mu, K, st.substream(0), cfg.samples)
     avg = translated_average("nu_mu_body", K, mu=mu, nu=nu,
@@ -725,10 +626,10 @@ def _verify_polarized(K, mu, nu, f, family, s, cfg) -> Report:
     witnesses = {"nu_mu": Witness(avg.value, avg.error_estimate),
                  "mu_K": Witness(muK.value, muK.error_estimate),
                  "region_measure": Witness(region.value, region.error_estimate)}
-    return _finish("polarized_zhang", lhs, region.value,
-                   [coeff * avg.error_estimate, region.error_estimate,
-                    region.value / max(muK.value, 1e-300) * muK.error_estimate],
-                   witnesses, cfg)
+    return finish_report("polarized_zhang", lhs, region.value,
+                         [coeff * avg.error_estimate, region.error_estimate,
+                          region.value / max(muK.value, 1e-300) * muK.error_estimate],
+                         witnesses, cfg)
 
 
 _DISPATCH = {
@@ -780,7 +681,7 @@ def berwald_1d_check(q, phi, n: int, xi: float, y_grid,
         if margin < worst:
             worst, worst_y = margin, float(y)
     witnesses = {"beta": Witness(beta), "worst_y": Witness(worst_y)}
-    return _finish("berwald_1d_check", -worst, 0.0, [errs], witnesses, cfg)
+    return finish_report("berwald_1d_check", -worst, 0.0, [errs], witnesses, cfg)
 
 
 def pe_sweep(K: Polytope, t_list, cfg: RunConfig | None = None) -> list[dict]:
@@ -796,13 +697,13 @@ def pe_sweep(K: Polytope, t_list, cfg: RunConfig | None = None) -> list[dict]:
     _require(np.min(K.offsets) > 1e-9, "pe_sweep needs 0 interior")
     n = K.n
     mu = exp_norm(K)
-    pv_base, _ = _polar_volume(projection_zonoid(K), n, cfg)
+    pv_base, _ = polar_volume(projection_zonoid(K), n, cfg)
     out = []
     for t in t_list:
         tK = K.scale(float(t))
         mass = exp_norm_mass_of_scaled(K, float(t))
         zon = projection_zonoid(tK, mu, tol=cfg.tol)
-        pv_t, _ = _polar_volume(zon, n, cfg)
+        pv_t, _ = polar_volume(zon, n, cfg)
         direct = mass ** n * pv_t / tK.volume
         scaling = (float(t) ** (-n * n) * math.exp(n * float(t))
                    * pv_base * mass ** n / K.volume)

@@ -18,14 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from . import bodies
 from .bodies import Polytope
-from .inequalities import Report, RunConfig, Witness, _polar_volume
+from .inequalities import (family_matches, int_decay, int_unit,
+                           power_product_error)
 from .measures import (ConcavityFamily, Density, boundary_measure,
                        facet_weights, measure_body, DEFAULT_MC_SAMPLES)
 from .numerics import (ConfigurationError, DomainError, RandomStream,
                        ball_volume)
 from .projection import Zonoid, offset_vector, projection_zonoid
+from .report import (Report, RunConfig, Witness, direction_grid,
+                     finish_report, polar_volume)
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,6 @@ def minimize_I(K: Polytope, mu: Density, max_iters: int = 400,
 
 
 def ball_zonoid_volume_bound(weights, normals, total: float | None = None,
-                             grid_count: int = 4096,
                              cfg: RunConfig | None = None) -> Report:
     """Volume bound for the polar of an isotropic weighted zonoid.
 
@@ -172,7 +173,7 @@ def ball_zonoid_volume_bound(weights, normals, total: float | None = None,
     decomposition of the identity to hold (residual <= 1e-8), otherwise the
     verdict is a hypothesis violation.
     """
-    cfg = cfg or RunConfig(grid=grid_count)
+    cfg = cfg or RunConfig()
     weights = np.asarray(weights, dtype=float)
     normals = np.asarray(normals, dtype=float)
     n = normals.shape[1]
@@ -183,33 +184,22 @@ def ball_zonoid_volume_bound(weights, normals, total: float | None = None,
     alpha = weights / 2.0
     bound = 2.0 ** n / math.factorial(n) * float(np.prod((c / alpha) ** c))
     Z = Zonoid(n, normals, weights)
-    observed, obs_err = _polar_volume(Z, n, cfg)
+    observed, obs_err = polar_volume(Z, n, cfg)
     witnesses = {"bound": Witness(bound),
                  "observed": Witness(observed, obs_err),
                  "decomposition_residual": Witness(residual)}
-    margin = bound - observed
-    tolerance = 3.0 * obs_err
-    if residual > 1e-8:
-        return Report("ball_zonoid_volume_bound", observed, bound, margin,
-                      tolerance, False, "hypothesis_violation", witnesses,
-                      cfg.echo())
-    passed = bool(margin >= -tolerance)
-    return Report("ball_zonoid_volume_bound", observed, bound, margin,
-                  tolerance, passed, "pass" if passed else "fail",
-                  witnesses, cfg.echo())
+    verdict = "hypothesis_violation" if residual > 1e-8 else None
+    return finish_report("ball_zonoid_volume_bound", observed, bound,
+                         [obs_err], witnesses, cfg, verdict=verdict)
 
 
-def _guard_position(K: Polytope, mu: Density, tol: float):
+def _require_isotropic(K: Polytope, mu: Density, tol: float) -> IsotropyCertificate:
     cert = isotropy_residual(K, mu, tol)
     if not cert.isotropic:
         raise ConfigurationError(
             f"hypothesis violated: S_(mu,K) is not isotropic "
             f"(residual {cert.residual:.3g} > {cert.threshold:.3g})")
-    off = offset_vector(K, mu, tol=tol)
-    if not off.is_projective:
-        raise ConfigurationError(
-            "hypothesis violated: K is not mu-projective within budget")
-    return cert, off
+    return cert
 
 
 def reverse_isoperimetric(K: Polytope, mu: Density, family: ConcavityFamily,
@@ -224,15 +214,17 @@ def reverse_isoperimetric(K: Polytope, mu: Density, family: ConcavityFamily,
     integral of a nonnegative power family.  Both are reported with the
     n-th root taken, so lhs is mu(dK) itself.
     """
-    from .inequalities import _finish, int_decay, int_unit, _family_matches
     cfg = cfg or RunConfig()
     if mode not in ("q_form", "f_form"):
         raise ConfigurationError(f"unknown mode {mode!r}")
-    if not _family_matches(mu, family):
+    if not family_matches(mu, family):
         raise ConfigurationError(
             f"hypothesis violated: mu ({mu.label}) is not certified "
             f"{family.kind}-concave")
-    cert, _ = _guard_position(K, mu, cfg.tol)
+    cert = _require_isotropic(K, mu, cfg.tol)
+    if not offset_vector(K, mu, tol=cfg.tol).is_projective:
+        raise ConfigurationError(
+            "hypothesis violated: K is not mu-projective within budget")
     n = K.n
     bm = boundary_measure(mu, K, cfg.tol)
     st = stream or cfg.stream()
@@ -258,22 +250,18 @@ def reverse_isoperimetric(K: Polytope, mu: Density, family: ConcavityFamily,
     witnesses = {"mu_boundary": Witness(bm.value, bm.error_estimate),
                  "mu_K": Witness(muK.value, muK.error_estimate),
                  "isotropy_residual": Witness(cert.residual)}
-    return _finish("reverse_isoperimetric", bm.value, rhs,
-                   [bm.error_estimate, rhs_err], witnesses, cfg)
+    return finish_report("reverse_isoperimetric", bm.value, rhs,
+                         [bm.error_estimate, rhs_err], witnesses, cfg)
 
 
-def isotropic_sandwich_check(K: Polytope, mu: Density, grid_count: int = 1024,
+def isotropic_sandwich_check(K: Polytope, mu: Density,
                              cfg: RunConfig | None = None) -> Report:
-    """mu(dK)/(2n) <= h_(Pi_mu K) <= mu(dK)/(2 sqrt n) on a grid."""
-    from .inequalities import _finish, _grid
-    cfg = cfg or RunConfig(grid=grid_count)
-    cert = isotropy_residual(K, mu, cfg.tol)
-    if not cert.isotropic:
-        raise ConfigurationError(
-            "hypothesis violated: S_(mu,K) is not isotropic")
+    """mu(dK)/(2n) <= h_(Pi_mu K) <= mu(dK)/(2 sqrt n) on cfg.grid directions."""
+    cfg = cfg or RunConfig(grid=1024)
+    _require_isotropic(K, mu, cfg.tol)
     n = K.n
     zon = projection_zonoid(K, mu, tol=cfg.tol)
-    grid = _grid(n, grid_count, cfg)
+    grid = direction_grid(n, cfg.grid, cfg)
     h = zon.support(grid.directions)
     herr = float(np.max(zon.support_error(grid.directions)))
     total = zon.total_weight
@@ -283,31 +271,26 @@ def isotropic_sandwich_check(K: Polytope, mu: Density, grid_count: int = 1024,
                  "h_max": Witness(float(np.max(h)), herr),
                  "lower": Witness(lower), "upper": Witness(upper)}
     # roundoff floor: both ends can be attained exactly
-    return _finish("isotropic_sandwich", -margin, 0.0, [herr, 1e-12 * upper],
-                   witnesses, cfg)
+    return finish_report("isotropic_sandwich", -margin, 0.0,
+                         [herr, 1e-12 * upper], witnesses, cfg)
 
 
 def isotropic_volume_sandwich(K: Polytope, mu: Density,
                               cfg: RunConfig | None = None) -> Report:
     """(n kappa_n / kappa_{n-1})^n kappa_n <= mu(dK)^n Vol(Pi_mu°)
     <= 4^n n^n / n! on isotropic fixtures."""
-    from .inequalities import _finish
     cfg = cfg or RunConfig()
-    cert = isotropy_residual(K, mu, cfg.tol)
-    if not cert.isotropic:
-        raise ConfigurationError(
-            "hypothesis violated: S_(mu,K) is not isotropic")
+    _require_isotropic(K, mu, cfg.tol)
     n = K.n
     bm = boundary_measure(mu, K, cfg.tol)
     zon = projection_zonoid(K, mu, tol=cfg.tol)
-    pv, pv_err = _polar_volume(zon, n, cfg)
+    pv, pv_err = polar_volume(zon, n, cfg)
     product = bm.value ** n * pv
-    prod_err = (n * bm.value ** (n - 1) * bm.error_estimate * pv
-                + bm.value ** n * pv_err)
+    prod_err = power_product_error(bm.value, bm.error_estimate, n, pv, pv_err)
     lower = (n * ball_volume(n) / ball_volume(n - 1)) ** n * ball_volume(n)
     upper = 4.0 ** n * n ** n / math.factorial(n)
     margin = min(product - lower, upper - product)
     witnesses = {"product": Witness(product, prod_err),
                  "lower": Witness(lower), "upper": Witness(upper)}
-    return _finish("isotropic_volume_sandwich", -margin, 0.0, [prod_err],
-                   witnesses, cfg)
+    return finish_report("isotropic_volume_sandwich", -margin, 0.0, [prod_err],
+                         witnesses, cfg)

@@ -34,9 +34,9 @@ from scipy import special
 from . import bodies
 from .bodies import Polytope, StarBody
 from .covariogram import covariogram_exact
-from .inequalities import Report, Witness
 from .numerics import DomainError, SphereGrid, integrate_1d
 from .projection import projection_zonoid
+from .report import Report, Witness
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ from . import bodies
 from .bodies import Polytope
 from .numerics import (BoxSampler, ConfigurationError, DomainError,
                        EvaluationError, QuadratureFailure, QuadratureResult,
-                       RandomStream, SphereGrid, integrate_1d, monte_carlo)
+                       RandomStream, SphereGrid, gaussian_cdf, gaussian_pdf,
+                       gaussian_quantile, integrate_1d, monte_carlo)
 
 DEFAULT_MC_SAMPLES = 200_000
 
@@ -435,7 +436,6 @@ def log_family() -> ConcavityFamily:
 
 
 def gaussian_phi_inverse_family() -> ConcavityFamily:
-    from .numerics import gaussian_cdf, gaussian_pdf, gaussian_quantile
     return ConcavityFamily(
         kind="gaussian_phi_inverse",
         F=gaussian_quantile,

@@ -256,6 +256,12 @@ class BoxSampler:
         return self.lows + u * (self.highs - self.lows)
 
 
+def mean_with_budget(values: np.ndarray):
+    """Mean over axis 0 and the Monte Carlo budget 3 (s / sqrt N) of it."""
+    N = len(values)
+    return values.mean(axis=0), 3.0 * (values.std(axis=0, ddof=1) / np.sqrt(N))
+
+
 def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureResult:
     """Plain Monte Carlo: mean of ``integrand`` times the region measure.
 
@@ -272,7 +278,5 @@ def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureR
         idx = int(np.argmax(bad))
         raise EvaluationError("integrand returned a non-finite value",
                               point=points[idx])
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(N)) if N > 1 else np.inf
-    return QuadratureResult(mean * sampler.measure,
-                            3.0 * stderr * sampler.measure, N)
+    mean, budget = map(float, mean_with_budget(values))
+    return QuadratureResult(mean * sampler.measure, budget * sampler.measure, N)

@@ -15,17 +15,17 @@ function of the shifted zonoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bodies
-from .bodies import Ball, LinearMap, PolarDomainError, Polytope
+from .bodies import Ball, LinearMap, Polytope
 from .covariogram import CovariogramQuery, brightness_derivative
 from .measures import (Density, compose_linear, facet_integrals,
                        facet_weights, lebesgue, DEFAULT_MC_SAMPLES)
 from .numerics import (BoxSampler, ConfigurationError, QuadratureResult,
-                       RandomStream, SphereGrid, ball_volume)
+                       RandomStream, SphereGrid, ball_volume, mean_with_budget)
 
 
 @dataclass(frozen=True)
@@ -158,11 +158,9 @@ def _interior_vector(K: Polytope, fn, stream: RandomStream, N: int):
     gen = stream.generator()
     points = box.sample(gen, N)
     inside = K.contains(points)
-    vals = np.asarray(fn(points), dtype=float) * inside[:, None]
-    mean = vals.mean(axis=0) * box.measure
-    err = float(np.linalg.norm(3.0 * vals.std(axis=0, ddof=1)
-                               / np.sqrt(N) * box.measure))
-    return mean, err
+    mean, budget = mean_with_budget(np.asarray(fn(points), dtype=float)
+                                    * inside[:, None])
+    return mean * box.measure, float(np.linalg.norm(budget * box.measure))
 
 
 def brightness_residual(K: Polytope, mu: Density, theta, mode: str = "plain",
@@ -180,21 +178,16 @@ def brightness_residual(K: Polytope, mu: Density, theta, mode: str = "plain",
         if not K.is_symmetric() or not mu.even:
             raise ConfigurationError(
                 "polarized brightness needs symmetric K and even mu")
-    query = CovariogramQuery(K, mu, f if mode == "functional" else None,
-                             mode=mode, stream=stream, N=N)
+    f = f if mode == "functional" else None
+    query = CovariogramQuery(K, mu, f, mode=mode, stream=stream, N=N)
     fd = brightness_derivative(query, theta, h=h)
 
-    zon = projection_zonoid(K, mu, f if mode == "functional" else None, tol)
-    if mode == "plain":
-        off = offset_vector(K, mu, stream=None, tol=tol)
-        zon = zon.with_offset(off.value)
-        off_err = off.error_estimate
-    elif mode == "functional":
-        off = offset_vector(K, mu, f=f, stream=stream.substream(7) if stream else None, N=N, tol=tol)
-        zon = zon.with_offset(off.value)
-        off_err = off.error_estimate
-    else:
-        off_err = 0.0
+    zon = projection_zonoid(K, mu, f, tol)
+    off_err = 0.0
+    if mode != "polarized":
+        sub = stream.substream(7) if f is not None and stream else None
+        off = offset_vector(K, mu, f=f, stream=sub, N=N, tol=tol)
+        zon, off_err = zon.with_offset(off.value), off.error_estimate
 
     h_val = float(zon.support(theta[None, :])[0])
     h_err = float(zon.support_error(theta[None, :])[0])
@@ -225,11 +218,7 @@ def transform_law_residual(K: Polytope, mu: Density, T: LinearMap,
 
 def zonoid_polar_volume(Z: Zonoid, grid: SphereGrid) -> float:
     """Volume of the polar of (zonoid - offset) by support quadrature."""
-    h = Z.support(grid.directions)
-    if np.any(h <= 0.0):
-        raise PolarDomainError(
-            "shifted support non-positive; origin not interior")
-    return float(np.sum(grid.weights * h ** (-grid.n)) / grid.n)
+    return bodies.polar_volume_from_support(Z.support, grid)
 
 
 def halfspace_integral_identity(K: Polytope, mu: Density, theta,

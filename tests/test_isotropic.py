@@ -109,6 +109,25 @@ def test_isotropic_sandwich(square, cross2, leb2, gauss2):
     assert pb.isotropic_sandwich_check(square, gauss2).passed
 
 
+def test_reported_grid_is_the_grid_used(square, gauss2):
+    # a turned triangle: its extreme support directions miss every grid
+    K = pb.apply_linear(pb.regular_polygon(3), pb.LinearMap.rotation_2d(0.1234))
+    zon = pb.projection_zonoid(K)
+    for cfg in (None, pb.RunConfig(), pb.RunConfig(grid=64)):
+        rep = pb.isotropic_sandwich_check(K, pb.lebesgue(2), cfg=cfg)
+        h = zon.support(pb.sphere_directions(2, rep.config["grid"]).directions)
+        assert rep.witnesses["h_min"].value == float(np.min(h))
+        assert rep.witnesses["h_max"].value == float(np.max(h))
+    assert pb.isotropic_sandwich_check(K, pb.lebesgue(2)).config["grid"] == 1024
+    w, _ = pb.facet_weights(gauss2, square, 1e-9)
+    Z = pb.Zonoid(2, square.normals, w)
+    for cfg in (None, pb.RunConfig(grid=64)):
+        rep = pb.ball_zonoid_volume_bound(w, square.normals, cfg=cfg)
+        grid = pb.sphere_directions(2, rep.config["grid"])
+        assert rep.witnesses["observed"].value == pb.zonoid_polar_volume(Z, grid)
+    assert pb.ball_zonoid_volume_bound(w, square.normals).config["grid"] == 4096
+
+
 def test_isotropic_volume_sandwich(square, cross2, leb2, gauss2):
     rep = pb.isotropic_volume_sandwich(square, leb2)
     assert rep.passed

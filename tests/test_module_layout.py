@@ -1,0 +1,54 @@
+"""Static checks on how the projbodies modules import one another.
+
+Reports, run configs and the tolerance rule live in ``report`` alone; other
+modules reach them, and each other, through public names imported at module
+top, so no module depends on another's private helpers.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "projbodies"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _is_projbodies(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "projbodies"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_names_across_modules(path):
+    private = [f"{node.lineno}: {alias.name}"
+               for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ImportFrom) and _is_projbodies(node)
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"{path.name} imports private names: {private}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_imports_at_module_top(path):
+    nested = [f"{inner.lineno}"
+              for node in ast.walk(_tree(path))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for inner in ast.walk(node)
+              if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not nested, f"{path.name} imports inside functions at lines {nested}"
+
+
+def test_report_types_defined_only_in_report():
+    home = {"Witness", "Report", "RunConfig", "finish_report"}
+    for path in MODULES:
+        defined = {node.name for node in _tree(path).body
+                   if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        if path.name == "report.py":
+            assert home <= defined
+        else:
+            assert not home & defined, f"{path.name} redefines {home & defined}"
