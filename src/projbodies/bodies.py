@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .numerics import (ConfigurationError, DomainError, SphereGrid,
-                       ball_volume)
+                       ball_volume, squared_norms)
 
 
 class DegeneracyError(ValueError):
@@ -95,8 +95,7 @@ class Ball:
         return self.center - self.radius, self.center + self.radius
 
     def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return np.linalg.norm(points - self.center, axis=1) <= self.radius + tol
+        return np.sqrt(squared_norms(points - self.center)) <= self.radius + tol
 
 
 class Polytope:
@@ -137,9 +136,18 @@ class Polytope:
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
+    def slack(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """(m, N) facet slacks b_i + tol - <u_i, x>, facet-major.
+
+        A point is in K (to ``tol``) when its whole column is >= 0.  The
+        leading axis is the short one, so reductions over it run along
+        contiguous rows of length N.
+        """
+        slack = self.normals @ np.atleast_2d(points).T
+        return np.subtract((self.offsets + tol)[:, None], slack, out=slack)
+
     def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return np.all(points @ self.normals.T <= self.offsets + tol, axis=1)
+        return np.all(self.slack(points, tol) >= 0.0, axis=0)
 
     def interior_point(self) -> np.ndarray:
         return self.vertices.mean(axis=0)

@@ -102,7 +102,7 @@ def parse_measure(spec: str, n: int):
     if kind == "radial_power":
         if len(parts) < 2:
             raise ConfigurationError("radial_power needs an alpha: radial_power:a")
-        return measures.radial_power(n, float(parts[1]))
+        return measures.radial_power(n, _parse_float(parts[1], spec))
     if kind == "exp_norm":
         if len(parts) < 2:
             raise ConfigurationError("exp_norm needs a body: exp_norm:cube:2")
@@ -126,13 +126,26 @@ def parse_map(spec: str, n: int) -> LinearMap:
     if spec.startswith("rot:"):
         if n != 2:
             raise ConfigurationError("rot: shorthand is 2-D only")
-        return LinearMap.rotation_2d(float(spec.split(":", 1)[1]))
-    rows = [[float(v) for v in row.split(",")] for row in spec.split(";")]
-    return LinearMap(np.asarray(rows, dtype=float))
+        return LinearMap.rotation_2d(_parse_float(spec.split(":", 1)[1], spec))
+    rows = [[_parse_float(v, spec) for v in row.split(",")]
+            for row in spec.split(";")]
+    try:
+        matrix = np.asarray(rows, dtype=float)
+    except ValueError as exc:   # ragged rows
+        raise ConfigurationError(f"bad matrix {spec!r}: {exc}") from exc
+    return LinearMap(matrix)
 
 
 def parse_vector(spec: str) -> np.ndarray:
-    return np.asarray([float(v) for v in spec.split(",")], dtype=float)
+    return np.asarray([_parse_float(v, spec) for v in spec.split(",")],
+                      dtype=float)
+
+
+def _parse_float(text: str, spec: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad number {text!r} in {spec!r}") from exc
 
 
 # -- output --------------------------------------------------------------------

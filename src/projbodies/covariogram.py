@@ -7,6 +7,9 @@ work (membership tests against K's facets).  Directional derivatives at the
 origin ("brightness") use one-sided difference quotients with a Richardson
 combination; the Monte Carlo path evaluates all steps on common random
 points so the quotient variance stays proportional to the boundary sliver.
+It projects those points onto K's facet normals once per call: each point's
+largest admissible step along theta, read off the facet slacks, gives the
+membership masks of every step without testing the shifted points again.
 """
 
 from __future__ import annotations
@@ -74,30 +77,42 @@ def _brightness_values(q: CovariogramQuery, points: np.ndarray,
                        theta: np.ndarray, h: float):
     """Covariogram integrands at steps {0, h/2, h} on shared points.
 
-    Shares the density evaluation and the base membership mask across the
-    steps; the common random points make the difference quotient variance
-    proportional to the boundary sliver rather than the whole body.
+    The points are projected onto K's normals once, as facet-major slacks
+    b_i + tol - <u_i, x>.  The base mask (x in K) comes from them, and so
+    does each point's reach s*: the largest step s for which the shifted
+    membership still holds.  With c_i = <u_i, theta>, x - s theta stays in
+    K while s <= min over c_i < 0 of slack_i / -c_i (plain, functional);
+    x ± (s/2) theta both stay in K while s <= min over c_i != 0 of
+    slack_i / (|c_i| / 2) (polarized).  The masks at h/2 and h are s* >= step,
+    and the densities are evaluated only at the points inside K.  The common
+    random points make the difference quotient variance proportional to the
+    boundary sliver rather than the whole body.
     """
     K, mu = q.K, q.mu
-    base = K.contains(points)
-    if q.mode == "polarized":
-        phi = mu.eval(points)
-        out = [phi * base]
-        for step in (h / 2, h):
-            x = step * theta
-            mask = K.contains(points + x / 2.0) & K.contains(points - x / 2.0)
-            out.append(phi * mask)
-        return out
-    phi_base = mu.eval(points) * base
+    slack = K.slack(points)
+    inside = np.flatnonzero(np.all(slack >= 0.0, axis=0))
+    c = K.normals @ theta
+    # the step s eats slack_i at this rate; the polarized pair moves s/2 each way
+    rate = np.abs(c) / 2.0 if q.mode == "polarized" else -c
+    reach = np.full(len(points), np.inf)
+    # rows are scaled in place, so no second (m, N) array is ever held
+    for i in np.flatnonzero(rate > 0.0):
+        slack[i] /= rate[i]
+        np.minimum(reach, slack[i], out=reach)
+    del slack
+    reach = np.take(reach, inside)
+
+    x = np.take(points, inside, axis=0)
+    phi = mu.eval(x)
     if q.mode == "functional":
-        out = [q.f.eval(points) * phi_base]
-        for step in (h / 2, h):
-            x = step * theta
-            out.append(q.f.eval(points - x) * phi_base * K.contains(points - x))
-        return out
-    out = [phi_base]
-    for step in (h / 2, h):
-        out.append(phi_base * K.contains(points - step * theta))
+        values = [q.f.eval(x) * phi] + [
+            q.f.eval(x - step * theta) * phi * (reach >= step)
+            for step in (h / 2, h)]
+    else:
+        values = [phi] + [phi * (reach >= step) for step in (h / 2, h)]
+    out = [np.zeros(len(points)) for _ in values]
+    for full, v in zip(out, values):
+        full[inside] = v
     return out
 
 

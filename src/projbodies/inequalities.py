@@ -385,9 +385,11 @@ def _verify_set_inclusion_big(K, mu, nu, f, family, s, cfg) -> Report:
     inf_phi = _boundary_density_min(K, mu)
     ratio = family.F(muK.value) / family.Fprime(muK.value)  # = mu(K)/s for powers
     ratio_err = muK.error_estimate / family.s if family.kind == "power" else 0.0
-    off = offset_vector(K, mu, tol=cfg.tol)
-    h_shift = (zon_mu.with_offset(off.value).support(grid.directions)
-               if use_offset else h_mu)
+    if use_offset:
+        off = offset_vector(K, mu, tol=cfg.tol)
+        h_shift = zon_mu.with_offset(off.value).support(grid.directions)
+    else:
+        h_shift = h_mu
 
     rho1 = K.volume * inf_phi / h_mu
     rho2 = K.volume / h_le

@@ -33,7 +33,8 @@ from .bodies import Polytope
 from .numerics import (BoxSampler, ConfigurationError, DomainError,
                        EvaluationError, QuadratureFailure, QuadratureResult,
                        RandomStream, SphereGrid, gaussian_cdf, gaussian_pdf,
-                       gaussian_quantile, integrate_1d, monte_carlo)
+                       gaussian_quantile, integrate_1d, monte_carlo,
+                       squared_norms)
 
 DEFAULT_MC_SAMPLES = 200_000
 
@@ -109,8 +110,7 @@ def gaussian(n: int) -> Density:
     norm = (2.0 * np.pi) ** (-n / 2.0)
 
     def ev(p):
-        p = np.atleast_2d(p)
-        return norm * np.exp(-0.5 * np.sum(p * p, axis=1))
+        return norm * np.exp(-0.5 * squared_norms(p))
 
     def gr(p):
         p = np.atleast_2d(p)
@@ -131,7 +131,7 @@ def exp_norm(L: Polytope) -> Density:
     U = L.normals / L.offsets[:, None]  # ||x||_L = max_i <U_i, x>
 
     def norm_L(p):
-        return np.max(np.atleast_2d(p) @ U.T, axis=1)
+        return np.max(U @ np.atleast_2d(p).T, axis=0)
 
     def ev(p):
         return np.exp(-norm_L(p))
@@ -158,11 +158,11 @@ def radial_power(n: int, alpha: float) -> Density:
         raise ConfigurationError("radial_power needs alpha >= 0")
 
     def ev(p):
-        return np.linalg.norm(np.atleast_2d(p), axis=1) ** alpha
+        return np.sqrt(squared_norms(p)) ** alpha
 
     def gr(p):
         p = np.atleast_2d(p)
-        r = np.linalg.norm(p, axis=1)
+        r = np.sqrt(squared_norms(p))
         r = np.where(r == 0.0, np.inf, r)
         return alpha * r[:, None] ** (alpha - 2.0) * p
 

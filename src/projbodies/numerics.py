@@ -101,6 +101,20 @@ def ball_volume(n: int, radius: float = 1.0) -> float:
     return np.pi ** (n / 2) / special.gamma(n / 2 + 1) * radius ** n
 
 
+def squared_norms(points: np.ndarray) -> np.ndarray:
+    """|x|^2 of each row, summed column by column.
+
+    Rows are short (the dimension), so a sum over axis 1 would reduce
+    along tiny rows; adding whole columns in order gives the same bits
+    for dimensions below 8 and runs along length-N arrays.
+    """
+    points = np.atleast_2d(points)
+    out = points[:, 0] * points[:, 0]
+    for j in range(1, points.shape[1]):
+        out += points[:, j] * points[:, j]
+    return out
+
+
 def sphere_surface(n: int) -> float:
     """Surface measure of S^{n-1}, equal to n*kappa_n."""
     return n * ball_volume(n)

@@ -197,3 +197,45 @@ def test_dimension_guards():
         pb.build_polytope(np.eye(5))
     with pytest.raises(pb.ConfigurationError):
         pb.minkowski_sum(pb.cube(2), pb.cube(3))
+
+
+def _row_major_contains(K, points, tol):
+    return np.all(points @ K.normals.T <= K.offsets + tol, axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_contains_matches_row_major_formula(n):
+    gen = np.random.default_rng(n)
+    K = pb.random_polytope(n, pb.RandomStream(31).substream(n))
+    lo, hi = K.bounding_box()
+    points = lo - 0.1 + gen.random((20_000, n)) * (hi - lo + 0.2)
+    # on each facet hyperplane moved out by tol, and one ulp to either side
+    level = (K.offsets + 1e-9)[:, None] * K.normals
+    points = np.vstack([points, level, np.nextafter(level, np.inf),
+                        np.nextafter(level, -np.inf)])
+    for tol in (1e-9, 0.0, 1e-3):
+        assert np.array_equal(K.contains(points, tol),
+                              _row_major_contains(K, points, tol))
+
+    # the cube's facet products are exact: a coordinate of exactly
+    # offset + tol is in, the next float above is out
+    C = pb.cube(n)
+    edge = 1.0 + 1e-9
+    points = gen.uniform(-1.0, 1.0, (3, 64, n))
+    points[0, :, 0] = edge
+    points[1, :, -1] = -edge
+    points[2, :, 0] = np.nextafter(edge, np.inf)
+    points = points.reshape(-1, n)
+    inside = C.contains(points)
+    assert np.array_equal(inside, _row_major_contains(C, points, 1e-9))
+    assert inside[:128].all() and not inside[128:].any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ball_contains_matches_norm_formula(n):
+    gen = np.random.default_rng(10 + n)
+    B = pb.Ball(n, 1.5, center=gen.standard_normal(n))
+    points = B.center + gen.standard_normal((20_000, n))
+    assert np.array_equal(
+        B.contains(points),
+        np.linalg.norm(points - B.center, axis=1) <= B.radius + 1e-9)

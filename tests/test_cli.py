@@ -183,6 +183,20 @@ def test_bad_specs_exit_1():
         assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["covariogram", "eval", "--body", "cube:2", "--x", "a,b"],
+    ["body", "transform", "--body", "cube:2", "--map", "x"],
+    ["body", "transform", "--body", "cube:2", "--map", "1,0;0"],
+    ["body", "transform", "--body", "cube:2", "--map", "rot:q"],
+    ["covariogram", "eval", "--body", "cube:2", "--x", "0.1,0",
+     "--measure", "radial_power:abc"],
+], ids=["vector", "map", "ragged-map", "rot", "alpha"])
+def test_unparsable_numbers_exit_1(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_byte_identical_reruns():
     argv = ["verify", "log_concave_zhang", "--body", "cube:2",
             "--measure", "gaussian", "--seed", "3"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import projbodies as pb
-from projbodies.covariogram import l1_norm
+from projbodies.covariogram import _brightness_values, l1_norm
 
 
 def test_exact_values(square, triangle):
@@ -199,3 +199,48 @@ def test_translated_average_guards(triangle, stream, gauss2):
         pb.translated_average("nu_mu_body", triangle, mu=gauss2, stream=stream)
     with pytest.raises(pb.ConfigurationError):
         pb.translated_average("bogus", triangle, mu=gauss2, stream=stream)
+
+
+def _three_contains_integrands(q, points, theta, h):
+    """Integrands at steps {0, h/2, h} by testing the shifted points."""
+    K, mu = q.K, q.mu
+    base = K.contains(points)
+    if q.mode == "polarized":
+        phi = mu.eval(points)
+        return [phi * base] + [
+            phi * (K.contains(points + s * theta / 2.0)
+                   & K.contains(points - s * theta / 2.0)) for s in (h / 2, h)]
+    phi_base = mu.eval(points) * base
+    if q.mode == "functional":
+        return [q.f.eval(points) * phi_base] + [
+            q.f.eval(points - s * theta) * phi_base * K.contains(points - s * theta)
+            for s in (h / 2, h)]
+    return [phi_base] + [phi_base * K.contains(points - s * theta)
+                         for s in (h / 2, h)]
+
+
+@pytest.mark.parametrize("mode", ["plain", "polarized", "functional"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_brightness_values_match_three_contains(n, mode):
+    stream = pb.RandomStream(4242)
+    g = pb.gaussian(n)
+    for i, symmetric in enumerate((False, True)):
+        K = pb.random_polytope(n, stream.substream(10 * n + i), symmetric=symmetric)
+        gen = stream.substream(100 + 10 * n + i).generator()
+        theta = gen.standard_normal(n)
+        theta /= np.linalg.norm(theta)
+        h = 0.05 * K.diameter   # a wide step puts many points in the sliver
+        lo, hi = K.bounding_box()
+        points = lo - h + gen.random((50_000, n)) * (hi - lo + 2 * h)
+        # on each facet hyperplane moved out by contains' tol, and one ulp
+        # to either side: the base mask turns on the last bit there
+        level = (K.offsets + 1e-9)[:, None] * K.normals
+        points = np.vstack([points, level, np.nextafter(level, np.inf),
+                            np.nextafter(level, -np.inf)])
+        for mu in (g, pb.exp_norm(pb.cross_polytope(n))):
+            q = pb.CovariogramQuery(K, mu, g if mode == "functional" else None,
+                                    mode=mode)
+            new = _brightness_values(q, points, theta, h)
+            old = _three_contains_integrands(q, points, theta, h)
+            for a, b in zip(new, old):
+                assert a.tobytes() == b.tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import projbodies as pb
+from projbodies import projection
 from conftest import gauss_edge_weight
 
 CFG = pb.RunConfig(seed=11)
@@ -93,6 +94,23 @@ def test_set_inclusion_big(triangle, square, gauss2, leb2):
     with pytest.raises(pb.ConfigurationError):
         pb.verify("set_inclusion_big", triangle, mu=gauss2,
                   family=pb.power_family(0.5), precision=CFG)
+
+
+def test_set_inclusion_big_symmetric_route_skips_offset(square, gauss2,
+                                                       monkeypatch):
+    # eta = 0 by symmetry there: only projection_zonoid needs the cubature
+    calls = []
+    weights = projection.facet_weights
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return weights(*args, **kwargs)
+
+    monkeypatch.setattr(projection, "facet_weights", counting)
+    rep = pb.verify("set_inclusion_big", square, mu=gauss2,
+                    family=pb.power_family(0.5))
+    assert rep.passed
+    assert len(calls) == 1
 
 
 def test_q_concave_zhang(square, gauss2):

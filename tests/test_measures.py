@@ -334,3 +334,20 @@ def test_facet_integrals_independent_of_batch_size(cube3, monkeypatch):
         v, e, ne = pb.measures.facet_integrals(B, g.eval, 1e-6)
         assert np.array_equal(v, values) and np.array_equal(e, errors)
         assert ne == evals
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_builtin_densities_match_row_formulas(n):
+    p = np.random.default_rng(40 + n).standard_normal((20_000, n)) * 2.0
+    norm = (2.0 * np.pi) ** (-n / 2.0)
+    assert np.array_equal(pb.gaussian(n).eval(p),
+                          norm * np.exp(-0.5 * np.sum(p * p, axis=1)))
+    r = np.linalg.norm(p, axis=1)
+    for alpha in (0.5, 2.0):
+        mu = pb.radial_power(n, alpha)
+        assert np.array_equal(mu.eval(p), r ** alpha)
+        assert np.array_equal(mu.grad(p), alpha * r[:, None] ** (alpha - 2.0) * p)
+    L = pb.random_polytope(n, pb.RandomStream(77).substream(n), symmetric=True)
+    U = L.normals / L.offsets[:, None]
+    assert np.array_equal(pb.exp_norm(L).eval(p),
+                          np.exp(-np.max(p @ U.T, axis=1)))
