@@ -10,11 +10,9 @@ import numpy as np
 
 import projbodies as pb
 
-grid = pb.sphere_directions(2, 4096)
-
 
 def product(K):
-    pv = pb.zonoid_polar_volume(pb.projection_zonoid(K), grid)
+    pv, _ = pb.projection_zonoid(K).polar_volume()  # exact hull volume
     return K.volume * pv  # n = 2: Vol^{n-1} = Vol
 
 

@@ -31,7 +31,7 @@ from .covariogram import (CovariogramQuery, brightness_derivative,
                           translated_average)
 from .projection import (OffsetVector, Zonoid, ball_projection_body,
                          brightness_residual, halfspace_integral_identity,
-                         offset_vector, projection_zonoid,
+                         offset_vector, projection_zonoid, shifted_zonoid,
                          transform_law_residual, zonoid_polar_volume)
 from .meanbodies import (MeanBodyResult, c_np, inclusion_chain_report,
                          radial_mean_body, spectral_mean_body)

@@ -149,9 +149,6 @@ class Polytope:
     def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         return np.all(self.slack(points, tol) >= 0.0, axis=0)
 
-    def interior_point(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
     def is_symmetric(self, tol: float = 1e-9) -> bool:
         """True when K = -K as vertex sets."""
         v = self.vertices

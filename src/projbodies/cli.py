@@ -24,8 +24,7 @@ from .meanbodies import (inclusion_chain_report, radial_mean_body,
                          spectral_mean_body)
 from .measures import ConcavityFamily
 from .numerics import (ConfigurationError, DomainError, sphere_directions)
-from .projection import (brightness_residual, offset_vector,
-                         projection_zonoid, zonoid_polar_volume)
+from .projection import brightness_residual, shifted_zonoid
 from .report import Report, RunConfig
 
 EXIT_OK = 0
@@ -244,10 +243,8 @@ def _covariogram_profile(args, out) -> int:
 
 def _projbody_build(args, out) -> int:
     K, mu, f = args.K, args.mu, args.f
-    zon = projection_zonoid(K, mu, f=f, tol=args.tol)
-    off = offset_vector(K, mu, f=f,
-                        stream=args.cfg.stream() if f is not None else None,
-                        N=args.samples, tol=args.tol)
+    zon, off = shifted_zonoid(K, mu, f, args.cfg.stream(), args.samples,
+                              args.tol)
     return emit_json({
         "generators": zon.generators.tolist(),
         "weights": zon.weights.tolist(),
@@ -258,11 +255,9 @@ def _projbody_build(args, out) -> int:
 
 
 def _projbody_polar_volume(args, out) -> int:
-    zon = projection_zonoid(args.K, args.mu, tol=args.tol)
-    off = offset_vector(args.K, args.mu, tol=args.tol)
-    grid = sphere_directions(args.K.n, args.grid)
-    val = zonoid_polar_volume(zon.with_offset(off.value), grid)
-    return emit_json({"value": val, "grid": args.grid}, out)
+    zon, _ = shifted_zonoid(args.K, args.mu, tol=args.tol)
+    value, error = zon.polar_volume()
+    return emit_json({"value": value, "error": error}, out)
 
 
 def _projbody_brightness(args, out) -> int:

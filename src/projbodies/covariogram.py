@@ -57,12 +57,14 @@ def covariogram_exact(K: Polytope, x) -> float:
 
 def _pointwise_values(q: CovariogramQuery, points: np.ndarray,
                       x: np.ndarray) -> np.ndarray:
-    """Integrand of the queried covariogram at sample points."""
+    """Integrand of the queried covariogram at sample points, from one
+    projection onto K's normals (c_i = <u_i, x>): p, p - x are in K iff every
+    slack_i >= max(-c_i, 0); p ± x/2 iff slack_i >= |c_i| / 2 (polarized).
+    Roundoff may flip a point within an ulp of a shifted facet."""
     K, mu = q.K, q.mu
-    if q.mode == "polarized":
-        inside = K.contains(points + x / 2.0) & K.contains(points - x / 2.0)
-        return mu.eval(points) * inside
-    inside = K.contains(points) & K.contains(points - x)
+    c = K.normals @ x
+    need = np.abs(c) / 2.0 if q.mode == "polarized" else np.maximum(-c, 0.0)
+    inside = np.all(K.slack(points) >= need[:, None], axis=0)
     if q.mode == "functional":
         return q.f.eval(points - x) * mu.eval(points) * inside
     return mu.eval(points) * inside

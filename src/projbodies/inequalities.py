@@ -27,9 +27,9 @@ from .numerics import (BoxSampler, ConfigurationError, DomainError,
                        QuadratureResult, RandomStream, ball_volume,
                        gaussian_cdf, gaussian_quantile, integrate_1d,
                        mean_with_budget, monte_carlo)
-from .projection import Zonoid, offset_vector, projection_zonoid
+from .projection import Zonoid, projection_zonoid, shifted_zonoid
 from .report import (Report, RunConfig, Witness, direction_grid,
-                     finish_report, polar_volume)
+                     finish_report)
 
 
 def _binom(a: float, n: int) -> float:
@@ -44,32 +44,18 @@ def power_product_error(m: float, m_err: float, n: int, pv: float,
     return n * m ** (n - 1) * m_err * pv + m ** n * pv_err
 
 
-def _shifted_zonoid(K: Polytope, mu: Density, cfg: RunConfig, f=None,
-                    stream: RandomStream | None = None):
-    """Pi_mu K (or Pi_{mu,f} K) shifted by its offset eta (or tau)."""
-    zon = projection_zonoid(K, mu, f=f, tol=cfg.tol)
-    off = offset_vector(K, mu, f=f, stream=stream, N=cfg.samples, tol=cfg.tol)
-    return zon.with_offset(off.value), off
-
-
 def _measure_support_set(nu: Density, Z: Zonoid, scale: float,
                          cfg: RunConfig, stream: RandomStream) -> QuadratureResult:
-    """nu-measure of {x : h_{Z - c}(x) <= scale}, a scaled polar body.
+    """nu-measure of {x : h_{Z - c}(x) <= scale}, the scaled polar body.
 
-    Lebesgue goes through the polar-volume quadrature; other measures use
-    Monte Carlo over a bounding box derived from the grid minimum of the
-    support function (with a 20% safety margin).
+    Lebesgue is the exact polar volume; other measures use Monte Carlo over
+    the exact bounding box of the polar polytope.
     """
-    n = Z.n
     if nu.is_lebesgue:
-        pv, err = polar_volume(Z, n, cfg)
-        return QuadratureResult(scale ** n * pv, scale ** n * err, 0)
-    dense = direction_grid(n, max(8192, cfg.grid), cfg)
-    r_min = float(np.min(Z.support(dense.directions)))
-    if r_min <= 0:
-        raise DomainError("support-set region is unbounded (support <= 0)")
-    half = scale / (0.8 * r_min)
-    box = BoxSampler(-half * np.ones(n), half * np.ones(n))
+        pv, err = Z.polar_volume()
+        return QuadratureResult(scale ** Z.n * pv, scale ** Z.n * err, 0)
+    points = scale * Z.polar_points()
+    box = BoxSampler(points.min(axis=0), points.max(axis=0))
 
     def integrand(p):
         return nu.eval(p) * (Z.support(p) <= scale)
@@ -196,12 +182,11 @@ def _verify_zhang_petty(K, mu, nu, f, family, s, cfg) -> Report:
         # analytic path: Pi(RB) = kappa_{n-1} R^{n-1} B
         pv = ball_volume(n) / (ball_volume(n - 1) * K.radius ** (n - 1)) ** n
         pv_err = 0.0
-        product = K.volume ** (n - 1) * pv
-        errors = [1e-12 * product]
     else:
-        pv, pv_err = polar_volume(projection_zonoid(K), n, cfg)
-        product = K.volume ** (n - 1) * pv
-        errors = [K.volume ** (n - 1) * pv_err]
+        pv, pv_err = projection_zonoid(K).polar_volume()
+    product = K.volume ** (n - 1) * pv
+    # both routes are exact up to roundoff
+    errors = [max(K.volume ** (n - 1) * pv_err, 1e-12 * product)]
     witnesses = {"product": Witness(product, errors[0]), "vol": Witness(K.volume),
                  "polar_volume": Witness(pv, pv_err),
                  "zhang_bound": Witness(zhang), "petty_bound": Witness(petty)}
@@ -281,7 +266,7 @@ def _verify_surface_lower_bound(K, mu, nu, f, family, s, cfg) -> Report:
     bm = boundary_measure(mu, K, cfg.tol)
     _require(bm.value > 0, "surface_lower_bound needs mu(dK) > 0")
     Z = projection_zonoid(K, mu, tol=cfg.tol)
-    pv, pv_err = polar_volume(Z, n, cfg)
+    pv, pv_err = Z.polar_volume()
     lhs = (n * ball_volume(n) / ball_volume(n - 1)) ** n * ball_volume(n)
     rhs = bm.value ** n * pv
     err = power_product_error(bm.value, bm.error_estimate, n, pv, pv_err)
@@ -360,7 +345,6 @@ def _verify_set_inclusion_big(K, mu, nu, f, family, s, cfg) -> Report:
     if mu.is_lebesgue:
         _require(family.kind == "power" and abs(family.s - 1.0 / n) < 1e-12,
                  "Lebesgue chain is certified with the 1/n power family")
-        use_offset = True
     else:
         _require(family.kind == "power", "set_inclusion_big needs a power family")
         _require(mu.s_concave_symmetric is not None
@@ -368,7 +352,6 @@ def _verify_set_inclusion_big(K, mu, nu, f, family, s, cfg) -> Report:
                  "mu must be s-concave on symmetric bodies for this family")
         _require(K.is_symmetric() and mu.even,
                  "non-Lebesgue chain needs symmetric K and even mu")
-        use_offset = False  # eta = 0 by symmetry; polarized route
     st = cfg.stream()
     grid = direction_grid(n, min(cfg.grid, 512), cfg)
     zon_mu = projection_zonoid(K, mu, tol=cfg.tol)
@@ -385,21 +368,18 @@ def _verify_set_inclusion_big(K, mu, nu, f, family, s, cfg) -> Report:
     inf_phi = _boundary_density_min(K, mu)
     ratio = family.F(muK.value) / family.Fprime(muK.value)  # = mu(K)/s for powers
     ratio_err = muK.error_estimate / family.s if family.kind == "power" else 0.0
-    if use_offset:
-        off = offset_vector(K, mu, tol=cfg.tol)
-        h_shift = zon_mu.with_offset(off.value).support(grid.directions)
-    else:
-        h_shift = h_mu
 
     rho1 = K.volume * inf_phi / h_mu
     rho2 = K.volume / h_le
-    rho4 = ratio / h_shift
+    # Pi_mu K - eta is Pi_mu K: eta = 0 exactly for Lebesgue (facet closure)
+    # and by symmetry on the other route
+    rho4 = ratio / h_mu
     chain = [("Vol*inf(phi)*rho_Pi_mu_polar", rho1,
               K.volume * inf_phi * h_mu_err / h_mu ** 2),
              ("Vol*rho_Pi_polar", rho2, np.zeros_like(rho2)),
              ("rho_DK", rho_dk, np.zeros_like(rho_dk)),
              ("(F/F')*rho_shifted_polar", rho4,
-              ratio_err / h_shift + ratio * h_mu_err / h_shift ** 2)]
+              ratio_err / h_mu + ratio * h_mu_err / h_mu ** 2)]
     worst, worst_pair, budget = np.inf, "", 0.0
     for (na, a, ea), (nb, b, eb) in zip(chain, chain[1:]):
         margins = b - a
@@ -438,7 +418,6 @@ def _verify_q_concave(K, mu, nu, f, family, s, cfg) -> Report:
     if f is None:
         a, a_err = muK.value, muK.error_estimate
         lhs, lhs_err = K.volume, 0.0
-        zon, _ = _shifted_zonoid(K, mu, cfg)
     else:
         norm = l1_norm(f, mu, K, st.substream(2), cfg.samples)
         a, a_err = norm.value, norm.error_estimate
@@ -446,8 +425,8 @@ def _verify_q_concave(K, mu, nu, f, family, s, cfg) -> Report:
         lhs = muK.value * f_mass.value
         lhs_err = (muK.error_estimate * f_mass.value
                    + muK.value * f_mass.error_estimate)
-        zon, _ = _shifted_zonoid(K, mu, cfg, f=f, stream=st.substream(4))
-    pv, pv_err = polar_volume(zon, n, cfg)
+    zon, _ = shifted_zonoid(K, mu, f, st.substream(4), cfg.samples, cfg.tol)
+    pv, pv_err = zon.polar_volume()
     qprime = family.Fprime(a)
     _require(qprime != 0.0, "q_concave_zhang needs Q'(a) != 0")
 
@@ -480,8 +459,8 @@ def _verify_log_concave(K, mu, nu, f, family, s, cfg) -> Report:
     n = K.n
     st = cfg.stream()
     muK = measure_body(mu, K, st.substream(0), cfg.samples)
-    zon, off = _shifted_zonoid(K, mu, cfg)
-    pv, pv_err = polar_volume(zon, n, cfg)
+    zon, off = shifted_zonoid(K, mu, tol=cfg.tol)
+    pv, pv_err = zon.polar_volume()
     lhs = 1.0 / math.factorial(n)
     rhs = muK.value ** n * pv / K.volume
     err = power_product_error(muK.value, muK.error_estimate, n, pv,
@@ -499,8 +478,8 @@ def _verify_ehrhard(K, mu, nu, f, family, s, cfg) -> Report:
     n = K.n
     st = cfg.stream()
     muK = measure_body(mu, K, st.substream(0), cfg.samples)
-    zon, _ = _shifted_zonoid(K, mu, cfg)
-    pv, pv_err = polar_volume(zon, n, cfg)
+    zon, _ = shifted_zonoid(K, mu, tol=cfg.tol)
+    pv, pv_err = zon.polar_volume()
 
     def lhs_of(g):
         return K.volume / (g ** n * pv)
@@ -541,7 +520,6 @@ def _verify_two_measure(K, mu, nu, f, family, s, cfg) -> Report:
                                  stream=st.substream(1), N=cfg.samples)
         lhs, lhs_err = avg.value, avg.error_estimate
         a, a_err = muK.value, muK.error_estimate
-        zon, _ = _shifted_zonoid(K, mu, cfg)
         pre = n / muK.value
     else:
         norm = l1_norm(f, mu, K, st.substream(2), cfg.samples)
@@ -551,8 +529,8 @@ def _verify_two_measure(K, mu, nu, f, family, s, cfg) -> Report:
         lhs_err = (norm.error_estimate * avg.value
                    + norm.value * avg.error_estimate)
         a, a_err = norm.value, norm.error_estimate
-        zon, _ = _shifted_zonoid(K, mu, cfg, f=f, stream=st.substream(3))
         pre = float(n)
+    zon, _ = shifted_zonoid(K, mu, f, st.substream(3), cfg.samples, cfg.tol)
     scale = family.F(a) / family.Fprime(a)
     region = _measure_support_set(nu, zon, scale, cfg, st.substream(4))
     unit = int_unit(family, a, n, cfg.tol)
@@ -583,7 +561,7 @@ def _verify_s_concave(K, mu, nu, f, family, s, cfg) -> Report:
                              stream=st.substream(1), N=cfg.samples)
     coeff = _binom(n + 1.0 / s, n)
     lhs = coeff * avg.value
-    zon, _ = _shifted_zonoid(K, mu, cfg)
+    zon, _ = shifted_zonoid(K, mu, tol=cfg.tol)
     region = _measure_support_set(nu, zon, muK.value / s, cfg,
                                   st.substream(2))
     witnesses = {"nu_mu": Witness(avg.value, avg.error_estimate),
@@ -611,7 +589,7 @@ def _verify_polarized(K, mu, nu, f, family, s, cfg) -> Report:
     if nu is None or nu.is_lebesgue:
         # reduced closed form: s^n binom(n + 1/s, n) Vol(K) <= mu(K)^n Vol(Pi_mu°)
         muK = measure_body(mu, K, st.substream(0), cfg.samples)
-        pv, pv_err = polar_volume(zon, n, cfg)
+        pv, pv_err = zon.polar_volume()
         lhs = s ** n * coeff * K.volume
         rhs = muK.value ** n * pv
         err = power_product_error(muK.value, muK.error_estimate, n, pv, pv_err)
@@ -699,13 +677,13 @@ def pe_sweep(K: Polytope, t_list, cfg: RunConfig | None = None) -> list[dict]:
     _require(np.min(K.offsets) > 1e-9, "pe_sweep needs 0 interior")
     n = K.n
     mu = exp_norm(K)
-    pv_base, _ = polar_volume(projection_zonoid(K), n, cfg)
+    pv_base, _ = projection_zonoid(K).polar_volume()
     out = []
     for t in t_list:
         tK = K.scale(float(t))
         mass = exp_norm_mass_of_scaled(K, float(t))
         zon = projection_zonoid(tK, mu, tol=cfg.tol)
-        pv_t, _ = polar_volume(zon, n, cfg)
+        pv_t, _ = zon.polar_volume()
         direct = mass ** n * pv_t / tK.volume
         scaling = (float(t) ** (-n * n) * math.exp(n * float(t))
                    * pv_base * mass ** n / K.volume)

@@ -27,7 +27,7 @@ from .numerics import (ConfigurationError, DomainError, RandomStream,
                        ball_volume)
 from .projection import Zonoid, offset_vector, projection_zonoid
 from .report import (Report, RunConfig, Witness, direction_grid,
-                     finish_report, polar_volume)
+                     finish_report)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def ball_zonoid_volume_bound(weights, normals, total: float | None = None,
     alpha = weights / 2.0
     bound = 2.0 ** n / math.factorial(n) * float(np.prod((c / alpha) ** c))
     Z = Zonoid(n, normals, weights)
-    observed, obs_err = polar_volume(Z, n, cfg)
+    observed, obs_err = Z.polar_volume()
     witnesses = {"bound": Witness(bound),
                  "observed": Witness(observed, obs_err),
                  "decomposition_residual": Witness(residual)}
@@ -284,7 +284,7 @@ def isotropic_volume_sandwich(K: Polytope, mu: Density,
     n = K.n
     bm = boundary_measure(mu, K, cfg.tol)
     zon = projection_zonoid(K, mu, tol=cfg.tol)
-    pv, pv_err = polar_volume(zon, n, cfg)
+    pv, pv_err = zon.polar_volume()
     product = bm.value ** n * pv
     prod_err = power_product_error(bm.value, bm.error_estimate, n, pv, pv_err)
     lower = (n * ball_volume(n) / ball_volume(n - 1)) ** n * ball_volume(n)

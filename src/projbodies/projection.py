@@ -4,23 +4,25 @@ A polytope's projection body (classical, measure-weighted, or
 function-weighted) is the zonoid with one generator per facet: the facet
 normal weighted by the facet surface integral.  Its support function is
 
-    h(theta) = 1/2 sum_i w_i |<theta, u_i>|,
+    h(theta) = 1/2 sum_i w_i |<theta, u_i>|.
 
-which is everything the polar-volume quadrature needs; zonotope vertices
-are never enumerated.  The offset vectors eta (half the interior integral
-of grad phi) and tau (its f-weighted analogue) shift the body so that the
-brightness derivative of the matching covariogram is minus the support
-function of the shifted zonoid.
+It is a zonotope, so its shifted polar is the hull of u / h(u) over the
+zonotope's facet normals u: polar volumes are exact hull volumes.  The
+offset vectors eta (half the interior integral of grad phi) and tau (its
+f-weighted analogue) shift the body so that the brightness derivative of
+the matching covariogram is minus the support function of the shifted zonoid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from . import bodies
-from .bodies import Ball, LinearMap, Polytope
+from .bodies import Ball, LinearMap, PolarDomainError, Polytope
 from .covariogram import CovariogramQuery, brightness_derivative
 from .measures import (Density, compose_linear, facet_integrals,
                        facet_weights, lebesgue, DEFAULT_MC_SAMPLES)
@@ -65,6 +67,28 @@ class Zonoid:
     def with_offset(self, c) -> "Zonoid":
         return Zonoid(self.n, self.generators, self.weights,
                       np.asarray(c, dtype=float), self.weight_errors)
+
+    def polar_points(self, weights=None) -> np.ndarray:
+        """u / h(u) over both unit normals u of each (n-1)-generator span:
+        they include every facet normal, so their hull is the polar, and h > 0
+        on them exactly when the origin is interior (else PolarDomainError).
+        ``weights`` overrides the zonoid's own."""
+        w = self.weights if weights is None else weights
+        subsets = np.array(list(itertools.combinations(range(len(w)), self.n - 1)))
+        u = np.linalg.svd(self.generators[subsets])[2][:, -1]
+        u = np.vstack([u, -u])
+        h = replace(self, weights=w).support(u)
+        if np.any(h <= 0.0):
+            raise PolarDomainError("origin not interior: h <= 0 on a facet normal")
+        return u / h[:, None]
+
+    def polar_volume(self) -> tuple[float, float]:
+        """Exact polar volume and its weight-error bound: the polar shrinks
+        as any weight grows, so w + e and max(w - e, 0) bracket it."""
+        w, e = self.weights, self.weight_errors
+        pv, lo, hi = (ConvexHull(self.polar_points(x)).volume
+                      for x in (w, w + e, np.maximum(w - e, 0.0)))
+        return pv, max(hi - pv, pv - lo)
 
 
 @dataclass(frozen=True)
@@ -127,17 +151,11 @@ def offset_vector(K: Polytope, mu: Density, f=None,
     Monte Carlo.
     """
     if f is None:
-        if mu.is_lebesgue:
-            # facet closure: sum A_i u_i = 0 identically
-            return OffsetVector(np.zeros(K.n), 0.0, "eta", np.zeros(K.n), 0.0)
-        w, e = facet_weights(mu, K, tol)
-        value = 0.5 * (w @ K.normals)
-        err = 0.5 * float(e.sum())
-        cross_value, cross_err = None, 0.0
-        if stream is not None:
-            cross = _interior_vector(K, mu.grad, stream, N)
-            cross_value, cross_err = 0.5 * cross[0], 0.5 * cross[1]
-        return OffsetVector(value, err, "eta", cross_value, cross_err)
+        off = shifted_zonoid(K, mu, tol=tol)[1]
+        if stream is None or mu.is_lebesgue:
+            return off
+        cross, cross_err = _interior_vector(K, mu.grad, stream, N)
+        return replace(off, cross_value=0.5 * cross, cross_error=0.5 * cross_err)
 
     if stream is None:
         raise ConfigurationError("tau needs a RandomStream")
@@ -149,6 +167,25 @@ def offset_vector(K: Polytope, mu: Density, f=None,
 
     vec, err = _interior_vector(K, fn, stream, N)
     return OffsetVector(0.5 * vec, 0.5 * err, "tau")
+
+
+def shifted_zonoid(K: Polytope, mu: Density, f=None,
+                   stream: RandomStream | None = None,
+                   N: int = DEFAULT_MC_SAMPLES, tol: float = 1e-9):
+    """(Pi_mu K - eta, eta) or (Pi_{mu,f} K - tau, tau), one facet cubature.
+
+    eta = 1/2 sum w_i u_i, error 1/2 sum e_i, is read off the zonoid (zero
+    for Lebesgue, by facet closure); tau is ``offset_vector``'s Monte Carlo.
+    """
+    zon = projection_zonoid(K, mu, f, tol)
+    if f is not None:
+        off = offset_vector(K, mu, f, stream, N, tol)
+    elif mu.is_lebesgue:
+        off = OffsetVector(np.zeros(K.n), 0.0, "eta", np.zeros(K.n), 0.0)
+    else:
+        off = OffsetVector(0.5 * (zon.weights @ zon.generators),
+                           0.5 * float(zon.weight_errors.sum()), "eta")
+    return zon.with_offset(off.value), off
 
 
 def _interior_vector(K: Polytope, fn, stream: RandomStream, N: int):
@@ -182,12 +219,12 @@ def brightness_residual(K: Polytope, mu: Density, theta, mode: str = "plain",
     query = CovariogramQuery(K, mu, f, mode=mode, stream=stream, N=N)
     fd = brightness_derivative(query, theta, h=h)
 
-    zon = projection_zonoid(K, mu, f, tol)
-    off_err = 0.0
-    if mode != "polarized":
+    if mode == "polarized":
+        zon, off_err = projection_zonoid(K, mu, tol=tol), 0.0
+    else:
         sub = stream.substream(7) if f is not None and stream else None
-        off = offset_vector(K, mu, f=f, stream=sub, N=N, tol=tol)
-        zon, off_err = zon.with_offset(off.value), off.error_estimate
+        zon, off = shifted_zonoid(K, mu, f, sub, N, tol)
+        off_err = off.error_estimate
 
     h_val = float(zon.support(theta[None, :])[0])
     h_err = float(zon.support_error(theta[None, :])[0])
@@ -217,7 +254,7 @@ def transform_law_residual(K: Polytope, mu: Density, T: LinearMap,
 
 
 def zonoid_polar_volume(Z: Zonoid, grid: SphereGrid) -> float:
-    """Volume of the polar of (zonoid - offset) by support quadrature."""
+    """Grid cross-check of ``Zonoid.polar_volume``: support quadrature."""
     return bodies.polar_volume_from_support(Z.support, grid)
 
 
@@ -230,10 +267,9 @@ def halfspace_integral_identity(K: Polytope, mu: Density, theta,
     """
     theta = np.asarray(theta, dtype=float)
     theta = theta / np.linalg.norm(theta)
-    w, _ = facet_weights(mu, K, tol)
+    zon, off = shifted_zonoid(K, mu, tol=tol)
     comp = K.normals @ theta
-    lhs = float(np.sum(np.where(comp >= 0.0, comp, 0.0) * w))
-    off = offset_vector(K, mu, tol=tol)
-    zon = projection_zonoid(K, mu, tol=tol)
-    rhs = float(theta @ off.value + zon.support(theta[None, :])[0])
+    lhs = float(np.sum(np.where(comp >= 0.0, comp, 0.0) * zon.weights))
+    # zon is Pi_mu K - eta, whose support is h_{Pi_mu K}(theta) - <theta, eta>
+    rhs = float(zon.support(theta[None, :])[0] + 2.0 * (theta @ off.value))
     return lhs, rhs, abs(lhs - rhs)

@@ -2,7 +2,8 @@
 
 Every check is an lhs/rhs pair normalized so that margin = rhs - lhs >= 0
 means pass; ``finish_report`` turns its propagated error terms into the
-tolerance and the verdict.
+tolerance and the verdict.  ``direction_grid`` serves the direction-wise
+checks; polar volumes are exact (``Zonoid.polar_volume``) and use no grid.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 
 from .measures import DEFAULT_MC_SAMPLES
 from .numerics import RandomStream, sphere_directions
-from .projection import Zonoid, zonoid_polar_volume
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,3 @@ def direction_grid(n: int, count: int, cfg: RunConfig):
         return sphere_directions(n, count)
     return sphere_directions(n, count, "uniform_random", cfg.stream().substream(999))
 
-
-def polar_volume(Z: Zonoid, n: int, cfg: RunConfig):
-    """Polar volume of a (shifted) zonoid with a grid-refinement error bar."""
-    full = direction_grid(n, cfg.grid, cfg)
-    half = direction_grid(n, max(2 * n, cfg.grid // 2), cfg)
-    pv = zonoid_polar_volume(Z, full)
-    pv_half = zonoid_polar_volume(Z, half)
-    h = Z.support(full.directions)
-    herr = Z.support_error(full.directions)
-    sens = float(np.sum(full.weights * h ** (-n - 1) * herr))
-    return pv, abs(pv - pv_half) + sens

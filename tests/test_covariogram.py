@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import projbodies as pb
-from projbodies.covariogram import _brightness_values, l1_norm
+from projbodies.covariogram import _brightness_values, _pointwise_values, l1_norm
 
 
 def test_exact_values(square, triangle):
@@ -244,3 +244,33 @@ def test_brightness_values_match_three_contains(n, mode):
             old = _three_contains_integrands(q, points, theta, h)
             for a, b in zip(new, old):
                 assert a.tobytes() == b.tobytes()
+
+
+def _two_contains_integrand(q, points, x):
+    """Covariogram integrand by testing the shifted points."""
+    K, mu = q.K, q.mu
+    if q.mode == "polarized":
+        inside = K.contains(points + x / 2.0) & K.contains(points - x / 2.0)
+        return mu.eval(points) * inside
+    inside = K.contains(points) & K.contains(points - x)
+    if q.mode == "functional":
+        return q.f.eval(points - x) * mu.eval(points) * inside
+    return mu.eval(points) * inside
+
+
+@pytest.mark.parametrize("mode", ["plain", "polarized", "functional"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_pointwise_values_match_two_contains(n, mode):
+    stream = pb.RandomStream(4343)
+    g = pb.gaussian(n)
+    for i, symmetric in enumerate((False, True)):
+        K = pb.random_polytope(n, stream.substream(10 * n + i), symmetric=symmetric)
+        gen = stream.substream(100 + 10 * n + i).generator()
+        x = gen.standard_normal(n)
+        x *= 0.2 * K.diameter / np.linalg.norm(x)
+        lo, hi = K.bounding_box()
+        points = lo + gen.random((50_000, n)) * (hi - lo)
+        q = pb.CovariogramQuery(K, g, g if mode == "functional" else None, mode=mode)
+        new = _pointwise_values(q, points, x)
+        assert new.tobytes() == _two_contains_integrand(q, points, x).tobytes()
+        assert np.count_nonzero(new) > 1000

@@ -20,6 +20,13 @@ def test_zhang_petty_simplex(triangle):
     assert rep.witnesses["petty_bound"].value == pytest.approx((math.pi / 2) ** 2)
 
 
+def test_zhang_petty_simplex3_exact(simplex3):
+    # Zhang's equality case: Vol(S)^2 Vol(Pi° S) = 80/3 / 36 = 20/27
+    rep = pb.verify("zhang_petty", simplex3, precision=CFG)
+    assert rep.passed and rep.verdict == "pass"
+    assert abs(rep.witnesses["product"].value - 20 / 27) <= 1e-12
+
+
 def test_zhang_petty_ball_analytic():
     rep = pb.verify("zhang_petty", pb.Ball(3, 1.3), precision=CFG)
     assert rep.passed
@@ -96,9 +103,9 @@ def test_set_inclusion_big(triangle, square, gauss2, leb2):
                   family=pb.power_family(0.5), precision=CFG)
 
 
-def test_set_inclusion_big_symmetric_route_skips_offset(square, gauss2,
-                                                       monkeypatch):
-    # eta = 0 by symmetry there: only projection_zonoid needs the cubature
+@pytest.fixture
+def cubatures(monkeypatch):
+    """The facet_weights calls made through the projection module."""
     calls = []
     weights = projection.facet_weights
 
@@ -107,10 +114,29 @@ def test_set_inclusion_big_symmetric_route_skips_offset(square, gauss2,
         return weights(*args, **kwargs)
 
     monkeypatch.setattr(projection, "facet_weights", counting)
+    return calls
+
+
+def test_set_inclusion_big_symmetric_route_skips_offset(square, gauss2,
+                                                       cubatures):
+    # eta = 0 by symmetry there: only projection_zonoid needs the cubature
     rep = pb.verify("set_inclusion_big", square, mu=gauss2,
                     family=pb.power_family(0.5))
     assert rep.passed
-    assert len(calls) == 1
+    assert len(cubatures) == 1
+
+
+def test_eta_is_read_from_the_zonoid(square, gauss2, cubatures):
+    # one facet cubature gives both Pi_mu K and eta = 1/2 sum w_i u_i
+    assert pb.verify("log_concave_zhang", square, mu=gauss2, precision=CFG).passed
+    assert len(cubatures) == 1
+    pb.halfspace_integral_identity(square, gauss2, [1, 0])
+    assert len(cubatures) == 2
+    zon, off = pb.shifted_zonoid(square, gauss2, tol=1e-9)
+    ref = pb.offset_vector(square, gauss2, tol=1e-9)
+    assert off.value.tobytes() == ref.value.tobytes()
+    assert off.error_estimate == ref.error_estimate
+    assert zon.offset.tobytes() == ref.value.tobytes()
 
 
 def test_q_concave_zhang(square, gauss2):

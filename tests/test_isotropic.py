@@ -119,12 +119,16 @@ def test_reported_grid_is_the_grid_used(square, gauss2):
         assert rep.witnesses["h_min"].value == float(np.min(h))
         assert rep.witnesses["h_max"].value == float(np.max(h))
     assert pb.isotropic_sandwich_check(K, pb.lebesgue(2)).config["grid"] == 1024
+    # the polar volume is exact, so the grid does not reach it: the polar
+    # of w (|x_1| + |x_2|) <= 1 is the cross-polytope of area 2 / w^2
     w, _ = pb.facet_weights(gauss2, square, 1e-9)
-    Z = pb.Zonoid(2, square.normals, w)
+    observed = []
     for cfg in (None, pb.RunConfig(grid=64)):
         rep = pb.ball_zonoid_volume_bound(w, square.normals, cfg=cfg)
-        grid = pb.sphere_directions(2, rep.config["grid"])
-        assert rep.witnesses["observed"].value == pb.zonoid_polar_volume(Z, grid)
+        assert rep.config["grid"] == (cfg or pb.RunConfig()).grid
+        observed.append(rep.witnesses["observed"].value)
+    assert observed[0] == observed[1]
+    assert observed[0] == pytest.approx(2.0 / w[0] ** 2, rel=1e-12, abs=0)
     assert pb.ball_zonoid_volume_bound(w, square.normals).config["grid"] == 4096
 
 

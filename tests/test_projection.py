@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import projbodies as pb
+from scipy.spatial import ConvexHull
 from conftest import gauss_edge_weight
 
 
@@ -134,6 +135,49 @@ def test_zonoid_polar_volume_domain(square):
     shifted = zon.with_offset([10.0, 0.0])
     with pytest.raises(pb.PolarDomainError):
         pb.zonoid_polar_volume(shifted, pb.sphere_directions(2, 64))
+
+
+@pytest.mark.parametrize("n, simplex_pv, cube_pv",
+                         [(2, 3.0, 1 / 2), (3, 80 / 3, 1 / 48), (4, 3780.0, 1 / 6144)])
+def test_exact_polar_volume_closed_forms(n, simplex_pv, cube_pv):
+    # Zhang's and Petty's equality-side closed forms for the standard simplex
+    # and Pi [-1,1]^n = 2^n [-1,1]^n, whose polar is 2^-n cross-polytope
+    for K, truth in ((pb.standard_simplex(n), simplex_pv), (pb.cube(n), cube_pv)):
+        pv, err = pb.projection_zonoid(K).polar_volume()
+        assert pv == pytest.approx(truth, rel=1e-12, abs=0)
+        assert err == 0.0
+
+
+def test_exact_polar_volume_bracket(square, gauss2):
+    zon = pb.projection_zonoid(square, gauss2, tol=1e-9)
+    pv, err = zon.polar_volume()
+    w, e = zon.weights, zon.weight_errors
+    lo = ConvexHull(zon.polar_points(w + e)).volume
+    hi = ConvexHull(zon.polar_points(np.maximum(w - e, 0.0))).volume
+    assert lo <= pv <= hi
+    assert err == max(hi - pv, pv - lo) > 0.0
+    # the polar of a (|x_1| + |x_2|) <= 1 is the cross-polytope of area 2/a^2
+    assert lo <= 2.0 / gauss_edge_weight() ** 2 <= hi
+
+
+def test_exact_polar_volume_domain(square):
+    shifted = pb.projection_zonoid(square).with_offset([10.0, 0.0])
+    with pytest.raises(pb.PolarDomainError):
+        shifted.polar_volume()
+
+
+def test_grid_polar_volume_converges_to_exact():
+    pentagon = pb.projection_zonoid(pb.regular_polygon(5))
+    # c04's first Gaussian-shifted 3-D body
+    K = pb.random_polytope(3, pb.RandomStream(424242).substream(20))
+    body, _ = pb.shifted_zonoid(K, pb.gaussian(3), tol=1e-9)
+    for Z, counts, rel in ((pentagon, (64, 256, 1024, 4096), 1e-7),
+                           (body, (256, 16384), 1e-5)):
+        exact, _ = Z.polar_volume()
+        gaps = [abs(pb.zonoid_polar_volume(Z, pb.sphere_directions(Z.n, c)) - exact)
+                for c in counts]
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] <= rel * exact
 
 
 def test_zhang_petty_sandwich_random(stream, grid4096):
