@@ -285,14 +285,10 @@ def generalized_radial(body, x, theta) -> float:
         proj = rel @ theta
         disc = proj ** 2 - tt * (rel @ rel - body.radius ** 2)
         return float((-proj + math.sqrt(disc)) / tt)
-    slack = body.offsets - body.normals @ x
-    if np.min(slack) <= 0.0:
-        raise DomainError("base point is not interior to the polytope")
-    denom = body.normals @ theta
-    mask = denom > 0.0
-    if not np.any(mask):
+    rho = radial_many(body, theta, x)[0]
+    if np.isinf(rho):
         raise DomainError("direction escapes to infinity (unbounded?)")
-    return float(np.min(slack[mask] / denom[mask]))
+    return float(rho)
 
 
 def radial(body, theta) -> float:
@@ -386,56 +382,48 @@ def clip_translate_volume(K: Polytope, x) -> float:
     """Volume of K intersected with K + x; fast 2-D path, hull elsewhere.
 
     Areas below machine dust are reported as exactly 0, so the support of
-    the covariogram is exactly the difference body.
+    the covariogram is exactly the difference body.  Elsewhere only the hull
+    volume of the intersection vertices is taken, so vertices that nearly
+    coincide (as at tiny x) do no harm.
     """
     x = np.asarray(x, dtype=float)
     if K.n == 2:
         poly = _clip_polygon(K.vertices, K.normals, K.offsets + K.normals @ x)
         area = _polygon_area(poly)
         return area if area > 1e-14 * max(1.0, K.volume) else 0.0
-    inter = intersect_translate(K, x)
-    return 0.0 if inter is None else inter.volume
+    points = _translate_vertices(K, x)
+    try:
+        return 0.0 if points is None else float(ConvexHull(points).volume)
+    except QhullError:
+        return 0.0
 
 
-def _chebyshev_center(normals: np.ndarray, offsets: np.ndarray):
-    """Largest inscribed ball of {x : N x <= b}; (center, radius) or None."""
+def _translate_vertices(K: Polytope, x: np.ndarray):
+    """Vertices of K ∩ (K + x), or None when it is empty or thin.
+
+    qhull enumerates the facets of K stacked with the same facets translated
+    by x, from their Chebyshev center (the largest inscribed ball, an LP).
+    """
+    normals = np.vstack([K.normals, K.normals])
+    offsets = np.concatenate([K.offsets, K.offsets + K.normals @ x])
     m, n = normals.shape
-    res = linprog(np.r_[np.zeros(n), -1.0],
-                  A_ub=np.c_[normals, np.ones(m)], b_ub=offsets,
-                  bounds=[(None, None)] * n + [(0, None)], method="highs")
-    if not res.success:
+    res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.c_[normals, np.ones(m)],
+                  b_ub=offsets, bounds=[(None, None)] * n + [(0, None)],
+                  method="highs")
+    if not res.success or res.x[n] <= 1e-11 * max(1.0, K.diameter):
         return None
-    return res.x[:n], res.x[n]
+    try:
+        return HalfspaceIntersection(np.c_[normals, -offsets], res.x[:n]).intersections
+    except QhullError:
+        return None
 
 
 def intersect_translate(K: Polytope, x):
-    """K intersected with K + x, or None when empty / lower-dimensional.
-
-    The H-representation is the facets of K stacked with the same facets
-    translated by x; vertices come from enumerating that joint system.
-    """
-    x = np.asarray(x, dtype=float)
-    if K.n == 2:
-        poly = _clip_polygon(K.vertices, K.normals, K.offsets + K.normals @ x)
-        if _polygon_area(poly) <= 1e-12 * max(1.0, K.volume):
-            return None
-        uniq = np.unique(np.round(poly, 12), axis=0)
-        if len(uniq) < 3:
-            return None
-        try:
-            return build_polytope(poly)
-        except DegeneracyError:
-            return None
-
-    normals = np.vstack([K.normals, K.normals])
-    offsets = np.concatenate([K.offsets, K.offsets + K.normals @ x])
-    cheb = _chebyshev_center(normals, offsets)
-    if cheb is None or cheb[1] <= 1e-11 * max(1.0, K.diameter):
-        return None
+    """K intersected with K + x, or None when empty / lower-dimensional."""
+    points = _translate_vertices(K, np.asarray(x, dtype=float))
     try:
-        hs = HalfspaceIntersection(np.c_[normals, -offsets], cheb[0])
-        return build_polytope(hs.intersections)
-    except (QhullError, DegeneracyError):
+        return None if points is None else build_polytope(points)
+    except DegeneracyError:
         return None
 
 

@@ -23,9 +23,9 @@ from .inequalities import (INEQUALITY_IDS, ehrhard_bound_value,
 from .meanbodies import (inclusion_chain_report, radial_mean_body,
                          spectral_mean_body)
 from .measures import ConcavityFamily
-from .numerics import (ConfigurationError, DomainError, sphere_directions)
+from .numerics import ConfigurationError, DomainError
 from .projection import brightness_residual, shifted_zonoid
-from .report import Report, RunConfig
+from .report import Report, RunConfig, direction_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -273,13 +273,13 @@ def _projbody_brightness(args, out) -> int:
 
 def _meanbody_chain(args, out) -> int:
     p_list = [float(p) for p in args.p_list.split(",")]
-    grid = sphere_directions(args.K.n, min(args.grid, 256))
+    grid = direction_grid(args.K.n, min(args.grid, 256), args.cfg)
     report = inclusion_chain_report(args.K, p_list, grid, tol=args.tol)
     return emit_report(report, args.format, out)
 
 
 def _meanbody_radii(args, out) -> int:
-    grid = sphere_directions(args.K.n, min(args.grid, 256))
+    grid = direction_grid(args.K.n, min(args.grid, 256), args.cfg)
     p = float("inf") if args.p == "inf" else float(args.p)
     result = args.mean_body(args.K, p, grid, tol=args.tol)
     rows = [{"direction": list(d), "radius": float(r)}

@@ -1,21 +1,24 @@
 """Covariograms: classical, measure-weighted, functional and polarized.
 
 The classical covariogram g_K(x) = Vol(K ∩ (K+x)) is computed exactly from
-polytope arithmetic.  The measure-weighted variants are Monte Carlo over the
-relevant intersection, which is known in H-representation without any hull
-work (membership tests against K's facets).  Directional derivatives at the
-origin ("brightness") use one-sided difference quotients with a Richardson
-combination; the Monte Carlo path evaluates all steps on common random
-points so the quotient variance stays proportional to the boundary sliver.
-It projects those points onto K's facet normals once per call: each point's
-largest admissible step along theta, read off the facet slacks, gives the
-membership masks of every step without testing the shifted points again.
+polytope arithmetic.  Along a ray, r -> g_K(r theta) is a polynomial of
+degree <= n between the radii where a face of K meets a face of K + r theta
+of complementary dimension; ``ray_pieces`` finds those radii and samples
+each piece at n + 1 nodes.  Mean bodies integrate the pieces in closed form,
+and the slope of the first one is the exact brightness derivative.
+
+The measure-weighted variants are Monte Carlo over the intersection, known
+in H-representation (membership tests against K's facets).  Their
+brightness derivatives Richardson-combine difference quotients on common
+random points, projected onto K's normals once: each point's largest
+admissible step along theta, read off its facet slacks, gives every mask.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,8 +26,8 @@ from . import bodies
 from .bodies import Polytope
 from .measures import Density, lebesgue, measure_body, DEFAULT_MC_SAMPLES
 from .numerics import (BoxSampler, ConfigurationError, DomainError,
-                       PrecisionError, QuadratureResult, RandomStream,
-                       mean_with_budget, monte_carlo)
+                       PrecisionError, QuadratureFailure, QuadratureResult,
+                       RandomStream, mean_with_budget, monte_carlo)
 
 
 @dataclass
@@ -53,6 +56,98 @@ class CovariogramQuery:
 def covariogram_exact(K: Polytope, x) -> float:
     """g_K(x) = Vol(K ∩ (K+x)); exact, supported exactly on DK."""
     return bodies.clip_translate_volume(K, np.asarray(x, dtype=float))
+
+
+def _nodal_inverse(n: int) -> np.ndarray:
+    """Maps values at t = 0, 1/n, ..., 1 to the c_k of sum_k c_k t^k."""
+    return np.linalg.inv(np.vander(np.linspace(0.0, 1.0, n + 1), increasing=True))
+
+
+class RayPiece(NamedTuple):
+    """g_K(r theta) on [a, b]: its values at the n + 1 equispaced nodes, the
+    c_k of g(a + (b - a) t) = sum_k c_k t^k, and the gap at the check node."""
+
+    a: float
+    b: float
+    values: np.ndarray
+    coefficients: np.ndarray
+    residual: float
+
+
+def _face_rows(K: Polytope) -> list:
+    """Entry j - 1: (f, j, n + 1) rows [u_i, b_i] of the j facets cutting out
+    each face of dimension n - j.  The facets come from one vertex; faces are
+    told apart by the vertices they hold, and a subset counts when its normals
+    are independent and those vertices span n - j dimensions.  Cached on K."""
+    if hasattr(K, "_face_rows"):
+        return K._face_rows
+    n, tol = K.n, 1e-9 * max(1.0, K.diameter)
+    incident = np.abs(K.vertices @ K.normals.T - K.offsets) <= tol
+    faces = [{} for _ in range(n)]
+    for v, j in itertools.product(range(len(K.vertices)), range(1, n + 1)):
+        for S in map(list, itertools.combinations(np.flatnonzero(incident[v]), j)):
+            held = K.vertices[incident[:, S].all(axis=1)]
+            if (held.tobytes() not in faces[j - 1]
+                    and np.linalg.matrix_rank(K.normals[S]) == j
+                    and np.linalg.matrix_rank(held - held[0], tol) == n - j):
+                faces[j - 1][held.tobytes()] = np.c_[K.normals[S], K.offsets[S]]
+    K._face_rows = [np.array(list(f.values())) for f in faces]
+    return K._face_rows
+
+
+def _breakpoints(K: Polytope, theta: np.ndarray, rho: float) -> np.ndarray:
+    """Sorted radii in (0, rho) where r -> g_K(r theta) may change polynomial.
+
+    A face of K cut out by j facets meets one of K + r theta cut out by
+    n + 1 - j facets where the determinant of their rows [u, b] (shifted:
+    [u, b + r <u, theta>]), affine in r, vanishes and the meeting point lies
+    in both bodies.  Roots closer than 1e-10 rho are merged.
+    """
+    n, tol = K.n, 1e-9 * max(1.0, K.diameter)
+    faces, roots = _face_rows(K), []
+    for j in range(1, n + 1):
+        F, G = faces[j - 1], faces[n - j]
+        M = np.concatenate([np.repeat(F, len(G), axis=0), np.tile(G, (len(F), 1, 1))], 1)
+        A, shift = M[..., :n], M[..., :n] @ theta
+        shift[:, :j] = 0.0
+        d1 = np.linalg.det(np.concatenate([A, shift[..., None]], axis=2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = -np.linalg.det(M) / d1
+            ok = (np.abs(d1) > 1e-12) & (r > 1e-10 * rho) & (r < (1.0 - 1e-10) * rho)
+        r, rhs = r[ok], M[ok][..., n] + r[ok, None] * shift[ok]
+        x = (np.linalg.pinv(A[ok]) @ rhs[..., None])[..., 0]
+        meets = ((K.slack(x, tol).min(axis=0) >= 0.0)
+                 & (K.slack(x - r[:, None] * theta, tol).min(axis=0) >= 0.0))
+        roots.append(r[meets])
+    roots = np.sort(np.concatenate(roots))
+    return roots[np.diff(roots, prepend=-np.inf) > 1e-10 * rho]
+
+
+def ray_pieces(K: Polytope, theta, tol: float = 1e-9):
+    """Yield the polynomial pieces of r -> g_K(r theta) on [0, rho_DK(theta)].
+
+    g(0) = Vol K and g(rho_DK) = 0 are known, and neighbours share a node.
+    Each piece is checked at t = 1 / (2n) of the way along it: a gap above
+    tol * Vol K (a missed breakpoint) raises ``QuadratureFailure``.
+    """
+    theta = np.asarray(theta, dtype=float) / np.linalg.norm(theta)
+    n, vol = K.n, K.volume
+    rho = bodies.radial_many(bodies.difference_body(K), theta[None, :])[0]
+    edges = np.r_[0.0, _breakpoints(K, theta, rho), rho]
+    left, check = vol, 0.5 / n
+    for a, b in zip(edges, edges[1:]):
+        right = 0.0 if b == rho else covariogram_exact(K, b * theta)
+        values = np.r_[left, [covariogram_exact(K, (a + (b - a) * i / n) * theta)
+                              for i in range(1, n)], right]
+        coefficients = _nodal_inverse(n) @ values
+        g = covariogram_exact(K, (a + (b - a) * check) * theta)
+        residual = g - np.polyval(coefficients[::-1], check)
+        if abs(residual) > tol * vol:
+            raise QuadratureFailure(f"covariogram piece [{a:.6g}, {b:.6g}] misses its "
+                                    f"check node by {residual:.3e} (tol {tol:.1e})",
+                                    QuadratureResult(g, abs(residual), n + 1))
+        yield RayPiece(float(a), float(b), values, coefficients, float(residual))
+        left = right
 
 
 def _pointwise_values(q: CovariogramQuery, points: np.ndarray,
@@ -141,11 +236,12 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
                           ) -> QuadratureResult:
     """One-sided radial derivative of the covariogram at 0.
 
-    Difference quotients at steps {h, h/2} (defaults 1e-3 and 5e-4 of the
-    body diameter) are Richardson-combined to cancel the O(h) term.  The
-    exact Lebesgue path adds a half-step to estimate the remaining bias;
-    the Monte Carlo path evaluates all steps on common random points and
-    reports three standard errors of the combined quotient.
+    The exact Lebesgue path reads it off the first piece of ``ray_pieces``:
+    the linear coefficient c_1 / b, with an error propagated from the
+    piece's check residual plus a roundoff floor of 64 ulp of Vol K.  The
+    Monte Carlo path Richardson-combines difference quotients at steps
+    {h, h/2} (h defaults to 1e-3 of the body diameter) on common random
+    points and reports three standard errors of the combined quotient.
     """
     theta = np.asarray(theta, dtype=float)
     theta = theta / np.linalg.norm(theta)
@@ -156,16 +252,10 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
         raise DomainError(f"step {h} outside (0, rho_DK/4 = {rho / 4.0:.3g}]")
 
     if q.mu.is_lebesgue and q.mode in ("plain", "polarized"):
-        g = [covariogram_exact(q.K, s * theta) for s in (0.0, h / 4, h / 2, h)]
-        d_full = (g[3] - g[0]) / h
-        d_half = (g[2] - g[0]) / (h / 2)
-        d_quarter = (g[1] - g[0]) / (h / 4)
-        r1 = 2.0 * d_half - d_full
-        r2 = 2.0 * d_quarter - d_half
-        # second extrapolation level: exact through cubic covariograms
-        value = (4.0 * r2 - r1) / 3.0
-        err = abs(value - r2) + 4e-14 * max(1.0, q.K.volume) / h
-        evals = 4
+        first = next(ray_pieces(q.K, theta, 1e-9 if q.tol is None else q.tol))
+        noise = abs(first.residual) + 64.0 * np.finfo(float).eps * q.K.volume
+        value, evals = first.coefficients[1] / first.b, q.K.n + 1
+        err = np.abs(_nodal_inverse(q.K.n)[1]).sum() * noise / first.b
     else:
         if q.stream is None:
             raise ConfigurationError("Monte Carlo brightness needs a stream")
@@ -180,7 +270,7 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
         raise PrecisionError(
             f"brightness error budget {err:.3e} exceeds tol {q.tol:.3e}; "
             f"increase N (currently {q.N})")
-    return QuadratureResult(value, err, evals)
+    return QuadratureResult(float(value), float(err), evals)
 
 
 # -- translated averages ------------------------------------------------------

@@ -380,14 +380,11 @@ def _verify_set_inclusion_big(K, mu, nu, f, family, s, cfg) -> Report:
              ("rho_DK", rho_dk, np.zeros_like(rho_dk)),
              ("(F/F')*rho_shifted_polar", rho4,
               ratio_err / h_mu + ratio * h_mu_err / h_mu ** 2)]
-    worst, worst_pair, budget = np.inf, "", 0.0
-    for (na, a, ea), (nb, b, eb) in zip(chain, chain[1:]):
-        margins = b - a
-        i = int(np.argmin(margins))
-        if margins[i] < worst:
-            worst = float(margins[i])
-            worst_pair = f"{na} <= {nb}"
-            budget = float(ea[i] + eb[i])
+    # the first link and direction take ties
+    margins = np.diff([radii for _, radii, _ in chain], axis=0)
+    k, i = np.unravel_index(np.argmin(margins), margins.shape)
+    worst, worst_pair = float(margins[k, i]), f"{chain[k][0]} <= {chain[k + 1][0]}"
+    budget = float(chain[k][2][i] + chain[k + 1][2][i])
     witnesses = {"worst_margin": Witness(worst, budget, note=worst_pair),
                  "mu_K": Witness(muK.value, muK.error_estimate),
                  "inf_phi_boundary": Witness(inf_phi)}

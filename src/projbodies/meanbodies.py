@@ -1,26 +1,16 @@
 """Radial p-th mean bodies, spectral bodies, and the inclusion chain.
 
-Ray integrals of the exact covariogram drive everything: for p > 0 the
-radial mean power is
+Along theta, with rho = rho_DK(theta) and V = Vol K, the radial mean power
+of every p > -1 other than 0, and the p = 0 (geometric-mean) limit, are
 
-    M_p(theta) = (p / Vol K) ∫_0^{rho_DK} g_K(r theta) r^{p-1} dr,
+    M_p(theta) = rho^p + (p / V) ∫_0^rho r^{p-1} (g_K(r theta) - V) dr,
+    rho_{R_0}(theta) = rho * exp( (1/V) ∫_0^rho (g_K(r theta) - V) / r dr ).
 
-computed after the substitution u = r^p (bounded integrand, no endpoint
-singularity even for p < 1).  The p = 0 body is the geometric-mean limit,
-evaluated in the scaled form
-
-    rho_{R_0}(theta) = rho_DK(theta) * exp( (1/V) ∫_0^1 (g(s rho_DK theta) - V) / s ds ),
-
-whose integrand is continuous on [0, 1].  For p in (-1, 0) the survival
-function of the directional reach gives
-
-    M_p = rho_DK^p - (p/V) ∫_0^{rho_DK} r^{p-1} (V - g(r theta)) dr,
-
-again regularized by a power substitution.  Spectral radii follow from
-rho_{S_p} = ((p+1) M_p)^{1/p}, rho_{R_p} = M_p^{1/p}, rho_{S_-1} = V / h_{Pi K}.
-
-Mean bodies stay star-body samples; convexity (unknown for p in (-1,0))
-is never assumed downstream.
+g_K is a polynomial of degree <= n on each piece of ``ray_pieces``, so the
+integrals are exact sums of moments per piece, built once per direction for
+every p.  Then rho_{R_p} = M_p^{1/p}, rho_{S_p} = ((p+1) M_p)^{1/p} and
+rho_{S_-1} = V / h_{Pi K}.  Mean bodies stay star-body samples; convexity
+(unknown for p in (-1,0)) is never assumed downstream.
 """
 
 from __future__ import annotations
@@ -33,8 +23,8 @@ from scipy import special
 
 from . import bodies
 from .bodies import Polytope, StarBody
-from .covariogram import covariogram_exact
-from .numerics import DomainError, SphereGrid, integrate_1d
+from .covariogram import RayPiece, ray_pieces
+from .numerics import DomainError, SphereGrid
 from .projection import projection_zonoid
 from .report import Report, Witness
 
@@ -46,52 +36,49 @@ class MeanBodyResult:
     method: str
 
 
-def _mean_power(K: Polytope, p: float, theta: np.ndarray, rho_dk: float,
-                vol: float, tol: float) -> float:
-    """M_p(theta) = (1/V) ∫_K rho_K(x, theta)^p dx via the covariogram."""
-    if p > 0.0:
-        def f(u):
-            return covariogram_exact(K, (u ** (1.0 / p)) * theta)
-        res = integrate_1d(f, 0.0, rho_dk ** p, tol)
-        return res.value / vol
-    # p in (-1, 0): integrate the survival-function complement
-    q = p + 1.0
+def _piece_integral(piece: RayPiece, p: float, vol: float) -> float:
+    """∫_a^b r^{p-1} (g(r) - V) dr, g - V = sum_k c_k t^k, t = (r - a) / (b - a).
 
-    def f(u):
-        r = u ** (1.0 / q)
-        return (vol - covariogram_exact(K, r * theta)) * u ** (-1.0 / q) / q
-
-    res = integrate_1d(f, 0.0, rho_dk ** q, tol)
-    return rho_dk ** p - (p / vol) * res.value
+    The moment of t^k is b^p / (k + p) on the first piece (c_0 = 0 there),
+    else z b^p / (k + 1) 2F1(1 - p, 1; k + 2; z) with z = 1 - a / b."""
+    a, b, c = piece.a, piece.b, piece.coefficients
+    k = np.arange(len(c))
+    if a == 0.0:
+        return float(c[1:] @ (b ** p / (k[1:] + p)))
+    z = (b - a) / b
+    moments = z * b ** p / (k + 1) * special.hyp2f1(1.0 - p, 1.0, k + 2.0, z)
+    return float((c - vol * (k == 0)) @ moments)
 
 
-def _log_mean(K: Polytope, theta: np.ndarray, rho_dk: float, vol: float,
-              tol: float) -> float:
-    """rho_{R_0}(theta), the geometric mean of the directional reach."""
-    def f(s):
-        return (covariogram_exact(K, (s * rho_dk) * theta) - vol) / s
+def _mean_radii(K: Polytope, p_list, grid: SphereGrid, tol: float) -> np.ndarray:
+    """rho_{R_p}(theta) for every p in p_list (rows) and grid direction."""
+    radii = np.empty((len(p_list), grid.count))
+    for i, theta in enumerate(grid.directions):
+        pieces = list(ray_pieces(K, theta, tol))
+        rho = pieces[-1].b
+        for j, p in enumerate(p_list):
+            mean = sum(_piece_integral(piece, p, K.volume) for piece in pieces) / K.volume
+            radii[j, i] = (rho * math.exp(mean) if p == 0.0
+                           else (rho ** p + p * mean) ** (1.0 / p))
+    return radii
 
-    res = integrate_1d(f, 0.0, 1.0, tol)
-    return rho_dk * math.exp(res.value / vol)
+
+def _spectral_factor(p: float) -> float:
+    """rho_{S_p} / rho_{R_p} = (p + 1)^{1/p}, and e at p = 0."""
+    return math.e if p == 0.0 else (p + 1.0) ** (1.0 / p)
 
 
 def radial_mean_body(K: Polytope, p: float, grid: SphereGrid,
                      tol: float = 1e-9) -> MeanBodyResult:
-    """R_p K sampled on the grid, p in (-1, infinity]."""
+    """R_p K sampled on the grid, p in (-1, infinity]; ``tol`` is the gap,
+    relative to Vol K, allowed at each covariogram piece's check node."""
     if not p > -1.0:
         raise DomainError(f"radial mean body needs p > -1, got {p}")
-    vol = K.volume
-    DK = bodies.difference_body(K)
-    rho_dk = bodies.radial_many(DK, grid.directions)
     if np.isinf(p):
-        return MeanBodyResult(p, StarBody(grid, rho_dk), "difference_body")
-    radii = np.empty(grid.count)
-    for i, theta in enumerate(grid.directions):
-        if p == 0.0:
-            radii[i] = _log_mean(K, theta, rho_dk[i], vol, tol)
-        else:
-            radii[i] = _mean_power(K, p, theta, rho_dk[i], vol, tol) ** (1.0 / p)
-    return MeanBodyResult(p, StarBody(grid, radii), "ray_integral")
+        return MeanBodyResult(p, bodies.star_body_of(bodies.difference_body(K), grid),
+                              "difference_body")
+    return MeanBodyResult(p, StarBody(grid, _mean_radii(K, [p], grid, tol)[0]),
+                          "ray_integral")
 
 
 def spectral_mean_body(K: Polytope, p: float, grid: SphereGrid,
@@ -100,19 +87,13 @@ def spectral_mean_body(K: Polytope, p: float, grid: SphereGrid,
     if p < -1.0:
         raise DomainError(f"spectral mean body needs p >= -1, got {p}")
     if p == -1.0:
-        zon = projection_zonoid(K)
-        h = zon.support(grid.directions)
-        return MeanBodyResult(p, StarBody(grid, K.volume / h), "spectral_relation")
-    if np.isinf(p):
-        DK = bodies.difference_body(K)
-        return MeanBodyResult(p, StarBody(grid, bodies.radial_many(DK, grid.directions)),
-                              "difference_body")
+        radii = K.volume / projection_zonoid(K).support(grid.directions)
+        return MeanBodyResult(p, StarBody(grid, radii), "spectral_relation")
     base = radial_mean_body(K, p, grid, tol)
-    if p == 0.0:
-        radii = math.e * base.star.radii
-    else:
-        radii = (p + 1.0) ** (1.0 / p) * base.star.radii
-    return MeanBodyResult(p, StarBody(grid, radii), "spectral_relation")
+    if np.isinf(p):
+        return base
+    return MeanBodyResult(p, StarBody(grid, _spectral_factor(p) * base.star.radii),
+                          "spectral_relation")
 
 
 def c_np(n: int, p: float) -> float:
@@ -142,15 +123,12 @@ def inclusion_chain_report(K: Polytope, p_list, grid: SphereGrid,
     p_list = sorted(p_list)
     if p_list[0] < 0:
         raise DomainError("chain expects p >= 0")
-    n, vol = K.n, K.volume
-    zon = projection_zonoid(K)
-    rho_polar = vol / zon.support(grid.directions)  # Vol(K) rho_{Pi°}
-    DK = bodies.difference_body(K)
-    rho_dk = bodies.radial_many(DK, grid.directions)
+    n = K.n
+    rho_polar = K.volume / projection_zonoid(K).support(grid.directions)
+    rho_dk = bodies.radial_many(bodies.difference_body(K), grid.directions)
 
-    base = [radial_mean_body(K, p, grid, tol).star.radii for p in p_list]
-    spectral = [math.e * r if p == 0.0 else (p + 1.0) ** (1.0 / p) * r
-                for p, r in zip(p_list, base)]
+    base = list(_mean_radii(K, p_list, grid, tol))
+    spectral = [_spectral_factor(p) * r for p, r in zip(p_list, base)]
     radial = [c_np(n, p) * r for p, r in zip(p_list, base)]
 
     chain = [("Vol*rho_polar(S_-1)", rho_polar)]
@@ -160,16 +138,11 @@ def inclusion_chain_report(K: Polytope, p_list, grid: SphereGrid,
               for p, r in zip(reversed(p_list), reversed(radial))]
     chain += [("n*Vol*rho_polar", n * rho_polar)]
 
-    worst = np.inf
-    worst_pair = ""
-    worst_dir = None
-    for (name_a, a), (name_b, b) in zip(chain, chain[1:]):
-        margins = b - a
-        i = int(np.argmin(margins))
-        if margins[i] < worst:
-            worst = float(margins[i])
-            worst_pair = f"{name_a} <= {name_b}"
-            worst_dir = grid.directions[i]
+    # the first link and direction take ties
+    margins = np.diff([radii for _, radii in chain], axis=0)
+    k, i = np.unravel_index(np.argmin(margins), margins.shape)
+    worst, worst_pair = float(margins[k, i]), f"{chain[k][0]} <= {chain[k + 1][0]}"
+    worst_dir = np.array2string(grid.directions[i])
 
     upper = np.stack([rho_dk] + radial + [n * rho_polar])
     spread = float(np.max((upper.max(axis=0) - upper.min(axis=0))
@@ -180,7 +153,7 @@ def inclusion_chain_report(K: Polytope, p_list, grid: SphereGrid,
         "worst_margin": Witness(worst, 0.0),
         "equality_spread": Witness(spread, 0.0),
         "binding": Witness(0.0, 0.0, note=worst_pair),
-        "witness_direction": Witness(0.0, 0.0, note=np.array2string(worst_dir)),
+        "witness_direction": Witness(0.0, 0.0, note=worst_dir),
     }
     return Report(id="inclusion_chain", lhs=-worst, rhs=0.0,
                   margin=worst, tolerance=tolerance,

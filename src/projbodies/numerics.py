@@ -38,7 +38,7 @@ class EvaluationError(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
+    """Quadrature, or a covariogram piece's check, missed its tolerance."""
 
     def __init__(self, message: str, best: "QuadratureResult"):
         super().__init__(message)
@@ -189,70 +189,18 @@ def gaussian_quantile(p: float) -> float:
     return float(x)
 
 
-_TRUNCATION_RATIO = 1e-12
-_TRUNCATION_PANELS = 3
-_MAX_PANELS = 500
-
-
 def integrate_1d(f: Callable[[float], float], a: float, b: float,
                  tol: float = 1e-10) -> QuadratureResult:
-    """Adaptive quadrature of ``f`` on (a, b), where b may be ``np.inf``.
-
-    Finite intervals go straight to adaptive Gauss-Kronrod.  Improper upper
-    limits are marched panel by panel with geometrically growing width; the
-    march stops once the integrand has dropped below 1e-12 of its running
-    peak for three consecutive panels (all integrands used here decay
-    monotonically past their peak).
-    """
-    if not np.isinf(b):
-        val, err, info = _quad(f, a, b, tol)
-        if err > tol and err > tol * max(1.0, abs(val)):
-            raise QuadratureFailure(
-                f"quadrature error {err:.3e} above tolerance {tol:.3e}",
-                QuadratureResult(val, err, info))
-        return QuadratureResult(val, err, info)
-
-    total = 0.0
-    total_err = 0.0
-    evals = 0
-    peak = 0.0
-    quiet = 0
-    left = a
-    width = 1.0
-    prev_panel, last_panel = 0.0, 0.0
-    for _ in range(_MAX_PANELS):
-        right = left + width
-        val, err, n_ev = _quad(f, left, right, tol / 4.0)
-        total += val
-        total_err += err
-        evals += n_ev
-        prev_panel, last_panel = last_panel, abs(val)
-        samples = np.abs([f(left + t * width) for t in (0.125, 0.375, 0.625, 0.875)])
-        evals += 4
-        panel_peak = float(np.max(samples))
-        peak = max(peak, panel_peak)
-        if peak > 0.0 and panel_peak < _TRUNCATION_RATIO * peak:
-            quiet += 1
-            if quiet >= _TRUNCATION_PANELS:
-                # geometric bound on the truncated tail keeps the estimate
-                # honest for slower-than-exponential decay
-                ratio = last_panel / prev_panel if prev_panel > 0 else 0.0
-                ratio = min(ratio, 0.9)
-                total_err += 2.0 * last_panel * ratio / (1.0 - ratio)
-                return QuadratureResult(total, total_err, evals)
-        else:
-            quiet = 0
-        left = right
-        width *= 1.25
-    raise QuadratureFailure(
-        "improper integral did not decay within the panel budget",
-        QuadratureResult(total, total_err, evals))
-
-
-def _quad(f, a, b, tol):
+    """Adaptive Gauss-Kronrod quadrature of ``f`` on (a, b), b possibly ``np.inf``
+    (QUADPACK maps (a, inf) onto a finite interval itself).  Raises
+    ``QuadratureFailure`` when the error exceeds tol absolutely and relatively."""
     val, err, info = integrate.quad(f, a, b, epsabs=tol, epsrel=1e-12,
                                     limit=200, full_output=True)[:3]
-    return val, err, int(info["neval"])
+    result = QuadratureResult(val, err, int(info["neval"]))
+    if err > tol and err > tol * max(1.0, abs(val)):
+        raise QuadratureFailure(
+            f"quadrature error {err:.3e} above tolerance {tol:.3e}", result)
+    return result
 
 
 class BoxSampler:

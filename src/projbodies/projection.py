@@ -86,8 +86,11 @@ class Zonoid:
         """Exact polar volume and its weight-error bound: the polar shrinks
         as any weight grows, so w + e and max(w - e, 0) bracket it."""
         w, e = self.weights, self.weight_errors
-        pv, lo, hi = (ConvexHull(self.polar_points(x)).volume
-                      for x in (w, w + e, np.maximum(w - e, 0.0)))
+        pv = ConvexHull(self.polar_points(w)).volume
+        if not np.any(e):   # exact weights: the bracket hulls would repeat pv
+            return pv, 0.0
+        lo, hi = (ConvexHull(self.polar_points(x)).volume
+                  for x in (w + e, np.maximum(w - e, 0.0)))
         return pv, max(hi - pv, pv - lo)
 
 

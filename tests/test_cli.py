@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from projbodies import cli
 
@@ -133,6 +134,27 @@ def test_meanbody_and_chain():
                          "--p-list", "0,1,2", "--grid", "32"])
     assert code == 0
     assert json.loads(out)["pass"]
+
+
+def test_meanbody_radial_4d():
+    code, out = run_cli(["meanbody", "radial", "--body", "cube:4", "--p", "1",
+                         "--grid", "16"])
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 16
+    for row in rows:
+        a = np.abs(row["direction"])
+        # M_1 = (1/16) int_0^{rho_DK} prod(2 - r|theta_i|) dr
+        ref, _ = quad(lambda r: float(np.prod(2.0 - r * a)), 0.0, 2.0 / a.max(),
+                      epsabs=1e-15, epsrel=1e-13)
+        assert row["radius"] == pytest.approx(ref / 16.0, abs=1e-13)
+    for action in ("radial", "spectral"):
+        code, out = run_cli(["meanbody", action, "--body", "cube:4", "--p", "inf",
+                             "--grid", "16"])
+        assert code == 0 and len(json.loads(out)) == 16
+    code, out = run_cli(["meanbody", "chain", "--body", "cube:4", "--p-list", "1",
+                         "--grid", "16"])
+    assert code == 0 and json.loads(out)["pass"]
 
 
 def test_isotropic_commands():

@@ -17,6 +17,35 @@ def test_exact_values(square, triangle):
     assert pb.covariogram_exact(triangle, [0.5, 0.0]) == pytest.approx(0.125)
 
 
+def test_covariogram_3d_tiny_translations():
+    """Near-duplicate intersection vertices at tiny x still give about Vol K."""
+    K = pb.random_polytope(3, pb.RandomStream(424242).substream(22))
+    theta = pb.sphere_directions(3, 6).directions[4]
+    h = float(pb.projection_zonoid(K).support(theta[None, :])[0])
+    for r in 10.0 ** np.arange(-12, -3):
+        # g(r theta) = V - r h_{Pi K}(theta) + O(r^2)
+        assert abs(K.volume - pb.covariogram_exact(K, r * theta) - r * h) <= 1e-12 + r * r * 1e3
+
+
+def test_exact_brightness_is_the_first_piece_slope():
+    """c04's 20 bodies and 16 directions each: d = -h_{Pi K} to 1e-12."""
+    stream = pb.RandomStream(424242)
+    bodies = ([pb.random_polytope(2, stream.substream(i)) for i in range(6)]
+              + [pb.random_polytope(2, stream.substream(10 + i), symmetric=True)
+                 for i in range(6)]
+              + [pb.random_polytope(3, stream.substream(20 + i)) for i in range(4)]
+              + [pb.random_polytope(3, stream.substream(30 + i), symmetric=True)
+                 for i in range(4)])
+    gen = pb.RandomStream(424242 + 1).generator()
+    for K in bodies:
+        thetas = gen.standard_normal((16, K.n))
+        thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+        h = pb.projection_zonoid(K).support(thetas)
+        for theta, h_theta in zip(thetas, h):
+            fd = pb.brightness_derivative(pb.CovariogramQuery(K), theta)
+            assert abs(fd.value + h_theta) <= min(1e-12 * h_theta, fd.error_estimate)
+
+
 def test_support_is_difference_body(triangle, stream):
     DK = pb.difference_body(triangle)
     gen = stream.generator()

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import projbodies as pb
+from projbodies import covariogram
 
 
 def test_c_np_values():
@@ -19,9 +21,9 @@ def test_c_np_values():
 def test_radial_mean_body_p1(triangle, square, grid64):
     r1 = pb.radial_mean_body(triangle, 1.0, grid64, tol=1e-10)
     # oracle: mean of rho over K = (1/6) / (1/2) = 1/3 at e1
-    assert r1.star.radii[0] == pytest.approx(1 / 3, abs=1e-8)
+    assert r1.star.radii[0] == pytest.approx(1 / 3, abs=1e-14)
     r1 = pb.radial_mean_body(square, 1.0, grid64, tol=1e-10)
-    assert r1.star.radii[0] == pytest.approx(1.0, abs=1e-8)
+    assert r1.star.radii[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_radial_mean_body_p_infinity(square, grid64):
@@ -33,13 +35,13 @@ def test_radial_mean_body_p_infinity(square, grid64):
 def test_radial_mean_body_p0(square, grid64):
     r0 = pb.radial_mean_body(square, 0.0, grid64, tol=1e-10)
     # geometric-mean oracle at e1: exp(mean of log(1 - x1)) = 2/e
-    assert r0.star.radii[0] == pytest.approx(2 / math.e, abs=1e-8)
+    assert r0.star.radii[0] == pytest.approx(2 / math.e, abs=1e-14)
 
 
 def test_radial_mean_body_negative_p(square, grid64):
     r = pb.radial_mean_body(square, -0.5, grid64, tol=1e-10)
     # oracle at e1: M_p = mean (1-x1)^{-1/2} = sqrt 2; rho = M^{-2} = 1/2
-    assert r.star.radii[0] == pytest.approx(0.5, abs=1e-8)
+    assert r.star.radii[0] == pytest.approx(0.5, abs=1e-14)
     with pytest.raises(pb.DomainError):
         pb.radial_mean_body(square, -1.0, grid64)
 
@@ -106,7 +108,14 @@ def test_x_ray_chord_identity(triangle):
 def test_inclusion_chain_simplex(triangle, grid64):
     rep = pb.inclusion_chain_report(triangle, [0, 1, 2], grid64, tol=1e-9)
     assert rep.passed
-    assert rep.witnesses["equality_spread"].value <= 1e-6
+    assert rep.witnesses["equality_spread"].value <= 1e-14
+
+
+def test_inclusion_chain_simplex_3d():
+    rep = pb.inclusion_chain_report(pb.standard_simplex(3), [0, 1, 2],
+                                    pb.sphere_directions(3, 32), tol=1e-9)
+    assert rep.passed
+    assert rep.witnesses["equality_spread"].value <= 1e-13
 
 
 def test_inclusion_chain_square_and_pentagon(square, grid64, stream):
@@ -126,3 +135,74 @@ def test_ball_distance_bound(grid64):
     rho_dk = pb.radial_many(pb.difference_body(gon), grid64.directions)
     assert np.all(rho_polar <= rho_dk + 1e-9)
     assert np.all(rho_dk <= 2 * rho_polar + 1e-9)
+
+
+def _cube_radius(theta, p):
+    """rho_{R_p}(theta) of [-1,1]^n by 1-D quadrature of g = prod(2 - r|theta_i|)."""
+    a = np.abs(theta)
+    val, _ = integrate.quad(lambda r: float(np.prod(2.0 - r * a)) * r ** (p - 1.0),
+                            0.0, 2.0 / a.max(), epsabs=1e-15, epsrel=1e-13)
+    return (p / 2.0 ** len(a) * val) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cube_radii_match_quadrature(n):
+    grid = pb.sphere_directions(n, 16, "uniform_random", pb.RandomStream(11))
+    for p in (1.0, 2.0):
+        radii = pb.radial_mean_body(pb.cube(n), p, grid).star.radii
+        ref = [_cube_radius(theta, p) for theta in grid.directions]
+        assert np.max(np.abs(radii - ref)) <= 1e-13
+
+
+def _c07_pentagon():
+    gen = pb.RandomStream(424242 + 3).generator()
+    pentagon = None
+    while pentagon is None or len(pentagon.vertices) != 5:
+        pentagon = pb.build_polytope(gen.standard_normal((5, 2)))
+    return pentagon
+
+
+def test_chains_share_pieces_across_p(monkeypatch, square, triangle, grid64):
+    """c07's three chains need few exact covariograms: one set of pieces per
+    direction serves every p (the adaptive ray route took 108,696)."""
+    calls = []
+    exact = covariogram.covariogram_exact
+
+    def counting(K, x):
+        calls.append(1)
+        return exact(K, x)
+
+    monkeypatch.setattr(covariogram, "covariogram_exact", counting)
+    for K in (square, triangle, _c07_pentagon()):
+        assert pb.inclusion_chain_report(K, [0, 1, 2], grid64, tol=1e-9).passed
+    assert len(calls) <= 1000
+
+
+@pytest.mark.parametrize("K", [pb.regular_polygon(5), pb.cube(3),
+                               pb.random_polytope(3, pb.RandomStream(424242).substream(22))],
+                         ids=["pentagon", "cube3", "random3"])
+def test_ray_pieces_are_the_covariogram(K):
+    gen = np.random.default_rng(3)
+    DK = pb.difference_body(K)
+    for _ in range(3):
+        theta = gen.standard_normal(K.n)
+        theta /= np.linalg.norm(theta)
+        pieces = list(pb.ray_pieces(K, theta))
+        edges = [piece.a for piece in pieces] + [pieces[-1].b]
+        assert edges[0] == 0.0 and np.all(np.diff(edges) > 0.0)
+        assert edges[-1] == pytest.approx(pb.radial_many(DK, theta[None, :])[0],
+                                          rel=1e-15)
+        for piece in pieces:
+            c = piece.coefficients
+            for t in gen.random(3):
+                g = pb.covariogram_exact(K, (piece.a + (piece.b - piece.a) * t) * theta)
+                assert abs(g - np.polyval(c[::-1], t)) <= 1e-13 * K.volume
+
+
+def test_ray_pieces_check_node_catches_missed_breakpoints(monkeypatch):
+    pentagon = pb.regular_polygon(5)
+    theta = np.array([0.3, 0.7])
+    assert len(list(pb.ray_pieces(pentagon, theta))) > 1
+    monkeypatch.setattr(covariogram, "_breakpoints", lambda K, theta, rho: np.empty(0))
+    with pytest.raises(pb.QuadratureFailure):
+        list(pb.ray_pieces(pentagon, theta))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import projbodies as pb
+from projbodies import projection
 from scipy.spatial import ConvexHull
 from conftest import gauss_edge_weight
 
@@ -158,6 +159,22 @@ def test_exact_polar_volume_bracket(square, gauss2):
     assert err == max(hi - pv, pv - lo) > 0.0
     # the polar of a (|x_1| + |x_2|) <= 1 is the cross-polytope of area 2/a^2
     assert lo <= 2.0 / gauss_edge_weight() ** 2 <= hi
+
+
+def test_exact_weights_build_one_polar_hull(monkeypatch, simplex3, square, gauss2):
+    hulls = []
+
+    def counting_hull(points):
+        hulls.append(len(points))
+        return ConvexHull(points)
+
+    monkeypatch.setattr(projection, "ConvexHull", counting_hull)
+    pv, err = pb.projection_zonoid(simplex3).polar_volume()
+    assert len(hulls) == 1
+    assert pv == pytest.approx(80 / 3, rel=1e-12, abs=0) and err == 0.0
+    # weights with cubature errors still take the two bracket hulls
+    pb.projection_zonoid(square, gauss2, tol=1e-9).polar_volume()
+    assert len(hulls) == 4
 
 
 def test_exact_polar_volume_domain(square):
