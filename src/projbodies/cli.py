@@ -309,8 +309,8 @@ def _isotropic_residual(args, out) -> int:
 
 
 def _isotropic_minimize(args, out) -> int:
-    point, value, converged = isotropic.minimize_I(
-        args.K, args.mu, stream=args.cfg.stream(), tol=args.tol)
+    point, value, converged = isotropic.minimize_I(args.K, args.mu,
+                                                   tol=args.tol)
     return emit_json({"matrix": point.matrix.tolist(),
                       "value": value,
                       "converged": converged}, out)

@@ -3,8 +3,8 @@
 A ``Density`` is an evaluatable Radon-Nikodym derivative phi >= 0 with an
 almost-everywhere gradient, symmetry/monotonicity flags and a concavity
 classification.  Flags are semantic inputs (no automatic concavity
-detection); builtin densities certify their declared flags against 1000
-random probes at construction time.
+detection): the builtins' flags are theorems, and a custom density's are
+checked against 1000 random probes at construction time.
 
 Boundary integrals resolve per facet: mu(dK) is the facet-integral form of
 the weighted surface-area measure, computed by adaptive simplex subdivision
@@ -95,13 +95,13 @@ def _certify_flags(d: Density, probes: int = 1000) -> Density:
 
 
 def lebesgue(n: int) -> Density:
-    return _certify_flags(Density(
+    return Density(
         n=n,
         eval=lambda p: np.ones(np.atleast_2d(p).shape[0]),
         grad=lambda p: np.zeros_like(np.atleast_2d(p), dtype=float),
         even=True, radially_nondecreasing=True, radially_decreasing=True,
         concavity=frozenset({"log_concave"}), s_concave=1.0 / n,
-        s_concave_symmetric=1.0 / n, label="lebesgue", kind="lebesgue"))
+        s_concave_symmetric=1.0 / n, label="lebesgue", kind="lebesgue")
 
 
 def gaussian(n: int) -> Density:
@@ -116,10 +116,10 @@ def gaussian(n: int) -> Density:
         p = np.atleast_2d(p)
         return -p * ev(p)[:, None]
 
-    return _certify_flags(Density(
+    return Density(
         n=n, eval=ev, grad=gr, even=True, radially_decreasing=True,
         concavity=frozenset({"log_concave", "ehrhard_gaussian"}),
-        s_concave_symmetric=1.0 / n, label="gaussian", kind="gaussian"))
+        s_concave_symmetric=1.0 / n, label="gaussian", kind="gaussian")
 
 
 def exp_norm(L: Polytope) -> Density:
@@ -142,10 +142,10 @@ def exp_norm(L: Polytope) -> Density:
         j = np.argmax(scores, axis=1)
         return -np.exp(-scores[np.arange(len(p)), j])[:, None] * U[j]
 
-    return _certify_flags(Density(
+    return Density(
         n=L.n, eval=ev, grad=gr, even=True, radially_decreasing=True,
         concavity=frozenset({"log_concave"}), label="exp_norm",
-        kind="exp_norm"))
+        kind="exp_norm")
 
 
 def radial_power(n: int, alpha: float) -> Density:
@@ -166,9 +166,9 @@ def radial_power(n: int, alpha: float) -> Density:
         r = np.where(r == 0.0, np.inf, r)
         return alpha * r[:, None] ** (alpha - 2.0) * p
 
-    return _certify_flags(Density(
+    return Density(
         n=n, eval=ev, grad=gr, even=True, radially_nondecreasing=True,
-        label=f"radial_power({alpha})", kind="radial_power"))
+        label=f"radial_power({alpha})", kind="radial_power")
 
 
 def custom_density(n, eval, grad, label="custom", **flags) -> Density:

@@ -171,6 +171,22 @@ def test_isotropic_commands():
     assert json.loads(out)["pass"]
 
 
+def test_isotropic_minimize_sheared_cube(tmp_path):
+    """A parallelepiped's minimal position is a cube of the same volume:
+    det 1.5 * 8 = 12, so I = 6 * 12^(2/3) = 31.448896730506757."""
+    rec = {"type": "polytope",
+           "vertices": [[x, y, z] for x in (-1, 1) for y in (-1, 1)
+                        for z in (-1, 1)],
+           "map": [[3, 1, 0], [0, 1, 0], [0, 0.2, 0.5]]}
+    path = tmp_path / "sheared_cube.json"
+    path.write_text(json.dumps(rec))
+    code, out = run_cli(["isotropic", "minimize", "--body", f"@{path}"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["converged"]
+    assert data["value"] == pytest.approx(6 * 12 ** (2 / 3), rel=1e-12, abs=0)
+
+
 def test_sweeps():
     code, out = run_cli(["sweep", "pe", "--body", "cube:2",
                          "--t-list", "1,2", "--format", "csv"])

@@ -23,11 +23,11 @@ def test_isotropy_residual_triangle(triangle, leb2):
 
 def test_decomposition_trace_identity(stream, leb2):
     """trace of (n/mu(dK)) sum w u (x) u = n for any body (unit normals)."""
-    from projbodies.isotropic import _decomposition_matrix
+    from projbodies.isotropic import _moment
     for n in (2, 3):
         K = pb.random_polytope(n, stream.substream(80 + n))
         w, _ = pb.facet_weights(pb.lebesgue(n), K)
-        M = _decomposition_matrix(K, w)
+        M = n / w.sum() * _moment(w, K.normals)
         assert np.trace(M) == pytest.approx(n, abs=1e-9)
 
 
@@ -72,12 +72,44 @@ def test_minimize_never_exceeds_identity(stream, leb2):
 
 
 def test_sln_point_determinant(stream):
-    gen = stream.generator()
-    from projbodies.isotropic import SLnPoint, _traceless_basis
-    basis = _traceless_basis(3)
-    M = np.tensordot(gen.standard_normal(len(basis)) * 0.4, basis, axes=1)
-    pt = SLnPoint(M)
+    M = stream.generator().standard_normal((3, 3)) * 0.4
+    pt = pb.SLnPoint(M - np.trace(M) / 3 * np.eye(3))
     assert abs(np.linalg.det(pt.matrix) - 1.0) <= 1e-10
+
+
+ISOTROPIC_BODIES = ([(2, i) for i in (90, 91, 92)] + [(3, i) for i in (20, 21)]
+                    + [(4, 40)])
+
+
+@pytest.mark.parametrize("n,index", ISOTROPIC_BODIES,
+                         ids=[f"{n}d-{i}" for n, i in ISOTROPIC_BODIES])
+def test_minimize_I_image_is_isotropic(n, index):
+    """The minimizer's image A^{-t}K passes the library's own isotropy
+    check, so the reverse isoperimetric report accepts it, and its surface
+    area is the minimum value."""
+    leb = pb.lebesgue(n)
+    K = pb.random_polytope(n, pb.RandomStream(424242).substream(index))
+    point, value, converged = pb.minimize_I(K, leb)
+    assert converged
+    assert value <= pb.I_functional(K, leb, np.eye(n))
+    image = pb.apply_linear(K, pb.LinearMap(np.linalg.inv(point.matrix).T))
+    assert pb.isotropy_residual(image, leb).isotropic
+    rep = pb.reverse_isoperimetric(image, leb, pb.log_family(),
+                                   stream=pb.RandomStream(7))
+    assert rep.lhs == pytest.approx(value, rel=1e-9)
+    assert float(image.areas.sum()) == pytest.approx(value, rel=1e-12, abs=0)
+
+
+def test_minimize_I_gaussian_is_stationary(gauss2):
+    K = pb.random_polytope(2, pb.RandomStream(424242).substream(90))
+    point, value, converged = pb.minimize_I(K, gauss2)
+    assert converged
+    assert value <= pb.I_functional(K, gauss2, np.eye(2))
+    w, _ = pb.facet_weights(gauss2, K, 1e-9)
+    A = point.matrix
+    lengths = np.linalg.norm(K.normals @ A.T, axis=1)
+    M = np.einsum("i,ij,ik->jk", w / lengths, K.normals, K.normals)
+    assert np.linalg.norm(2 / value * A @ M @ A.T - np.eye(2)) <= 1e-10
 
 
 def test_ball_zonoid_volume_bound(square, cross2, leb2):

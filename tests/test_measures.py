@@ -20,6 +20,20 @@ def test_builtin_flags(gauss2, leb2):
     assert mu.even and "log_concave" in mu.concavity
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("build", [
+    pb.lebesgue, pb.gaussian, lambda n: pb.exp_norm(pb.cube(n, 0.7)),
+    lambda n: pb.radial_power(n, 0.5), lambda n: pb.radial_power(n, 2.0)],
+    ids=["lebesgue", "gaussian", "exp_norm", "radial_power(0.5)",
+         "radial_power(2)"])
+def test_builtin_flags_pass_probes(build, n):
+    """Builtins skip the probe check at construction; their flags must
+    still pass it."""
+    from projbodies.measures import _certify_flags
+    mu = build(n)
+    assert _certify_flags(mu) is mu
+
+
 def test_flag_certification_rejects_lies():
     with pytest.raises(pb.ConfigurationError):
         pb.custom_density(
