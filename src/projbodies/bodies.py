@@ -3,8 +3,11 @@
 The canonical representation is the vertex set; facet data (unit outward
 normals, offsets h_K(u_i), (n-1)-measures, centroids) is derived by a convex
 hull computation and cached on the body.  Minkowski sums and linear images
-are vertex-native; intersections of translates go through a halfspace
-enumeration step (a fast polygon clip in the plane, qhull elsewhere).
+are vertex-native.  Intersections of translates K ∩ (K + x) are read off the
+face lattice (``face_pairs``): each of their vertices is where a face of K
+meets a face of K + x of complementary dimension, a point affine in x whose
+map is cached per face pair, so each x costs one matrix product, a facet
+membership test and a hull volume, in every dimension.
 
 Volumes of polytopes are exact up to floating point: a fan decomposition
 over an interior point into simplices, summed determinants.
@@ -12,12 +15,12 @@ over an interior point into simplices, summed determinants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 from .numerics import (ConfigurationError, DomainError, SphereGrid,
                        ball_volume, squared_norms)
@@ -347,82 +350,94 @@ def difference_body(P: Polytope) -> Polytope:
     return cached
 
 
-# -- intersections of translates --------------------------------------------
+# -- faces and intersections of translates ----------------------------------
 
-def _clip_polygon(vertices: np.ndarray, normals: np.ndarray,
-                  offsets: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex CCW polygon by halfplanes."""
-    poly = vertices
-    for u, b in zip(normals, offsets):
-        if len(poly) == 0:
-            break
-        d = poly @ u - b
-        keep = d <= 1e-12
-        out = []
-        m = len(poly)
-        for i in range(m):
-            j = (i + 1) % m
-            if keep[i]:
-                out.append(poly[i])
-            if keep[i] != keep[j]:
-                t = d[i] / (d[i] - d[j])
-                out.append(poly[i] + t * (poly[j] - poly[i]))
-        poly = np.array(out) if out else np.empty((0, 2))
-    return poly
+def face_pairs(K: Polytope, k: int):
+    """Yield (j, M) for each j with j and k - j in 0..n: M stacks, for every
+    face F of K cut out by j facets and every face G cut out by k - j, the
+    rows [u_i, b_i] of F above those of G, (f_j f_{k-j}, k, n + 1).
+
+    The face rows are cached on K: for each j, the j facets cutting out each
+    face of dimension n - j (j = 0: K itself, no rows).  The facets come from
+    one vertex; faces are told apart by the vertices they hold, and a subset
+    counts when its normals are independent and those vertices span n - j
+    dimensions.
+    """
+    n = K.n
+    if not hasattr(K, "_face_rows"):
+        tol = 1e-9 * max(1.0, K.diameter)
+        incident = np.abs(K.vertices @ K.normals.T - K.offsets) <= tol
+        faces = [{} for _ in range(n)]
+        for v, j in itertools.product(range(len(K.vertices)), range(1, n + 1)):
+            for S in map(list, itertools.combinations(np.flatnonzero(incident[v]), j)):
+                held = K.vertices[incident[:, S].all(axis=1)]
+                if (held.tobytes() not in faces[j - 1]
+                        and np.linalg.matrix_rank(K.normals[S]) == j
+                        and np.linalg.matrix_rank(held - held[0], tol) == n - j):
+                    faces[j - 1][held.tobytes()] = np.c_[K.normals[S], K.offsets[S]]
+        K._face_rows = [np.empty((1, 0, n + 1))] + [np.array(list(f.values())) for f in faces]
+    for j in range(max(0, k - n), min(k, n) + 1):
+        F, G = K._face_rows[j], K._face_rows[k - j]
+        yield j, np.concatenate([np.repeat(F, len(G), axis=0),
+                                 np.tile(G, (len(F), 1, 1))], axis=1)
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _intersection_vertices(K: Polytope, x: np.ndarray) -> np.ndarray:
+    """Vertices of K ∩ (K + x), some repeated; none when it is empty.
+
+    Each is where a face F of K cut out by j facets meets a face G + x of
+    K + x cut out by n - j (j = n, 0: a vertex of one body in the other).
+    For independent rows A = [A_F; A_G] (|det A| > 1e-12), b = [b_F; b_G]
+    that point is p0 + T x with p0 = A^-1 b, T = A^-1 [0; A_G]; it is kept
+    when slack_i >= max(-<u_i, x>, 0) to 1e-15 ||A^-1||_F max|v|, since its
+    roundoff grows with ||A^-1||.  p0, T (as (P n, n) rows, so one product
+    moves every point) and the tolerances are cached on K.
+    """
+    if not hasattr(K, "_vertex_maps"):
+        p0, T, norms = [], [], []
+        for j, M in face_pairs(K, K.n):
+            M = M[np.abs(np.linalg.det(M[..., :-1])) > 1e-12]
+            inverse = np.linalg.inv(M[..., :-1])
+            p0.append((inverse @ M[..., -1:])[..., 0])
+            T.append((inverse[..., j:] @ M[:, j:, :-1]).reshape(-1, K.n))
+            norms.append(np.linalg.norm(inverse, axis=(1, 2)))
+        tol = 1e-15 * np.sqrt(squared_norms(K.vertices).max()) * np.concatenate(norms)
+        K._vertex_maps = np.concatenate(p0), np.concatenate(T), tol
+    p0, T, tol = K._vertex_maps
+    points = p0 + (T @ x).reshape(p0.shape)
+    need = np.maximum(-(K.normals @ x), 0.0)
+    slack = K.slack(points, 0.0)
+    slack += tol  # in place: a second (m, P) array costs more than the test
+    return points[np.all(slack >= need[:, None], axis=0)]
 
 
 def clip_translate_volume(K: Polytope, x) -> float:
-    """Volume of K intersected with K + x; fast 2-D path, hull elsewhere.
-
-    Areas below machine dust are reported as exactly 0, so the support of
-    the covariogram is exactly the difference body.  Elsewhere only the hull
-    volume of the intersection vertices is taken, so vertices that nearly
-    coincide (as at tiny x) do no harm.
+    """Volume of K ∩ (K + x): the hull volume of its vertices, by the shoelace
+    formula on their angle order in the plane and by qhull elsewhere (Q12:
+    the clusters of nearly coinciding vertices at tiny x may make wide facets
+    in 4-D).  Volumes below machine dust are reported as exactly 0, so the
+    support of the covariogram is exactly the difference body.
     """
-    x = np.asarray(x, dtype=float)
-    if K.n == 2:
-        poly = _clip_polygon(K.vertices, K.normals, K.offsets + K.normals @ x)
-        area = _polygon_area(poly)
-        return area if area > 1e-14 * max(1.0, K.volume) else 0.0
-    points = _translate_vertices(K, x)
-    try:
-        return 0.0 if points is None else float(ConvexHull(points).volume)
-    except QhullError:
+    points = _intersection_vertices(K, np.asarray(x, dtype=float))
+    if len(points) <= K.n:
         return 0.0
-
-
-def _translate_vertices(K: Polytope, x: np.ndarray):
-    """Vertices of K ∩ (K + x), or None when it is empty or thin.
-
-    qhull enumerates the facets of K stacked with the same facets translated
-    by x, from their Chebyshev center (the largest inscribed ball, an LP).
-    """
-    normals = np.vstack([K.normals, K.normals])
-    offsets = np.concatenate([K.offsets, K.offsets + K.normals @ x])
-    m, n = normals.shape
-    res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.c_[normals, np.ones(m)],
-                  b_ub=offsets, bounds=[(None, None)] * n + [(0, None)],
-                  method="highs")
-    if not res.success or res.x[n] <= 1e-11 * max(1.0, K.diameter):
-        return None
-    try:
-        return HalfspaceIntersection(np.c_[normals, -offsets], res.x[:n]).intersections
-    except QhullError:
-        return None
+    if K.n == 2:
+        rel = points - points.mean(axis=0)
+        u, v = points[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))].T
+        vol = 0.5 * abs(np.dot(u, np.roll(v, -1)) - np.dot(v, np.roll(u, -1)))
+    else:
+        try:
+            vol = float(ConvexHull(points, qhull_options="Q12").volume)
+        except QhullError:
+            vol = 0.0
+    return vol if vol > 1e-14 * max(1.0, K.volume) else 0.0
 
 
 def intersect_translate(K: Polytope, x):
-    """K intersected with K + x, or None when empty / lower-dimensional."""
-    points = _translate_vertices(K, np.asarray(x, dtype=float))
+    """K ∩ (K + x) built from its vertices, or None when it is empty or
+    lower-dimensional."""
     try:
-        return None if points is None else build_polytope(points)
+        return build_polytope(_intersection_vertices(K, np.asarray(x, dtype=float)))
     except DegeneracyError:
         return None
 

@@ -3,8 +3,10 @@
 The classical covariogram g_K(x) = Vol(K ∩ (K+x)) is computed exactly from
 polytope arithmetic.  Along a ray, r -> g_K(r theta) is a polynomial of
 degree <= n between the radii where a face of K meets a face of K + r theta
-of complementary dimension; ``ray_pieces`` finds those radii and samples
-each piece at n + 1 nodes.  Mean bodies integrate the pieces in closed form,
+of complementary dimension; ``ray_pieces`` finds those radii from the face
+pairs of ``bodies.face_pairs`` (the face lattice lives in ``bodies``, which
+reads the vertices of K ∩ (K+x) off the same pairs) and samples each piece
+at n + 1 nodes.  Mean bodies integrate the pieces in closed form,
 and the slope of the first one is the exact brightness derivative.
 
 The measure-weighted variants are Monte Carlo over the intersection, known
@@ -16,7 +18,6 @@ admissible step along theta, read off its facet slacks, gives every mask.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -74,27 +75,6 @@ class RayPiece(NamedTuple):
     residual: float
 
 
-def _face_rows(K: Polytope) -> list:
-    """Entry j - 1: (f, j, n + 1) rows [u_i, b_i] of the j facets cutting out
-    each face of dimension n - j.  The facets come from one vertex; faces are
-    told apart by the vertices they hold, and a subset counts when its normals
-    are independent and those vertices span n - j dimensions.  Cached on K."""
-    if hasattr(K, "_face_rows"):
-        return K._face_rows
-    n, tol = K.n, 1e-9 * max(1.0, K.diameter)
-    incident = np.abs(K.vertices @ K.normals.T - K.offsets) <= tol
-    faces = [{} for _ in range(n)]
-    for v, j in itertools.product(range(len(K.vertices)), range(1, n + 1)):
-        for S in map(list, itertools.combinations(np.flatnonzero(incident[v]), j)):
-            held = K.vertices[incident[:, S].all(axis=1)]
-            if (held.tobytes() not in faces[j - 1]
-                    and np.linalg.matrix_rank(K.normals[S]) == j
-                    and np.linalg.matrix_rank(held - held[0], tol) == n - j):
-                faces[j - 1][held.tobytes()] = np.c_[K.normals[S], K.offsets[S]]
-    K._face_rows = [np.array(list(f.values())) for f in faces]
-    return K._face_rows
-
-
 def _breakpoints(K: Polytope, theta: np.ndarray, rho: float) -> np.ndarray:
     """Sorted radii in (0, rho) where r -> g_K(r theta) may change polynomial.
 
@@ -104,10 +84,8 @@ def _breakpoints(K: Polytope, theta: np.ndarray, rho: float) -> np.ndarray:
     in both bodies.  Roots closer than 1e-10 rho are merged.
     """
     n, tol = K.n, 1e-9 * max(1.0, K.diameter)
-    faces, roots = _face_rows(K), []
-    for j in range(1, n + 1):
-        F, G = faces[j - 1], faces[n - j]
-        M = np.concatenate([np.repeat(F, len(G), axis=0), np.tile(G, (len(F), 1, 1))], 1)
+    roots = []
+    for j, M in bodies.face_pairs(K, n + 1):
         A, shift = M[..., :n], M[..., :n] @ theta
         shift[:, :j] = 0.0
         d1 = np.linalg.det(np.concatenate([A, shift[..., None]], axis=2))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import bodies
 from .bodies import Ball, Polytope
@@ -719,7 +719,7 @@ def gaussian_sharpness_sweep(R_list, n: int = 2,
         R = float(R)
 
         def f(r):
-            return n * r ** (n - 1) * stats.ncx2.cdf(R * R, n, (R * r) ** 2)
+            return n * r ** (n - 1) * special.chndtr(R * R, n, (R * r) ** 2)
 
         avg = integrate_1d(f, 0.0, 1.0, max(cfg.tol, 1e-10))
         zhang_mass = gaussian_ball_mass(n, c_n * R)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 import projbodies as pb
 from projbodies.covariogram import _brightness_values, _pointwise_values, l1_norm
@@ -17,27 +19,85 @@ def test_exact_values(square, triangle):
     assert pb.covariogram_exact(triangle, [0.5, 0.0]) == pytest.approx(0.125)
 
 
-def test_covariogram_3d_tiny_translations():
-    """Near-duplicate intersection vertices at tiny x still give about Vol K."""
-    K = pb.random_polytope(3, pb.RandomStream(424242).substream(22))
-    theta = pb.sphere_directions(3, 6).directions[4]
+@pytest.mark.parametrize("n, index", [(3, 22), (2, 0)], ids=["3", "2"])
+def test_covariogram_tiny_translations(n, index):
+    """Near-duplicate intersection vertices at tiny x still give about Vol K,
+    for a c04 body in space and in the plane."""
+    K = pb.random_polytope(n, pb.RandomStream(424242).substream(index))
+    theta = pb.sphere_directions(n, 6).directions[4]
     h = float(pb.projection_zonoid(K).support(theta[None, :])[0])
     for r in 10.0 ** np.arange(-12, -3):
         # g(r theta) = V - r h_{Pi K}(theta) + O(r^2)
         assert abs(K.volume - pb.covariogram_exact(K, r * theta) - r * h) <= 1e-12 + r * r * 1e3
 
 
+def _brute_force_volume(K, x):
+    """Vol(K ∩ (K + x)) from every n-subset of the 2m halfspaces of K and
+    K + x: solve each nonsingular subset, keep the solutions in both bodies
+    (to 1e-12 of the largest offset) and take the hull volume (0 when they
+    span less than n dimensions)."""
+    normals = np.vstack([K.normals, K.normals])
+    offsets = np.r_[K.offsets, K.offsets + K.normals @ x]
+    subsets = np.array(list(itertools.combinations(range(len(offsets)), K.n)))
+    A = normals[subsets]
+    ok = np.abs(np.linalg.det(A)) > 1e-12
+    points = np.linalg.solve(A[ok], offsets[subsets[ok]][..., None])[..., 0]
+    tol = 1e-12 * np.abs(K.offsets).max()
+    points = points[np.all(normals @ points.T <= offsets[:, None] + tol, axis=0)]
+    try:
+        return ConvexHull(points).volume
+    except (QhullError, ValueError):
+        return 0.0
+
+
+def _c04_bodies():
+    stream = pb.RandomStream(424242)
+    return ([pb.random_polytope(2, stream.substream(i)) for i in range(6)]
+            + [pb.random_polytope(2, stream.substream(10 + i), symmetric=True)
+               for i in range(6)]
+            + [pb.random_polytope(3, stream.substream(20 + i)) for i in range(4)]
+            + [pb.random_polytope(3, stream.substream(30 + i), symmetric=True)
+               for i in range(4)])
+
+
+def _brute_force_cases():
+    gen = pb.RandomStream(424242 + 2).generator()
+    for K in _c04_bodies() + [pb.cube(4)]:
+        thetas = gen.standard_normal((2, K.n))
+        thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+        rho = pb.radial_many(pb.difference_body(K), thetas)
+        for theta, r in zip(thetas, rho):
+            yield K, gen.uniform(0.05, 0.95) * r * theta
+            yield K, (1.0 + 1e-9) * r * theta  # just outside DK
+        yield K, np.zeros(K.n)
+    cube = pb.cube(3)
+    for x in ([1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 1.0, 0.0], [0.5, -1.5, 1.0],
+              [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]):
+        yield cube, np.array(x)  # coinciding facets; at [2, 0, 0] a flat square
+
+
+def test_covariogram_matches_brute_force_enumeration():
+    """covariogram_exact and intersect_translate against every vertex of the
+    halfspace arrangement, to 1e-13 Vol K: c04's bodies and cube(4) at two
+    random translations in DK, two just outside it (0) and x = 0 (Vol K), and
+    cube(3) at axis-aligned translations."""
+    for K, x in _brute_force_cases():
+        ref = _brute_force_volume(K, x)
+        if not np.any(x):
+            assert ref == pytest.approx(K.volume, rel=1e-13)
+        g = pb.covariogram_exact(K, x)
+        assert abs(g - ref) <= 1e-13 * K.volume
+        inter = pb.intersect_translate(K, x)
+        if ref == 0.0:
+            assert g == 0.0 and inter is None
+        else:
+            assert abs(inter.volume - ref) <= 1e-13 * K.volume
+
+
 def test_exact_brightness_is_the_first_piece_slope():
     """c04's 20 bodies and 16 directions each: d = -h_{Pi K} to 1e-12."""
-    stream = pb.RandomStream(424242)
-    bodies = ([pb.random_polytope(2, stream.substream(i)) for i in range(6)]
-              + [pb.random_polytope(2, stream.substream(10 + i), symmetric=True)
-                 for i in range(6)]
-              + [pb.random_polytope(3, stream.substream(20 + i)) for i in range(4)]
-              + [pb.random_polytope(3, stream.substream(30 + i), symmetric=True)
-                 for i in range(4)])
     gen = pb.RandomStream(424242 + 1).generator()
-    for K in bodies:
+    for K in _c04_bodies():
         thetas = gen.standard_normal((16, K.n))
         thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
         h = pb.projection_zonoid(K).support(thetas)

@@ -2,7 +2,9 @@
 
 Reports, run configs and the tolerance rule live in ``report`` alone; other
 modules reach them, and each other, through public names imported at module
-top, so no module depends on another's private helpers.
+top, so no module depends on another's private helpers.  The library needs
+neither ``scipy.stats`` nor ``scipy.optimize``: exact polytope algebra and
+``scipy.special`` cover what they were used for.
 """
 
 from __future__ import annotations
@@ -41,6 +43,22 @@ def test_imports_at_module_top(path):
               for inner in ast.walk(node)
               if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert not nested, f"{path.name} imports inside functions at lines {nested}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_scipy_stats_or_optimize(path):
+    banned = {"scipy.stats", "scipy.optimize"}
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names
+                  if any(name == b or name.startswith(b + ".") for b in banned)]
+    assert not found, f"{path.name} imports {found}"
 
 
 def test_report_types_defined_only_in_report():
