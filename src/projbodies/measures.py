@@ -114,7 +114,11 @@ def gaussian(n: int) -> Density:
 
     def gr(p):
         p = np.atleast_2d(p)
-        return -p * ev(p)[:, None]
+        e = -ev(p)
+        out = np.empty_like(p, dtype=float)
+        for j in range(p.shape[1]):   # by columns: rows are only n long
+            out[:, j] = p[:, j] * e
+        return out
 
     return Density(
         n=n, eval=ev, grad=gr, even=True, radially_decreasing=True,
@@ -164,7 +168,11 @@ def radial_power(n: int, alpha: float) -> Density:
         p = np.atleast_2d(p)
         r = np.sqrt(squared_norms(p))
         r = np.where(r == 0.0, np.inf, r)
-        return alpha * r[:, None] ** (alpha - 2.0) * p
+        scale = alpha * r ** (alpha - 2.0)
+        out = np.empty_like(p, dtype=float)
+        for j in range(p.shape[1]):   # by columns: rows are only n long
+            out[:, j] = scale * p[:, j]
+        return out
 
     return Density(
         n=n, eval=ev, grad=gr, even=True, radially_nondecreasing=True,

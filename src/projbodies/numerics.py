@@ -204,7 +204,14 @@ def integrate_1d(f: Callable[[float], float], a: float, b: float,
 
 
 class BoxSampler:
-    """Uniform sampler over an axis-aligned box, with its Lebesgue measure."""
+    """Uniform sampler over an axis-aligned box, with its Lebesgue measure.
+
+    ``sample`` maps the uniforms into the box in place, one column at a
+    time (u_j *= w_j, then u_j += low_j).  That rounds each element exactly
+    as ``lows + u * (highs - lows)`` does, without broadcasting length-n
+    rows N times.  The points stay C-ordered (N, n): a column-major array
+    would change the bits of the axis-0 means and deviations taken over it.
+    """
 
     def __init__(self, lows, highs):
         self.lows = np.asarray(lows, dtype=float)
@@ -215,7 +222,10 @@ class BoxSampler:
 
     def sample(self, gen: np.random.Generator, count: int) -> np.ndarray:
         u = gen.random((count, len(self.lows)))
-        return self.lows + u * (self.highs - self.lows)
+        for j, (low, width) in enumerate(zip(self.lows, self.highs - self.lows)):
+            u[:, j] *= width
+            u[:, j] += low
+        return u
 
 
 def mean_with_budget(values: np.ndarray):

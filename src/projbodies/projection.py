@@ -166,7 +166,11 @@ def offset_vector(K: Polytope, mu: Density, f=None,
         raise ConfigurationError("tau needs f with a gradient (a Density)")
 
     def fn(p):
-        return f.eval(p)[:, None] * mu.grad(p) - mu.eval(p)[:, None] * f.grad(p)
+        fp, mp, fg, mg = f.eval(p), mu.eval(p), f.grad(p), mu.grad(p)
+        out = np.empty(mg.shape)
+        for j in range(K.n):   # f grad phi - phi grad f, column by column
+            out[:, j] = fp * mg[:, j] - mp * fg[:, j]
+        return out
 
     vec, err = _interior_vector(K, fn, stream, N)
     return OffsetVector(0.5 * vec, 0.5 * err, "tau")
@@ -198,8 +202,9 @@ def _interior_vector(K: Polytope, fn, stream: RandomStream, N: int):
     gen = stream.generator()
     points = box.sample(gen, N)
     inside = K.contains(points)
-    mean, budget = mean_with_budget(np.asarray(fn(points), dtype=float)
-                                    * inside[:, None])
+    values = np.zeros_like(points)
+    values[inside] = fn(points[inside])   # the field only where it counts
+    mean, budget = mean_with_budget(values)
     return mean * box.measure, float(np.linalg.norm(budget * box.measure))
 
 

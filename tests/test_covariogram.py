@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 import projbodies as pb
-from projbodies.covariogram import _brightness_values, _pointwise_values, l1_norm
+from projbodies.covariogram import _brightness_quotients, _pointwise_values, l1_norm
 
 
 def test_exact_values(square, triangle):
@@ -329,10 +329,57 @@ def test_brightness_values_match_three_contains(n, mode):
         for mu in (g, pb.exp_norm(pb.cross_polytope(n))):
             q = pb.CovariogramQuery(K, mu, g if mode == "functional" else None,
                                     mode=mode)
-            new = _brightness_values(q, points, theta, h)
-            old = _three_contains_integrands(q, points, theta, h)
-            for a, b in zip(new, old):
-                assert a.tobytes() == b.tobytes()
+            new = _brightness_quotients(q, points, theta, h)
+            v0, v1, v2 = _three_contains_integrands(q, points, theta, h)
+            assert new.tobytes() == (4.0 * v1 - v2 - 3.0 * v0).tobytes()
+
+
+def _counting(density):
+    """The density as a custom one that tallies the points passed to it."""
+    seen = []
+
+    def ev(p):
+        seen.append(len(p))
+        return density.eval(p)
+
+    mu = pb.custom_density(density.n, eval=ev, grad=density.grad, even=True)
+    seen.clear()   # drop the certification probes
+    return mu, seen
+
+
+def test_brightness_evaluates_phi_on_the_sliver_only():
+    """Plain and polarized quotients need phi only where a shifted mask turns
+    off (the reference masks' sliver, under 1% of the box); the functional
+    one needs f and phi at every point of K."""
+    K, g, N = pb.cube(2), pb.gaussian(2), 200_000
+    theta = np.array([0.8, 0.6])
+    h = 1e-3 * K.diameter   # the default step
+    stream = pb.RandomStream(9090)
+    lo, hi = K.bounding_box()
+    # the points brightness_derivative draws: K's box padded by h
+    points = pb.BoxSampler(lo - h, hi + h).sample(stream.generator(), N)
+    base = K.contains(points)
+    slivers = {
+        "plain": base & ~K.contains(points - h * theta),
+        "polarized": base & ~(K.contains(points + h * theta / 2.0)
+                              & K.contains(points - h * theta / 2.0)),
+    }
+    for mode, sliver in slivers.items():
+        mu, seen = _counting(g)
+        q = pb.CovariogramQuery(K, mu, mode=mode, stream=stream, N=N)
+        builtin = pb.CovariogramQuery(K, g, mode=mode, stream=stream, N=N)
+        res = pb.brightness_derivative(q, theta)
+        assert sum(seen) == np.count_nonzero(sliver)
+        assert 0 < sum(seen) < 0.01 * N
+        assert res == pb.brightness_derivative(builtin, theta)
+        assert res.evaluations == 3 * N
+
+    mu, seen = _counting(g)
+    f, f_seen = _counting(g)
+    q = pb.CovariogramQuery(K, mu, f, mode="functional", stream=stream, N=N)
+    pb.brightness_derivative(q, theta)
+    assert seen == [np.count_nonzero(base)]
+    assert f_seen == 3 * [np.count_nonzero(base)]
 
 
 def _two_contains_integrand(q, points, x):

@@ -148,6 +148,22 @@ def test_monte_carlo_guards(stream):
         pb.monte_carlo(box, lambda p: np.full(len(p), np.nan), 1000, stream)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_box_sampler_matches_broadcast_formula(n):
+    """The in-place column mapping gives the bits of lows + u * (highs - lows)
+    and a C-ordered array; the last axis has zero width when n > 1."""
+    lows = np.array([-1.25, 0.5, 3.0, -7.0])[:n]
+    highs = np.array([2.5, 0.75, 3.1, -7.0])[:n]
+    if n == 1:
+        highs = np.array([-0.3])
+    N = 10_007
+    points = BoxSampler(lows, highs).sample(pb.RandomStream(77, n).generator(), N)
+    reference = lows + pb.RandomStream(77, n).generator().random((N, n)) * (highs - lows)
+    assert points.shape == (N, n)
+    assert points.flags.c_contiguous
+    assert points.tobytes() == reference.tobytes()
+
+
 def test_monte_carlo_bit_identical(stream):
     box = BoxSampler([0, 0], [1, 1])
     f = lambda p: np.sum(p, axis=1)

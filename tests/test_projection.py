@@ -87,6 +87,23 @@ def test_tau_of_phi_vanishes(square, gauss2, stream):
     assert off.is_projective  # f = phi is mu-projective
 
 
+def test_tau_matches_masked_full_field(gauss2, stream):
+    """tau, with the field evaluated at K's points only, has the bits of the
+    mean of the field at every box point times the membership mask."""
+    K = pb.random_polytope(2, pb.RandomStream(31)).translate([0.4, -0.7])
+    f = pb.radial_power(2, 1.5)
+    N = 20_000
+    off = pb.offset_vector(K, gauss2, f=f, stream=stream, N=N)
+
+    box = pb.BoxSampler(*K.bounding_box())
+    p = box.sample(stream.generator(), N)
+    field = (f.eval(p)[:, None] * gauss2.grad(p)
+             - gauss2.eval(p)[:, None] * f.grad(p)) * K.contains(p)[:, None]
+    mean, budget = pb.numerics.mean_with_budget(field)
+    assert off.value.tobytes() == (0.5 * (mean * box.measure)).tobytes()
+    assert off.error_estimate == 0.5 * float(np.linalg.norm(budget * box.measure))
+
+
 def test_brightness_residual_plain_lebesgue(square, leb2):
     res = pb.brightness_residual(square, leb2, [1.0, 0.0])
     assert res.value <= 1e-6
