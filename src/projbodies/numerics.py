@@ -228,6 +228,18 @@ class BoxSampler:
         return u
 
 
+# Rows of sample points per block in the Monte Carlo kernels.  Their
+# (m, rows) facet slacks and the subsets they gather are built a block at a
+# time, so their temporaries stay block-sized and the peak memory of a call
+# does not swing with the body's facet count or the seed.
+MC_BLOCK = 1 << 16
+
+
+def row_blocks(count: int) -> list[slice]:
+    """Consecutive slices of at most MC_BLOCK rows that cover ``count`` rows."""
+    return [slice(start, start + MC_BLOCK) for start in range(0, count, MC_BLOCK)]
+
+
 def mean_with_budget(values: np.ndarray):
     """Mean over axis 0 and the Monte Carlo budget 3 (s / sqrt N) of it."""
     N = len(values)

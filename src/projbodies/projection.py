@@ -27,7 +27,8 @@ from .covariogram import CovariogramQuery, brightness_derivative
 from .measures import (Density, compose_linear, facet_integrals,
                        facet_weights, lebesgue, DEFAULT_MC_SAMPLES)
 from .numerics import (BoxSampler, ConfigurationError, QuadratureResult,
-                       RandomStream, SphereGrid, ball_volume, mean_with_budget)
+                       RandomStream, SphereGrid, ball_volume, mean_with_budget,
+                       row_blocks)
 
 
 @dataclass(frozen=True)
@@ -196,14 +197,20 @@ def shifted_zonoid(K: Polytope, mu: Density, f=None,
 
 
 def _interior_vector(K: Polytope, fn, stream: RandomStream, N: int):
-    """Monte Carlo of a vector field over K; returns (vector, error)."""
+    """Monte Carlo of a vector field over K; returns (vector, error).
+
+    Membership and the field are taken a block of rows at a time, so the
+    (m, rows) slacks and the gathered points stay block-sized.
+    """
     lo, hi = K.bounding_box()
     box = BoxSampler(lo, hi)
     gen = stream.generator()
     points = box.sample(gen, N)
-    inside = K.contains(points)
     values = np.zeros_like(points)
-    values[inside] = fn(points[inside])   # the field only where it counts
+    for block in row_blocks(N):
+        p, v = points[block], values[block]
+        inside = K.contains(p)
+        v[inside] = fn(p[inside])   # the field only where it counts
     mean, budget = mean_with_budget(values)
     return mean * box.measure, float(np.linalg.norm(budget * box.measure))
 

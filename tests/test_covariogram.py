@@ -8,7 +8,9 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 import projbodies as pb
-from projbodies.covariogram import _brightness_quotients, _pointwise_values, l1_norm
+from projbodies.covariogram import (_brightness_quotients, _pointwise_values,
+                                    _sampling_box, l1_norm)
+from projbodies.numerics import MC_BLOCK, mean_with_budget, row_blocks
 
 
 def test_exact_values(square, triangle):
@@ -378,8 +380,33 @@ def test_brightness_evaluates_phi_on_the_sliver_only():
     f, f_seen = _counting(g)
     q = pb.CovariogramQuery(K, mu, f, mode="functional", stream=stream, N=N)
     pb.brightness_derivative(q, theta)
-    assert seen == [np.count_nonzero(base)]
-    assert f_seen == 3 * [np.count_nonzero(base)]
+    per_block = [np.count_nonzero(base[block]) for block in row_blocks(N)]
+    assert len(per_block) > 1
+    assert seen == per_block   # phi once per point of K, a block at a time
+    assert f_seen == [c for c in per_block for _ in range(3)]
+
+
+@pytest.mark.parametrize("mode", ["plain", "polarized", "functional"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_blocked_derivative_matches_one_kernel_call(n, mode):
+    """Quotients built a block of rows at a time have the bits of one
+    kernel call over all the points, across an uneven last block."""
+    g = pb.gaussian(n)
+    K = pb.random_polytope(n, pb.RandomStream(5151).substream(n), symmetric=True)
+    theta = np.ones(n) / math.sqrt(n)
+    N = 2 * MC_BLOCK + 4321
+    stream = pb.RandomStream(6262, n)
+    q = pb.CovariogramQuery(K, g, g if mode == "functional" else None,
+                            mode=mode, stream=stream, N=N)
+    res = pb.brightness_derivative(q, theta)
+
+    h = 1e-3 * K.diameter
+    box = _sampling_box(q, pad=h)
+    points = box.sample(stream.generator(), N)
+    r = _brightness_quotients(q, points, theta, h) * (box.measure / h)
+    value, err = mean_with_budget(r)
+    assert res.value == float(value) and res.error_estimate == float(err)
+    assert np.count_nonzero(r) > 0
 
 
 def _two_contains_integrand(q, points, x):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import projbodies as pb
-from projbodies.numerics import BoxSampler
+from projbodies.numerics import MC_BLOCK, BoxSampler, row_blocks
 
 
 def test_sphere_grid_2d_axes():
@@ -162,6 +162,15 @@ def test_box_sampler_matches_broadcast_formula(n):
     assert points.shape == (N, n)
     assert points.flags.c_contiguous
     assert points.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 1000, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 17])
+def test_row_blocks_cover_the_rows_in_order(count):
+    blocks = row_blocks(count)
+    rows = np.concatenate([np.arange(count)[b] for b in blocks])
+    assert rows.tolist() == list(range(count))
+    assert all(0 < len(range(count)[b]) <= MC_BLOCK for b in blocks)
+    assert len(blocks) == -(-count // MC_BLOCK)
 
 
 def test_monte_carlo_bit_identical(stream):

@@ -87,12 +87,13 @@ def test_tau_of_phi_vanishes(square, gauss2, stream):
     assert off.is_projective  # f = phi is mu-projective
 
 
-def test_tau_matches_masked_full_field(gauss2, stream):
-    """tau, with the field evaluated at K's points only, has the bits of the
-    mean of the field at every box point times the membership mask."""
+@pytest.mark.parametrize("N", [20_000, 2 * pb.numerics.MC_BLOCK + 999])
+def test_tau_matches_masked_full_field(gauss2, stream, N):
+    """tau, with the field evaluated at K's points only and a block of rows
+    at a time, has the bits of the mean of the field at every box point
+    times the membership mask."""
     K = pb.random_polytope(2, pb.RandomStream(31)).translate([0.4, -0.7])
     f = pb.radial_power(2, 1.5)
-    N = 20_000
     off = pb.offset_vector(K, gauss2, f=f, stream=stream, N=N)
 
     box = pb.BoxSampler(*K.bounding_box())
