@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -358,6 +359,7 @@ def _add_common(p: argparse.ArgumentParser, run, measure=False):
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.cache   # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="projbodies")
     sub = top.add_subparsers(dest="command", required=True)

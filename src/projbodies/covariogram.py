@@ -20,6 +20,12 @@ the plain and polarized kernels evaluate the density on that sliver alone
 (about 0.1% of the box) and leave exact zeros elsewhere.  The kernel runs
 on blocks of ``numerics.MC_BLOCK`` rows, so its (m, rows) slacks never
 span all N points and its memory does not depend on the body or the seed.
+
+Translated averages integrate a covariogram against a second measure by
+sampling pairs of uniform points of K.  ``sample_uniform`` draws them by
+box rejection, a block of ``MC_BLOCK`` candidates at a time; it stops
+testing once it has enough and skips the generator past the untested rest,
+so its points and the draws after it are those of whole-chunk rejection.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 from . import bodies
 from .bodies import Polytope
 from .measures import Density, lebesgue, measure_body, DEFAULT_MC_SAMPLES
-from .numerics import (BoxSampler, ConfigurationError, DomainError,
+from .numerics import (MC_BLOCK, BoxSampler, ConfigurationError, DomainError,
                        PrecisionError, QuadratureFailure, QuadratureResult,
                        RandomStream, mean_with_budget, monte_carlo,
                        row_blocks)
@@ -173,21 +179,30 @@ def _brightness_quotients(q: CovariogramQuery, points: np.ndarray,
     exactly: 4 phi is exact, and 4 phi - phi and 3 phi both round 3 phi.
     Only the sliver of K within reach h of its shadow boundary can give
     anything else, so phi is evaluated there alone and every other point
-    keeps the zero it would have got.  In the functional mode f(x - s theta)
-    differs from f(x), so every point of K is evaluated.  The common random
-    points make the variance proportional to the sliver, not the body.
+    keeps the zero it would have got.  A point of K has reach >= 0, so the
+    base mask is built only for the points with 0 <= reach < h, from the
+    facets with rate <= 0; the others' reach already holds their slacks.
+    In the functional mode f(x - s theta) differs from f(x), so every point
+    of K is evaluated.  The common random points make the variance
+    proportional to the sliver, not the body.
     """
     K, mu = q.K, q.mu
     slack = K.slack(points)
-    inside = np.flatnonzero(np.all(slack >= 0.0, axis=0))
     c = K.normals @ theta
     # the step s eats slack_i at this rate; the polarized pair moves s/2 each way
     rate = np.abs(c) / 2.0 if q.mode == "polarized" else -c
+    if q.mode == "functional":
+        inside = np.flatnonzero(np.all(slack >= 0.0, axis=0))
     reach = np.full(len(points), np.inf)
     # rows are scaled in place, so no second (m, N) array is ever held
     for i in np.flatnonzero(rate > 0.0):
         slack[i] /= rate[i]
         np.minimum(reach, slack[i], out=reach)
+    if q.mode != "functional":
+        # a rate is at most 1, so no negative slack divides to -0.0: reach
+        # >= 0 iff every facet with rate > 0 keeps the point
+        near = np.flatnonzero((reach >= 0.0) & (reach < h))
+        inside = near[np.all(slack[np.ix_(rate <= 0.0, near)] >= 0.0, axis=0)]
     del slack
     reach = np.take(reach, inside)
 
@@ -201,9 +216,7 @@ def _brightness_quotients(q: CovariogramQuery, points: np.ndarray,
                 shifted[:, j] -= t
             values.append(q.f.eval(shifted) * phi * (reach >= step))
         v0, v1, v2 = values
-    else:   # only the sliver, reach < h, can give a nonzero quotient
-        near = reach < h
-        inside, reach = inside[near], reach[near]
+    else:
         phi = mu.eval(np.take(points, inside, axis=0))
         v0, v1, v2 = phi, phi * (reach >= h / 2), phi * (reach >= h)
     out = np.zeros(len(points))
@@ -279,19 +292,36 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
 # -- translated averages ------------------------------------------------------
 
 def sample_uniform(body, gen: np.random.Generator, count: int) -> np.ndarray:
-    """Uniform points in a convex body by bounding-box rejection."""
+    """Uniform points in a convex body by bounding-box rejection.
+
+    Candidates come in chunks of about 1.3 times the expected need.  Each
+    chunk is drawn, tested with ``body.contains`` and kept a block of
+    ``numerics.MC_BLOCK`` rows at a time, the accepted rows going straight
+    into the output.  ``Generator.random`` fills row-major, one PCG64 step
+    per float, so a chunk drawn block by block has the bits of one draw.
+    Once ``count`` points are kept, the untested rest of the chunk is
+    skipped with ``bit_generator.advance``: the generator ends where a
+    whole-chunk draw would leave it, and the draws after this call do not
+    depend on the blocking (``advance`` also drops a buffered 32-bit
+    half-draw, which no float draw leaves).
+    """
     lo, hi = body.bounding_box()
     box = BoxSampler(lo, hi)
     vol = bodies.volume(body)
-    out = np.empty((count, len(lo)))
+    n = len(lo)
+    out = np.empty((count, n))
     have = 0
     chunk = int(min(4_000_000, max(1024, count * box.measure / vol * 1.3)))
     while have < count:
-        cand = box.sample(gen, chunk)
-        acc = cand[body.contains(cand)]
-        take = min(count - have, len(acc))
-        out[have:have + take] = acc[:take]
-        have += take
+        for start in range(0, chunk, MC_BLOCK):
+            rows = min(MC_BLOCK, chunk - start)
+            cand = box.sample(gen, rows)
+            keep = np.flatnonzero(body.contains(cand))[:count - have]
+            np.take(cand, keep, axis=0, out=out[have:have + len(keep)])
+            have += len(keep)
+            if have == count:
+                gen.bit_generator.advance((chunk - start - rows) * n)
+                break
     return out
 
 

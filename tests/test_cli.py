@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +249,24 @@ def test_byte_identical_reruns():
     _, out1 = run_cli(argv)
     _, out2 = run_cli(argv)
     assert out1 == out2
+
+
+def test_cached_parser_survives_errors_and_help():
+    """The parser is built once per process; a parse error and --help on it
+    leave a README command's stdout byte-equal to a fresh interpreter's."""
+    assert run_cli(["verify", "no_such_id", "--body", "cube:2"])[0] == cli.EXIT_CONFIG
+    assert run_cli(["body", "info", "--body", "nonsense:2"])[0] == cli.EXIT_CONFIG
+    code, out = run_cli(["--help"])
+    assert code == cli.EXIT_OK and out.startswith("usage: projbodies")
+    assert cli._build_parser() is cli._build_parser()
+    command, golden = README_GOLDEN[0]
+    code, out = run_cli(command.split())
+    assert code == cli.EXIT_OK
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    fresh = subprocess.run([sys.executable, "-m", "projbodies.cli", *command.split()],
+                           capture_output=True, env=env, check=True).stdout
+    assert out.encode("utf-8") == fresh == (ROOT / "tests" / "golden" / golden).read_bytes()
 
 
 def test_meanbody_spectral_endpoints():

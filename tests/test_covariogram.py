@@ -9,7 +9,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 import projbodies as pb
 from projbodies.covariogram import (_brightness_quotients, _pointwise_values,
-                                    _sampling_box, l1_norm)
+                                    _sampling_box, l1_norm, sample_uniform)
 from projbodies.numerics import MC_BLOCK, mean_with_budget, row_blocks
 
 
@@ -290,6 +290,70 @@ def test_translated_average_guards(triangle, stream, gauss2):
         pb.translated_average("nu_mu_body", triangle, mu=gauss2, stream=stream)
     with pytest.raises(pb.ConfigurationError):
         pb.translated_average("bogus", triangle, mu=gauss2, stream=stream)
+
+
+def _chunk_rows(body, count):
+    """Candidates per chunk in sample_uniform: 1.3 times the expected need."""
+    lo, hi = body.bounding_box()
+    box = pb.BoxSampler(lo, hi)
+    return box, int(min(4_000_000, max(1024, count * box.measure / body.volume * 1.3)))
+
+
+def _whole_chunk_sample_uniform(body, gen, count):
+    """Rejection sampling that draws and tests each chunk in one piece."""
+    box, chunk = _chunk_rows(body, count)
+    out = np.empty((count, body.n))
+    have = 0
+    while have < count:
+        cand = box.sample(gen, chunk)
+        acc = cand[body.contains(cand)]
+        take = min(count - have, len(acc))
+        out[have:have + take] = acc[:take]
+        have += take
+    return out
+
+
+@pytest.mark.parametrize("body, count", [
+    ("square", 200_000), ("triangle", 200_000), ("simplex3", 200_000),
+    ("simplex4", 200_000),   # two 4M-row chunks
+    ("triangle", 300), ("simplex3", 100),   # one chunk of the 1024-row minimum
+])
+def test_sample_uniform_matches_whole_chunk_rejection(body, count):
+    """Blocks, the early stop and the skip over the untested rows leave the
+    points and the generator's next draws byte-equal to whole chunks."""
+    K = {"square": pb.cube(2), "triangle": pb.standard_simplex(2),
+         "simplex3": pb.standard_simplex(3), "simplex4": pb.standard_simplex(4)}[body]
+    stream = pb.RandomStream(7373, count)
+    gen, ref_gen = stream.generator(), stream.generator()
+    points = sample_uniform(K, gen, count)
+    ref = _whole_chunk_sample_uniform(K, ref_gen, count)
+    assert points.flags.c_contiguous and points.shape == (count, K.n)
+    assert points.tobytes() == ref.tobytes()
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+    assert gen.random(64).tobytes() == ref_gen.random(64).tobytes()
+
+
+def test_sample_uniform_stops_testing_at_the_block_of_the_last_kept(
+        triangle, monkeypatch):
+    """Rows tested = the whole-chunk position of the N-th accepted
+    candidate, rounded up to the end of its MC_BLOCK block."""
+    N, stream = 200_000, pb.RandomStream(7474)
+    tested = []
+    contains = pb.Polytope.contains
+
+    def counting(self, points, tol=1e-9):
+        tested.append(len(points))
+        return contains(self, points, tol)
+
+    monkeypatch.setattr(pb.Polytope, "contains", counting)
+    sample_uniform(triangle, stream.generator(), N)
+    monkeypatch.undo()
+
+    box, chunk = _chunk_rows(triangle, N)
+    accepted = np.flatnonzero(triangle.contains(box.sample(stream.generator(), chunk)))
+    last = accepted[N - 1]   # one chunk holds all N points
+    assert sum(tested) == (last // MC_BLOCK + 1) * MC_BLOCK < chunk
+    assert max(tested) == MC_BLOCK
 
 
 def _three_contains_integrands(q, points, theta, h):
