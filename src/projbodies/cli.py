@@ -233,12 +233,10 @@ def _covariogram_profile(args, out) -> int:
     theta = parse_vector(args.theta)
     theta = theta / np.linalg.norm(theta)
     rho = bodies.radial_many(bodies.difference_body(args.K), theta[None, :])[0]
-    rows = []
-    for i in range(args.steps + 1):
-        r = rho * i / args.steps
-        res = mu_covariogram(query, r * theta)
-        rows.append({"r": r, "value": res.value,
-                     "error": res.error_estimate})
+    radii = [rho * i / args.steps for i in range(args.steps + 1)]
+    results = mu_covariogram(query, np.outer(radii, theta))
+    rows = [{"r": r, "value": res.value, "error": res.error_estimate}
+            for r, res in zip(radii, results)]
     return emit_rows(rows, args.format, out)
 
 

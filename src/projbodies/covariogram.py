@@ -10,7 +10,10 @@ at n + 1 nodes.  Mean bodies integrate the pieces in closed form,
 and the slope of the first one is the exact brightness derivative.
 
 The measure-weighted variants are Monte Carlo over the intersection, known
-in H-representation (membership tests against K's facets).  Their
+in H-representation (membership tests against K's facets).  Several
+translations share one draw of box points, one projection onto K's normals
+and one phi; only the polarized mode, whose box grows with |x|, draws
+afresh for each.  Their
 brightness derivatives Richardson-combine difference quotients on common
 random points, projected onto K's normals once: each point's largest
 admissible step along theta, read off its facet slacks, gives every mask.
@@ -41,7 +44,7 @@ from .measures import Density, lebesgue, measure_body, DEFAULT_MC_SAMPLES
 from .numerics import (MC_BLOCK, BoxSampler, ConfigurationError, DomainError,
                        PrecisionError, QuadratureFailure, QuadratureResult,
                        RandomStream, mean_with_budget, monte_carlo,
-                       row_blocks)
+                       monte_carlo_estimate, row_blocks)
 
 
 @dataclass
@@ -141,21 +144,6 @@ def ray_pieces(K: Polytope, theta, tol: float = 1e-9):
         left = right
 
 
-def _pointwise_values(q: CovariogramQuery, points: np.ndarray,
-                      x: np.ndarray) -> np.ndarray:
-    """Integrand of the queried covariogram at sample points, from one
-    projection onto K's normals (c_i = <u_i, x>): p, p - x are in K iff every
-    slack_i >= max(-c_i, 0); p ± x/2 iff slack_i >= |c_i| / 2 (polarized).
-    Roundoff may flip a point within an ulp of a shifted facet."""
-    K, mu = q.K, q.mu
-    c = K.normals @ x
-    need = np.abs(c) / 2.0 if q.mode == "polarized" else np.maximum(-c, 0.0)
-    inside = np.all(K.slack(points) >= need[:, None], axis=0)
-    if q.mode == "functional":
-        return q.f.eval(points - x) * mu.eval(points) * inside
-    return mu.eval(points) * inside
-
-
 def _sampling_box(q: CovariogramQuery, pad: float = 0.0) -> BoxSampler:
     lo, hi = q.K.bounding_box()
     return BoxSampler(lo - pad, hi + pad)
@@ -224,23 +212,63 @@ def _brightness_quotients(q: CovariogramQuery, points: np.ndarray,
     return out
 
 
-def mu_covariogram(q: CovariogramQuery, x, box: BoxSampler | None = None
-                   ) -> QuadratureResult:
+def _pointwise_values(q: CovariogramQuery, points: np.ndarray, xs):
+    """Yield the integrand of the queried covariogram at the sample points,
+    for each translation in ``xs`` in turn, from one projection onto K's
+    normals and one phi.
+
+    With c_i = <u_i, x>: p, p - x are in K iff every slack_i >= max(-c_i, 0);
+    p ± x/2 iff slack_i >= |c_i| / 2 (polarized).  Roundoff may flip a point
+    within an ulp of a shifted facet.
+    """
+    K = q.K
+    slack = K.slack(points)
+    phi = q.mu.eval(points)
+    for x in xs:
+        c = K.normals @ x
+        need = np.abs(c) / 2.0 if q.mode == "polarized" else np.maximum(-c, 0.0)
+        inside = np.all(slack >= need[:, None], axis=0)
+        if q.mode == "functional":
+            yield q.f.eval(points - x) * phi * inside
+        else:
+            yield phi * inside
+
+
+def _covariograms_on_one_draw(q: CovariogramQuery, box: BoxSampler,
+                              xs: np.ndarray) -> list[QuadratureResult]:
+    """Monte Carlo covariograms at the translations ``xs`` on one draw of
+    box points.  The values at each x are those a draw of its own would
+    give, so sharing the draw changes no bits."""
+    points = box.sample(q.stream.generator(), q.N)
+    return [monte_carlo_estimate(values, points, box.measure)
+            for values in _pointwise_values(q, points, xs)]
+
+
+def mu_covariogram(q: CovariogramQuery, x):
     """g_{mu,K}(x), r_{mu,K}(x) or g_{mu,f}(K, x), per ``q.mode``.
 
-    At x = 0 the value is mu(K) (plain/polarized) or the L^1(mu, K) norm of
-    f (functional).  The Lebesgue plain/polarized path is exact.
+    ``x`` is one translation (n,), which gives one ``QuadratureResult``, or a
+    stack (k, n) of them, which gives a list.  At x = 0 the value is mu(K)
+    (plain/polarized) or the L^1(mu, K) norm of f (functional).  The
+    Lebesgue plain/polarized path is exact.  Otherwise the translations
+    share one draw from ``q.stream`` over K's box, except in polarized mode,
+    whose box is padded by |x| / 2 and so drawn afresh for each x.
     """
-    x = np.asarray(x, dtype=float)
+    xs = np.asarray(x, dtype=float)
+    single = xs.ndim == 1
+    xs = np.atleast_2d(xs)
     if q.mu.is_lebesgue and q.mode in ("plain", "polarized"):
         # r_{lambda,K} = g_K by translation invariance
-        return QuadratureResult(covariogram_exact(q.K, x), 0.0, 0)
-    if q.stream is None:
+        results = [QuadratureResult(covariogram_exact(q.K, x), 0.0, 0) for x in xs]
+    elif q.stream is None:
         raise ConfigurationError("Monte Carlo covariogram needs a stream")
-    if box is None:
-        pad = float(np.linalg.norm(x)) / 2.0 if q.mode == "polarized" else 0.0
-        box = _sampling_box(q, pad)
-    return monte_carlo(box, lambda p: _pointwise_values(q, p, x), q.N, q.stream)
+    elif q.mode == "polarized":
+        results = [_covariograms_on_one_draw(
+            q, _sampling_box(q, float(np.linalg.norm(x)) / 2.0), x[None])[0]
+            for x in xs]
+    else:
+        results = _covariograms_on_one_draw(q, _sampling_box(q), xs)
+    return results[0] if single else results
 
 
 def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None

@@ -132,11 +132,10 @@ def _concavity_check(fam: ConcavityFamily, K: Polytope, mu: Density, f,
         rm = 0.5 * (r1 + r2)
         q = CovariogramQuery(K, mu, f, mode="functional" if f is not None else "plain",
                              stream=stream.substream(100 + i), N=check_N)
-        vals, errs = [], []
-        for r in (r1, rm, r2):
-            res = mu_covariogram(q, r * theta)
-            vals.append(res.value)
-            errs.append(res.error_estimate)
+        # the three translations share one draw of box points
+        results = mu_covariogram(q, np.outer([r1, rm, r2], theta))
+        vals = [res.value for res in results]
+        errs = [res.error_estimate for res in results]
         if min(vals) <= 0:
             continue  # outside effective support at this precision
         Fv = [fam.F(v) for v in vals]

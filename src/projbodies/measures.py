@@ -8,7 +8,8 @@ checked against 1000 random probes at construction time.
 
 Boundary integrals resolve per facet: mu(dK) is the facet-integral form of
 the weighted surface-area measure, computed by adaptive simplex subdivision
-with a degree-2 cubature rule.  For polytopes with phi continuous near dK
+with the Grundmann-Moller cubature rule of degree 9.  For polytopes with phi
+continuous near dK
 this coincides with the liminf definition of the boundary measure.  The
 simplices of all facets are refined together in batches: each batch makes
 one density call on all of its children's nodes, and batches are bounded
@@ -21,8 +22,11 @@ evaluation count is the number of points passed to the integrand.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -268,25 +272,38 @@ def total_mass(mu: Density, grid: SphereGrid | None = None,
 
 # -- facet cubature -----------------------------------------------------------
 
-_TET_A = 0.5854101966249685
-_TET_B = 0.1381966011250105
 _MAX_DEPTH = 14
 _BATCH = 4096  # simplices refined per density call: bounds memory at tight tol
+_GM_S = 4      # Grundmann-Moller rule of degree 2s + 1 = 9
+_ROUNDOFF_ULPS = 16  # roundoff floor added to each accepted error, in ulp of |value|
+_EPS = float(np.finfo(float).eps)
 
 
-def _rule(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Degree-2 rule on a d-simplex: barycentric nodes and weights summing to 1."""
-    if d == 1:
-        # 2-point Gauss-Legendre
-        a = 0.5 - math.sqrt(3.0) / 6.0
-        return np.array([[1 - a, a], [a, 1 - a]]), np.array([0.5, 0.5])
-    if d == 2:
-        # edge midpoints, exact for quadratics
-        return (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
-                np.array([1, 1, 1]) / 3.0)
-    bary = np.full((4, 4), _TET_B)
-    np.fill_diagonal(bary, _TET_A)
-    return bary, np.full(4, 0.25)
+@functools.cache
+def _grundmann_moller(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grundmann-Moller rule of degree 2s + 1 on a d-simplex.
+
+    Barycentric nodes (2 beta + 1) / (d + 2s + 1 - 2i) for every beta in
+    N^{d+1} with |beta| = s - i, i = 0..s, and weights
+    (-1)^i 2^{-2s} (d + 2s + 1 - 2i)^{2s+1} d! / (i! (d + 2s + 1 - i)!),
+    which sum to 1 (Grundmann & Moller, SIAM J. Numer. Anal. 15, 1978).
+    The weights alternate in sign.  The rule has C(d + s + 1, d + 1) nodes:
+    15, 35 and 70 for d = 1, 2, 3.  Weights are exact rationals rounded once.
+    """
+    s = _GM_S
+    nodes, weights = [], []
+    for i in range(s + 1):
+        m = d + 2 * s + 1 - 2 * i
+        w = (Fraction((-1) ** i * m ** (2 * s + 1) * math.factorial(d),
+                      2 ** (2 * s) * math.factorial(i)
+                      * math.factorial(d + 2 * s + 1 - i)))
+        for beta in itertools.product(range(s - i + 1), repeat=d + 1):
+            if sum(beta) == s - i:
+                nodes.append([(2 * b + 1) / m for b in beta])
+                weights.append(float(w))
+    nodes, weights = np.array(nodes), np.array(weights)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by callers
+    return nodes, weights
 
 
 # Children of the midpoint (d = 1, 2) and red (d = 3, 8 tetrahedra)
@@ -305,13 +322,19 @@ _CHILDREN = {d: np.array(kids) for d, kids in {
 def facet_integrals(K: Polytope, fn, tol: float = 1e-9):
     """Integral of ``fn`` over each facet of K: (values, errors, evaluations).
 
-    Each facet's budget ``tol`` is split evenly among its simplices.  A
-    simplex is accepted when its children's rule sum differs from its own
-    rule value by at most its budget, and is otherwise refined with the
-    budget split evenly among its children; a simplex still over budget at
-    depth ``_MAX_DEPTH`` raises ``QuadratureFailure``.  All facets are refined together: a batch
-    of at most ``_BATCH`` simplices makes one call of ``fn`` on all of its
-    children's nodes, so memory stays flat however tight ``tol`` is.  A
+    The rule on each simplex is the degree-9 Grundmann-Moller rule.  Each
+    facet's budget ``tol`` is split evenly among its simplices.  A simplex's
+    error is the gap between its children's rule sum and its own rule value,
+    plus a roundoff floor of ``_ROUNDOFF_ULPS`` ulp of that sum (the rule's
+    weights alternate in sign).  It is accepted, with the children's sum as
+    its value, when that error is at most its budget, and is otherwise
+    refined with the budget split evenly among its children; a simplex still
+    over budget at depth ``_MAX_DEPTH`` raises ``QuadratureFailure``.  The
+    gap between the two levels is a heuristic error estimate, not a bound;
+    tests compare it with tight references.  All facets are refined
+    together: a batch of at most ``_BATCH`` simplices makes one call of
+    ``fn`` on all of its children's nodes, so memory stays flat however
+    tight ``tol`` is.  A
     child's rule value is kept as its coarse value when it is refined in
     turn, so no rule is evaluated twice.  Accepted values are summed
     depth-first, simplex by simplex, so the result does not depend on the
@@ -320,7 +343,7 @@ def facet_integrals(K: Polytope, fn, tol: float = 1e-9):
     roots = np.concatenate(K.facet_simplices)
     d, n = roots.shape[1] - 1, roots.shape[2]
     counts = [len(s) for s in K.facet_simplices]
-    bary, w = _rule(d)
+    bary, w = _grundmann_moller(d)
     pairs = _CHILDREN[d]
     c = len(pairs)
     stack, accepted = [], []
@@ -336,7 +359,9 @@ def facet_integrals(K: Polytope, fn, tol: float = 1e-9):
         if bad.any():
             raise EvaluationError("density not finite on a boundary facet",
                                   point=nodes[int(np.argmax(bad))])
-        return vals.reshape(simplices.shape[:-2] + (len(w),)) @ w
+        # a product and a sum along each row, not a matrix-vector product,
+        # whose rounding depends on how many rows it is given
+        return (vals.reshape(simplices.shape[:-2] + (len(w),)) * w).sum(axis=-1)
 
     def push(depth, spx, *fields):
         for i in range(0, len(spx), _BATCH):
@@ -355,7 +380,7 @@ def facet_integrals(K: Polytope, fn, tol: float = 1e-9):
         fine = kid_vals[:, 0]  # children added in order, not pairwise
         for j in range(1, c):
             fine = fine + kid_vals[:, j]
-        local_err = np.abs(fine - coarse)
+        local_err = np.abs(fine - coarse) + _ROUNDOFF_ULPS * _EPS * np.abs(fine)
         done = local_err <= budget
         if depth >= _MAX_DEPTH and not done.all():
             raise QuadratureFailure(

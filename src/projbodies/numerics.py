@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 
 class ConfigurationError(ValueError):
@@ -193,7 +193,12 @@ def integrate_1d(f: Callable[[float], float], a: float, b: float,
                  tol: float = 1e-10) -> QuadratureResult:
     """Adaptive Gauss-Kronrod quadrature of ``f`` on (a, b), b possibly ``np.inf``
     (QUADPACK maps (a, inf) onto a finite interval itself).  Raises
-    ``QuadratureFailure`` when the error exceeds tol absolutely and relatively."""
+    ``QuadratureFailure`` when the error exceeds tol absolutely and relatively.
+
+    ``scipy.integrate``, which imports ``scipy.optimize``, is imported here
+    on first use, so that importing the package does not pay for it."""
+    from scipy import integrate
+
     val, err, info = integrate.quad(f, a, b, epsabs=tol, epsrel=1e-12,
                                     limit=200, full_output=True)[:3]
     result = QuadratureResult(val, err, int(info["neval"]))
@@ -241,26 +246,52 @@ def row_blocks(count: int) -> list[slice]:
 
 
 def mean_with_budget(values: np.ndarray):
-    """Mean over axis 0 and the Monte Carlo budget 3 (s / sqrt N) of it."""
-    N = len(values)
-    return values.mean(axis=0), 3.0 * (values.std(axis=0, ddof=1) / np.sqrt(N))
+    """Mean over axis 0 and the Monte Carlo budget 3 (s / sqrt N) of it.
 
-
-def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureResult:
-    """Plain Monte Carlo: mean of ``integrand`` times the region measure.
-
-    ``error_estimate`` is three standard errors (a 99.7% budget).  The
-    integrand must be vectorized over an (N, d) array of points.
+    On C-ordered (N, n >= 2) values, numpy's axis-0 mean and deviation add
+    the rows in sequence, along rows only n long.  A cumsum down each
+    column adds in the same sequence, so the column loop below gives the
+    same bits while running along length-N arrays.  1-D and (N, 1) values
+    are summed pairwise by numpy and keep its reductions.
     """
+    N = len(values)
+    if values.ndim != 2 or values.shape[1] < 2 or not values.flags.c_contiguous:
+        return values.mean(axis=0), 3.0 * (values.std(axis=0, ddof=1) / np.sqrt(N))
+    mean, sd = np.empty(values.shape[1]), np.empty(values.shape[1])
+    for j in range(values.shape[1]):
+        col = np.ascontiguousarray(values[:, j])
+        mean[j] = np.cumsum(col)[-1] / N
+        col -= mean[j]
+        col *= col
+        sd[j] = np.sqrt(np.cumsum(col)[-1] / (N - 1))
+    return mean, 3.0 * (sd / np.sqrt(N))
+
+
+def monte_carlo_estimate(values: np.ndarray, points: np.ndarray,
+                         measure: float) -> QuadratureResult:
+    """Plain Monte Carlo estimate from integrand values at N uniform points
+    of a region: the mean times the region's measure.
+
+    ``error_estimate`` is three standard errors (a 99.7% budget).
+    """
+    N = len(values)
     if N < 1000:
         raise ConfigurationError(f"need N >= 1000 Monte Carlo samples, got {N}")
-    gen = stream.generator()
-    points = sampler.sample(gen, N)
-    values = np.asarray(integrand(points), dtype=float)
     bad = ~np.isfinite(values)
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise EvaluationError("integrand returned a non-finite value",
                               point=points[idx])
     mean, budget = map(float, mean_with_budget(values))
-    return QuadratureResult(mean * sampler.measure, budget * sampler.measure, N)
+    return QuadratureResult(mean * measure, budget * measure, N)
+
+
+def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureResult:
+    """Plain Monte Carlo of ``integrand`` over the sampler's box.
+
+    The integrand must be vectorized over an (N, d) array of points; see
+    ``monte_carlo_estimate`` for the value and its budget.
+    """
+    points = sampler.sample(stream.generator(), N)
+    return monte_carlo_estimate(np.asarray(integrand(points), dtype=float),
+                                points, sampler.measure)

@@ -498,6 +498,56 @@ def test_pointwise_values_match_two_contains(n, mode):
         lo, hi = K.bounding_box()
         points = lo + gen.random((50_000, n)) * (hi - lo)
         q = pb.CovariogramQuery(K, g, g if mode == "functional" else None, mode=mode)
-        new = _pointwise_values(q, points, x)
+        new, = _pointwise_values(q, points, [x])
         assert new.tobytes() == _two_contains_integrand(q, points, x).tobytes()
         assert np.count_nonzero(new) > 1000
+
+
+@pytest.mark.parametrize("mode", ["plain", "functional", "polarized"])
+def test_mu_covariogram_stack_matches_one_draw_per_translation(mode):
+    """Translations that share a draw get the bits of a Monte Carlo run of
+    their own: one box per x, the integrand phi(p) [p, p - x in K] (f(p - x)
+    phi(p) [...] in functional mode; p ± x/2 in K in polarized mode)."""
+    K = pb.random_polytope(3, pb.RandomStream(424242).substream(20))
+    g = pb.gaussian(3)
+    q = pb.CovariogramQuery(K, g, f=g if mode == "functional" else None,
+                            mode=mode, stream=pb.RandomStream(11), N=20_000)
+    theta = np.array([0.6, -0.48, 0.64])
+    xs = np.outer([0.0, 0.2, 0.7, 1.3, 9.0], theta)
+    got = pb.mu_covariogram(q, xs)
+    assert len(got) == len(xs)
+    for x, res in zip(xs, got):
+        c = K.normals @ x
+        need = np.abs(c) / 2.0 if mode == "polarized" else np.maximum(-c, 0.0)
+        pad = np.linalg.norm(x) / 2.0 if mode == "polarized" else 0.0
+        lo, hi = K.bounding_box()
+
+        def integrand(p, x=x, need=need):
+            inside = np.all(K.slack(p) >= need[:, None], axis=0)
+            weight = g.eval(p - x) * g.eval(p) if mode == "functional" else g.eval(p)
+            return weight * inside
+
+        ref = pb.monte_carlo(pb.BoxSampler(lo - pad, hi + pad), integrand,
+                             q.N, q.stream)
+        assert res.value.hex() == ref.value.hex()
+        assert res.error_estimate.hex() == ref.error_estimate.hex()
+        assert res.evaluations == ref.evaluations
+        one = pb.mu_covariogram(q, x)
+        assert (one.value, one.error_estimate) == (res.value, res.error_estimate)
+
+
+def test_concavity_check_draws_once_per_ray(monkeypatch):
+    """Each ray's three covariograms share one draw of box points."""
+    from projbodies.inequalities import _concavity_check
+    draws = []
+    sample = pb.BoxSampler.sample
+
+    def counting(self, gen, count):
+        draws.append(count)
+        return sample(self, gen, count)
+
+    monkeypatch.setattr(pb.BoxSampler, "sample", counting)
+    ok, worst = _concavity_check(pb.log_family(), pb.cube(2), pb.gaussian(2),
+                                 None, pb.RunConfig(seed=7), pb.RandomStream(7),
+                                 triples=4)
+    assert ok and len(draws) == 4

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -284,10 +285,11 @@ def _reference_integral(fn, spx, budget):
     """One simplex at a time on an explicit stack, each child's rule value
     kept as its coarse value: the arithmetic and order of the batched code."""
     d = len(spx) - 1
-    bary, w = pb.measures._rule(d)
+    bary, w = pb.measures._grundmann_moller(d)
+    floor = pb.measures._ROUNDOFF_ULPS * pb.measures._EPS
 
     def value(s):
-        return float(np.dot(w, fn(bary @ s))) * pb.bodies.simplex_measure(s)
+        return float(np.sum(fn(bary @ s) * w)) * pb.bodies.simplex_measure(s)
 
     def split(s):
         mid = {(i, j): 0.5 * (s[i] + s[j]) for i in range(d + 1)
@@ -306,9 +308,10 @@ def _reference_integral(fn, spx, budget):
         fine = 0.0
         for v in kid_vals:
             fine += v
-        if abs(fine - coarse) <= b or depth >= pb.measures._MAX_DEPTH:
+        local_err = abs(fine - coarse) + floor * abs(fine)
+        if local_err <= b or depth >= pb.measures._MAX_DEPTH:
             total += fine
-            err += abs(fine - coarse)
+            err += local_err
         else:
             stack += [(k, v, b / len(kids), depth + 1)
                       for k, v in zip(kids, kid_vals)]
@@ -329,14 +332,9 @@ def test_facet_integrals_match_per_simplex_reference(n, tol):
             ref_errors[i] += e
             ref_evals += ne
     assert evals == ref_evals
-    if n == 2:
-        # the same arithmetic in the same order
-        assert np.array_equal(values, ref_values)
-        assert np.array_equal(errors, ref_errors)
-    else:
-        # 3-point dot products round differently batched than one at a time
-        assert np.allclose(values, ref_values, rtol=1e-13, atol=0)
-        assert np.allclose(errors, ref_errors, rtol=1e-8, atol=1e-15)
+    # the same arithmetic in the same order
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(errors, ref_errors)
 
 
 def test_facet_integrals_independent_of_batch_size(cube3, monkeypatch):
@@ -367,3 +365,70 @@ def test_builtin_densities_match_row_formulas(n):
     U = L.normals / L.offsets[:, None]
     assert np.array_equal(pb.exp_norm(L).eval(p),
                           np.exp(-np.max(p @ U.T, axis=1)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grundmann_moller_rule_is_exact_to_degree_9(d):
+    """Barycentric monomials b^alpha integrate over the simplex (measure 1)
+    to d! alpha! / (d + |alpha|)!, exactly up to |alpha| = 9."""
+    bary, w = pb.measures._grundmann_moller(d)
+    assert len(w) == {1: 15, 2: 35, 3: 70}[d]
+    assert np.allclose(bary.sum(axis=1), 1.0, rtol=0, atol=2e-16)
+    assert abs(math.fsum(w) - 1.0) <= 1e-15
+    degree_10 = []
+    for alpha in itertools.product(range(11), repeat=d + 1):
+        k = sum(alpha)
+        if k > 10:
+            continue
+        exact = (math.factorial(d) * math.prod(map(math.factorial, alpha))
+                 / math.factorial(d + k))
+        rel = abs(math.fsum(w * np.prod(bary ** np.array(alpha), axis=1))
+                  - exact) / exact
+        if k <= 9:
+            assert rel <= 1e-13, alpha
+        else:
+            degree_10.append(rel)
+    assert max(degree_10) > 1e-6   # degree 9, not more
+
+
+def _gauss_legendre_facet_integrals(K, fn, order=40):
+    """Facet integrals by a tensor Gauss-Legendre rule on each facet simplex
+    (collapsed onto the triangle in 3-D), summed with math.fsum: a reference
+    that shares no rule or refinement with ``facet_integrals``."""
+    x, gw = np.polynomial.legendre.leggauss(order)
+    x, gw = (x + 1.0) / 2.0, gw / 2.0
+    values = []
+    for simplices in K.facet_simplices:
+        parts = []
+        for spx in simplices:
+            if len(spx) == 2:
+                p = spx[0] + x[:, None] * (spx[1] - spx[0])
+                parts += list(fn(p) * gw * np.linalg.norm(spx[1] - spx[0]))
+            else:
+                s, t = (a.ravel() for a in np.meshgrid(x, x, indexing="ij"))
+                p = (spx[0] + s[:, None] * (spx[1] - spx[0])
+                     + (s * t)[:, None] * (spx[2] - spx[1]))
+                jac = np.linalg.norm(np.cross(spx[1] - spx[0], spx[2] - spx[1]))
+                parts += list(fn(p) * np.outer(gw, gw).ravel() * s * jac)
+        values.append(math.fsum(parts))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-11])
+def test_facet_integral_errors_bound_the_true_error(tol):
+    """On c04's bodies, cube(2) and cube(3), for phi and phi^2, the error
+    reported for each facet is at least its distance to a tight reference."""
+    stream = pb.RandomStream(424242)
+    bodies = [pb.random_polytope(2, stream.substream(i)) for i in range(6)]
+    bodies += [pb.random_polytope(2, stream.substream(10 + i), symmetric=True)
+               for i in range(6)]
+    bodies += [pb.random_polytope(3, stream.substream(20 + i)) for i in range(4)]
+    bodies += [pb.random_polytope(3, stream.substream(30 + i), symmetric=True)
+               for i in range(4)]
+    for K in bodies + [pb.cube(2), pb.cube(3)]:
+        g = pb.gaussian(K.n)
+        for fn in (g.eval, lambda p, g=g: g.eval(p) ** 2):
+            values, errors, _ = pb.measures.facet_integrals(K, fn, tol)
+            truth = _gauss_legendre_facet_integrals(K, fn)
+            assert np.all(np.abs(values - truth) <= errors)
+            assert np.all(errors <= tol)

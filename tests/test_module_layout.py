@@ -4,12 +4,16 @@ Reports, run configs and the tolerance rule live in ``report`` alone; other
 modules reach them, and each other, through public names imported at module
 top, so no module depends on another's private helpers.  The library needs
 neither ``scipy.stats`` nor ``scipy.optimize``: exact polytope algebra and
-``scipy.special`` cover what they were used for.
+``scipy.special`` cover what they were used for.  ``scipy.integrate`` (which
+loads ``scipy.optimize``) is imported only when a 1-D quadrature runs.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,14 +39,33 @@ def test_no_private_names_across_modules(path):
     assert not private, f"{path.name} imports private names: {private}"
 
 
+# The one import deferred to first use: ``integrate_1d`` imports
+# ``scipy.integrate`` (and with it ``scipy.optimize``) only when called.
+DEFERRED = {("numerics.py", "scipy", "integrate")}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_imports_at_module_top(path):
     nested = [f"{inner.lineno}"
               for node in ast.walk(_tree(path))
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               for inner in ast.walk(node)
-              if isinstance(inner, (ast.Import, ast.ImportFrom))]
+              if isinstance(inner, (ast.Import, ast.ImportFrom))
+              and not (isinstance(inner, ast.ImportFrom)
+                       and all((path.name, inner.module, alias.name) in DEFERRED
+                               for alias in inner.names))]
     assert not nested, f"{path.name} imports inside functions at lines {nested}"
+
+
+def test_import_leaves_out_scipy_integrate_and_optimize():
+    """A fresh interpreter that imports the package has loaded neither."""
+    code = ("import sys, projbodies; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import projbodies as pb
-from projbodies.numerics import MC_BLOCK, BoxSampler, row_blocks
+from projbodies.numerics import MC_BLOCK, BoxSampler, mean_with_budget, row_blocks
 
 
 def test_sphere_grid_2d_axes():
@@ -179,3 +179,22 @@ def test_monte_carlo_bit_identical(stream):
     r1 = pb.monte_carlo(box, f, 5000, stream)
     r2 = pb.monte_carlo(box, f, 5000, stream)
     assert r1.value == r2.value and r1.error_estimate == r2.error_estimate
+
+
+@pytest.mark.parametrize("N", [1000, 65537, 200_000])
+@pytest.mark.parametrize("shape", ["1d", 1, 2, 3, 4, "fortran"])
+def test_mean_with_budget_has_the_bits_of_numpy_reductions(shape, N):
+    """Column sums in sequence give the bits of numpy's axis-0 mean and
+    deviation, on values whose order of summation shows in the result."""
+    gen = np.random.default_rng(N)
+    n = {"1d": 1, "fortran": 3}.get(shape, shape)
+    values = gen.standard_normal((N, n)) * np.exp(3.0 * gen.standard_normal((N, 1)))
+    values[gen.random(N) < 0.5] = 0.0
+    if shape == "1d":
+        values = values[:, 0].copy()
+    elif shape == "fortran":
+        values = np.asfortranarray(values)
+    mean, budget = mean_with_budget(values)
+    assert mean.tobytes() == values.mean(axis=0).tobytes()
+    assert budget.tobytes() == (
+        3.0 * (values.std(axis=0, ddof=1) / np.sqrt(N))).tobytes()
