@@ -44,7 +44,7 @@ from .measures import Density, lebesgue, measure_body, DEFAULT_MC_SAMPLES
 from .numerics import (MC_BLOCK, BoxSampler, ConfigurationError, DomainError,
                        PrecisionError, QuadratureFailure, QuadratureResult,
                        RandomStream, mean_with_budget, monte_carlo,
-                       monte_carlo_estimate, row_blocks)
+                       monte_carlo_estimate, monte_carlo_points, row_blocks)
 
 
 @dataclass
@@ -239,7 +239,7 @@ def _covariograms_on_one_draw(q: CovariogramQuery, box: BoxSampler,
     """Monte Carlo covariograms at the translations ``xs`` on one draw of
     box points.  The values at each x are those a draw of its own would
     give, so sharing the draw changes no bits."""
-    points = box.sample(q.stream.generator(), q.N)
+    points = monte_carlo_points(box, q.N, q.stream)
     return [monte_carlo_estimate(values, points, box.measure)
             for values in _pointwise_values(q, points, xs)]
 

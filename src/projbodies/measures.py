@@ -9,11 +9,11 @@ checked against 1000 random probes at construction time.
 Boundary integrals resolve per facet: mu(dK) is the facet-integral form of
 the weighted surface-area measure, computed by adaptive simplex subdivision
 with the Grundmann-Moller cubature rule of degree 9.  For polytopes with phi
-continuous near dK
-this coincides with the liminf definition of the boundary measure.  The
-simplices of all facets are refined together in batches: each batch makes
-one density call on all of its children's nodes, and batches are bounded
-in size so that memory stays flat however tight the tolerance.  Child
+continuous near dK this coincides with the liminf definition of the
+boundary measure.  The simplices of all facets are refined together in
+batches: each batch makes one density call on all of its children's nodes,
+and batches are bounded in size so that memory stays flat however tight
+the tolerance.  Child
 measures are Gram determinants taken for the whole batch at once, and
 accepted values are summed in the order of a one-simplex-at-a-time
 recursion, so results do not depend on the batching.  The reported
@@ -276,7 +276,6 @@ _MAX_DEPTH = 14
 _BATCH = 4096  # simplices refined per density call: bounds memory at tight tol
 _GM_S = 4      # Grundmann-Moller rule of degree 2s + 1 = 9
 _ROUNDOFF_ULPS = 16  # roundoff floor added to each accepted error, in ulp of |value|
-_EPS = float(np.finfo(float).eps)
 
 
 @functools.cache
@@ -334,11 +333,11 @@ def facet_integrals(K: Polytope, fn, tol: float = 1e-9):
     tests compare it with tight references.  All facets are refined
     together: a batch of at most ``_BATCH`` simplices makes one call of
     ``fn`` on all of its children's nodes, so memory stays flat however
-    tight ``tol`` is.  A
-    child's rule value is kept as its coarse value when it is refined in
-    turn, so no rule is evaluated twice.  Accepted values are summed
-    depth-first, simplex by simplex, so the result does not depend on the
-    batching.  ``evaluations`` is the number of points passed to ``fn``.
+    tight ``tol`` is.  A child's rule value is kept as its coarse value when
+    it is refined in turn, so no rule is evaluated twice.  Accepted values
+    are summed depth-first, simplex by simplex, so the result does not
+    depend on the batching.  ``evaluations`` is the number of points passed
+    to ``fn``.
     """
     roots = np.concatenate(K.facet_simplices)
     d, n = roots.shape[1] - 1, roots.shape[2]
@@ -380,7 +379,8 @@ def facet_integrals(K: Polytope, fn, tol: float = 1e-9):
         fine = kid_vals[:, 0]  # children added in order, not pairwise
         for j in range(1, c):
             fine = fine + kid_vals[:, j]
-        local_err = np.abs(fine - coarse) + _ROUNDOFF_ULPS * _EPS * np.abs(fine)
+        local_err = (np.abs(fine - coarse)
+                     + _ROUNDOFF_ULPS * np.finfo(float).eps * np.abs(fine))
         done = local_err <= budget
         if depth >= _MAX_DEPTH and not done.all():
             raise QuadratureFailure(

@@ -267,23 +267,28 @@ def mean_with_budget(values: np.ndarray):
     return mean, 3.0 * (sd / np.sqrt(N))
 
 
+def monte_carlo_points(sampler, N: int, stream: RandomStream) -> np.ndarray:
+    """The N uniform points of the sampler's box that ``monte_carlo`` draws,
+    from a fresh generator of ``stream``."""
+    if N < 1000:
+        raise ConfigurationError(f"need N >= 1000 Monte Carlo samples, got {N}")
+    return sampler.sample(stream.generator(), N)
+
+
 def monte_carlo_estimate(values: np.ndarray, points: np.ndarray,
                          measure: float) -> QuadratureResult:
-    """Plain Monte Carlo estimate from integrand values at N uniform points
-    of a region: the mean times the region's measure.
+    """Plain Monte Carlo estimate from integrand values at uniform points of
+    a region: the mean times the region's measure.
 
     ``error_estimate`` is three standard errors (a 99.7% budget).
     """
-    N = len(values)
-    if N < 1000:
-        raise ConfigurationError(f"need N >= 1000 Monte Carlo samples, got {N}")
     bad = ~np.isfinite(values)
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise EvaluationError("integrand returned a non-finite value",
                               point=points[idx])
     mean, budget = map(float, mean_with_budget(values))
-    return QuadratureResult(mean * measure, budget * measure, N)
+    return QuadratureResult(mean * measure, budget * measure, len(values))
 
 
 def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureResult:
@@ -292,6 +297,6 @@ def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureR
     The integrand must be vectorized over an (N, d) array of points; see
     ``monte_carlo_estimate`` for the value and its budget.
     """
-    points = sampler.sample(stream.generator(), N)
+    points = monte_carlo_points(sampler, N, stream)
     return monte_carlo_estimate(np.asarray(integrand(points), dtype=float),
                                 points, sampler.measure)

@@ -286,7 +286,7 @@ def _reference_integral(fn, spx, budget):
     kept as its coarse value: the arithmetic and order of the batched code."""
     d = len(spx) - 1
     bary, w = pb.measures._grundmann_moller(d)
-    floor = pb.measures._ROUNDOFF_ULPS * pb.measures._EPS
+    floor = pb.measures._ROUNDOFF_ULPS * np.finfo(float).eps
 
     def value(s):
         return float(np.sum(fn(bary @ s) * w)) * pb.bodies.simplex_measure(s)
