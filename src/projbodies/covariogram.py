@@ -234,16 +234,6 @@ def _pointwise_values(q: CovariogramQuery, points: np.ndarray, xs):
             yield phi * inside
 
 
-def _covariograms_on_one_draw(q: CovariogramQuery, box: BoxSampler,
-                              xs: np.ndarray) -> list[QuadratureResult]:
-    """Monte Carlo covariograms at the translations ``xs`` on one draw of
-    box points.  The values at each x are those a draw of its own would
-    give, so sharing the draw changes no bits."""
-    points = monte_carlo_points(box, q.N, q.stream)
-    return [monte_carlo_estimate(values, points, box.measure)
-            for values in _pointwise_values(q, points, xs)]
-
-
 def mu_covariogram(q: CovariogramQuery, x):
     """g_{mu,K}(x), r_{mu,K}(x) or g_{mu,f}(K, x), per ``q.mode``.
 
@@ -252,7 +242,8 @@ def mu_covariogram(q: CovariogramQuery, x):
     (plain/polarized) or the L^1(mu, K) norm of f (functional).  The
     Lebesgue plain/polarized path is exact.  Otherwise the translations
     share one draw from ``q.stream`` over K's box, except in polarized mode,
-    whose box is padded by |x| / 2 and so drawn afresh for each x.
+    whose box is padded by |x| / 2 and so drawn afresh for each x.  Each
+    translation gets the bits a draw of its own would give.
     """
     xs = np.asarray(x, dtype=float)
     single = xs.ndim == 1
@@ -260,14 +251,19 @@ def mu_covariogram(q: CovariogramQuery, x):
     if q.mu.is_lebesgue and q.mode in ("plain", "polarized"):
         # r_{lambda,K} = g_K by translation invariance
         results = [QuadratureResult(covariogram_exact(q.K, x), 0.0, 0) for x in xs]
-    elif q.stream is None:
+        return results[0] if single else results
+    if q.stream is None:
         raise ConfigurationError("Monte Carlo covariogram needs a stream")
-    elif q.mode == "polarized":
-        results = [_covariograms_on_one_draw(
-            q, _sampling_box(q, float(np.linalg.norm(x)) / 2.0), x[None])[0]
-            for x in xs]
+    if q.mode == "polarized":
+        draws = [(_sampling_box(q, float(np.linalg.norm(x)) / 2.0), x[None])
+                 for x in xs]
     else:
-        results = _covariograms_on_one_draw(q, _sampling_box(q), xs)
+        draws = [(_sampling_box(q), xs)]
+    results = []
+    for box, group in draws:
+        points = monte_carlo_points(box, q.N, q.stream)
+        results += [monte_carlo_estimate(values, points, box.measure)
+                    for values in _pointwise_values(q, points, group)]
     return results[0] if single else results
 
 
