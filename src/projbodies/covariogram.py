@@ -9,20 +9,22 @@ reads the vertices of K ∩ (K+x) off the same pairs) and samples each piece
 at n + 1 nodes.  Mean bodies integrate the pieces in closed form,
 and the slope of the first one is the exact brightness derivative.
 
-The measure-weighted variants are Monte Carlo over the intersection, known
-in H-representation (membership tests against K's facets).  Several
-translations share one draw of box points, one projection onto K's normals
-and one phi; only the polarized mode, whose box grows with |x|, draws
-afresh for each.  Their
-brightness derivatives Richardson-combine difference quotients on common
-random points, projected onto K's normals once: each point's largest
-admissible step along theta, read off its facet slacks, gives every mask.
-Each point's combined quotient 4 v(h/2) - v(h) - 3 v(0) is exactly +0.0
-unless the point lies in K within that step h of its shadow boundary, so
-the plain and polarized kernels evaluate the density on that sliver alone
-(about 0.1% of the box) and leave exact zeros elsewhere.  The kernel runs
-on blocks of ``numerics.MC_BLOCK`` rows, so its (m, rows) slacks never
-span all N points and its memory does not depend on the body or the seed.
+The measure-weighted variants are ``numerics.monte_carlo`` over the
+intersection, known in H-representation (membership tests against K's
+facets).  Several translations are the columns of one integrand: they share
+one draw of box points, one projection onto K's normals and one phi, and
+each column gets the bits of a draw of its own.  Only the polarized mode,
+whose box grows with |x|, draws afresh for each.  Their brightness
+derivatives are ``monte_carlo`` of Richardson-combined difference quotients
+on common random points, projected onto K's normals once: each point's
+largest admissible step along theta, read off its facet slacks, gives every
+mask.  Each point's combined quotient 4 v(h/2) - v(h) - 3 v(0) is exactly
++0.0 unless the point lies in K within that step h of its shadow boundary,
+so the plain and polarized kernels evaluate the density on that sliver
+alone (about 0.1% of the box) and leave exact zeros elsewhere.  The
+integrand runs the kernel on blocks of ``numerics.MC_BLOCK`` rows, so its
+(m, rows) slacks never span all N points and its memory does not depend on
+the body or the seed.
 
 Translated averages integrate a covariogram against a second measure by
 sampling pairs of uniform points of K.  ``sample_uniform`` draws them by
@@ -43,8 +45,7 @@ from .bodies import Polytope
 from .measures import Density, lebesgue, measure_body, DEFAULT_MC_SAMPLES
 from .numerics import (MC_BLOCK, BoxSampler, ConfigurationError, DomainError,
                        PrecisionError, QuadratureFailure, QuadratureResult,
-                       RandomStream, mean_with_budget, monte_carlo,
-                       monte_carlo_estimate, monte_carlo_points, row_blocks)
+                       RandomStream, mean_with_budget, monte_carlo, row_blocks)
 
 
 @dataclass
@@ -240,10 +241,11 @@ def mu_covariogram(q: CovariogramQuery, x):
     ``x`` is one translation (n,), which gives one ``QuadratureResult``, or a
     stack (k, n) of them, which gives a list.  At x = 0 the value is mu(K)
     (plain/polarized) or the L^1(mu, K) norm of f (functional).  The
-    Lebesgue plain/polarized path is exact.  Otherwise the translations
-    share one draw from ``q.stream`` over K's box, except in polarized mode,
-    whose box is padded by |x| / 2 and so drawn afresh for each x.  Each
-    translation gets the bits a draw of its own would give.
+    Lebesgue plain/polarized path is exact.  Otherwise the translations are
+    the columns of one ``monte_carlo`` call from ``q.stream`` over K's box,
+    except in polarized mode, whose box is padded by |x| / 2 and so drawn
+    afresh for each x.  Each translation gets the bits a draw of its own
+    would give.
     """
     xs = np.asarray(x, dtype=float)
     single = xs.ndim == 1
@@ -252,8 +254,6 @@ def mu_covariogram(q: CovariogramQuery, x):
         # r_{lambda,K} = g_K by translation invariance
         results = [QuadratureResult(covariogram_exact(q.K, x), 0.0, 0) for x in xs]
         return results[0] if single else results
-    if q.stream is None:
-        raise ConfigurationError("Monte Carlo covariogram needs a stream")
     if q.mode == "polarized":
         draws = [(_sampling_box(q, float(np.linalg.norm(x)) / 2.0), x[None])
                  for x in xs]
@@ -261,9 +261,13 @@ def mu_covariogram(q: CovariogramQuery, x):
         draws = [(_sampling_box(q), xs)]
     results = []
     for box, group in draws:
-        points = monte_carlo_points(box, q.N, q.stream)
-        results += [monte_carlo_estimate(values, points, box.measure)
-                    for values in _pointwise_values(q, points, group)]
+        def columns(points, group=group):
+            # stacked column-major, so each column is reduced in place
+            return np.array(list(_pointwise_values(q, points, group))).T
+
+        res = monte_carlo(box, columns, q.N, q.stream)
+        results += [QuadratureResult(float(v), float(e), res.evaluations)
+                    for v, e in zip(res.value, res.error_estimate)]
     return results[0] if single else results
 
 
@@ -274,9 +278,10 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
     The exact Lebesgue path reads it off the first piece of ``ray_pieces``:
     the linear coefficient c_1 / b, with an error propagated from the
     piece's check residual plus a roundoff floor of 64 ulp of Vol K.  The
-    Monte Carlo path Richardson-combines difference quotients at steps
-    {h, h/2} (h defaults to 1e-3 of the body diameter) on common random
-    points and reports three standard errors of the combined quotient.
+    Monte Carlo path is ``monte_carlo`` of the Richardson-combined
+    difference quotients at steps {h, h/2}, divided by h (h defaults to
+    1e-3 of the body diameter), on common random points; its budget is
+    three standard errors of that quotient.
     The quotients are per point, so building them a block of rows at a
     time gives the bits of one call over all N points (tests pin this in
     two and three dimensions).
@@ -295,17 +300,15 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
         value, evals = first.coefficients[1] / first.b, q.K.n + 1
         err = np.abs(_nodal_inverse(q.K.n)[1]).sum() * noise / first.b
     else:
-        if q.stream is None:
-            raise ConfigurationError("Monte Carlo brightness needs a stream")
-        box = _sampling_box(q, pad=h)
-        gen = q.stream.generator()
-        points = box.sample(gen, q.N)
-        r = np.empty(q.N)
-        for block in row_blocks(q.N):
-            r[block] = _brightness_quotients(q, points[block], theta, h)
-        r *= box.measure / h
-        value, err = map(float, mean_with_budget(r))
-        evals = 3 * q.N
+        def quotients(points):
+            r = np.empty(len(points))
+            for block in row_blocks(len(points)):
+                r[block] = _brightness_quotients(q, points[block], theta, h)
+            r /= h
+            return r
+
+        res = monte_carlo(_sampling_box(q, pad=h), quotients, q.N, q.stream)
+        value, err, evals = res.value, res.error_estimate, 3 * q.N
     if q.tol is not None and err > q.tol:
         raise PrecisionError(
             f"brightness error budget {err:.3e} exceeds tol {q.tol:.3e}; "
@@ -381,7 +384,7 @@ def translated_average(kind: str, K, mu: Density | None = None,
     if kind == "mu_lambda":
         if mu is None:
             raise ConfigurationError("mu_lambda needs mu")
-        mean, err = map(float, mean_with_budget(mu.eval(ys - ws) * vol))
+        mean, err = mean_with_budget(mu.eval(ys - ws) * vol)
         return QuadratureResult(mean, err, N)
 
     if kind == "nu_mu_body":
@@ -400,7 +403,7 @@ def translated_average(kind: str, K, mu: Density | None = None,
 
     if den.value <= 0:
         raise DomainError(f"zero normalizer for kind {kind!r}")
-    num, num_err = map(float, mean_with_budget(num_vals))
+    num, num_err = mean_with_budget(num_vals)
     value = num / den.value
     err = num_err / den.value + abs(num) * den.error_estimate / den.value ** 2
     return QuadratureResult(value, err, 2 * N)

@@ -308,7 +308,7 @@ def _verify_exp_norm_gradient(K, mu, nu, f, family, s, cfg) -> Report:
         gen = cfg.stream().substream(3).generator()
         raw = gen.standard_normal((cfg.samples // 4, n))
         omega = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        mean, budget = map(float, mean_with_budget(angular(omega)))
+        mean, budget = mean_with_budget(angular(omega))
         surf = n * ball_volume(n)
         rhs, rhs_err = mean * surf, budget * surf
     witnesses = {"mu_boundary": Witness(bm.value, bm.error_estimate),

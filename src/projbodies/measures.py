@@ -216,8 +216,6 @@ def measure_body(mu: Density, K, stream: RandomStream | None = None,
     """mu(K): exact for Lebesgue, otherwise Monte Carlo over K's box."""
     if mu.is_lebesgue:
         return QuadratureResult(bodies.volume(K), 0.0, 0)
-    if stream is None:
-        raise ConfigurationError("non-Lebesgue measures need a RandomStream")
     lo, hi = K.bounding_box()
     sampler = BoxSampler(lo, hi)
     contains = K.contains

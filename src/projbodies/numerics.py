@@ -1,7 +1,7 @@
 """Deterministic random streams, sphere grids, quadrature and Gaussian helpers.
 
 Everything downstream (Monte Carlo measure evaluation, polar volumes, the
-inequality reports) builds on the three primitives here:
+inequality reports) builds on the four primitives here:
 
 * ``RandomStream`` -- a splittable, reproducible source of randomness.  Two
   runs with the same ``(seed, stream_index)`` produce bit-identical output;
@@ -10,6 +10,10 @@ inequality reports) builds on the three primitives here:
   with the weights summing to the sphere's surface measure n*kappa_n.
 * ``QuadratureResult`` -- a value together with an error estimate that every
   caller treats as an upper bound when it builds tolerance budgets.
+* ``monte_carlo`` -- the one box Monte Carlo estimator.  mu(K), L^1 norms,
+  polar-set measures, mu-covariograms, their brightness derivatives and
+  the interior offset integrals all draw through it, so its guards (a
+  stream, N >= 1000, finite values) hold for every one of them.
 """
 
 from __future__ import annotations
@@ -67,6 +71,8 @@ class RandomStream:
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """A value and its error budget; (k,) arrays for k Monte Carlo columns."""
+
     value: float
     error_estimate: float
     evaluations: int
@@ -248,55 +254,46 @@ def row_blocks(count: int) -> list[slice]:
 def mean_with_budget(values: np.ndarray):
     """Mean over axis 0 and the Monte Carlo budget 3 (s / sqrt N) of it.
 
-    On C-ordered (N, n >= 2) values, numpy's axis-0 mean and deviation add
-    the rows in sequence, along rows only n long.  A cumsum down each
-    column adds in the same sequence, so the column loop below gives the
-    same bits while running along length-N arrays.  1-D and (N, 1) values
-    are summed pairwise by numpy and keep its reductions.
+    Each column of (N, k) values is reduced as one contiguous run by numpy's
+    1-D ``mean`` and ``std(ddof=1)``, which sum pairwise, so every column
+    has the bits of a 1-D run of its own.  Column-major values are read in
+    place; a row-major column is copied first.  1-D values give floats,
+    (N, k) values (k,) arrays.
     """
     N = len(values)
-    if values.ndim != 2 or values.shape[1] < 2 or not values.flags.c_contiguous:
-        return values.mean(axis=0), 3.0 * (values.std(axis=0, ddof=1) / np.sqrt(N))
-    mean, sd = np.empty(values.shape[1]), np.empty(values.shape[1])
-    for j in range(values.shape[1]):
-        col = np.ascontiguousarray(values[:, j])
-        mean[j] = np.cumsum(col)[-1] / N
-        col -= mean[j]
-        col *= col
-        sd[j] = np.sqrt(np.cumsum(col)[-1] / (N - 1))
-    return mean, 3.0 * (sd / np.sqrt(N))
-
-
-def monte_carlo_points(sampler, N: int, stream: RandomStream) -> np.ndarray:
-    """The N uniform points of the sampler's box that ``monte_carlo`` draws,
-    from a fresh generator of ``stream``."""
-    if N < 1000:
-        raise ConfigurationError(f"need N >= 1000 Monte Carlo samples, got {N}")
-    return sampler.sample(stream.generator(), N)
-
-
-def monte_carlo_estimate(values: np.ndarray, points: np.ndarray,
-                         measure: float) -> QuadratureResult:
-    """Plain Monte Carlo estimate from integrand values at uniform points of
-    a region: the mean times the region's measure.
-
-    ``error_estimate`` is three standard errors (a 99.7% budget).
-    """
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise EvaluationError("integrand returned a non-finite value",
-                              point=points[idx])
-    mean, budget = map(float, mean_with_budget(values))
-    return QuadratureResult(mean * measure, budget * measure, len(values))
+    cols = np.reshape(values, (N, -1)).T
+    mean, sd = np.empty(len(cols)), np.empty(len(cols))
+    for j, col in enumerate(cols):
+        col = np.ascontiguousarray(col)
+        mean[j], sd[j] = col.mean(), col.std(ddof=1)
+    budget = 3.0 * (sd / np.sqrt(N))
+    if np.ndim(values) == 1:
+        return float(mean[0]), float(budget[0])
+    return mean, budget
 
 
 def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureResult:
-    """Plain Monte Carlo of ``integrand`` over the sampler's box.
+    """Plain Monte Carlo of ``integrand`` over the sampler's box: the mean of
+    its values at N uniform points, times the box's measure, with three
+    standard errors (a 99.7% budget) as ``error_estimate``.
 
-    The integrand must be vectorized over an (N, d) array of points; see
-    ``monte_carlo_estimate`` for the value and its budget.
+    The integrand is vectorized over the (N, d) points.  It returns (N,)
+    values, or (N, k) columns that share the draw; each column then gets the
+    bits a 1-D run of its own would give, and the result's value and error
+    are (k,) arrays.  Stack columns column-major, so each is reduced in
+    place.  This is the one box estimator, and the one place that checks
+    the stream, the sample count and that every value is finite.
     """
-    points = monte_carlo_points(sampler, N, stream)
-    return monte_carlo_estimate(np.asarray(integrand(points), dtype=float),
-                                points, sampler.measure)
+    if stream is None:
+        raise ConfigurationError("Monte Carlo needs a RandomStream")
+    if N < 1000:
+        raise ConfigurationError(f"need N >= 1000 Monte Carlo samples, got {N}")
+    points = sampler.sample(stream.generator(), N)
+    values = np.asarray(integrand(points), dtype=float)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        row = int(np.argmax(np.reshape(bad, (N, -1)).any(axis=1)))
+        raise EvaluationError("integrand returned a non-finite value",
+                              point=points[row])
+    mean, budget = mean_with_budget(values)
+    return QuadratureResult(mean * sampler.measure, budget * sampler.measure, N)

@@ -27,7 +27,7 @@ from .covariogram import CovariogramQuery, brightness_derivative
 from .measures import (Density, compose_linear, facet_integrals,
                        facet_weights, lebesgue, DEFAULT_MC_SAMPLES)
 from .numerics import (BoxSampler, ConfigurationError, QuadratureResult,
-                       RandomStream, SphereGrid, ball_volume, mean_with_budget,
+                       RandomStream, SphereGrid, ball_volume, monte_carlo,
                        row_blocks)
 
 
@@ -161,8 +161,6 @@ def offset_vector(K: Polytope, mu: Density, f=None,
         cross, cross_err = _interior_vector(K, mu.grad, stream, N)
         return replace(off, cross_value=0.5 * cross, cross_error=0.5 * cross_err)
 
-    if stream is None:
-        raise ConfigurationError("tau needs a RandomStream")
     if not isinstance(f, Density):
         raise ConfigurationError("tau needs f with a gradient (a Density)")
 
@@ -197,22 +195,23 @@ def shifted_zonoid(K: Polytope, mu: Density, f=None,
 
 
 def _interior_vector(K: Polytope, fn, stream: RandomStream, N: int):
-    """Monte Carlo of a vector field over K; returns (vector, error).
+    """``monte_carlo`` of a vector field over K's box, one column per
+    component; returns (vector, norm of the componentwise errors).
 
-    Membership and the field are taken a block of rows at a time, so the
-    (m, rows) slacks and the gathered points stay block-sized.
+    The field is K's membership mask times ``fn``, taken a block of rows at
+    a time, so the (m, rows) slacks and the gathered points stay
+    block-sized.
     """
-    lo, hi = K.bounding_box()
-    box = BoxSampler(lo, hi)
-    gen = stream.generator()
-    points = box.sample(gen, N)
-    values = np.zeros_like(points)
-    for block in row_blocks(N):
-        p, v = points[block], values[block]
-        inside = K.contains(p)
-        v[inside] = fn(p[inside])   # the field only where it counts
-    mean, budget = mean_with_budget(values)
-    return mean * box.measure, float(np.linalg.norm(budget * box.measure))
+    def field(points):
+        values = np.zeros_like(points)
+        for block in row_blocks(len(points)):
+            p, v = points[block], values[block]
+            inside = K.contains(p)
+            v[inside] = fn(p[inside])   # the field only where it counts
+        return values
+
+    res = monte_carlo(BoxSampler(*K.bounding_box()), field, N, stream)
+    return res.value, float(np.linalg.norm(res.error_estimate))
 
 
 def brightness_residual(K: Polytope, mu: Density, theta, mode: str = "plain",

@@ -10,7 +10,7 @@ from scipy.spatial import ConvexHull, QhullError
 import projbodies as pb
 from projbodies.covariogram import (_brightness_quotients, _pointwise_values,
                                     _sampling_box, l1_norm, sample_uniform)
-from projbodies.numerics import MC_BLOCK, mean_with_budget, row_blocks
+from projbodies.numerics import MC_BLOCK, row_blocks
 
 
 def test_exact_values(square, triangle):
@@ -246,6 +246,28 @@ def test_brightness_precision_error(square, gauss2, stream):
         pb.brightness_derivative(q, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("mode", ["plain", "polarized", "functional"])
+def test_mc_brightness_has_the_monte_carlo_guards(square, gauss2, stream, mode):
+    """The Monte Carlo brightness needs a stream and N >= 1000, and a density
+    that is NaN on the sliver (the only points the kernel evaluates it at)
+    raises rather than returning a NaN value and budget."""
+    from conftest import nan_density
+    f = gauss2 if mode == "functional" else None
+    for kwargs in ({"stream": stream, "N": 500}, {"stream": None, "N": 2000}):
+        q = pb.CovariogramQuery(square, gauss2, f, mode=mode, **kwargs)
+        with pytest.raises(pb.ConfigurationError):
+            pb.brightness_derivative(q, [1.0, 0.0])
+    q = pb.CovariogramQuery(square, nan_density(2), f, mode=mode,
+                            stream=stream, N=2000)
+    with pytest.raises(pb.EvaluationError):
+        pb.brightness_derivative(q, [1.0, 0.0])
+
+
+def test_l1_norm_without_a_stream_is_a_configuration_error(square, gauss2):
+    with pytest.raises(pb.ConfigurationError):
+        pb.covariogram.l1_norm(gauss2, gauss2, square, None)
+
+
 def test_translated_average_identities(triangle, gauss2, leb2, stream):
     # integral of g_K against Lebesgue = Vol(K)^2, so mu_lambda = Vol(K)
     res = pb.translated_average("mu_lambda", triangle, mu=leb2, stream=stream)
@@ -454,7 +476,8 @@ def test_brightness_evaluates_phi_on_the_sliver_only():
 @pytest.mark.parametrize("n", [2, 3])
 def test_blocked_derivative_matches_one_kernel_call(n, mode):
     """Quotients built a block of rows at a time have the bits of one
-    kernel call over all the points, across an uneven last block."""
+    kernel call over all the points, across an uneven last block: the value
+    is mean(quotients / h) |box| and the budget three standard errors."""
     g = pb.gaussian(n)
     K = pb.random_polytope(n, pb.RandomStream(5151).substream(n), symmetric=True)
     theta = np.ones(n) / math.sqrt(n)
@@ -467,9 +490,11 @@ def test_blocked_derivative_matches_one_kernel_call(n, mode):
     h = 1e-3 * K.diameter
     box = _sampling_box(q, pad=h)
     points = box.sample(stream.generator(), N)
-    r = _brightness_quotients(q, points, theta, h) * (box.measure / h)
-    value, err = mean_with_budget(r)
-    assert res.value == float(value) and res.error_estimate == float(err)
+    r = _brightness_quotients(q, points, theta, h) / h
+    assert len(row_blocks(N)) == 3 and N % MC_BLOCK != 0
+    value = r.mean() * box.measure
+    err = 3.0 * (r.std(ddof=1) / np.sqrt(N)) * box.measure
+    assert res.value == value and res.error_estimate == err
     assert np.count_nonzero(r) > 0
 
 

@@ -5,7 +5,10 @@ modules reach them, and each other, through public names imported at module
 top, so no module depends on another's private helpers.  The library needs
 neither ``scipy.stats`` nor ``scipy.optimize``: exact polytope algebra and
 ``scipy.special`` cover what they were used for.  ``scipy.integrate`` (which
-loads ``scipy.optimize``) is imported only when a 1-D quadrature runs.
+loads ``scipy.optimize``) is imported only when a 1-D quadrature runs.  Box
+Monte Carlo has one estimator, ``numerics.monte_carlo``: it alone draws
+points from a sampler, apart from the rejection sampler for uniform points
+in K.
 """
 
 from __future__ import annotations
@@ -93,3 +96,35 @@ def test_report_types_defined_only_in_report():
             assert home <= defined
         else:
             assert not home & defined, f"{path.name} redefines {home & defined}"
+
+
+# The functions that may draw from a sampler: the one box estimator and the
+# rejection sampler behind the translated averages.
+SAMPLER_CALLERS = {("numerics.py", "monte_carlo"),
+                   ("covariogram.py", "sample_uniform")}
+
+
+def _sample_calls(path):
+    """(function, line) of every ``.sample(...)`` call in a module."""
+    calls = []
+    for node in _tree(path).body:
+        name = getattr(node, "name", "<module>")
+        calls += [(name, inner.lineno) for inner in ast.walk(node)
+                  if isinstance(inner, ast.Call)
+                  and isinstance(inner.func, ast.Attribute)
+                  and inner.func.attr == "sample"]
+    return calls
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_box_samples_are_drawn_only_by_monte_carlo(path):
+    stray = [f"{line}: {name}" for name, line in _sample_calls(path)
+             if (path.name, name) not in SAMPLER_CALLERS]
+    assert not stray, f"{path.name} draws sampler points outside monte_carlo: {stray}"
+
+
+def test_the_sampler_callers_still_draw():
+    """The allowed callers exist and draw, so the check above is not vacuous."""
+    found = {(path.name, name) for path in MODULES
+             for name, _ in _sample_calls(path)}
+    assert found == SAMPLER_CALLERS

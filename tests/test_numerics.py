@@ -184,8 +184,8 @@ def test_monte_carlo_bit_identical(stream):
 @pytest.mark.parametrize("N", [1000, 65537, 200_000])
 @pytest.mark.parametrize("shape", ["1d", 1, 2, 3, 4, "fortran"])
 def test_mean_with_budget_has_the_bits_of_numpy_reductions(shape, N):
-    """Column sums in sequence give the bits of numpy's axis-0 mean and
-    deviation, on values whose order of summation shows in the result."""
+    """Each column gets the bits of numpy's 1-D mean and deviation of that
+    column alone, on values whose order of summation shows in the result."""
     gen = np.random.default_rng(N)
     n = {"1d": 1, "fortran": 3}.get(shape, shape)
     values = gen.standard_normal((N, n)) * np.exp(3.0 * gen.standard_normal((N, 1)))
@@ -195,6 +195,32 @@ def test_mean_with_budget_has_the_bits_of_numpy_reductions(shape, N):
     elif shape == "fortran":
         values = np.asfortranarray(values)
     mean, budget = mean_with_budget(values)
-    assert mean.tobytes() == values.mean(axis=0).tobytes()
-    assert budget.tobytes() == (
-        3.0 * (values.std(axis=0, ddof=1) / np.sqrt(N))).tobytes()
+    assert np.shape(mean) == np.shape(budget) == values.shape[1:]
+    if shape == "1d":
+        assert type(mean) is float and type(budget) is float
+    columns = [values] if shape == "1d" else [values[:, j].copy() for j in range(n)]
+    assert np.reshape(mean, -1).tobytes() == np.array(
+        [col.mean() for col in columns]).tobytes()
+    assert np.reshape(budget, -1).tobytes() == np.array(
+        [3.0 * (col.std(ddof=1) / np.sqrt(N)) for col in columns]).tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_monte_carlo_columns_have_the_bits_of_separate_runs(stream, order):
+    """An (N, k) integrand gives per column the bits of a 1-D run of its own
+    on the same stream, whether its columns are stored C or F ordered."""
+    box = BoxSampler([-1.0, 0.0, 2.0], [1.5, 0.5, 2.25])
+    fields = [lambda p: np.exp(-p[:, 0] ** 2) * p[:, 1],
+              lambda p: (p[:, 0] > 0.3) * 1.0,
+              lambda p: np.sin(7.0 * p[:, 2]) / (1.0 + p[:, 1])]
+    N = 65537 + 11
+
+    def stacked(p):
+        return np.array([f(p) for f in fields]).T.copy(order=order)
+
+    res = pb.monte_carlo(box, stacked, N, stream)
+    assert res.evaluations == N and res.value.shape == (len(fields),)
+    for j, f in enumerate(fields):
+        one = pb.monte_carlo(box, f, N, stream)
+        assert res.value[j].hex() == one.value.hex()
+        assert res.error_estimate[j].hex() == one.error_estimate.hex()

@@ -8,7 +8,7 @@ import pytest
 import projbodies as pb
 from projbodies import projection
 from scipy.spatial import ConvexHull
-from conftest import gauss_edge_weight
+from conftest import gauss_edge_weight, nan_density
 
 
 def test_projection_zonoid_triangle(triangle):
@@ -103,6 +103,16 @@ def test_tau_matches_masked_full_field(gauss2, stream, N):
     mean, budget = pb.numerics.mean_with_budget(field)
     assert off.value.tobytes() == (0.5 * (mean * box.measure)).tobytes()
     assert off.error_estimate == 0.5 * float(np.linalg.norm(budget * box.measure))
+
+
+def test_tau_has_the_monte_carlo_guards(square, gauss2, stream):
+    """tau needs N >= 1000 and a stream, and a NaN density raises rather than
+    giving a NaN vector."""
+    for kwargs in ({"stream": stream, "N": 500}, {"stream": None, "N": 2000}):
+        with pytest.raises(pb.ConfigurationError):
+            pb.offset_vector(square, gauss2, f=gauss2, **kwargs)
+    with pytest.raises(pb.EvaluationError):
+        pb.offset_vector(square, nan_density(2), f=gauss2, stream=stream, N=2000)
 
 
 def test_brightness_residual_plain_lebesgue(square, leb2):
