@@ -16,15 +16,16 @@ one draw of box points, one projection onto K's normals and one phi, and
 each column gets the bits of a draw of its own.  Only the polarized mode,
 whose box grows with |x|, draws afresh for each.  Their brightness
 derivatives are ``monte_carlo`` of Richardson-combined difference quotients
-on common random points, projected onto K's normals once: each point's
-largest admissible step along theta, read off its facet slacks, gives every
-mask.  Each point's combined quotient 4 v(h/2) - v(h) - 3 v(0) is exactly
-+0.0 unless the point lies in K within that step h of its shadow boundary,
-so the plain and polarized kernels evaluate the density on that sliver
-alone (about 0.1% of the box) and leave exact zeros elsewhere.  The
-integrand runs the kernel on blocks of ``numerics.MC_BLOCK`` rows, so its
-(m, rows) slacks never span all N points and its memory does not depend on
-the body or the seed.
+4 v(h/2) - v(h) - 3 v(0) on common random points.  In the plain and
+polarized modes that quotient is zero outside a sliver of K within one step
+h of its shadow boundary, so ``PrismSampler`` draws the points from thin
+prisms on K's facets that hold the sliver: their volume is h h_{Pi K}(theta)
+by Cauchy's formula, and each draw's depth in its prism is its reach.  The
+functional quotient is nonzero on all of K, so it keeps box points, projected
+onto K's normals once; each point's largest admissible step along theta,
+read off its facet slacks, gives every mask.  The integrand runs the kernels
+on blocks of ``numerics.MC_BLOCK`` rows, so their temporaries never span all
+N points and their memory does not depend on the body or the seed.
 
 Translated averages integrate a covariogram against a second measure by
 sampling pairs of uniform points of K.  ``sample_uniform`` draws them by
@@ -150,64 +151,151 @@ def _sampling_box(q: CovariogramQuery, pad: float = 0.0) -> BoxSampler:
     return BoxSampler(lo - pad, hi + pad)
 
 
+class PrismSampler:
+    """Uniform draws from the thin prisms on K's facets that carry the
+    brightness sliver, with their total volume as ``measure``.
+
+    With c_i = <u_i, theta>, the plain prisms are S + [0, h) theta over the
+    facet simplices S of the facets with c_i < 0, and the polarized ones
+    S + [0, h/2) d_i, d_i = -sign(c_i) theta, over those with c_i != 0.
+    Each d_i points into K.  A prism has volume |S| |c_i| depth, so by
+    Cauchy's formula the prisms hold h h_{Pi K}(theta) in both modes.
+
+    ``sample`` returns (count, n + 2) rows (x, t, s): a point x = y + t d
+    with y uniform on simplex s and t uniform in [0, depth).  The simplices
+    get multinomial shares of the rows, in order, so the rows come grouped
+    by simplex; the array is column-major, so every column is contiguous.
+
+    Only the facets j with a_j = <u_j, d> > 0 can cut a prism, and only
+    where their slack at some vertex of S is below h a_j.  ``cuts`` holds,
+    per simplex, those u_j / a_j and slack_j(0) / a_j = (b_j + tol) / a_j
+    (``Polytope.slack`` at the origin), so that the difference
+    slack_j(0) / a_j - <u_j / a_j, x> is the exit distance of x along d
+    through facet j; every other facet keeps every point of the prism at
+    least h/2 from its exit.
+    """
+
+    def __init__(self, K: Polytope, theta: np.ndarray, h: float, polarized: bool):
+        c = K.normals @ theta
+        facets = np.flatnonzero(c != 0.0 if polarized else c < 0.0)
+        self.n, self.h, self.polarized = K.n, h, polarized
+        self.depth = h / 2.0 if polarized else h
+        per_facet = [len(K.facet_simplices[i]) for i in facets]
+        self.simplices = np.concatenate([K.facet_simplices[i] for i in facets])
+        self.directions = np.repeat(-np.sign(c[facets])[:, None] * theta, per_facet,
+                                    axis=0)
+        volumes = (bodies.simplex_measure(self.simplices)
+                   * np.repeat(np.abs(c[facets]), per_facet) * self.depth)
+        self.measure = float(volumes.sum())
+        self.p = volumes / self.measure
+        rates = self.directions @ K.normals.T                       # (S, m)
+        vertex_slack = K.slack(self.simplices.reshape(-1, K.n))      # (m, S n)
+        low = vertex_slack.reshape(K.facet_count, -1, K.n).min(axis=2).T
+        origin = K.slack(np.zeros(K.n))[:, 0]
+        self.cuts = []
+        for a, s in zip(rates, low):
+            j = np.flatnonzero((a > 0.0) & (s < h * a))
+            self.cuts.append((K.normals[j] / a[j, None], origin[j] / a[j]))
+
+    def sample(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        n = self.n
+        counts = gen.multinomial(count, self.p)
+        out = np.empty((n + 2, count))
+        # rows 1 .. n-1 take the barycentric uniforms, row n the depths
+        gen.random(out=out[1:n + 1])
+        out[n] *= self.depth
+        stops = np.cumsum(counts)
+        for s, (S, d, start, stop) in enumerate(zip(self.simplices, self.directions,
+                                                    stops - counts, stops)):
+            rows = out[:, start:stop]
+            rows[n + 1] = s
+            _barycentric(rows[1:n])
+            # x = S_0 + sum_k w_k (S_k - S_0) + t d, one product over rows 1 .. n
+            x = np.vstack([S[1:] - S[0], d]).T @ rows[1:n + 1]
+            np.add(x, S[0][:, None], out=rows[:n])
+        return out.T
+
+
+def _barycentric(u: np.ndarray) -> np.ndarray:
+    """Weights of vertices 1 .. d of uniform points on a d-simplex, from
+    (d, k) uniforms, in place: the spacings of the sorted uniforms.  The
+    rows are sorted by compare-exchanges of whole rows (none for d = 1)."""
+    for i in range(1, len(u)):
+        for j in range(i, 0, -1):
+            low = np.minimum(u[j - 1], u[j])
+            np.maximum(u[j - 1], u[j], out=u[j])
+            u[j - 1] = low
+    for j in range(len(u) - 1, 0, -1):
+        u[j] -= u[j - 1]
+    return u
+
+
+def _prism_quotients(q: CovariogramQuery, sampler: PrismSampler,
+                     draws: np.ndarray) -> np.ndarray:
+    """Per-draw quotient 4 v(h/2) - v(h) - 3 v(0) of the plain or polarized
+    covariogram integrands at prism draws (x, t, s).
+
+    A draw x = y + t d that lies in K leaves it backwards through y, so its
+    plain reach is exactly t < h: the quotient is phi(x) (4 [t >= h/2] - 3),
+    that is phi(x) or -3 phi(x).  Its exit distance forwards, ``far``, is the
+    least over the simplex's cutting facets (infinity if none), and x is in
+    K iff far >= 0.  The polarized reach is 2 min(t, far) < h, and a draw
+    within h/2 of both exits lies in two prisms, so it counts half.  Draws
+    outside K give 0, whatever phi is there; phi is evaluated at every draw.
+    """
+    n, h = sampler.n, sampler.h
+    x, t = draws[:, :n], draws[:, n]
+    far = np.full(len(draws), np.inf)
+    bounds = np.searchsorted(draws[:, n + 1], np.arange(len(sampler.cuts) + 1))
+    for (U, b), start, stop in zip(sampler.cuts, bounds, bounds[1:]):
+        if len(b) and stop > start:
+            exits = U @ x[start:stop].T
+            np.subtract(b[:, None], exits, out=exits)
+            far[start:stop] = exits.min(axis=0)
+    if sampler.polarized:
+        w = np.where(np.minimum(t, far) >= h / 4.0, 1.0, -3.0)
+        w[far < h / 2.0] *= 0.5
+    else:
+        w = np.where(t >= h / 2.0, 1.0, -3.0)
+    out = q.mu.eval(x) * w
+    out[far < 0.0] = 0.0
+    return out
+
+
 def _brightness_quotients(q: CovariogramQuery, points: np.ndarray,
                           theta: np.ndarray, h: float) -> np.ndarray:
-    """Per-point quotient 4 v(h/2) - v(h) - 3 v(0) of the covariogram
-    integrands v at steps {0, h/2, h} on shared points.
+    """Per-point quotient 4 v(h/2) - v(h) - 3 v(0) of the functional
+    covariogram integrands v at steps {0, h/2, h} on shared box points.
 
     The points are projected onto K's normals once, as facet-major slacks
     b_i + tol - <u_i, x>.  The base mask (x in K) comes from them, and so
-    does each point's reach s*: the largest step s for which the shifted
-    membership still holds.  With c_i = <u_i, theta>, x - s theta stays in
-    K while s <= min over c_i < 0 of slack_i / -c_i (plain, functional);
-    x ± (s/2) theta both stay in K while s <= min over c_i != 0 of
-    slack_i / (|c_i| / 2) (polarized).  The masks at h/2 and h are s* >= step.
-
-    In the plain and polarized modes v(s) is phi(x) [s* >= s], so a point of
-    K whose reach is at least h gives (4 phi - phi) - 3 phi, which is +0.0
-    exactly: 4 phi is exact, and 4 phi - phi and 3 phi both round 3 phi.
-    Only the sliver of K within reach h of its shadow boundary can give
-    anything else, so phi is evaluated there alone and every other point
-    keeps the zero it would have got.  A point of K has reach >= 0, so the
-    base mask is built only for the points with 0 <= reach < h, from the
-    facets with rate <= 0; the others' reach already holds their slacks.
-    In the functional mode f(x - s theta) differs from f(x), so every point
-    of K is evaluated.  The common random points make the variance
-    proportional to the sliver, not the body.
+    does each point's reach s*: with c_i = <u_i, theta>, x - s theta stays
+    in K while s <= min over c_i < 0 of slack_i / -c_i.  The masks at h/2
+    and h are s* >= step.  f(x - s theta) differs from f(x), so every point
+    of K is evaluated; the common random points make the variance of the
+    quotient proportional to the sliver, not the body.
     """
     K, mu = q.K, q.mu
     slack = K.slack(points)
     c = K.normals @ theta
-    # the step s eats slack_i at this rate; the polarized pair moves s/2 each way
-    rate = np.abs(c) / 2.0 if q.mode == "polarized" else -c
-    if q.mode == "functional":
-        inside = np.flatnonzero(np.all(slack >= 0.0, axis=0))
+    inside = np.flatnonzero(np.all(slack >= 0.0, axis=0))
     reach = np.full(len(points), np.inf)
     # rows are scaled in place, so no second (m, N) array is ever held
-    for i in np.flatnonzero(rate > 0.0):
-        slack[i] /= rate[i]
+    for i in np.flatnonzero(c < 0.0):
+        slack[i] /= -c[i]
         np.minimum(reach, slack[i], out=reach)
-    if q.mode != "functional":
-        # a rate is at most 1, so no negative slack divides to -0.0: reach
-        # >= 0 iff every facet with rate > 0 keeps the point
-        near = np.flatnonzero((reach >= 0.0) & (reach < h))
-        inside = near[np.all(slack[np.ix_(rate <= 0.0, near)] >= 0.0, axis=0)]
     del slack
     reach = np.take(reach, inside)
 
-    if q.mode == "functional":
-        x = np.take(points, inside, axis=0)
-        phi = mu.eval(x)
-        values = [q.f.eval(x) * phi]
-        for step in (h / 2, h):
-            shifted = x.copy()
-            for j, t in enumerate(step * theta):   # x - step theta, by columns
-                shifted[:, j] -= t
-            values.append(q.f.eval(shifted) * phi * (reach >= step))
-        v0, v1, v2 = values
-    else:
-        phi = mu.eval(np.take(points, inside, axis=0))
-        v0, v1, v2 = phi, phi * (reach >= h / 2), phi * (reach >= h)
+    x = np.take(points, inside, axis=0)
+    phi = mu.eval(x)
+    values = [q.f.eval(x) * phi]
+    for step in (h / 2, h):
+        shifted = x.copy()
+        for j, t in enumerate(step * theta):   # x - step theta, by columns
+            shifted[:, j] -= t
+        values.append(q.f.eval(shifted) * phi * (reach >= step))
+    v0, v1, v2 = values
     out = np.zeros(len(points))
     out[inside] = 4.0 * v1 - v2 - 3.0 * v0
     return out
@@ -281,10 +369,12 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
     Monte Carlo path is ``monte_carlo`` of the Richardson-combined
     difference quotients at steps {h, h/2}, divided by h (h defaults to
     1e-3 of the body diameter), on common random points; its budget is
-    three standard errors of that quotient.
-    The quotients are per point, so building them a block of rows at a
-    time gives the bits of one call over all N points (tests pin this in
-    two and three dimensions).
+    three standard errors of that quotient.  The plain and polarized modes
+    draw the points from the facet prisms of ``PrismSampler``, where the
+    quotient lives; the functional mode draws them from K's box padded by h.
+    The quotients are per row, so building them a block of rows at a
+    time gives the bits of one kernel call over all N rows (tests pin this
+    in two and three dimensions).
     """
     theta = np.asarray(theta, dtype=float)
     theta = theta / np.linalg.norm(theta)
@@ -300,14 +390,25 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
         value, evals = first.coefficients[1] / first.b, q.K.n + 1
         err = np.abs(_nodal_inverse(q.K.n)[1]).sum() * noise / first.b
     else:
+        if q.mode == "functional":
+            sampler = _sampling_box(q, pad=h)
+
+            def kernel(points):
+                return _brightness_quotients(q, points, theta, h)
+        else:
+            sampler = PrismSampler(q.K, theta, h, q.mode == "polarized")
+
+            def kernel(draws):
+                return _prism_quotients(q, sampler, draws)
+
         def quotients(points):
             r = np.empty(len(points))
             for block in row_blocks(len(points)):
-                r[block] = _brightness_quotients(q, points[block], theta, h)
+                r[block] = kernel(points[block])
             r /= h
             return r
 
-        res = monte_carlo(_sampling_box(q, pad=h), quotients, q.N, q.stream)
+        res = monte_carlo(sampler, quotients, q.N, q.stream)
         value, err, evals = res.value, res.error_estimate, 3 * q.N
     if q.tol is not None and err > q.tol:
         raise PrecisionError(

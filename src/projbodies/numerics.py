@@ -10,8 +10,9 @@ inequality reports) builds on the four primitives here:
   with the weights summing to the sphere's surface measure n*kappa_n.
 * ``QuadratureResult`` -- a value together with an error estimate that every
   caller treats as an upper bound when it builds tolerance budgets.
-* ``monte_carlo`` -- the one box Monte Carlo estimator.  mu(K), L^1 norms,
-  polar-set measures, mu-covariograms, their brightness derivatives and
+* ``monte_carlo`` -- the one Monte Carlo estimator.  mu(K), L^1 norms,
+  polar-set measures, mu-covariograms, their brightness derivatives (over a
+  box, or over the thin facet prisms of ``covariogram.PrismSampler``) and
   the interior offset integrals all draw through it, so its guards (a
   stream, N >= 1000, finite values) hold for every one of them.
 """
@@ -273,15 +274,17 @@ def mean_with_budget(values: np.ndarray):
 
 
 def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureResult:
-    """Plain Monte Carlo of ``integrand`` over the sampler's box: the mean of
-    its values at N uniform points, times the box's measure, with three
-    standard errors (a 99.7% budget) as ``error_estimate``.
+    """Plain Monte Carlo of ``integrand`` over the sampler's region (a box,
+    or a union of prisms): the mean of its values at N uniform points,
+    times the region's ``measure``, with three standard errors (a 99.7%
+    budget) as ``error_estimate``.
 
-    The integrand is vectorized over the (N, d) points.  It returns (N,)
+    The integrand is vectorized over the (N, d) rows the sampler returns
+    (points, or points with their prism coordinates).  It returns (N,)
     values, or (N, k) columns that share the draw; each column then gets the
     bits a 1-D run of its own would give, and the result's value and error
     are (k,) arrays.  Stack columns column-major, so each is reduced in
-    place.  This is the one box estimator, and the one place that checks
+    place.  This is the one estimator, and the one place that checks
     the stream, the sample count and that every value is finite.
     """
     if stream is None:

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 import projbodies as pb
-from projbodies.covariogram import (_brightness_quotients, _pointwise_values,
+from projbodies.covariogram import (PrismSampler, _brightness_quotients,
+                                    _pointwise_values, _prism_quotients,
                                     _sampling_box, l1_norm, sample_uniform)
 from projbodies.numerics import MC_BLOCK, row_blocks
 
@@ -396,9 +398,28 @@ def _three_contains_integrands(q, points, theta, h):
                          for s in (h / 2, h)]
 
 
+def _polarized_prism_count(K, theta, h, points):
+    """How many polarized prisms S + [0, h/2) d_i hold each point: facet i's
+    point y = x - t d_i on its plane has 0 <= t < h/2 and lies in K."""
+    count = np.zeros(len(points), dtype=int)
+    for u, b in zip(K.normals, K.offsets):
+        if u @ theta == 0.0:
+            continue
+        d = -np.sign(u @ theta) * theta
+        t = (points @ u - b) / (u @ d)
+        count += (t >= 0.0) & (t < h / 2.0) & K.contains(points - t[:, None] * d)
+    return count
+
+
 @pytest.mark.parametrize("mode", ["plain", "polarized", "functional"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_brightness_values_match_three_contains(n, mode):
+    """The box kernel (functional) and the prism kernel (plain, polarized)
+    against three ``contains`` masks on the same points.  The box points
+    include each facet hyperplane moved out by contains' tol, and one ulp to
+    either side.  A prism draw within h/2 of both polarized exits lies in
+    two prisms and counts half; the prism kernel writes phi and -3 phi where
+    the masks give 4 phi - 3 phi and -3 phi, so it agrees to a few ulp."""
     stream = pb.RandomStream(4242)
     g = pb.gaussian(n)
     for i, symmetric in enumerate((False, True)):
@@ -407,19 +428,30 @@ def test_brightness_values_match_three_contains(n, mode):
         theta = gen.standard_normal(n)
         theta /= np.linalg.norm(theta)
         h = 0.05 * K.diameter   # a wide step puts many points in the sliver
-        lo, hi = K.bounding_box()
-        points = lo - h + gen.random((50_000, n)) * (hi - lo + 2 * h)
-        # on each facet hyperplane moved out by contains' tol, and one ulp
-        # to either side: the base mask turns on the last bit there
-        level = (K.offsets + 1e-9)[:, None] * K.normals
-        points = np.vstack([points, level, np.nextafter(level, np.inf),
-                            np.nextafter(level, -np.inf)])
+        if mode == "functional":
+            lo, hi = K.bounding_box()
+            points = lo - h + gen.random((50_000, n)) * (hi - lo + 2 * h)
+            level = (K.offsets + 1e-9)[:, None] * K.normals
+            points = np.vstack([points, level, np.nextafter(level, np.inf),
+                                np.nextafter(level, -np.inf)])
+        else:
+            sampler = PrismSampler(K, theta, h, mode == "polarized")
+            draws = sampler.sample(gen, 50_000)
+            points = np.ascontiguousarray(draws[:, :n])
         for mu in (g, pb.exp_norm(pb.cross_polytope(n))):
             q = pb.CovariogramQuery(K, mu, g if mode == "functional" else None,
                                     mode=mode)
-            new = _brightness_quotients(q, points, theta, h)
             v0, v1, v2 = _three_contains_integrands(q, points, theta, h)
-            assert new.tobytes() == (4.0 * v1 - v2 - 3.0 * v0).tobytes()
+            ref = 4.0 * v1 - v2 - 3.0 * v0
+            if mode == "functional":
+                new = _brightness_quotients(q, points, theta, h)
+                assert new.tobytes() == ref.tobytes()
+                continue
+            new = _prism_quotients(q, sampler, draws)
+            if mode == "polarized":
+                ref /= np.maximum(_polarized_prism_count(K, theta, h, points), 1)
+            np.testing.assert_allclose(new, ref, rtol=1e-15, atol=0.0)
+            assert 0 < np.count_nonzero(new == 0.0) < 0.2 * len(new)
 
 
 def _counting(density):
@@ -436,32 +468,27 @@ def _counting(density):
 
 
 def test_brightness_evaluates_phi_on_the_sliver_only():
-    """Plain and polarized quotients need phi only where a shifted mask turns
-    off (the reference masks' sliver, under 1% of the box); the functional
-    one needs f and phi at every point of K."""
+    """Plain and polarized quotients draw their points from the prisms that
+    hold the sliver and evaluate phi once per draw, a block at a time; the
+    functional one needs f and phi at every point of K in the padded box."""
     K, g, N = pb.cube(2), pb.gaussian(2), 200_000
     theta = np.array([0.8, 0.6])
     h = 1e-3 * K.diameter   # the default step
     stream = pb.RandomStream(9090)
-    lo, hi = K.bounding_box()
-    # the points brightness_derivative draws: K's box padded by h
-    points = pb.BoxSampler(lo - h, hi + h).sample(stream.generator(), N)
-    base = K.contains(points)
-    slivers = {
-        "plain": base & ~K.contains(points - h * theta),
-        "polarized": base & ~(K.contains(points + h * theta / 2.0)
-                              & K.contains(points - h * theta / 2.0)),
-    }
-    for mode, sliver in slivers.items():
+    blocks = [len(range(N)[block]) for block in row_blocks(N)]
+    for mode in ("plain", "polarized"):
         mu, seen = _counting(g)
         q = pb.CovariogramQuery(K, mu, mode=mode, stream=stream, N=N)
         builtin = pb.CovariogramQuery(K, g, mode=mode, stream=stream, N=N)
         res = pb.brightness_derivative(q, theta)
-        assert sum(seen) == np.count_nonzero(sliver)
-        assert 0 < sum(seen) < 0.01 * N
+        assert seen == blocks
         assert res == pb.brightness_derivative(builtin, theta)
         assert res.evaluations == 3 * N
 
+    lo, hi = K.bounding_box()
+    # the points brightness_derivative draws: K's box padded by h
+    points = pb.BoxSampler(lo - h, hi + h).sample(stream.generator(), N)
+    base = K.contains(points)
     mu, seen = _counting(g)
     f, f_seen = _counting(g)
     q = pb.CovariogramQuery(K, mu, f, mode="functional", stream=stream, N=N)
@@ -476,11 +503,14 @@ def test_brightness_evaluates_phi_on_the_sliver_only():
 @pytest.mark.parametrize("n", [2, 3])
 def test_blocked_derivative_matches_one_kernel_call(n, mode):
     """Quotients built a block of rows at a time have the bits of one
-    kernel call over all the points, across an uneven last block: the value
-    is mean(quotients / h) |box| and the budget three standard errors."""
+    kernel call over all the rows, across an uneven last block: the value
+    is mean(quotients / h) times the measure of the sampled region (K's
+    padded box, or the prisms for plain and polarized) and the budget three
+    standard errors."""
     g = pb.gaussian(n)
     K = pb.random_polytope(n, pb.RandomStream(5151).substream(n), symmetric=True)
     theta = np.ones(n) / math.sqrt(n)
+    theta /= np.linalg.norm(theta)   # as brightness_derivative does
     N = 2 * MC_BLOCK + 4321
     stream = pb.RandomStream(6262, n)
     q = pb.CovariogramQuery(K, g, g if mode == "functional" else None,
@@ -488,14 +518,143 @@ def test_blocked_derivative_matches_one_kernel_call(n, mode):
     res = pb.brightness_derivative(q, theta)
 
     h = 1e-3 * K.diameter
-    box = _sampling_box(q, pad=h)
-    points = box.sample(stream.generator(), N)
-    r = _brightness_quotients(q, points, theta, h) / h
+    if mode == "functional":
+        sampler = _sampling_box(q, pad=h)
+        points = sampler.sample(stream.generator(), N)
+        r = _brightness_quotients(q, points, theta, h) / h
+    else:
+        sampler = PrismSampler(K, theta, h, mode == "polarized")
+        r = _prism_quotients(q, sampler, sampler.sample(stream.generator(), N)) / h
     assert len(row_blocks(N)) == 3 and N % MC_BLOCK != 0
-    value = r.mean() * box.measure
-    err = 3.0 * (r.std(ddof=1) / np.sqrt(N)) * box.measure
+    value = r.mean() * sampler.measure
+    err = 3.0 * (r.std(ddof=1) / np.sqrt(N)) * sampler.measure
     assert res.value == value and res.error_estimate == err
     assert np.count_nonzero(r) > 0
+
+
+# bodies in two, three and four dimensions for the prism sampler
+PRISM_BODIES = [("cube2", lambda: pb.cube(2)),
+                ("c04_2d", lambda: pb.random_polytope(2, pb.RandomStream(424242).substream(0))),
+                ("cube3", lambda: pb.cube(3)),
+                ("c04_3d", lambda: pb.random_polytope(3, pb.RandomStream(424242).substream(31),
+                                                      symmetric=True)),
+                ("cross4", lambda: pb.cross_polytope(4)),
+                ("random4", lambda: pb.random_polytope(4, pb.RandomStream(1414).substream(4)))]
+
+
+@pytest.mark.parametrize("polarized", [False, True], ids=["plain", "polarized"])
+@pytest.mark.parametrize("make", [m for _, m in PRISM_BODIES],
+                         ids=[name for name, _ in PRISM_BODIES])
+def test_prism_measure_is_h_times_the_projection_body_support(make, polarized):
+    """The prisms hold h h_{Pi K}(theta) (Cauchy's formula) in both modes."""
+    K = make()
+    gen = pb.RandomStream(1415, K.n).generator()
+    for theta in gen.standard_normal((4, K.n)):
+        theta /= np.linalg.norm(theta)
+        h = 1e-3 * K.diameter
+        support = float(pb.projection_zonoid(K).support(theta[None, :])[0])
+        measure = PrismSampler(K, theta, h, polarized).measure
+        assert abs(measure - h * support) <= 1e-12 * h * support
+
+
+@pytest.mark.parametrize("polarized", [False, True], ids=["plain", "polarized"])
+@pytest.mark.parametrize("make", [m for _, m in PRISM_BODIES],
+                         ids=[name for name, _ in PRISM_BODIES])
+def test_prism_draws_stay_in_their_prisms(make, polarized):
+    """Each draw (x, t, s) is y + t d with y on simplex s, 0 <= t < depth and
+    d = -sign(<u, theta>) theta for the simplex's outer normal u; the rows
+    come grouped by simplex.  In plain mode a draw in K has reach t: the
+    largest step back along theta that its facet slacks allow."""
+    K = make()
+    n, diam = K.n, K.diameter
+    gen = pb.RandomStream(1416, n).generator()
+    theta = gen.standard_normal(n)
+    theta /= np.linalg.norm(theta)
+    h = 0.05 * diam
+    sampler = PrismSampler(K, theta, h, polarized)
+    draws = sampler.sample(gen, 20_000)
+    x, t, s = draws[:, :n], draws[:, n], draws[:, n + 1]
+    assert np.all(np.diff(s) >= 0.0) and np.all(s == np.round(s))
+    assert np.all(t >= 0.0) and np.all(t < (h / 2.0 if polarized else h))
+    centre = K.vertices.mean(axis=0)
+    for k in np.unique(s).astype(int):
+        rows = s == k
+        S = sampler.simplices[k]
+        edges = (S[1:] - S[0]).T
+        u = np.linalg.svd(edges.T)[2][-1]
+        u *= np.sign(u @ (S[0] - centre))
+        assert (u @ theta < 0.0) or polarized
+        d = -np.sign(u @ theta) * theta
+        y = x[rows] - t[rows, None] * d
+        w, *_ = np.linalg.lstsq(edges, (y - S[0]).T, rcond=None)
+        assert np.abs(edges @ w - (y - S[0]).T).max() <= 1e-12 * diam
+        assert w.min() >= -1e-12 and w.sum(axis=0).max() <= 1.0 + 1e-12
+    if not polarized:
+        slack = K.slack(x, tol=0.0)
+        inside = np.all(slack >= 0.0, axis=0)
+        c = K.normals @ theta
+        reach = (slack[c < 0.0] / -c[c < 0.0, None]).min(axis=0)
+        assert 0.5 * len(x) < np.count_nonzero(inside) < len(x)
+        assert np.abs(reach[inside] - t[inside]).max() <= 1e-12 * diam
+
+
+def _calibration_case(name, mode):
+    """Body, direction and reference h_{Pi_gamma K}(theta) (shifted by the
+    offset vector in plain mode, as c04 does) for the calibration test."""
+    if name == "cube2":
+        # each edge of [-1,1]^2 carries EDGE_WEIGHT, so h = 1.4 EDGE_WEIGHT
+        from conftest import EDGE_WEIGHT
+        return pb.cube(2), np.array([0.8, 0.6]), 1.4 * EDGE_WEIGHT
+    K = pb.random_polytope(3, pb.RandomStream(424242).substream(31), symmetric=True)
+    g = pb.gaussian(3)
+    theta = np.array([0.6, -0.48, 0.64])
+    zon = pb.projection_zonoid(K, g, tol=1e-9)
+    if mode == "plain":
+        zon = zon.with_offset(pb.offset_vector(K, g, tol=1e-9).value)
+    return K, theta, float(zon.support(theta[None, :])[0])
+
+
+@pytest.mark.parametrize("mode", ["plain", "polarized"])
+@pytest.mark.parametrize("name", ["cube2", "c04_3d"])
+def test_prism_brightness_budget_is_calibrated(name, mode):
+    """Over 40 streams, z = (value + h_ref) / (budget / 3) behaves like 40
+    standard normal draws.  Bounds, fixed before the run: |mean z| <= 3 SE
+    = 3 / sqrt(40) = 0.474, and the SD of z inside the 99.9% chi^2 interval
+    for 39 degrees of freedom, sqrt(chi2(39) quantiles 0.0005 and 0.9995 /
+    39) = [0.646, 1.384].  Cases: cube(2) along (0.8, 0.6) against the
+    closed-form edge weight, and a symmetric c04 3-D body (16 facets) against
+    its facet cubature at tol 1e-9."""
+    K, theta, h_ref = _calibration_case(name, mode)
+    g = pb.gaussian(K.n)
+    z = []
+    for i in range(40):
+        q = pb.CovariogramQuery(K, g, mode=mode, stream=pb.RandomStream(1417, i),
+                                N=200_000)
+        res = pb.brightness_derivative(q, theta)
+        z.append((res.value + h_ref) / (res.error_estimate / 3.0))
+    z = np.array(z)
+    assert abs(z.mean()) <= 0.474, z
+    assert 0.646 <= z.std(ddof=1) <= 1.384, z
+
+
+def test_prism_brightness_peak_memory():
+    """One N = 200k plain or polarized call on c04's 10-facet polygon peaks
+    (tracemalloc) at or below what the box kernel peaked at on the same
+    call: 10,766,696 and 10,766,680 bytes (BENCH_14.json)."""
+    K = pb.random_polytope(2, pb.RandomStream(424242).substream(13), symmetric=True)
+    g = pb.gaussian(2)
+    theta = np.array([0.8, 0.6])
+    for mode, limit in (("plain", 10_766_696), ("polarized", 10_766_680)):
+        q = pb.CovariogramQuery(K, g, mode=mode, stream=pb.RandomStream(7, 3),
+                                N=200_000)
+        pb.brightness_derivative(q, theta)   # the difference body is cached
+        tracemalloc.start()
+        try:
+            pb.brightness_derivative(q, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, (mode, peak)
 
 
 def _two_contains_integrand(q, points, x):

@@ -5,10 +5,10 @@ modules reach them, and each other, through public names imported at module
 top, so no module depends on another's private helpers.  The library needs
 neither ``scipy.stats`` nor ``scipy.optimize``: exact polytope algebra and
 ``scipy.special`` cover what they were used for.  ``scipy.integrate`` (which
-loads ``scipy.optimize``) is imported only when a 1-D quadrature runs.  Box
+loads ``scipy.optimize``) is imported only when a 1-D quadrature runs.
 Monte Carlo has one estimator, ``numerics.monte_carlo``: it alone draws
-points from a sampler, apart from the rejection sampler for uniform points
-in K.
+points from a sampler, whether a box or the facet prisms of the brightness
+derivative, apart from the rejection sampler for uniform points in K.
 """
 
 from __future__ import annotations
@@ -98,8 +98,9 @@ def test_report_types_defined_only_in_report():
             assert not home & defined, f"{path.name} redefines {home & defined}"
 
 
-# The functions that may draw from a sampler: the one box estimator and the
-# rejection sampler behind the translated averages.
+# The functions that may draw from a sampler (a box or the brightness
+# prisms): the one estimator and the rejection sampler behind the
+# translated averages.
 SAMPLER_CALLERS = {("numerics.py", "monte_carlo"),
                    ("covariogram.py", "sample_uniform")}
 
