@@ -472,6 +472,8 @@ def translated_average(kind: str, K, mu: Density | None = None,
       L^1(mu, K) norm of f.
 
     y Stands for the K-sample acted on by mu, w for the translate sample.
+    mu(K) comes from ``measure_body``.  The integrand is evaluated on
+    ``MC_BLOCK`` rows at a time, so its temporaries stay block-sized.
     """
     if stream is None:
         raise ConfigurationError("translated_average needs a RandomStream")
@@ -482,22 +484,31 @@ def translated_average(kind: str, K, mu: Density | None = None,
     ys = sample_uniform(K, gen, N)
     ws = sample_uniform(K, gen, N)
 
+    def blocked(pair_values):
+        # one (N,) array, filled a block of rows at a time: elementwise, so
+        # the bits are those of the whole-array expression
+        out = np.empty(N)
+        for rows in row_blocks(N):
+            out[rows] = pair_values(ys[rows], ws[rows])
+        return out
+
     if kind == "mu_lambda":
         if mu is None:
             raise ConfigurationError("mu_lambda needs mu")
-        mean, err = mean_with_budget(mu.eval(ys - ws) * vol)
+        mean, err = mean_with_budget(blocked(lambda y, w: mu.eval(y - w) * vol))
         return QuadratureResult(mean, err, N)
 
     if kind == "nu_mu_body":
         if mu is None or nu is None:
             raise ConfigurationError("nu_mu_body needs mu and nu")
-        num_vals = mu.eval(ys) * nu.eval(ys - ws) * vol * vol
+        num_vals = blocked(lambda y, w: mu.eval(y) * nu.eval(y - w) * vol * vol)
         den = measure_body(mu, K, stream.substream(1), N)
     elif kind == "nu_mu_functional":
         if mu is None or nu is None or f is None:
             raise ConfigurationError("nu_mu_functional needs mu, nu and f")
         fe = _as_eval(f)
-        num_vals = mu.eval(ys) * fe(ws) * nu.eval(ys - ws) * vol * vol
+        num_vals = blocked(lambda y, w: mu.eval(y) * fe(w) * nu.eval(y - w)
+                           * vol * vol)
         den = l1_norm(f, mu, K, stream.substream(1), N)
     else:
         raise ConfigurationError(f"unknown translated-average kind {kind!r}")

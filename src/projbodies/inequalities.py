@@ -7,6 +7,11 @@ tolerance and the verdict.  Hypotheses that are assumptions of a theorem
 flag raises a configuration error naming the hypothesis, a failed numeric
 concavity check yields a hypothesis-violation verdict rather than a failed
 inequality.
+
+mu(K), nu(DK) and the support-set measures nu((Z - c)° scaled) are
+deterministic for Lebesgue and for the radial builtins on polytopes
+(``measures.measure_body``); other densities, translated averages and the
+concavity checks are Monte Carlo.
 """
 
 from __future__ import annotations
@@ -48,12 +53,26 @@ def _measure_support_set(nu: Density, Z: Zonoid, scale: float,
                          cfg: RunConfig, stream: RandomStream) -> QuadratureResult:
     """nu-measure of {x : h_{Z - c}(x) <= scale}, the scaled polar body.
 
-    Lebesgue is the exact polar volume; other measures use Monte Carlo over
-    the exact bounding box of the polar polytope.
+    Lebesgue is the exact polar volume.  A density with a ``flux`` takes
+    ``measure_body``'s divergence-theorem route on the polar polytope, at
+    the weights and at the ends of their error bracket; the error is the
+    bracket's plus the largest cubature error.  Other measures use Monte
+    Carlo over the exact bounding box of the polar polytope.
     """
     if nu.is_lebesgue:
         pv, err = Z.polar_volume()
         return QuadratureResult(scale ** Z.n * pv, scale ** Z.n * err, 0)
+    if nu.flux is not None:
+        parts = []
+
+        def measure(points):
+            parts.append(measure_body(nu, bodies.build_polytope(scale * points),
+                                      tol=cfg.tol))
+            return parts[-1].value
+
+        value, err = Z.polar_bracket(measure)
+        return QuadratureResult(value, err + max(r.error_estimate for r in parts),
+                                sum(r.evaluations for r in parts))
     points = scale * Z.polar_points()
     box = BoxSampler(points.min(axis=0), points.max(axis=0))
 
@@ -213,7 +232,7 @@ def _verify_rst(K, mu, nu, f, family, s, cfg) -> Report:
     n = K.n
     DK = bodies.difference_body(K)
     st = cfg.stream()
-    lhs = measure_body(nu, DK, st.substream(0), cfg.samples)
+    lhs = measure_body(nu, DK, st.substream(0), cfg.samples, cfg.tol)
     avg = translated_average("mu_lambda", K, mu=nu, stream=st.substream(1),
                              N=cfg.samples)
     rhs = _binom(2 * n, n) * avg.value
@@ -363,7 +382,7 @@ def _verify_set_inclusion_big(K, mu, nu, f, family, s, cfg) -> Report:
     if mu.is_lebesgue:
         muK = QuadratureResult(K.volume, 0.0, 0)
     else:
-        muK = measure_body(mu, K, st.substream(0), cfg.samples)
+        muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
     inf_phi = _boundary_density_min(K, mu)
     ratio = family.F(muK.value) / family.Fprime(muK.value)  # = mu(K)/s for powers
     ratio_err = muK.error_estimate / family.s if family.kind == "power" else 0.0
@@ -408,7 +427,7 @@ def _verify_q_concave(K, mu, nu, f, family, s, cfg) -> Report:
              f"mu ({mu.label}) is not certified {family.kind}-concave")
     n = K.n
     st = cfg.stream()
-    muK = measure_body(mu, K, st.substream(0), cfg.samples)
+    muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
     _require(muK.value > 0, "q_concave_zhang needs mu(K) > 0")
     ok, worst = _concavity_check(family, K, mu, f, cfg, st.substream(1))
     if f is None:
@@ -454,7 +473,7 @@ def _verify_log_concave(K, mu, nu, f, family, s, cfg) -> Report:
              "log_concave_zhang needs a log-concave mu")
     n = K.n
     st = cfg.stream()
-    muK = measure_body(mu, K, st.substream(0), cfg.samples)
+    muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
     zon, off = shifted_zonoid(K, mu, tol=cfg.tol)
     pv, pv_err = zon.polar_volume()
     lhs = 1.0 / math.factorial(n)
@@ -473,7 +492,7 @@ def _verify_ehrhard(K, mu, nu, f, family, s, cfg) -> Report:
              "ehrhard_gaussian needs the Gaussian measure")
     n = K.n
     st = cfg.stream()
-    muK = measure_body(mu, K, st.substream(0), cfg.samples)
+    muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
     zon, _ = shifted_zonoid(K, mu, tol=cfg.tol)
     pv, pv_err = zon.polar_volume()
 
@@ -510,7 +529,7 @@ def _verify_two_measure(K, mu, nu, f, family, s, cfg) -> Report:
              f"mu ({mu.label}) is not certified {family.kind}-concave")
     n = K.n
     st = cfg.stream()
-    muK = measure_body(mu, K, st.substream(0), cfg.samples)
+    muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
     if f is None:
         avg = translated_average("nu_mu_body", K, mu=mu, nu=nu,
                                  stream=st.substream(1), N=cfg.samples)
@@ -552,7 +571,7 @@ def _verify_s_concave(K, mu, nu, f, family, s, cfg) -> Report:
              "s_concave_zhang needs nu in Lambda_rad")
     n = K.n
     st = cfg.stream()
-    muK = measure_body(mu, K, st.substream(0), cfg.samples)
+    muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
     avg = translated_average("nu_mu_body", K, mu=mu, nu=nu,
                              stream=st.substream(1), N=cfg.samples)
     coeff = _binom(n + 1.0 / s, n)
@@ -584,7 +603,7 @@ def _verify_polarized(K, mu, nu, f, family, s, cfg) -> Report:
     zon = projection_zonoid(K, mu, tol=cfg.tol)  # no offset: eta = 0 by symmetry
     if nu is None or nu.is_lebesgue:
         # reduced closed form: s^n binom(n + 1/s, n) Vol(K) <= mu(K)^n Vol(Pi_mu°)
-        muK = measure_body(mu, K, st.substream(0), cfg.samples)
+        muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
         pv, pv_err = zon.polar_volume()
         lhs = s ** n * coeff * K.volume
         rhs = muK.value ** n * pv
@@ -594,7 +613,7 @@ def _verify_polarized(K, mu, nu, f, family, s, cfg) -> Report:
                      "binom": Witness(coeff)}
         return finish_report("polarized_zhang", lhs, rhs, [err], witnesses, cfg)
     _require(nu.radially_nondecreasing, "polarized_zhang needs nu in Lambda_rad")
-    muK = measure_body(mu, K, st.substream(0), cfg.samples)
+    muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
     avg = translated_average("nu_mu_body", K, mu=mu, nu=nu,
                              stream=st.substream(1), N=cfg.samples)
     region = _measure_support_set(nu, zon, muK.value / s, cfg, st.substream(2))

@@ -197,7 +197,7 @@ def reverse_isoperimetric(K: Polytope, mu: Density, family: ConcavityFamily,
     n = K.n
     bm = boundary_measure(mu, K, cfg.tol)
     st = stream or cfg.stream()
-    muK = measure_body(mu, K, st.substream(0), N)
+    muK = measure_body(mu, K, st.substream(0), N, cfg.tol)
     vol = K.volume
 
     def rhs_of(a):

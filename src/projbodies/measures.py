@@ -18,6 +18,13 @@ measures are Gram determinants taken for the whole batch at once, and
 accepted values are summed in the order of a one-simplex-at-a-time
 recursion, so results do not depend on the batching.  The reported
 evaluation count is the number of points passed to the integrand.
+
+Interior measures mu(K) are exact for Lebesgue.  For the radial builtins
+(``gaussian``, ``radial_power``) on a polytope they come from the same
+cubature by the divergence theorem: the density's ``flux`` G makes G(y) y a
+field of divergence phi, so mu(K) = sum_i b_i ∫_{F_i} G dA over the facets
+with offsets b_i.  Every other density, and every ``Ball``, is Monte Carlo
+over the body's box.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .numerics import (BoxSampler, ConfigurationError, DomainError,
                        EvaluationError, QuadratureFailure, QuadratureResult,
                        RandomStream, SphereGrid, gaussian_cdf, gaussian_pdf,
                        gaussian_quantile, integrate_1d, monte_carlo,
-                       squared_norms)
+                       sphere_surface, squared_norms)
 
 DEFAULT_MC_SAMPLES = 200_000
 
@@ -53,7 +60,10 @@ class Density:
     on symmetric convex bodies) carry the power-concavity exponent.
     ``kind`` names the builtin family ("lebesgue", "gaussian", "exp_norm",
     "radial_power") and is "custom" otherwise; exact paths dispatch on it,
-    never on the free-form ``label``.
+    never on the free-form ``label``.  ``flux``, set only by the radial
+    builtins, is G(y) = |y|^-n Psi(|y|) with Psi(r) = ∫_0^r psi(s) s^(n-1) ds
+    for phi(x) = psi(|x|): the field G(y) y has divergence phi, which
+    ``measure_body`` integrates over the boundary of a polytope.
     """
 
     n: int
@@ -67,6 +77,7 @@ class Density:
     s_concave_symmetric: float | None = None
     label: str = "custom"
     kind: str = "custom"
+    flux: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __repr__(self):
         return f"Density({self.label}, n={self.n})"
@@ -124,10 +135,23 @@ def gaussian(n: int) -> Density:
             out[:, j] = p[:, j] * e
         return out
 
+    area = sphere_surface(n)
+
+    def flux(p):
+        # Psi(r) = P(n/2, r^2/2) / (n kappa_n); below r^2 = 1e-20 the
+        # limit G(0) = (2 pi)^(-n/2) / n is exact to double precision
+        r2 = squared_norms(p)
+        out = np.full(len(r2), norm / n)
+        far = r2 > 1e-20
+        out[far] = (special.gammainc(n / 2.0, r2[far] / 2.0)
+                    / (area * r2[far] ** (n / 2.0)))
+        return out
+
     return Density(
         n=n, eval=ev, grad=gr, even=True, radially_decreasing=True,
         concavity=frozenset({"log_concave", "ehrhard_gaussian"}),
-        s_concave_symmetric=1.0 / n, label="gaussian", kind="gaussian")
+        s_concave_symmetric=1.0 / n, label="gaussian", kind="gaussian",
+        flux=flux)
 
 
 def exp_norm(L: Polytope) -> Density:
@@ -178,18 +202,23 @@ def radial_power(n: int, alpha: float) -> Density:
             out[:, j] = scale * p[:, j]
         return out
 
+    def flux(p):
+        return np.sqrt(squared_norms(p)) ** alpha / (n + alpha)
+
     return Density(
         n=n, eval=ev, grad=gr, even=True, radially_nondecreasing=True,
-        label=f"radial_power({alpha})", kind="radial_power")
+        label=f"radial_power({alpha})", kind="radial_power", flux=flux)
 
 
 def custom_density(n, eval, grad, label="custom", **flags) -> Density:
     """User-supplied density; flags are declared, then probe-certified.
 
-    Its kind is always "custom": a label never selects an exact path.
+    Its kind is always "custom" and it has no flux: a label never selects
+    an exact path.
     """
-    if "kind" in flags:
-        raise ConfigurationError("custom densities cannot declare a kind")
+    for field in ("kind", "flux"):
+        if field in flags:
+            raise ConfigurationError(f"custom densities cannot declare a {field}")
     return _certify_flags(Density(n=n, eval=eval, grad=grad, label=label, **flags))
 
 
@@ -212,10 +241,26 @@ def compose_linear(mu: Density, T) -> Density:
 # -- measures of bodies -------------------------------------------------------
 
 def measure_body(mu: Density, K, stream: RandomStream | None = None,
-                 N: int = DEFAULT_MC_SAMPLES) -> QuadratureResult:
-    """mu(K): exact for Lebesgue, otherwise Monte Carlo over K's box."""
+                 N: int = DEFAULT_MC_SAMPLES, tol: float = 1e-9) -> QuadratureResult:
+    """mu(K): exact for Lebesgue, otherwise Monte Carlo over K's box, except
+    for a density with a ``flux`` on a polytope.
+
+    There the field G(y) y has divergence phi, and on facet F_i it has
+    normal component G(y) b_i, b_i = <y, u_i> the facet's offset.  So
+    mu(K) = sum_i b_i ∫_{F_i} G dA by the divergence theorem, with the facet
+    integrals from ``facet_integrals`` and the error sum_i |b_i| e_i.  Facet
+    i gets the budget tol / (m |b_i|), so the errors sum to about tol, and
+    a facet through the origin (b_i = 0) gets an infinite one: it adds
+    nothing, and a kink of G at 0 (|y|^alpha) never refines it.
+    """
     if mu.is_lebesgue:
         return QuadratureResult(bodies.volume(K), 0.0, 0)
+    if mu.flux is not None and isinstance(K, Polytope):
+        b = K.offsets
+        with np.errstate(divide="ignore"):
+            budgets = tol / (len(b) * np.abs(b))
+        values, errors, evals = facet_integrals(K, mu.flux, budgets)
+        return QuadratureResult(float(b @ values), float(np.abs(b) @ errors), evals)
     lo, hi = K.bounding_box()
     sampler = BoxSampler(lo, hi)
     contains = K.contains
@@ -316,17 +361,18 @@ _CHILDREN = {d: np.array(kids) for d, kids in {
 }.items()}
 
 
-def facet_integrals(K: Polytope, fn, tol: float = 1e-9):
+def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9):
     """Integral of ``fn`` over each facet of K: (values, errors, evaluations).
 
     The rule on each simplex is the degree-9 Grundmann-Moller rule.  Each
-    facet's budget ``tol`` is split evenly among its simplices.  A simplex's
-    error is the gap between its children's rule sum and its own rule value,
-    plus a roundoff floor of ``_ROUNDOFF_ULPS`` ulp of that sum (the rule's
-    weights alternate in sign).  It is accepted, with the children's sum as
-    its value, when that error is at most its budget, and is otherwise
-    refined with the budget split evenly among its children; a simplex still
-    over budget at depth ``_MAX_DEPTH`` raises ``QuadratureFailure``.  The
+    facet's budget ``tol`` (one for all facets, or one per facet) is split
+    evenly among its simplices.  A simplex's error is the gap between its
+    children's rule sum and its own rule value, plus a roundoff floor of
+    ``_ROUNDOFF_ULPS`` ulp of that sum (the rule's weights alternate in
+    sign).  It is accepted, with the children's sum as its value, when that
+    error is at most its budget, and is otherwise refined with the budget
+    split evenly among its children; a simplex still over budget at depth
+    ``_MAX_DEPTH`` raises ``QuadratureFailure``.  The
     gap between the two levels is a heuristic error estimate, not a bound;
     tests compare it with tight references.  All facets are refined
     together: a batch of at most ``_BATCH`` simplices makes one call of
@@ -339,7 +385,7 @@ def facet_integrals(K: Polytope, fn, tol: float = 1e-9):
     """
     roots = np.concatenate(K.facet_simplices)
     d, n = roots.shape[1] - 1, roots.shape[2]
-    counts = [len(s) for s in K.facet_simplices]
+    counts = np.array([len(s) for s in K.facet_simplices])
     bary, w = _grundmann_moller(d)
     pairs = _CHILDREN[d]
     c = len(pairs)
@@ -368,7 +414,8 @@ def facet_integrals(K: Polytope, fn, tol: float = 1e-9):
     # Per simplex: its root, its path code (child indices in base c, the
     # first step most significant), its budget and its own rule value.
     push(0, roots, np.arange(len(roots)), np.zeros(len(roots), dtype=np.int64),
-         np.repeat([tol / max(1, k) for k in counts], counts),
+         np.repeat(np.broadcast_to(tol, len(counts)) / np.maximum(1, counts),
+                   counts),
          rule(roots) * bodies.simplex_measure(roots))
     while stack:
         depth, spx, root, code, budget, coarse = stack.pop()

@@ -10,11 +10,13 @@ inequality reports) builds on the four primitives here:
   with the weights summing to the sphere's surface measure n*kappa_n.
 * ``QuadratureResult`` -- a value together with an error estimate that every
   caller treats as an upper bound when it builds tolerance budgets.
-* ``monte_carlo`` -- the one Monte Carlo estimator.  mu(K), L^1 norms,
-  polar-set measures, mu-covariograms, their brightness derivatives (over a
-  box, or over the thin facet prisms of ``covariogram.PrismSampler``) and
-  the interior offset integrals all draw through it, so its guards (a
-  stream, N >= 1000, finite values) hold for every one of them.
+* ``monte_carlo`` -- the one Monte Carlo estimator.  mu(K) and polar-set
+  measures of densities without a ``flux`` (custom, composed and
+  ``exp_norm`` densities, or any density on a ball), L^1 norms,
+  mu-covariograms, their brightness derivatives (over a box, or over the
+  thin facet prisms of ``covariogram.PrismSampler``) and the interior
+  offset integrals all draw through it, so its guards (a stream,
+  N >= 1000, finite values) hold for every one of them.
 """
 
 from __future__ import annotations

@@ -83,16 +83,21 @@ class Zonoid:
             raise PolarDomainError("origin not interior: h <= 0 on a facet normal")
         return u / h[:, None]
 
-    def polar_volume(self) -> tuple[float, float]:
-        """Exact polar volume and its weight-error bound: the polar shrinks
-        as any weight grows, so w + e and max(w - e, 0) bracket it."""
+    def polar_bracket(self, measure) -> tuple[float, float]:
+        """``measure`` (monotone under inclusion) of the polar, given its
+        ``polar_points``, and its weight-error bound: the polar shrinks as
+        any weight grows, so w + e and max(w - e, 0) bracket it."""
         w, e = self.weights, self.weight_errors
-        pv = ConvexHull(self.polar_points(w)).volume
-        if not np.any(e):   # exact weights: the bracket hulls would repeat pv
-            return pv, 0.0
-        lo, hi = (ConvexHull(self.polar_points(x)).volume
+        value = measure(self.polar_points(w))
+        if not np.any(e):   # exact weights: the bracket would repeat value
+            return value, 0.0
+        lo, hi = (measure(self.polar_points(x))
                   for x in (w + e, np.maximum(w - e, 0.0)))
-        return pv, max(hi - pv, pv - lo)
+        return value, max(hi - value, value - lo)
+
+    def polar_volume(self) -> tuple[float, float]:
+        """Exact polar volume and its weight-error bound."""
+        return self.polar_bracket(lambda points: ConvexHull(points).volume)
 
 
 @dataclass(frozen=True)

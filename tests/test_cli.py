@@ -341,3 +341,12 @@ def test_readme_commands_golden(command, golden):
     assert code == 0
     expected = (ROOT / "tests" / "golden" / golden).read_bytes()
     assert out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("golden", ["verify_log_concave_zhang.json",
+                                    "isotropic_reverse_iso.json"])
+def test_golden_gaussian_mass_of_the_square(golden):
+    """Both Gaussian goldens record gamma_2([-1, 1]^2) = erf(1/sqrt 2)^2
+    within the recorded error."""
+    mu_K = json.loads((ROOT / "tests" / "golden" / golden).read_text())["witnesses"]["mu_K"]
+    assert abs(mu_K["value"] - math.erf(1.0 / math.sqrt(2.0)) ** 2) <= mu_K["error"] <= 1e-9

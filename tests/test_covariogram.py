@@ -316,6 +316,34 @@ def test_translated_average_guards(triangle, stream, gauss2):
         pb.translated_average("bogus", triangle, mu=gauss2, stream=stream)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_blocked_translated_average_matches_whole_array(n):
+    """Over 2.3 blocks of rows, every kind has the bits of its integrand
+    evaluated on the whole (N,) arrays at once."""
+    K = pb.random_polytope(n, pb.RandomStream(424242).substream(20 if n == 3 else 0))
+    mu, nu, f = pb.gaussian(n), pb.radial_power(n, 1.0), pb.gaussian(n)
+    N, stream = 2 * MC_BLOCK + 9_000, pb.RandomStream(61)
+    gen = stream.generator()
+    ys, ws = sample_uniform(K, gen, N), sample_uniform(K, gen, N)
+    vol = K.volume
+    res = pb.translated_average("mu_lambda", K, mu=mu, stream=stream, N=N)
+    mean, err = pb.numerics.mean_with_budget(mu.eval(ys - ws) * vol)
+    assert (res.value, res.error_estimate) == (mean, err)
+    den = pb.measure_body(mu, K, stream.substream(1), N)
+    res = pb.translated_average("nu_mu_body", K, mu=mu, nu=nu, stream=stream, N=N)
+    num, num_err = pb.numerics.mean_with_budget(
+        mu.eval(ys) * nu.eval(ys - ws) * vol * vol)
+    assert res.value == num / den.value
+    assert res.error_estimate == (num_err / den.value
+                                  + abs(num) * den.error_estimate / den.value ** 2)
+    den = l1_norm(f, mu, K, stream.substream(1), N)
+    res = pb.translated_average("nu_mu_functional", K, mu=mu, nu=nu, f=f,
+                                stream=stream, N=N)
+    num, _ = pb.numerics.mean_with_budget(
+        mu.eval(ys) * f.eval(ws) * nu.eval(ys - ws) * vol * vol)
+    assert res.value == num / den.value
+
+
 def _chunk_rows(body, count):
     """Candidates per chunk in sample_uniform: 1.3 times the expected need."""
     lo, hi = body.bounding_box()

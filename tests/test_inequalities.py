@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import projbodies as pb
 from projbodies import projection
+from projbodies.inequalities import _measure_support_set
 from conftest import gauss_edge_weight
 
 CFG = pb.RunConfig(seed=11)
@@ -310,3 +312,79 @@ def test_ehrhard_bound_value():
     for n in (2, 3):
         for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
             assert pb.ehrhard_bound_value(n, x) <= math.factorial(n) + 1e-9
+
+
+# -- deterministic mu(K) and support-set measures ------------------------------
+
+def test_log_concave_zhang_measures_mu_K_without_sampling(monkeypatch):
+    """gamma_2(K) on the square comes from the facet cubature: no
+    ``monte_carlo`` call, and erf(1/sqrt 2)^2 within its budget."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return pb.numerics.monte_carlo(*args, **kwargs)
+
+    monkeypatch.setattr(pb.measures, "monte_carlo", counting)
+    monkeypatch.setattr(pb.inequalities, "monte_carlo", counting)
+    rep = pb.verify("log_concave_zhang", pb.cube(2), mu=pb.gaussian(2),
+                    precision=CFG)
+    assert rep.passed and calls == []
+    mu_K = rep.witnesses["mu_K"]
+    assert abs(mu_K.value - math.erf(1.0 / math.sqrt(2.0)) ** 2) <= mu_K.error
+
+
+def _gauss_zonoid_triangle():
+    K = pb.build_polytope([[-0.4, -0.3], [1.0, -0.2], [0.1, 0.9]])
+    return pb.shifted_zonoid(K, pb.gaussian(2), tol=1e-9)[0]
+
+
+@pytest.mark.parametrize("nu", [pb.gaussian(2), pb.radial_power(2, 1.0)],
+                         ids=["gaussian", "norm"])
+@pytest.mark.parametrize("widen", [1.0, 1e8], ids=["own", "widened"])
+def test_support_set_measure_inside_its_bracket(nu, widen):
+    """nu of the scaled polar of a shifted Gaussian zonoid lies between its
+    values at the weights w + e and max(w - e, 0), and within its error of
+    both; ``widen`` scales the weight errors to make the bracket visible."""
+    Z = _gauss_zonoid_triangle()
+    Z = pb.Zonoid(Z.n, Z.generators, Z.weights, Z.offset, widen * Z.weight_errors)
+    res = _measure_support_set(nu, Z, 0.2, CFG, pb.RandomStream(1))
+    lo, hi = (pb.measure_body(nu, pb.build_polytope(0.2 * Z.polar_points(w)),
+                              tol=CFG.tol).value
+              for w in (Z.weights + Z.weight_errors,
+                        np.maximum(Z.weights - Z.weight_errors, 0.0)))
+    assert lo <= res.value <= hi
+    assert max(hi - res.value, res.value - lo) <= res.error_estimate
+    if widen > 1.0:
+        assert hi - lo > 1e-3 * res.value
+
+
+@pytest.mark.parametrize("nu", [pb.gaussian(2), pb.radial_power(2, 1.0)],
+                         ids=["gaussian", "norm"])
+def test_support_set_measure_matches_monte_carlo(nu):
+    """The cubature value agrees with 2M box samples of the old route (a
+    flux-free copy of nu) within 3 sigma."""
+    Z = _gauss_zonoid_triangle()
+    res = _measure_support_set(nu, Z, 0.2, CFG, pb.RandomStream(1))
+    plain = dataclasses.replace(nu, flux=None)
+    parts = [_measure_support_set(plain, Z, 0.2, CFG, pb.RandomStream(98, i))
+             for i in range(10)]
+    assert all(r.evaluations == CFG.samples for r in parts)
+    mean = math.fsum(r.value for r in parts) / len(parts)
+    sigma = math.sqrt(math.fsum((r.error_estimate / 3.0) ** 2
+                                for r in parts)) / len(parts)
+    assert abs(res.value - mean) <= 3.0 * sigma
+
+
+def test_support_set_measure_lebesgue_is_the_polar_hull_volume():
+    """The Lebesgue route is scale^n times the hull volume of the polar
+    points and its weight bracket, bit for bit."""
+    from scipy.spatial import ConvexHull
+    Z = _gauss_zonoid_triangle()
+    res = _measure_support_set(pb.lebesgue(2), Z, 0.2, CFG, pb.RandomStream(1))
+    w, e = Z.weights, Z.weight_errors
+    pv, lo, hi = (ConvexHull(Z.polar_points(x)).volume
+                  for x in (w, w + e, np.maximum(w - e, 0.0)))
+    assert res.value == 0.2 ** 2 * pv
+    assert res.error_estimate == 0.2 ** 2 * max(hi - pv, pv - lo)
+    assert res.evaluations == 0

@@ -432,3 +432,130 @@ def test_facet_integral_errors_bound_the_true_error(tol):
             truth = _gauss_legendre_facet_integrals(K, fn)
             assert np.all(np.abs(values - truth) <= errors)
             assert np.all(errors <= tol)
+
+
+# -- mu(K) by the divergence theorem ------------------------------------------
+
+ERF = math.erf(1.0 / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("mu,K,ref", [
+    (pb.gaussian(2), pb.cube(2), ERF ** 2),
+    (pb.gaussian(3), pb.cube(3), ERF ** 3),
+    (pb.radial_power(2, 1.0), pb.cube(2),
+     4.0 / 3.0 * (math.sqrt(2.0) + math.asinh(1.0))),
+], ids=["gaussian-cube2", "gaussian-cube3", "norm-cube2"])
+def test_flux_measure_matches_closed_forms(mu, K, ref):
+    """No stream is passed: the radial builtins never sample."""
+    res = pb.measure_body(mu, K)
+    assert abs(res.value - ref) <= res.error_estimate <= 1e-9
+    assert res.evaluations > 0
+
+
+def _triangle_dblquad(fn, a, b, c):
+    """∫ fn over the triangle abc by scipy's dblquad on the unit triangle."""
+    from scipy.integrate import dblquad
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    jac = abs(np.linalg.det(np.array([b - a, c - a])))
+
+    def g(t, s):
+        return float(fn((a + s * (b - a) + t * (c - a))[None, :])[0])
+
+    return jac * dblquad(g, 0.0, 1.0, 0.0, lambda s: 1.0 - s,
+                         epsabs=1e-14, epsrel=1e-13)[0]
+
+
+def _polygon_dblquad(fn, K):
+    """∫ fn over a planar polytope, fanned into triangles from one vertex."""
+    c = K.vertices.mean(axis=0)
+    ang = np.arctan2(*(K.vertices - c).T[::-1])
+    v = K.vertices[np.argsort(ang)]
+    return sum(_triangle_dblquad(fn, v[0], v[i], v[i + 1])
+               for i in range(1, len(v) - 1))
+
+
+@pytest.mark.parametrize("mu", [pb.gaussian(2), pb.radial_power(2, 1.0),
+                                pb.radial_power(2, 0.5)],
+                         ids=["gaussian", "norm", "sqrt_norm"])
+@pytest.mark.parametrize("points", [
+    [[0.5, 0.2], [2.0, 0.5], [1.0, 1.5]],
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    [[-1.0, 0.0], [1.0, 0.0], [0.6, 1.0], [-0.4, 0.8]],
+], ids=["origin-outside", "origin-at-vertex", "origin-at-edge-midpoint"])
+def test_flux_measure_matches_dblquad(mu, points):
+    """The origin outside K, at a vertex (two facets with b = 0, where
+    |x|^alpha has its kink) and at an edge midpoint, where a rule node
+    lands on y = 0."""
+    K = pb.build_polytope(points)
+    res = pb.measure_body(mu, K)
+    assert abs(res.value - _polygon_dblquad(mu.eval, K)) <= res.error_estimate
+
+
+def test_facets_through_the_origin_are_never_refined():
+    """At a tight tol the hypotenuse of the standard triangle refines, but
+    each leg (b = 0) is evaluated at its root rule and its two children
+    only: 45 nodes a leg."""
+    mu = pb.radial_power(2, 1.0)
+    seen = []
+
+    def flux(p):
+        seen.append(p.copy())
+        return mu.flux(p)
+
+    res = pb.measure_body(dataclasses.replace(mu, flux=flux),
+                          pb.standard_simplex(2), tol=1e-13)
+    nodes = np.concatenate(seen)
+    on_legs = np.count_nonzero((nodes[:, 0] == 0.0) | (nodes[:, 1] == 0.0))
+    assert on_legs == 2 * (15 + 30)
+    assert res.evaluations == len(nodes) > 3 * 45
+
+
+def _pooled_monte_carlo(mu, K, runs=20, N=200_000):
+    """mu(K) from ``runs`` independent box Monte Carlo runs: a flux-free
+    copy of mu takes the sampling route.  Returns (mean, 3 sigma)."""
+    plain = dataclasses.replace(mu, flux=None)
+    parts = [pb.measure_body(plain, K, pb.RandomStream(97, i), N)
+             for i in range(runs)]
+    assert all(r.evaluations == N for r in parts)
+    mean = math.fsum(r.value for r in parts) / runs
+    sigma = math.sqrt(math.fsum((r.error_estimate / 3.0) ** 2 for r in parts)) / runs
+    return mean, 3.0 * sigma
+
+
+def test_flux_measure_matches_monte_carlo_on_a_rotated_c04_body():
+    """A c04 3-D body under a rotation: the Gaussian measure agrees with
+    4M box samples within 3 sigma, and with the unrotated body's value
+    within both cubature budgets."""
+    K = pb.random_polytope(3, pb.RandomStream(424242).substream(20))
+    R = pb.LinearMap.rotation_3d([1.0, 2.0, -0.5], 1.1)
+    KR = pb.apply_linear(K, R)
+    mu = pb.gaussian(3)
+    res = pb.measure_body(mu, KR)
+    mean, budget = _pooled_monte_carlo(mu, KR)
+    assert abs(res.value - mean) <= budget
+    base = pb.measure_body(mu, K)
+    assert abs(res.value - base.value) <= res.error_estimate + base.error_estimate
+
+
+def test_flux_is_builtin_only(gauss2):
+    with pytest.raises(pb.ConfigurationError):
+        pb.custom_density(2, flux=gauss2.flux, **_constant(1.0))
+    assert pb.compose_linear(gauss2, np.eye(2)).flux is None
+    assert pb.lebesgue(2).flux is None and pb.exp_norm(pb.cube(2)).flux is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gaussian_flux_is_the_ball_mass_over_the_sphere(n):
+    """G(y) |y|^n n kappa_n is gamma_n of the ball of radius |y|, and G
+    tends to (2 pi)^(-n/2) / n at 0."""
+    flux = pb.gaussian(n).flux
+    r = np.array([0.0, 1e-12, 1e-3, 0.5, 1.0, 3.0, 8.0])
+    y = np.zeros((len(r), n))
+    y[:, -1] = r
+    G = flux(y)
+    limit = (2.0 * math.pi) ** (-n / 2.0) / n
+    assert G[0] == limit and G[1] == pytest.approx(limit, rel=1e-15)
+    area = n * math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    for ri, Gi in zip(r[2:], G[2:]):
+        assert Gi * ri ** n * area == pytest.approx(pb.gaussian_ball_mass(n, ri),
+                                                    rel=1e-13)
