@@ -460,7 +460,8 @@ def _as_eval(f) -> Callable[[np.ndarray], np.ndarray]:
 def translated_average(kind: str, K, mu: Density | None = None,
                        nu: Density | None = None, f=None,
                        stream: RandomStream | None = None,
-                       N: int = DEFAULT_MC_SAMPLES) -> QuadratureResult:
+                       N: int = DEFAULT_MC_SAMPLES,
+                       tol: float = 1e-9) -> QuadratureResult:
     """Covariogram integrated against a second measure, normalized.
 
     Kinds (all reduce by Fubini to double integrals over K x K, which is
@@ -472,7 +473,7 @@ def translated_average(kind: str, K, mu: Density | None = None,
       L^1(mu, K) norm of f.
 
     y Stands for the K-sample acted on by mu, w for the translate sample.
-    mu(K) comes from ``measure_body``.  The integrand is evaluated on
+    mu(K) comes from ``measure_body`` at ``tol``.  The integrand is evaluated on
     ``MC_BLOCK`` rows at a time, so its temporaries stay block-sized.
     """
     if stream is None:
@@ -502,7 +503,7 @@ def translated_average(kind: str, K, mu: Density | None = None,
         if mu is None or nu is None:
             raise ConfigurationError("nu_mu_body needs mu and nu")
         num_vals = blocked(lambda y, w: mu.eval(y) * nu.eval(y - w) * vol * vol)
-        den = measure_body(mu, K, stream.substream(1), N)
+        den = measure_body(mu, K, stream.substream(1), N, tol)
     elif kind == "nu_mu_functional":
         if mu is None or nu is None or f is None:
             raise ConfigurationError("nu_mu_functional needs mu, nu and f")

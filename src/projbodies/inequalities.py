@@ -532,7 +532,8 @@ def _verify_two_measure(K, mu, nu, f, family, s, cfg) -> Report:
     muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
     if f is None:
         avg = translated_average("nu_mu_body", K, mu=mu, nu=nu,
-                                 stream=st.substream(1), N=cfg.samples)
+                                 stream=st.substream(1), N=cfg.samples,
+                                 tol=cfg.tol)
         lhs, lhs_err = avg.value, avg.error_estimate
         a, a_err = muK.value, muK.error_estimate
         pre = n / muK.value
@@ -573,7 +574,8 @@ def _verify_s_concave(K, mu, nu, f, family, s, cfg) -> Report:
     st = cfg.stream()
     muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
     avg = translated_average("nu_mu_body", K, mu=mu, nu=nu,
-                             stream=st.substream(1), N=cfg.samples)
+                             stream=st.substream(1), N=cfg.samples,
+                             tol=cfg.tol)
     coeff = _binom(n + 1.0 / s, n)
     lhs = coeff * avg.value
     zon, _ = shifted_zonoid(K, mu, tol=cfg.tol)
@@ -615,7 +617,8 @@ def _verify_polarized(K, mu, nu, f, family, s, cfg) -> Report:
     _require(nu.radially_nondecreasing, "polarized_zhang needs nu in Lambda_rad")
     muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
     avg = translated_average("nu_mu_body", K, mu=mu, nu=nu,
-                             stream=st.substream(1), N=cfg.samples)
+                             stream=st.substream(1), N=cfg.samples,
+                             tol=cfg.tol)
     region = _measure_support_set(nu, zon, muK.value / s, cfg, st.substream(2))
     lhs = coeff * avg.value
     witnesses = {"nu_mu": Witness(avg.value, avg.error_estimate),

@@ -251,7 +251,11 @@ def measure_body(mu: Density, K, stream: RandomStream | None = None,
     integrals from ``facet_integrals`` and the error sum_i |b_i| e_i.  Facet
     i gets the budget tol / (m |b_i|), so the errors sum to about tol, and
     a facet through the origin (b_i = 0) gets an infinite one: it adds
-    nothing, and a kink of G at 0 (|y|^alpha) never refines it.
+    nothing, and a kink of G at 0 (|y|^alpha) never refines it.  On a large
+    body |b_i| and the facet integrals grow until that budget falls below
+    the cubature's roundoff floor; a simplex within ``_FLUX_RTOL`` of its
+    value is then accepted, and the error reports the relative accuracy
+    reached instead of tol.
     """
     if mu.is_lebesgue:
         return QuadratureResult(bodies.volume(K), 0.0, 0)
@@ -259,7 +263,7 @@ def measure_body(mu: Density, K, stream: RandomStream | None = None,
         b = K.offsets
         with np.errstate(divide="ignore"):
             budgets = tol / (len(b) * np.abs(b))
-        values, errors, evals = facet_integrals(K, mu.flux, budgets)
+        values, errors, evals = facet_integrals(K, mu.flux, budgets, _FLUX_RTOL)
         return QuadratureResult(float(b @ values), float(np.abs(b) @ errors), evals)
     lo, hi = K.bounding_box()
     sampler = BoxSampler(lo, hi)
@@ -319,6 +323,7 @@ _MAX_DEPTH = 14
 _BATCH = 4096  # simplices refined per density call: bounds memory at tight tol
 _GM_S = 4      # Grundmann-Moller rule of degree 2s + 1 = 9
 _ROUNDOFF_ULPS = 16  # roundoff floor added to each accepted error, in ulp of |value|
+_FLUX_RTOL = 1e-12   # relative budget floor of mu(K) by the divergence theorem
 
 
 @functools.cache
@@ -361,7 +366,8 @@ _CHILDREN = {d: np.array(kids) for d, kids in {
 }.items()}
 
 
-def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9):
+def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9,
+                    rtol: float = 0.0):
     """Integral of ``fn`` over each facet of K: (values, errors, evaluations).
 
     The rule on each simplex is the degree-9 Grundmann-Moller rule.  Each
@@ -370,9 +376,12 @@ def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9):
     children's rule sum and its own rule value, plus a roundoff floor of
     ``_ROUNDOFF_ULPS`` ulp of that sum (the rule's weights alternate in
     sign).  It is accepted, with the children's sum as its value, when that
-    error is at most its budget, and is otherwise refined with the budget
-    split evenly among its children; a simplex still over budget at depth
-    ``_MAX_DEPTH`` raises ``QuadratureFailure``.  The
+    error is at most its budget or at most ``rtol`` times that sum, and is
+    otherwise refined with the budget split evenly among its children; a
+    simplex still over budget at depth ``_MAX_DEPTH`` raises
+    ``QuadratureFailure``.  The roundoff floor shrinks with the budget as a
+    simplex refines, so a budget below it is never met; an ``rtol`` well
+    above ``_ROUNDOFF_ULPS`` ulp keeps every simplex acceptable.  The
     gap between the two levels is a heuristic error estimate, not a bound;
     tests compare it with tight references.  All facets are refined
     together: a batch of at most ``_BATCH`` simplices makes one call of
@@ -426,7 +435,7 @@ def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9):
             fine = fine + kid_vals[:, j]
         local_err = (np.abs(fine - coarse)
                      + _ROUNDOFF_ULPS * np.finfo(float).eps * np.abs(fine))
-        done = local_err <= budget
+        done = local_err <= np.maximum(budget, rtol * np.abs(fine))
         if depth >= _MAX_DEPTH and not done.all():
             raise QuadratureFailure(
                 "facet cubature refinement depth exhausted",

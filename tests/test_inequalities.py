@@ -334,6 +334,26 @@ def test_log_concave_zhang_measures_mu_K_without_sampling(monkeypatch):
     assert abs(mu_K.value - math.erf(1.0 / math.sqrt(2.0)) ** 2) <= mu_K.error
 
 
+@pytest.mark.parametrize("id", ["s_concave_zhang", "polarized_zhang",
+                                "two_measure_zhang"])
+def test_one_report_measures_mu_K_at_its_tol(monkeypatch, id):
+    """Every mu(K) in a report, the translated average's normalizer
+    included, is measured at the report's tol."""
+    tols = []
+
+    def recording(*args, **kwargs):
+        tols.append(kwargs.get("tol", args[4] if len(args) > 4 else None))
+        return pb.measures.measure_body(*args, **kwargs)
+
+    monkeypatch.setattr(pb.inequalities, "measure_body", recording)
+    monkeypatch.setattr(pb.covariogram, "measure_body", recording)
+    cfg = pb.RunConfig(seed=11, samples=20_000, tol=1e-7)
+    mu = pb.gaussian(2) if id == "polarized_zhang" else pb.lebesgue(2)
+    pb.verify(id, pb.cube(2), mu=mu, nu=pb.radial_power(2, 1.0), s=0.5,
+              family=pb.power_family(0.5), precision=cfg)
+    assert len(tols) >= 2 and set(tols) == {cfg.tol}
+
+
 def _gauss_zonoid_triangle():
     K = pb.build_polytope([[-0.4, -0.3], [1.0, -0.2], [0.1, 0.9]])
     return pb.shifted_zonoid(K, pb.gaussian(2), tol=1e-9)[0]
@@ -346,10 +366,21 @@ def test_support_set_measure_inside_its_bracket(nu, widen):
     """nu of the scaled polar of a shifted Gaussian zonoid lies between its
     values at the weights w + e and max(w - e, 0), and within its error of
     both; ``widen`` scales the weight errors to make the bracket visible."""
+    _check_support_set_bracket(nu, widen, 0.2)
+
+
+@pytest.mark.parametrize("widen", [1.0, 1e8], ids=["own", "widened"])
+def test_support_set_measure_of_a_large_polar(widen):
+    """The same at scale 20, where the polar is about 150 wide and the norm
+    measure's facet budgets fall below the cubature's roundoff floor."""
+    _check_support_set_bracket(pb.radial_power(2, 1.0), widen, 20.0)
+
+
+def _check_support_set_bracket(nu, widen, scale):
     Z = _gauss_zonoid_triangle()
     Z = pb.Zonoid(Z.n, Z.generators, Z.weights, Z.offset, widen * Z.weight_errors)
-    res = _measure_support_set(nu, Z, 0.2, CFG, pb.RandomStream(1))
-    lo, hi = (pb.measure_body(nu, pb.build_polytope(0.2 * Z.polar_points(w)),
+    res = _measure_support_set(nu, Z, scale, CFG, pb.RandomStream(1))
+    lo, hi = (pb.measure_body(nu, pb.build_polytope(scale * Z.polar_points(w)),
                               tol=CFG.tol).value
               for w in (Z.weights + Z.weight_errors,
                         np.maximum(Z.weights - Z.weight_errors, 0.0)))

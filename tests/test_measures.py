@@ -537,6 +537,38 @@ def test_flux_measure_matches_monte_carlo_on_a_rotated_c04_body():
     assert abs(res.value - base.value) <= res.error_estimate + base.error_estimate
 
 
+def test_flux_measure_on_large_bodies():
+    """Far from unit scale the absolute budget tol / (m |b_i|) falls below
+    the cubature's roundoff floor; the relative floor still returns a value
+    within its error of the reference.  100 cube(2) against the scaled
+    closed form of the norm's integral, 30 cube(3) against 4M box samples
+    and against 30^4 times the unit cube's value."""
+    mu2 = pb.radial_power(2, 1.0)
+    res = pb.measure_body(mu2, pb.build_polytope(100.0 * pb.cube(2).vertices))
+    ref = 100.0 ** 3 * 4.0 / 3.0 * (math.sqrt(2.0) + math.asinh(1.0))
+    assert abs(res.value - ref) <= res.error_estimate <= 1e-12 * ref
+
+    mu3 = pb.radial_power(3, 1.0)
+    K = pb.build_polytope(30.0 * pb.cube(3).vertices)
+    res = pb.measure_body(mu3, K)
+    mean, budget = _pooled_monte_carlo(mu3, K)
+    assert abs(res.value - mean) <= budget
+    unit = pb.measure_body(mu3, pb.cube(3))
+    assert (abs(res.value - 30.0 ** 4 * unit.value)
+            <= res.error_estimate + 30.0 ** 4 * unit.error_estimate)
+
+
+def test_facet_integrals_relative_floor_meets_unreachable_budgets(square, gauss2):
+    """A budget far below the roundoff floor exhausts the depth (see
+    above); with ``rtol`` each simplex stops within rtol of its value.  The
+    edge weight is e^{-1/2} erf(1/sqrt 2) / sqrt(2 pi)."""
+    values, errors, _ = pb.measures.facet_integrals(square, gauss2.eval, 1e-30,
+                                                    rtol=1e-12)
+    ref = math.exp(-0.5) * ERF / math.sqrt(2.0 * math.pi)
+    assert np.all(np.abs(values - ref) <= errors)
+    assert np.all(errors <= 1e-12 * values)
+
+
 def test_flux_is_builtin_only(gauss2):
     with pytest.raises(pb.ConfigurationError):
         pb.custom_density(2, flux=gauss2.flux, **_constant(1.0))
