@@ -2,12 +2,15 @@
 
 The canonical representation is the vertex set; facet data (unit outward
 normals, offsets h_K(u_i), (n-1)-measures, centroids) is derived by a convex
-hull computation and cached on the body.  Minkowski sums and linear images
-are vertex-native.  Intersections of translates K ∩ (K + x) are read off the
-face lattice (``face_pairs``): each of their vertices is where a face of K
-meets a face of K + x of complementary dimension, a point affine in x whose
-map is cached per face pair, so each x costs one matrix product, a facet
-membership test and a hull volume, in every dimension.
+hull computation and cached on the body, together with the hull simplices
+tiling the facets: one flat array ordered by facet (``facet_simplices``)
+and the facet of each (``simplex_facet``), built by one pass per facet.
+Minkowski sums and linear images are vertex-native.  Intersections of
+translates K ∩ (K + x) are read off the face lattice (``face_pairs``): each
+of their vertices is where a face of K meets a face of K + x of
+complementary dimension, a point affine in x whose map is cached per face
+pair, so each x costs one matrix product, a facet membership test and a
+hull volume, in every dimension.
 
 Volumes of polytopes are exact up to floating point: a fan decomposition
 over an interior point into simplices, summed determinants.
@@ -111,16 +114,21 @@ class Polytope:
     offsets : (m,) offsets b_i = h_K(u_i).
     areas : (m,) facet (n-1)-measures A_i.
     centroids : (m, n) facet centroids.
+    facet_simplices : (S, n, n) vertex coordinates of the (n-1)-simplices
+        that tile the facets, grouped by facet in facet order.
+    simplex_facet : (S,) int facet index of each simplex, non-decreasing,
+        every facet 0..m-1 holding at least one simplex.
     """
 
     def __init__(self, vertices, normals, offsets, areas, centroids,
-                 facet_simplices, volume):
+                 facet_simplices, simplex_facet, volume):
         self.vertices = vertices
         self.normals = normals
         self.offsets = offsets
         self.areas = areas
         self.centroids = centroids
-        self.facet_simplices = facet_simplices  # per facet: (k, n, n) coords
+        self.facet_simplices = facet_simplices
+        self.simplex_facet = simplex_facet
         self.volume = volume
         self.n = vertices.shape[1]
 
@@ -165,19 +173,20 @@ class Polytope:
         return Polytope(self.vertices + x, self.normals,
                         self.offsets + self.normals @ x,
                         self.areas, self.centroids + x,
-                        [s + x for s in self.facet_simplices], self.volume)
+                        self.facet_simplices + x, self.simplex_facet,
+                        self.volume)
 
     def negate(self) -> "Polytope":
         return Polytope(-self.vertices, -self.normals, self.offsets,
                         self.areas, -self.centroids,
-                        [-s for s in self.facet_simplices], self.volume)
+                        -self.facet_simplices, self.simplex_facet, self.volume)
 
     def scale(self, c: float) -> "Polytope":
         if c <= 0:
             raise ConfigurationError("scale factor must be positive")
         return Polytope(c * self.vertices, self.normals, c * self.offsets,
                         c ** (self.n - 1) * self.areas, c * self.centroids,
-                        [c * s for s in self.facet_simplices],
+                        c * self.facet_simplices, self.simplex_facet,
                         c ** self.n * self.volume)
 
 
@@ -213,44 +222,38 @@ def build_polytope(points) -> Polytope:
     vertices = pts[hull.vertices]
     eq_normals = hull.equations[:, :-1]
     eq_offsets = -hull.equations[:, -1]
-
-    # group coplanar hull simplices into facets
-    groups: list[list[int]] = []
-    group_norm: list[np.ndarray] = []
-    group_off: list[float] = []
     scale = max(1.0, float(np.abs(eq_offsets).max()))
-    for i in range(len(hull.simplices)):
-        u, b = eq_normals[i], eq_offsets[i]
-        for g, (gu, gb) in enumerate(zip(group_norm, group_off)):
-            if u @ gu >= 1.0 - _MERGE_TOL and abs(b - gb) <= _MERGE_TOL * scale:
-                groups[g].append(i)
-                break
-        else:
-            groups.append([i])
-            group_norm.append(u)
-            group_off.append(b)
 
-    center = vertices.mean(axis=0)
-    normals, offsets, areas, centroids, facet_simplices = [], [], [], [], []
-    volume = 0.0
-    for g, members in enumerate(groups):
-        simplices = np.stack([pts[hull.simplices[i]] for i in members])
+    # one facet per pass: the first hull simplex not yet placed and every
+    # remaining simplex coplanar with it
+    rest = np.arange(len(hull.simplices))
+    normals, offsets, areas, centroids, members = [], [], [], [], []
+    while len(rest):
+        u, b = eq_normals[rest[0]], eq_offsets[rest[0]]
+        same = ((eq_normals[rest] @ u >= 1.0 - _MERGE_TOL)
+                & (np.abs(eq_offsets[rest] - b) <= _MERGE_TOL * scale))
+        same[0] = True
+        group, rest = rest[same], rest[~same]
+        simplices = pts[hull.simplices[group]]
         meas = simplex_measure(simplices)
         area = float(meas.sum())
         if area <= 0.0:
             continue
-        u = group_norm[g] / np.linalg.norm(group_norm[g])
+        u = u / np.linalg.norm(u)
         normals.append(u)
         offsets.append(float(np.max(vertices @ u)))
         areas.append(area)
         centroids.append(np.average(simplices.mean(axis=1), axis=0, weights=meas))
-        facet_simplices.append(simplices)
-        for s in simplices:
-            volume += abs(np.linalg.det(s - center)) / math.factorial(n)
+        members.append(group)
 
+    facet_simplices = pts[hull.simplices[np.concatenate(members)]]
+    simplex_facet = np.repeat(np.arange(len(members)), [len(g) for g in members])
+    # summed in facet order, one simplex at a time
+    cones = np.abs(np.linalg.det(facet_simplices - vertices.mean(axis=0)))
+    volume = float(np.cumsum(cones / math.factorial(n))[-1])
     poly = Polytope(vertices, np.array(normals), np.array(offsets),
                     np.array(areas), np.array(centroids), facet_simplices,
-                    volume)
+                    simplex_facet, volume)
     closure = np.linalg.norm(poly.areas @ poly.normals)
     if closure > 1e-9 * max(1.0, poly.areas.sum()):
         raise DegeneracyError(f"facet closure violated: |sum A_i u_i| = {closure:.2e}")

@@ -177,15 +177,13 @@ class PrismSampler:
 
     def __init__(self, K: Polytope, theta: np.ndarray, h: float, polarized: bool):
         c = K.normals @ theta
-        facets = np.flatnonzero(c != 0.0 if polarized else c < 0.0)
+        keep = (c != 0.0 if polarized else c < 0.0)[K.simplex_facet]
+        c = c[K.simplex_facet[keep]]
         self.n, self.h, self.polarized = K.n, h, polarized
         self.depth = h / 2.0 if polarized else h
-        per_facet = [len(K.facet_simplices[i]) for i in facets]
-        self.simplices = np.concatenate([K.facet_simplices[i] for i in facets])
-        self.directions = np.repeat(-np.sign(c[facets])[:, None] * theta, per_facet,
-                                    axis=0)
-        volumes = (bodies.simplex_measure(self.simplices)
-                   * np.repeat(np.abs(c[facets]), per_facet) * self.depth)
+        self.simplices = K.facet_simplices[keep]
+        self.directions = -np.sign(c)[:, None] * theta
+        volumes = bodies.simplex_measure(self.simplices) * np.abs(c) * self.depth
         self.measure = float(volumes.sum())
         self.p = volumes / self.measure
         rates = self.directions @ K.normals.T                       # (S, m)

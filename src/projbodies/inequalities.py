@@ -34,7 +34,7 @@ from .numerics import (BoxSampler, ConfigurationError, DomainError,
                        mean_with_budget, monte_carlo)
 from .projection import Zonoid, projection_zonoid, shifted_zonoid
 from .report import (Report, RunConfig, Witness, direction_grid,
-                     finish_report)
+                     finish_report, worst_link)
 
 
 def _binom(a: float, n: int) -> float:
@@ -345,13 +345,9 @@ def _boundary_density_min(K: Polytope, mu: Density) -> float:
     Exact for radially monotone densities (extremes at vertices or nearest
     boundary points, both in the sample for the bodies used here).
     """
-    pts = [K.vertices, K.centroids]
-    for simplices in K.facet_simplices:
-        for spx in simplices:
-            pts.append(spx)
-            pts.append(spx.mean(axis=0, keepdims=True))
-    allpts = np.vstack(pts)
-    return float(np.min(mu.eval(allpts)))
+    spx = K.facet_simplices
+    pts = np.vstack([K.vertices, K.centroids, spx.reshape(-1, K.n), spx.mean(axis=1)])
+    return float(np.min(mu.eval(pts)))
 
 
 def _verify_set_inclusion_big(K, mu, nu, f, family, s, cfg) -> Report:
@@ -398,10 +394,8 @@ def _verify_set_inclusion_big(K, mu, nu, f, family, s, cfg) -> Report:
              ("rho_DK", rho_dk, np.zeros_like(rho_dk)),
              ("(F/F')*rho_shifted_polar", rho4,
               ratio_err / h_mu + ratio * h_mu_err / h_mu ** 2)]
-    # the first link and direction take ties
-    margins = np.diff([radii for _, radii, _ in chain], axis=0)
-    k, i = np.unravel_index(np.argmin(margins), margins.shape)
-    worst, worst_pair = float(margins[k, i]), f"{chain[k][0]} <= {chain[k + 1][0]}"
+    names, radii, _ = zip(*chain)
+    k, i, worst, worst_pair = worst_link(names, radii)
     budget = float(chain[k][2][i] + chain[k + 1][2][i])
     witnesses = {"worst_margin": Witness(worst, budget, note=worst_pair),
                  "mu_K": Witness(muK.value, muK.error_estimate),

@@ -26,7 +26,7 @@ from .bodies import Polytope, StarBody
 from .covariogram import RayPiece, ray_pieces
 from .numerics import DomainError, SphereGrid
 from .projection import projection_zonoid
-from .report import Report, Witness
+from .report import Report, Witness, worst_link
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,7 @@ def inclusion_chain_report(K: Polytope, p_list, grid: SphereGrid,
               for p, r in zip(reversed(p_list), reversed(radial))]
     chain += [("n*Vol*rho_polar", n * rho_polar)]
 
-    # the first link and direction take ties
-    margins = np.diff([radii for _, radii in chain], axis=0)
-    k, i = np.unravel_index(np.argmin(margins), margins.shape)
-    worst, worst_pair = float(margins[k, i]), f"{chain[k][0]} <= {chain[k + 1][0]}"
+    _, i, worst, worst_pair = worst_link(*zip(*chain))
     worst_dir = np.array2string(grid.directions[i])
 
     upper = np.stack([rho_dk] + radial + [n * rho_polar])

@@ -253,9 +253,7 @@ def measure_body(mu: Density, K, stream: RandomStream | None = None,
     a facet through the origin (b_i = 0) gets an infinite one: it adds
     nothing, and a kink of G at 0 (|y|^alpha) never refines it.  On a large
     body |b_i| and the facet integrals grow until that budget falls below
-    the cubature's roundoff floor; a simplex within ``_FLUX_RTOL`` of its
-    value is then accepted, and the error reports the relative accuracy
-    reached instead of tol.
+    the cubature's roundoff floor, where its relative floor takes over.
     """
     if mu.is_lebesgue:
         return QuadratureResult(bodies.volume(K), 0.0, 0)
@@ -263,7 +261,7 @@ def measure_body(mu: Density, K, stream: RandomStream | None = None,
         b = K.offsets
         with np.errstate(divide="ignore"):
             budgets = tol / (len(b) * np.abs(b))
-        values, errors, evals = facet_integrals(K, mu.flux, budgets, _FLUX_RTOL)
+        values, errors, evals = facet_integrals(K, mu.flux, budgets)
         return QuadratureResult(float(b @ values), float(np.abs(b) @ errors), evals)
     lo, hi = K.bounding_box()
     sampler = BoxSampler(lo, hi)
@@ -323,7 +321,7 @@ _MAX_DEPTH = 14
 _BATCH = 4096  # simplices refined per density call: bounds memory at tight tol
 _GM_S = 4      # Grundmann-Moller rule of degree 2s + 1 = 9
 _ROUNDOFF_ULPS = 16  # roundoff floor added to each accepted error, in ulp of |value|
-_FLUX_RTOL = 1e-12   # relative budget floor of mu(K) by the divergence theorem
+_RTOL = 1e-12        # relative budget floor of every facet simplex
 
 
 @functools.cache
@@ -366,8 +364,7 @@ _CHILDREN = {d: np.array(kids) for d, kids in {
 }.items()}
 
 
-def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9,
-                    rtol: float = 0.0):
+def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9):
     """Integral of ``fn`` over each facet of K: (values, errors, evaluations).
 
     The rule on each simplex is the degree-9 Grundmann-Moller rule.  Each
@@ -376,25 +373,25 @@ def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9,
     children's rule sum and its own rule value, plus a roundoff floor of
     ``_ROUNDOFF_ULPS`` ulp of that sum (the rule's weights alternate in
     sign).  It is accepted, with the children's sum as its value, when that
-    error is at most its budget or at most ``rtol`` times that sum, and is
+    error is at most its budget or at most ``_RTOL`` times that sum, and is
     otherwise refined with the budget split evenly among its children; a
     simplex still over budget at depth ``_MAX_DEPTH`` raises
     ``QuadratureFailure``.  The roundoff floor shrinks with the budget as a
-    simplex refines, so a budget below it is never met; an ``rtol`` well
-    above ``_ROUNDOFF_ULPS`` ulp keeps every simplex acceptable.  The
-    gap between the two levels is a heuristic error estimate, not a bound;
-    tests compare it with tight references.  All facets are refined
-    together: a batch of at most ``_BATCH`` simplices makes one call of
-    ``fn`` on all of its children's nodes, so memory stays flat however
-    tight ``tol`` is.  A child's rule value is kept as its coarse value when
-    it is refined in turn, so no rule is evaluated twice.  Accepted values
-    are summed depth-first, simplex by simplex, so the result does not
-    depend on the batching.  ``evaluations`` is the number of points passed
-    to ``fn``.
+    simplex refines, so a budget below it (on a large body, say) would never
+    be met alone; ``_RTOL``, well above ``_ROUNDOFF_ULPS`` ulp, keeps every
+    simplex acceptable, and the error then shows the relative accuracy
+    reached instead of ``tol``.  The gap between the two levels is a
+    heuristic error estimate, not a bound; tests compare it with tight
+    references.  All facets are refined together: a batch of at most
+    ``_BATCH`` simplices makes one call of ``fn`` on all of its children's
+    nodes, so memory stays flat however tight ``tol`` is.  A child's rule
+    value is kept as its coarse value when it is refined in turn, so no rule
+    is evaluated twice.  Accepted values are summed depth-first, simplex by
+    simplex, so the result does not depend on the batching.  ``evaluations``
+    is the number of points passed to ``fn``.
     """
-    roots = np.concatenate(K.facet_simplices)
+    roots, facet = K.facet_simplices, K.simplex_facet
     d, n = roots.shape[1] - 1, roots.shape[2]
-    counts = np.array([len(s) for s in K.facet_simplices])
     bary, w = _grundmann_moller(d)
     pairs = _CHILDREN[d]
     c = len(pairs)
@@ -423,8 +420,7 @@ def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9,
     # Per simplex: its root, its path code (child indices in base c, the
     # first step most significant), its budget and its own rule value.
     push(0, roots, np.arange(len(roots)), np.zeros(len(roots), dtype=np.int64),
-         np.repeat(np.broadcast_to(tol, len(counts)) / np.maximum(1, counts),
-                   counts),
+         (np.broadcast_to(tol, K.facet_count) / np.bincount(facet))[facet],
          rule(roots) * bodies.simplex_measure(roots))
     while stack:
         depth, spx, root, code, budget, coarse = stack.pop()
@@ -435,7 +431,7 @@ def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9,
             fine = fine + kid_vals[:, j]
         local_err = (np.abs(fine - coarse)
                      + _ROUNDOFF_ULPS * np.finfo(float).eps * np.abs(fine))
-        done = local_err <= np.maximum(budget, rtol * np.abs(fine))
+        done = local_err <= np.maximum(budget, _RTOL * np.abs(fine))
         if depth >= _MAX_DEPTH and not done.all():
             raise QuadratureFailure(
                 "facet cubature refinement depth exhausted",
@@ -459,7 +455,7 @@ def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9,
     fine, err = fine[order], err[order]
     values = np.zeros(K.facet_count)
     errors = np.zeros(K.facet_count)
-    for i, f in enumerate(np.repeat(np.arange(K.facet_count), counts)):
+    for i, f in enumerate(facet):
         part = slice(bounds[i], bounds[i + 1])
         values[f] += np.cumsum(fine[part])[-1]
         errors[f] += np.cumsum(err[part])[-1]

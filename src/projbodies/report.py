@@ -94,6 +94,15 @@ def finish_report(id_, lhs, rhs, errors, witnesses, cfg,
                   passed, verdict, witnesses, cfg.echo())
 
 
+def worst_link(names, radii):
+    """(k, i, margin, label) of the least margin radii[k + 1][i] - radii[k][i]
+    along a radial inclusion chain, labelled "names[k] <= names[k + 1]"; the
+    first link and direction take ties."""
+    margins = np.diff(radii, axis=0)
+    k, i = np.unravel_index(np.argmin(margins), margins.shape)
+    return k, i, float(margins[k, i]), f"{names[k]} <= {names[k + 1]}"
+
+
 def direction_grid(n: int, count: int, cfg: RunConfig):
     """Deterministic grid for n in {2, 3}, seeded random directions for n = 4."""
     if n in (2, 3):

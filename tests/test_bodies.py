@@ -39,6 +39,30 @@ def test_facet_closure(triangle, square, cube3, simplex3, stream):
         assert closure <= 1e-9 * max(1.0, body.areas.sum())
 
 
+def _flat_layout_bodies(n):
+    K = pb.random_polytope(n, pb.RandomStream(31).substream(n))
+    base = [K, pb.random_polytope(n, pb.RandomStream(32).substream(n), symmetric=True),
+            pb.cube(n), pb.cross_polytope(n), pb.standard_simplex(n)]
+    return base + [K.translate(np.linspace(-0.5, 0.7, n)), K.negate(), K.scale(2.5)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_facet_simplices_are_one_flat_array_by_facet(n):
+    """The (S, n, n) facet simplices run facet by facet, every facet holds
+    some, their measures sum to the facet areas, and each simplex lies on
+    its facet's plane; translates, negations and dilates keep all of it."""
+    for K in _flat_layout_bodies(n):
+        facet = K.simplex_facet
+        assert K.facet_simplices.shape == (len(facet), n, n)
+        assert np.all(np.diff(facet) >= 0)
+        assert np.array_equal(np.unique(facet), np.arange(K.facet_count))
+        areas = np.bincount(facet, pb.bodies.simplex_measure(K.facet_simplices))
+        assert np.allclose(areas, K.areas, rtol=1e-13, atol=0.0)
+        heights = np.einsum("skj,sj->sk", K.facet_simplices, K.normals[facet])
+        assert np.allclose(heights, K.offsets[facet, None],
+                           rtol=0.0, atol=1e-12 * max(1.0, K.diameter))
+
+
 def test_support(triangle, square):
     assert pb.support(square, [1, 0]) == 1.0
     d = np.array([1.0, 1.0]) / math.sqrt(2)

@@ -252,9 +252,13 @@ def test_facet_integrals_counts_every_point(cube3, gauss2, square):
         assert evals == sum(received) > 0
 
 
-def test_facet_integrals_depth_exhausted(square, gauss2):
+def test_facet_integrals_depth_exhausted(square):
+    """A jump at y = 1/3, never on a midpoint, keeps the gap of the simplex
+    across it at a fixed fraction of its value: neither the budget 0 nor the
+    relative floor is ever met there."""
     with pytest.raises(pb.QuadratureFailure) as info:
-        pb.measures.facet_integrals(square, gauss2.eval, 0.0)
+        pb.measures.facet_integrals(
+            square, lambda p: np.where(p[:, 1] > 1.0 / 3.0, 2.0, 1.0), 0.0)
     assert info.value.best.evaluations > 0
 
 
@@ -325,12 +329,12 @@ def test_facet_integrals_match_per_simplex_reference(n, tol):
     values, errors, evals = pb.measures.facet_integrals(K, mu.eval, tol)
     ref_values, ref_errors = np.zeros(len(values)), np.zeros(len(values))
     ref_evals = 0
-    for i, simplices in enumerate(K.facet_simplices):
-        for spx in simplices:
-            v, e, ne = _reference_integral(mu.eval, spx, tol / len(simplices))
-            ref_values[i] += v
-            ref_errors[i] += e
-            ref_evals += ne
+    counts = np.bincount(K.simplex_facet)
+    for i, spx in zip(K.simplex_facet, K.facet_simplices):
+        v, e, ne = _reference_integral(mu.eval, spx, tol / counts[i])
+        ref_values[i] += v
+        ref_errors[i] += e
+        ref_evals += ne
     assert evals == ref_evals
     # the same arithmetic in the same order
     assert np.array_equal(values, ref_values)
@@ -397,21 +401,18 @@ def _gauss_legendre_facet_integrals(K, fn, order=40):
     that shares no rule or refinement with ``facet_integrals``."""
     x, gw = np.polynomial.legendre.leggauss(order)
     x, gw = (x + 1.0) / 2.0, gw / 2.0
-    values = []
-    for simplices in K.facet_simplices:
-        parts = []
-        for spx in simplices:
-            if len(spx) == 2:
-                p = spx[0] + x[:, None] * (spx[1] - spx[0])
-                parts += list(fn(p) * gw * np.linalg.norm(spx[1] - spx[0]))
-            else:
-                s, t = (a.ravel() for a in np.meshgrid(x, x, indexing="ij"))
-                p = (spx[0] + s[:, None] * (spx[1] - spx[0])
-                     + (s * t)[:, None] * (spx[2] - spx[1]))
-                jac = np.linalg.norm(np.cross(spx[1] - spx[0], spx[2] - spx[1]))
-                parts += list(fn(p) * np.outer(gw, gw).ravel() * s * jac)
-        values.append(math.fsum(parts))
-    return np.array(values)
+    parts = [[] for _ in range(K.facet_count)]
+    for i, spx in zip(K.simplex_facet, K.facet_simplices):
+        if len(spx) == 2:
+            p = spx[0] + x[:, None] * (spx[1] - spx[0])
+            parts[i] += list(fn(p) * gw * np.linalg.norm(spx[1] - spx[0]))
+        else:
+            s, t = (a.ravel() for a in np.meshgrid(x, x, indexing="ij"))
+            p = (spx[0] + s[:, None] * (spx[1] - spx[0])
+                 + (s * t)[:, None] * (spx[2] - spx[1]))
+            jac = np.linalg.norm(np.cross(spx[1] - spx[0], spx[2] - spx[1]))
+            parts[i] += list(fn(p) * np.outer(gw, gw).ravel() * s * jac)
+    return np.array([math.fsum(part) for part in parts])
 
 
 @pytest.mark.parametrize("tol", [1e-5, 1e-11])
@@ -559,14 +560,23 @@ def test_flux_measure_on_large_bodies():
 
 
 def test_facet_integrals_relative_floor_meets_unreachable_budgets(square, gauss2):
-    """A budget far below the roundoff floor exhausts the depth (see
-    above); with ``rtol`` each simplex stops within rtol of its value.  The
-    edge weight is e^{-1/2} erf(1/sqrt 2) / sqrt(2 pi)."""
-    values, errors, _ = pb.measures.facet_integrals(square, gauss2.eval, 1e-30,
-                                                    rtol=1e-12)
+    """A budget far below the roundoff floor is never met on its own; the
+    relative floor stops each simplex within 1e-12 of its value.  The edge
+    weight is e^{-1/2} erf(1/sqrt 2) / sqrt(2 pi)."""
+    values, errors, _ = pb.measures.facet_integrals(square, gauss2.eval, 1e-30)
     ref = math.exp(-0.5) * ERF / math.sqrt(2.0 * math.pi)
     assert np.all(np.abs(values - ref) <= errors)
     assert np.all(errors <= 1e-12 * values)
+
+
+@pytest.mark.parametrize("R", [400.0, 1000.0])
+def test_facet_weights_on_large_bodies(R):
+    """At the default tol the budget of R cube(2)'s edges falls below the
+    roundoff floor; each edge weight of |x| is R^2 (sqrt 2 + asinh 1)."""
+    K = pb.build_polytope(R * pb.cube(2).vertices)
+    w, e = pb.facet_weights(pb.radial_power(2, 1.0), K)
+    ref = R ** 2 * (math.sqrt(2.0) + math.asinh(1.0))
+    assert np.all(np.abs(w - ref) <= e) and np.all(e <= 1e-12 * ref)
 
 
 def test_flux_is_builtin_only(gauss2):
