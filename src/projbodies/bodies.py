@@ -1,7 +1,7 @@
 """Exact convex-body arithmetic in dimensions 2 through 4.
 
 The canonical representation is the vertex set; facet data (unit outward
-normals, offsets h_K(u_i), (n-1)-measures, centroids) is derived by a convex
+normals, offsets h_K(u_i), (n-1)-measures) is derived by a convex
 hull computation and cached on the body, together with the hull simplices
 tiling the facets: one flat array ordered by facet (``facet_simplices``)
 and the facet of each (``simplex_facet``), built by one pass per facet.
@@ -58,11 +58,6 @@ class LinearMap:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def inverse(self) -> "LinearMap":
-        if abs(self.det) < 1e-14:
-            raise ConfigurationError("singular map has no inverse")
-        return LinearMap(np.linalg.inv(self.matrix))
-
     @staticmethod
     def rotation_2d(angle: float) -> "LinearMap":
         c, s = math.cos(angle), math.sin(angle)
@@ -113,20 +108,18 @@ class Polytope:
     normals : (m, n) unit outward facet normals u_i.
     offsets : (m,) offsets b_i = h_K(u_i).
     areas : (m,) facet (n-1)-measures A_i.
-    centroids : (m, n) facet centroids.
     facet_simplices : (S, n, n) vertex coordinates of the (n-1)-simplices
         that tile the facets, grouped by facet in facet order.
     simplex_facet : (S,) int facet index of each simplex, non-decreasing,
         every facet 0..m-1 holding at least one simplex.
     """
 
-    def __init__(self, vertices, normals, offsets, areas, centroids,
-                 facet_simplices, simplex_facet, volume):
+    def __init__(self, vertices, normals, offsets, areas, facet_simplices,
+                 simplex_facet, volume):
         self.vertices = vertices
         self.normals = normals
         self.offsets = offsets
         self.areas = areas
-        self.centroids = centroids
         self.facet_simplices = facet_simplices
         self.simplex_facet = simplex_facet
         self.volume = volume
@@ -171,21 +164,20 @@ class Polytope:
     def translate(self, x) -> "Polytope":
         x = np.asarray(x, dtype=float)
         return Polytope(self.vertices + x, self.normals,
-                        self.offsets + self.normals @ x,
-                        self.areas, self.centroids + x,
+                        self.offsets + self.normals @ x, self.areas,
                         self.facet_simplices + x, self.simplex_facet,
                         self.volume)
 
     def negate(self) -> "Polytope":
         return Polytope(-self.vertices, -self.normals, self.offsets,
-                        self.areas, -self.centroids,
-                        -self.facet_simplices, self.simplex_facet, self.volume)
+                        self.areas, -self.facet_simplices, self.simplex_facet,
+                        self.volume)
 
     def scale(self, c: float) -> "Polytope":
         if c <= 0:
             raise ConfigurationError("scale factor must be positive")
         return Polytope(c * self.vertices, self.normals, c * self.offsets,
-                        c ** (self.n - 1) * self.areas, c * self.centroids,
+                        c ** (self.n - 1) * self.areas,
                         c * self.facet_simplices, self.simplex_facet,
                         c ** self.n * self.volume)
 
@@ -227,7 +219,7 @@ def build_polytope(points) -> Polytope:
     # one facet per pass: the first hull simplex not yet placed and every
     # remaining simplex coplanar with it
     rest = np.arange(len(hull.simplices))
-    normals, offsets, areas, centroids, members = [], [], [], [], []
+    normals, offsets, areas, members = [], [], [], []
     while len(rest):
         u, b = eq_normals[rest[0]], eq_offsets[rest[0]]
         same = ((eq_normals[rest] @ u >= 1.0 - _MERGE_TOL)
@@ -235,15 +227,13 @@ def build_polytope(points) -> Polytope:
         same[0] = True
         group, rest = rest[same], rest[~same]
         simplices = pts[hull.simplices[group]]
-        meas = simplex_measure(simplices)
-        area = float(meas.sum())
+        area = float(simplex_measure(simplices).sum())
         if area <= 0.0:
             continue
         u = u / np.linalg.norm(u)
         normals.append(u)
         offsets.append(float(np.max(vertices @ u)))
         areas.append(area)
-        centroids.append(np.average(simplices.mean(axis=1), axis=0, weights=meas))
         members.append(group)
 
     facet_simplices = pts[hull.simplices[np.concatenate(members)]]
@@ -252,8 +242,7 @@ def build_polytope(points) -> Polytope:
     cones = np.abs(np.linalg.det(facet_simplices - vertices.mean(axis=0)))
     volume = float(np.cumsum(cones / math.factorial(n))[-1])
     poly = Polytope(vertices, np.array(normals), np.array(offsets),
-                    np.array(areas), np.array(centroids), facet_simplices,
-                    simplex_facet, volume)
+                    np.array(areas), facet_simplices, simplex_facet, volume)
     closure = np.linalg.norm(poly.areas @ poly.normals)
     if closure > 1e-9 * max(1.0, poly.areas.sum()):
         raise DegeneracyError(f"facet closure violated: |sum A_i u_i| = {closure:.2e}")

@@ -1,12 +1,13 @@
 """The inequality verification suite.
 
 Every named inequality is evaluated as an lhs/rhs pair with a propagated
-error budget and reported through ``report.finish_report``, which sets the
+error budget (``report.first_order_error`` carries an input's error into a
+side) and reported through ``report.finish_report``, which sets the
 tolerance and the verdict.  Hypotheses that are assumptions of a theorem
-(density flags, concavity of a composed covariogram) are guarded: a missing
-flag raises a configuration error naming the hypothesis, a failed numeric
-concavity check yields a hypothesis-violation verdict rather than a failed
-inequality.
+(density flags, concavity of a composed covariogram) are guarded:
+``require`` raises a configuration error naming a missing one, and a failed
+numeric concavity check yields a hypothesis-violation verdict rather than a
+failed inequality.  ``isotropic`` shares ``require`` and ``surface_product``.
 
 mu(K), nu(DK) and the support-set measures nu((Z - c)° scaled) are
 deterministic for Lebesgue and for the radial builtins on polytopes
@@ -31,10 +32,10 @@ from .measures import (ConcavityFamily, Density, boundary_measure,
 from .numerics import (BoxSampler, ConfigurationError, DomainError,
                        QuadratureResult, RandomStream, ball_volume,
                        gaussian_cdf, gaussian_quantile, integrate_1d,
-                       mean_with_budget, monte_carlo)
+                       mean_with_budget, monte_carlo, sphere_directions)
 from .projection import Zonoid, projection_zonoid, shifted_zonoid
 from .report import (Report, RunConfig, Witness, direction_grid,
-                     finish_report, worst_link)
+                     finish_report, first_order_error, worst_link)
 
 
 def _binom(a: float, n: int) -> float:
@@ -43,10 +44,10 @@ def _binom(a: float, n: int) -> float:
                                            * special.gamma(a - n + 1.0)))
 
 
-def power_product_error(m: float, m_err: float, n: int, pv: float,
-                        pv_err: float) -> float:
-    """First-order error of m^n pv from the errors of m and pv."""
-    return n * m ** (n - 1) * m_err * pv + m ** n * pv_err
+def power_product(m: float, m_err: float, n: int, pv: float,
+                  pv_err: float) -> Witness:
+    """m^n pv, with its first-order error from the errors of m and pv."""
+    return Witness(m ** n * pv, n * m ** (n - 1) * m_err * pv + m ** n * pv_err)
 
 
 def _measure_support_set(nu: Density, Z: Zonoid, scale: float,
@@ -187,7 +188,8 @@ def verify(id: str, K, mu: Density | None = None, nu: Density | None = None,
     return fn(K, mu, nu, f, family, s, cfg)
 
 
-def _require(cond: bool, hypothesis: str):
+def require(cond: bool, hypothesis: str):
+    """The hypothesis guard: a ConfigurationError naming it unless ``cond``."""
     if not cond:
         raise ConfigurationError(f"hypothesis violated: {hypothesis}")
 
@@ -227,8 +229,8 @@ def _verify_rogers_shephard(K, mu, nu, f, family, s, cfg) -> Report:
 
 
 def _verify_rst(K, mu, nu, f, family, s, cfg) -> Report:
-    _require(nu is not None and nu.radially_decreasing,
-             "rst_radially_decreasing needs nu with radially decreasing density")
+    require(nu is not None and nu.radially_decreasing,
+            "rst_radially_decreasing needs nu with radially decreasing density")
     n = K.n
     DK = bodies.difference_body(K)
     st = cfg.stream()
@@ -244,7 +246,7 @@ def _verify_rst(K, mu, nu, f, family, s, cfg) -> Report:
 
 
 def _verify_weak_zhang(K, mu, nu, f, family, s, cfg) -> Report:
-    _require(mu is not None, "weak_zhang needs a measure mu")
+    require(mu is not None, "weak_zhang needs a measure mu")
     n = K.n
     st = cfg.stream()
     lhs = translated_average("mu_lambda", K, mu=mu, stream=st.substream(0),
@@ -258,8 +260,8 @@ def _verify_weak_zhang(K, mu, nu, f, family, s, cfg) -> Report:
 
 
 def _verify_zhang_rad(K, mu, nu, f, family, s, cfg) -> Report:
-    _require(nu is not None and nu.radially_nondecreasing,
-             "zhang_radial_nondecreasing needs nu in Lambda_rad")
+    require(nu is not None and nu.radially_nondecreasing,
+            "zhang_radial_nondecreasing needs nu in Lambda_rad")
     n = K.n
     st = cfg.stream()
     avg_pos = translated_average("mu_lambda", K, mu=nu,
@@ -278,19 +280,25 @@ def _verify_zhang_rad(K, mu, nu, f, family, s, cfg) -> Report:
                          [lhs_err, rhs.error_estimate], witnesses, cfg)
 
 
-def _verify_surface_lower_bound(K, mu, nu, f, family, s, cfg) -> Report:
-    _require(mu is not None, "surface_lower_bound needs a measure mu")
+def surface_product(id_: str, K: Polytope, mu: Density, tol: float):
+    """mu(dK)^n Vol(Pi_mu° K) and its lower bound (n kappa_n /
+    kappa_{n-1})^n kappa_n: the witnesses of mu(dK), Vol(Pi_mu° K) and the
+    product, then the bound."""
     n = K.n
-    bm = boundary_measure(mu, K, cfg.tol)
-    _require(bm.value > 0, "surface_lower_bound needs mu(dK) > 0")
-    Z = projection_zonoid(K, mu, tol=cfg.tol)
-    pv, pv_err = Z.polar_volume()
-    lhs = (n * ball_volume(n) / ball_volume(n - 1)) ** n * ball_volume(n)
-    rhs = bm.value ** n * pv
-    err = power_product_error(bm.value, bm.error_estimate, n, pv, pv_err)
-    witnesses = {"mu_boundary": Witness(bm.value, bm.error_estimate),
-                 "polar_volume": Witness(pv, pv_err)}
-    return finish_report("surface_lower_bound", lhs, rhs, [err], witnesses, cfg)
+    bm = boundary_measure(mu, K, tol)
+    require(bm.value > 0, f"{id_} needs mu(dK) > 0")
+    pv, pv_err = projection_zonoid(K, mu, tol=tol).polar_volume()
+    product = power_product(bm.value, bm.error_estimate, n, pv, pv_err)
+    lower = (n * ball_volume(n) / ball_volume(n - 1)) ** n * ball_volume(n)
+    return Witness(bm.value, bm.error_estimate), Witness(pv, pv_err), product, lower
+
+
+def _verify_surface_lower_bound(K, mu, nu, f, family, s, cfg) -> Report:
+    require(mu is not None, "surface_lower_bound needs a measure mu")
+    bm, pv, product, lower = surface_product("surface_lower_bound", K, mu, cfg.tol)
+    return finish_report("surface_lower_bound", lower, product.value,
+                         [product.error], {"mu_boundary": bm, "polar_volume": pv},
+                         cfg)
 
 
 def _verify_exp_norm_gradient(K, mu, nu, f, family, s, cfg) -> Report:
@@ -300,9 +308,9 @@ def _verify_exp_norm_gradient(K, mu, nu, f, family, s, cfg) -> Report:
     integral), leaving an angular integral handled adaptively in the plane
     and by direction sampling for n >= 3.
     """
-    _require(mu is not None, "exp_norm_gradient_identity needs a measure mu")
-    _require(np.min(K.offsets) > 1e-9,
-             "exp_norm_gradient_identity needs 0 interior to K")
+    require(mu is not None, "exp_norm_gradient_identity needs a measure mu")
+    require(np.min(K.offsets) > 1e-9,
+            "exp_norm_gradient_identity needs 0 interior to K")
     n = K.n
     bm = boundary_measure(mu, K, cfg.tol)
     lhs = special.gamma(n) * bm.value
@@ -324,76 +332,63 @@ def _verify_exp_norm_gradient(K, mu, nu, f, family, s, cfg) -> Report:
         res = integrate_1d(f1, 0.0, 2.0 * np.pi, max(cfg.tol, 1e-10))
         rhs, rhs_err = res.value, res.error_estimate
     else:
-        gen = cfg.stream().substream(3).generator()
-        raw = gen.standard_normal((cfg.samples // 4, n))
-        omega = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        omega = sphere_directions(n, cfg.samples // 4, "uniform_random",
+                                  cfg.stream().substream(3)).directions
         mean, budget = mean_with_budget(angular(omega))
         surf = n * ball_volume(n)
         rhs, rhs_err = mean * surf, budget * surf
     witnesses = {"mu_boundary": Witness(bm.value, bm.error_estimate),
                  "gradient_integral": Witness(rhs, rhs_err)}
-    errors = [lhs_err, rhs_err]
     # identity check: margin is minus the absolute defect
-    margin_lhs = abs(lhs - rhs)
-    return finish_report("exp_norm_gradient_identity", margin_lhs, 0.0, errors,
-                         witnesses, cfg)
+    return finish_report("exp_norm_gradient_identity", abs(lhs - rhs), 0.0,
+                         [lhs_err, rhs_err], witnesses, cfg)
 
 
 def _boundary_density_min(K: Polytope, mu: Density) -> float:
-    """min of phi over dK, sampled at vertices, facet nodes and centroids.
+    """min of phi over dK, sampled at the vertices and the facet simplices'
+    nodes and centroids.
 
-    Exact for radially monotone densities (extremes at vertices or nearest
-    boundary points, both in the sample for the bodies used here).
+    Exact for constant and radially decreasing densities, whose minimum on
+    dK is at a vertex.
     """
     spx = K.facet_simplices
-    pts = np.vstack([K.vertices, K.centroids, spx.reshape(-1, K.n), spx.mean(axis=1)])
+    pts = np.vstack([K.vertices, spx.reshape(-1, K.n), spx.mean(axis=1)])
     return float(np.min(mu.eval(pts)))
 
 
 def _verify_set_inclusion_big(K, mu, nu, f, family, s, cfg) -> Report:
     """Four-body radial chain Vol*inf(phi)*Pi_mu° ⊆ Vol*Pi° ⊆ DK ⊆ (F/F')(Pi_mu-eta)°."""
-    _require(mu is not None, "set_inclusion_big needs a measure mu")
+    require(mu is not None, "set_inclusion_big needs a measure mu")
     n = K.n
     if family is None:
         family = power_family(1.0 / n)
     if mu.is_lebesgue:
-        _require(family.kind == "power" and abs(family.s - 1.0 / n) < 1e-12,
-                 "Lebesgue chain is certified with the 1/n power family")
+        require(family.kind == "power" and abs(family.s - 1.0 / n) < 1e-12,
+                "Lebesgue chain is certified with the 1/n power family")
     else:
-        _require(family.kind == "power", "set_inclusion_big needs a power family")
-        _require(mu.s_concave_symmetric is not None
-                 and family.s <= mu.s_concave_symmetric + 1e-12,
-                 "mu must be s-concave on symmetric bodies for this family")
-        _require(K.is_symmetric() and mu.even,
-                 "non-Lebesgue chain needs symmetric K and even mu")
-    st = cfg.stream()
+        require(family.kind == "power", "set_inclusion_big needs a power family")
+        require(mu.s_concave_symmetric is not None
+                and family.s <= mu.s_concave_symmetric + 1e-12,
+                "mu must be s-concave on symmetric bodies for this family")
+        require(K.is_symmetric() and mu.even,
+                "non-Lebesgue chain needs symmetric K and even mu")
     grid = direction_grid(n, min(cfg.grid, 512), cfg)
     zon_mu = projection_zonoid(K, mu, tol=cfg.tol)
-    zon_le = projection_zonoid(K)
     h_mu = zon_mu.support(grid.directions)
     h_mu_err = zon_mu.support_error(grid.directions)
-    h_le = zon_le.support(grid.directions)
-    DK = bodies.difference_body(K)
-    rho_dk = bodies.radial_many(DK, grid.directions)
-    if mu.is_lebesgue:
-        muK = QuadratureResult(K.volume, 0.0, 0)
-    else:
-        muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
+    h_le = projection_zonoid(K).support(grid.directions)
+    rho_dk = bodies.radial_many(bodies.difference_body(K), grid.directions)
+    muK = measure_body(mu, K, cfg.stream().substream(0), cfg.samples, cfg.tol)
     inf_phi = _boundary_density_min(K, mu)
     ratio = family.F(muK.value) / family.Fprime(muK.value)  # = mu(K)/s for powers
-    ratio_err = muK.error_estimate / family.s if family.kind == "power" else 0.0
-
-    rho1 = K.volume * inf_phi / h_mu
-    rho2 = K.volume / h_le
     # Pi_mu K - eta is Pi_mu K: eta = 0 exactly for Lebesgue (facet closure)
     # and by symmetry on the other route
-    rho4 = ratio / h_mu
-    chain = [("Vol*inf(phi)*rho_Pi_mu_polar", rho1,
+    chain = [("Vol*inf(phi)*rho_Pi_mu_polar", K.volume * inf_phi / h_mu,
               K.volume * inf_phi * h_mu_err / h_mu ** 2),
-             ("Vol*rho_Pi_polar", rho2, np.zeros_like(rho2)),
+             ("Vol*rho_Pi_polar", K.volume / h_le, np.zeros_like(h_le)),
              ("rho_DK", rho_dk, np.zeros_like(rho_dk)),
-             ("(F/F')*rho_shifted_polar", rho4,
-              ratio_err / h_mu + ratio * h_mu_err / h_mu ** 2)]
+             ("(F/F')*rho_shifted_polar", ratio / h_mu,
+              muK.error_estimate / family.s / h_mu + ratio * h_mu_err / h_mu ** 2)]
     names, radii, _ = zip(*chain)
     k, i, worst, worst_pair = worst_link(names, radii)
     budget = float(chain[k][2][i] + chain[k + 1][2][i])
@@ -415,14 +410,14 @@ def family_matches(mu: Density, family: ConcavityFamily) -> bool:
 
 def _verify_q_concave(K, mu, nu, f, family, s, cfg) -> Report:
     """Vol(K) (or the f-weighted mass) against the Q-concavity bound."""
-    _require(mu is not None, "q_concave_zhang needs a measure mu")
-    _require(family is not None, "q_concave_zhang needs a concavity family Q")
-    _require(family_matches(mu, family),
-             f"mu ({mu.label}) is not certified {family.kind}-concave")
+    require(mu is not None, "q_concave_zhang needs a measure mu")
+    require(family is not None, "q_concave_zhang needs a concavity family Q")
+    require(family_matches(mu, family),
+            f"mu ({mu.label}) is not certified {family.kind}-concave")
     n = K.n
     st = cfg.stream()
     muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
-    _require(muK.value > 0, "q_concave_zhang needs mu(K) > 0")
+    require(muK.value > 0, "q_concave_zhang needs mu(K) > 0")
     ok, worst = _concavity_check(family, K, mu, f, cfg, st.substream(1))
     if f is None:
         a, a_err = muK.value, muK.error_estimate
@@ -437,7 +432,7 @@ def _verify_q_concave(K, mu, nu, f, family, s, cfg) -> Report:
     zon, _ = shifted_zonoid(K, mu, f, st.substream(4), cfg.samples, cfg.tol)
     pv, pv_err = zon.polar_volume()
     qprime = family.Fprime(a)
-    _require(qprime != 0.0, "q_concave_zhang needs Q'(a) != 0")
+    require(qprime != 0.0, "q_concave_zhang needs Q'(a) != 0")
 
     def rhs_of(aa):
         # f = chi_K: Vol(K) <= n pv / (mu(K) Q'(mu K)^n) * decay integral;
@@ -448,10 +443,7 @@ def _verify_q_concave(K, mu, nu, f, family, s, cfg) -> Report:
         return n * pv * integral / family.Fprime(aa) ** n
 
     rhs = rhs_of(a)
-    delta = max(a_err, 1e-9 * a)
-    rhs_sens = abs(rhs_of(a + delta) - rhs_of(max(a - delta, 1e-12))) / 2.0
-    rhs_sens *= (a_err / delta) if delta > 0 else 0.0
-    rhs_err = rhs / pv * pv_err + rhs_sens
+    rhs_err = rhs / pv * pv_err + first_order_error(rhs_of, a, a_err)
     witnesses = {"a": Witness(a, a_err, note="mu(K)" if f is None else "L1(mu,K) norm of f"),
                  "polar_volume": Witness(pv, pv_err),
                  "Qprime": Witness(qprime),
@@ -463,27 +455,26 @@ def _verify_q_concave(K, mu, nu, f, family, s, cfg) -> Report:
 
 
 def _verify_log_concave(K, mu, nu, f, family, s, cfg) -> Report:
-    _require(mu is not None and "log_concave" in mu.concavity,
-             "log_concave_zhang needs a log-concave mu")
+    require(mu is not None and "log_concave" in mu.concavity,
+            "log_concave_zhang needs a log-concave mu")
     n = K.n
     st = cfg.stream()
     muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
     zon, off = shifted_zonoid(K, mu, tol=cfg.tol)
     pv, pv_err = zon.polar_volume()
-    lhs = 1.0 / math.factorial(n)
-    rhs = muK.value ** n * pv / K.volume
-    err = power_product_error(muK.value, muK.error_estimate, n, pv,
-                              pv_err) / K.volume
+    product = power_product(muK.value, muK.error_estimate, n, pv, pv_err)
     witnesses = {"mu_K": Witness(muK.value, muK.error_estimate),
                  "polar_volume": Witness(pv, pv_err),
                  "eta": Witness(float(np.linalg.norm(off.value)),
                                 off.error_estimate)}
-    return finish_report("log_concave_zhang", lhs, rhs, [err], witnesses, cfg)
+    return finish_report("log_concave_zhang", 1.0 / math.factorial(n),
+                         product.value / K.volume, [product.error / K.volume],
+                         witnesses, cfg)
 
 
 def _verify_ehrhard(K, mu, nu, f, family, s, cfg) -> Report:
-    _require(mu is not None and "ehrhard_gaussian" in mu.concavity,
-             "ehrhard_gaussian needs the Gaussian measure")
+    require(mu is not None and "ehrhard_gaussian" in mu.concavity,
+            "ehrhard_gaussian needs the Gaussian measure")
     n = K.n
     st = cfg.stream()
     muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
@@ -497,13 +488,11 @@ def _verify_ehrhard(K, mu, nu, f, family, s, cfg) -> Report:
         return ehrhard_bound_value(n, gaussian_quantile(g), cfg.tol)
 
     lhs, rhs = lhs_of(muK.value), rhs_of(muK.value)
-    delta = max(muK.error_estimate, 1e-9)
-    lhs_err = (abs(lhs_of(muK.value + delta) - lhs_of(muK.value - delta)) / 2.0
+    lhs_err = (first_order_error(lhs_of, muK.value, muK.error_estimate)
                + lhs / pv * pv_err)
-    rhs_err = abs(rhs_of(muK.value + delta) - rhs_of(muK.value - delta)) / 2.0
-    x = gaussian_quantile(muK.value)
+    rhs_err = first_order_error(rhs_of, muK.value, muK.error_estimate)
     witnesses = {"gamma_K": Witness(muK.value, muK.error_estimate),
-                 "x": Witness(x),
+                 "x": Witness(gaussian_quantile(muK.value)),
                  "polar_volume": Witness(pv, pv_err),
                  "n_factorial": Witness(float(math.factorial(n))),
                  "bound_below_factorial": Witness(
@@ -514,13 +503,13 @@ def _verify_ehrhard(K, mu, nu, f, family, s, cfg) -> Report:
 
 
 def _verify_two_measure(K, mu, nu, f, family, s, cfg) -> Report:
-    _require(mu is not None, "two_measure_zhang needs mu")
-    _require(nu is not None and nu.radially_nondecreasing,
-             "two_measure_zhang needs nu in Lambda_rad")
-    _require(family is not None and family.kind == "power",
-             "two_measure_zhang needs a nonnegative increasing family (power)")
-    _require(family_matches(mu, family),
-             f"mu ({mu.label}) is not certified {family.kind}-concave")
+    require(mu is not None, "two_measure_zhang needs mu")
+    require(nu is not None and nu.radially_nondecreasing,
+            "two_measure_zhang needs nu in Lambda_rad")
+    require(family is not None and family.kind == "power",
+            "two_measure_zhang needs a nonnegative increasing family (power)")
+    require(family_matches(mu, family),
+            f"mu ({mu.label}) is not certified {family.kind}-concave")
     n = K.n
     st = cfg.stream()
     muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
@@ -557,13 +546,11 @@ def _verify_two_measure(K, mu, nu, f, family, s, cfg) -> Report:
                          witnesses, cfg)
 
 
-def _verify_s_concave(K, mu, nu, f, family, s, cfg) -> Report:
-    _require(mu is not None, "s_concave_zhang needs mu")
-    _require(s is not None and s > 0, "s_concave_zhang needs s > 0")
-    _require(mu.s_concave is not None and s <= mu.s_concave + 1e-12,
-             f"mu ({mu.label}) is not certified s-concave at s = {s}")
-    _require(nu is not None and nu.radially_nondecreasing,
-             "s_concave_zhang needs nu in Lambda_rad")
+def _s_concave_region_bound(id_, K, mu, nu, s, zon, cfg,
+                            binom_witness: bool) -> Report:
+    """binom(n + 1/s, n) nu_mu(K) <= nu of the support set of ``zon`` at
+    mu(K)/s, the two-measure bound of an s-concave mu; the errors are
+    those of nu_mu(K), of the region and of mu(K) carried into it."""
     n = K.n
     st = cfg.stream()
     muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
@@ -571,57 +558,54 @@ def _verify_s_concave(K, mu, nu, f, family, s, cfg) -> Report:
                              stream=st.substream(1), N=cfg.samples,
                              tol=cfg.tol)
     coeff = _binom(n + 1.0 / s, n)
-    lhs = coeff * avg.value
-    zon, _ = shifted_zonoid(K, mu, tol=cfg.tol)
-    region = _measure_support_set(nu, zon, muK.value / s, cfg,
-                                  st.substream(2))
+    region = _measure_support_set(nu, zon, muK.value / s, cfg, st.substream(2))
     witnesses = {"nu_mu": Witness(avg.value, avg.error_estimate),
-                 "mu_K": Witness(muK.value, muK.error_estimate),
-                 "binom": Witness(coeff),
-                 "region_measure": Witness(region.value, region.error_estimate)}
-    return finish_report("s_concave_zhang", lhs, region.value,
+                 "mu_K": Witness(muK.value, muK.error_estimate)}
+    if binom_witness:
+        witnesses["binom"] = Witness(coeff)
+    witnesses["region_measure"] = Witness(region.value, region.error_estimate)
+    return finish_report(id_, coeff * avg.value, region.value,
                          [coeff * avg.error_estimate, region.error_estimate,
                           region.value / max(muK.value, 1e-300) * muK.error_estimate],
                          witnesses, cfg)
+
+
+def _verify_s_concave(K, mu, nu, f, family, s, cfg) -> Report:
+    require(mu is not None, "s_concave_zhang needs mu")
+    require(s is not None and s > 0, "s_concave_zhang needs s > 0")
+    require(mu.s_concave is not None and s <= mu.s_concave + 1e-12,
+            f"mu ({mu.label}) is not certified s-concave at s = {s}")
+    require(nu is not None and nu.radially_nondecreasing,
+            "s_concave_zhang needs nu in Lambda_rad")
+    zon, _ = shifted_zonoid(K, mu, tol=cfg.tol)
+    return _s_concave_region_bound("s_concave_zhang", K, mu, nu, s, zon, cfg,
+                                   binom_witness=True)
 
 
 def _verify_polarized(K, mu, nu, f, family, s, cfg) -> Report:
-    _require(mu is not None, "polarized_zhang needs mu")
-    _require(K.is_symmetric(), "polarized_zhang needs a symmetric body")
-    _require(mu.even, "polarized_zhang needs an even measure")
+    require(mu is not None, "polarized_zhang needs mu")
+    require(K.is_symmetric(), "polarized_zhang needs a symmetric body")
+    require(mu.even, "polarized_zhang needs an even measure")
     s_max = mu.s_concave_symmetric if mu.s_concave_symmetric is not None else mu.s_concave
-    _require(s is not None and s > 0, "polarized_zhang needs s > 0")
-    _require(s_max is not None and s <= s_max + 1e-12,
-             f"mu ({mu.label}) is not s-concave on symmetric bodies at s = {s}")
-    n = K.n
-    st = cfg.stream()
-    coeff = _binom(n + 1.0 / s, n)
+    require(s is not None and s > 0, "polarized_zhang needs s > 0")
+    require(s_max is not None and s <= s_max + 1e-12,
+            f"mu ({mu.label}) is not s-concave on symmetric bodies at s = {s}")
     zon = projection_zonoid(K, mu, tol=cfg.tol)  # no offset: eta = 0 by symmetry
-    if nu is None or nu.is_lebesgue:
-        # reduced closed form: s^n binom(n + 1/s, n) Vol(K) <= mu(K)^n Vol(Pi_mu°)
-        muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
-        pv, pv_err = zon.polar_volume()
-        lhs = s ** n * coeff * K.volume
-        rhs = muK.value ** n * pv
-        err = power_product_error(muK.value, muK.error_estimate, n, pv, pv_err)
-        witnesses = {"mu_K": Witness(muK.value, muK.error_estimate),
-                     "polar_volume": Witness(pv, pv_err),
-                     "binom": Witness(coeff)}
-        return finish_report("polarized_zhang", lhs, rhs, [err], witnesses, cfg)
-    _require(nu.radially_nondecreasing, "polarized_zhang needs nu in Lambda_rad")
-    muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
-    avg = translated_average("nu_mu_body", K, mu=mu, nu=nu,
-                             stream=st.substream(1), N=cfg.samples,
-                             tol=cfg.tol)
-    region = _measure_support_set(nu, zon, muK.value / s, cfg, st.substream(2))
-    lhs = coeff * avg.value
-    witnesses = {"nu_mu": Witness(avg.value, avg.error_estimate),
-                 "mu_K": Witness(muK.value, muK.error_estimate),
-                 "region_measure": Witness(region.value, region.error_estimate)}
-    return finish_report("polarized_zhang", lhs, region.value,
-                         [coeff * avg.error_estimate, region.error_estimate,
-                          region.value / max(muK.value, 1e-300) * muK.error_estimate],
-                         witnesses, cfg)
+    if nu is not None and not nu.is_lebesgue:
+        require(nu.radially_nondecreasing, "polarized_zhang needs nu in Lambda_rad")
+        return _s_concave_region_bound("polarized_zhang", K, mu, nu, s, zon, cfg,
+                                       binom_witness=False)
+    # reduced closed form: s^n binom(n + 1/s, n) Vol(K) <= mu(K)^n Vol(Pi_mu°)
+    n = K.n
+    coeff = _binom(n + 1.0 / s, n)
+    muK = measure_body(mu, K, cfg.stream().substream(0), cfg.samples, cfg.tol)
+    pv, pv_err = zon.polar_volume()
+    product = power_product(muK.value, muK.error_estimate, n, pv, pv_err)
+    witnesses = {"mu_K": Witness(muK.value, muK.error_estimate),
+                 "polar_volume": Witness(pv, pv_err),
+                 "binom": Witness(coeff)}
+    return finish_report("polarized_zhang", s ** n * coeff * K.volume,
+                         product.value, [product.error], witnesses, cfg)
 
 
 _DISPATCH = {
@@ -654,11 +638,11 @@ def berwald_1d_check(q, phi, n: int, xi: float, y_grid,
     with beta = n ∫_0^1 q(xi t) (1-t)^{n-1} dt, for phi nondecreasing.
     """
     cfg = cfg or RunConfig()
-    _require(xi > 0, "berwald_1d_check needs xi > 0")
+    require(xi > 0, "berwald_1d_check needs xi > 0")
     y_grid = np.asarray(y_grid, dtype=float)
     probe = np.linspace(1e-9, float(y_grid.max()), 64)
-    _require(bool(np.all(np.diff([phi(r) for r in probe]) >= -1e-12)),
-             "berwald_1d_check needs phi nondecreasing")
+    require(bool(np.all(np.diff([phi(r) for r in probe]) >= -1e-12)),
+            "berwald_1d_check needs phi nondecreasing")
     beta = n * integrate_1d(lambda t: q(xi * t) * (1 - t) ** (n - 1), 0.0, 1.0,
                             tol).value
     worst = np.inf
@@ -685,8 +669,8 @@ def pe_sweep(K: Polytope, t_list, cfg: RunConfig | None = None) -> list[dict]:
     route evaluates the definition from its own facet cubature.
     """
     cfg = cfg or RunConfig()
-    _require(K.is_symmetric(), "pe_sweep needs a symmetric body")
-    _require(np.min(K.offsets) > 1e-9, "pe_sweep needs 0 interior")
+    require(K.is_symmetric(), "pe_sweep needs a symmetric body")
+    require(np.min(K.offsets) > 1e-9, "pe_sweep needs 0 interior")
     n = K.n
     mu = exp_norm(K)
     pv_base, _ = projection_zonoid(K).polar_volume()
@@ -727,7 +711,7 @@ def gaussian_sharpness_sweep(R_list, n: int = 2,
     gamma_n(c_n R B) tends to 1 like a Gaussian tail.
     """
     cfg = cfg or RunConfig()
-    _require(n in (2, 3), "gaussian_sharpness_sweep supports n in {2, 3}")
+    require(n in (2, 3), "gaussian_sharpness_sweep supports n in {2, 3}")
     c_n = n * ball_volume(n) / ball_volume(n - 1)
     out = []
     for R in R_list:

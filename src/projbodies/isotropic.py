@@ -11,6 +11,10 @@ on B = A^t A: concavity of sqrt bounds I by a linear function of B, which
 AM-GM minimizes over det B = 1 in closed form.  I is geodesically
 log-convex in B, so its one stationary point, unique up to rotation, is the
 minimum and no restarts are needed.
+
+The checks share the verify suite's hypothesis guard, surface product and
+error rule (``inequalities.require``, ``inequalities.surface_product``,
+``report.first_order_error``).
 """
 
 from __future__ import annotations
@@ -22,15 +26,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from .bodies import Polytope
-from .inequalities import (family_matches, int_decay, int_unit,
-                           power_product_error)
+from .inequalities import (family_matches, int_decay, int_unit, require,
+                           surface_product)
 from .measures import (ConcavityFamily, Density, boundary_measure,
                        facet_weights, measure_body, DEFAULT_MC_SAMPLES)
-from .numerics import (ConfigurationError, DomainError, RandomStream,
-                       ball_volume)
+from .numerics import ConfigurationError, DomainError, RandomStream
 from .projection import Zonoid, offset_vector, projection_zonoid
 from .report import (Report, RunConfig, Witness, direction_grid,
-                     finish_report)
+                     finish_report, first_order_error)
 
 
 @dataclass(frozen=True)
@@ -164,9 +167,7 @@ def ball_zonoid_volume_bound(weights, normals, total: float | None = None,
 
 def _require_isotropic(K: Polytope, mu: Density, tol: float) -> IsotropyCertificate:
     cert = isotropy_residual(K, mu, tol)
-    if not cert.isotropic:
-        raise ConfigurationError(
-            f"hypothesis violated: S_(mu,K) is not isotropic "
+    require(cert.isotropic, f"S_(mu,K) is not isotropic "
             f"(residual {cert.residual:.3g} > {cert.threshold:.3g})")
     return cert
 
@@ -186,14 +187,11 @@ def reverse_isoperimetric(K: Polytope, mu: Density, family: ConcavityFamily,
     cfg = cfg or RunConfig()
     if mode not in ("q_form", "f_form"):
         raise ConfigurationError(f"unknown mode {mode!r}")
-    if not family_matches(mu, family):
-        raise ConfigurationError(
-            f"hypothesis violated: mu ({mu.label}) is not certified "
-            f"{family.kind}-concave")
+    require(family_matches(mu, family),
+            f"mu ({mu.label}) is not certified {family.kind}-concave")
     cert = _require_isotropic(K, mu, cfg.tol)
-    if not offset_vector(K, mu, tol=cfg.tol).is_projective:
-        raise ConfigurationError(
-            "hypothesis violated: K is not mu-projective within budget")
+    require(offset_vector(K, mu, tol=cfg.tol).is_projective,
+            "K is not mu-projective within budget")
     n = K.n
     bm = boundary_measure(mu, K, cfg.tol)
     st = stream or cfg.stream()
@@ -201,21 +199,17 @@ def reverse_isoperimetric(K: Polytope, mu: Density, family: ConcavityFamily,
     vol = K.volume
 
     def rhs_of(a):
+        if mode == "q_form" and family.kind == "log":
+            return 4.0 * n * a * vol ** (-1.0 / n)
         if mode == "q_form":
-            if family.kind == "log":
-                return 4.0 * n * a * vol ** (-1.0 / n)
-            integral = int_decay(family, a, n, cfg.tol).value
-            rhs_n = ((4.0 * n / family.Fprime(a)) ** n * integral
-                     / (math.factorial(n - 1) * vol * a))
+            base, integral = 4.0 * n / family.Fprime(a), int_decay(family, a, n, cfg.tol)
         else:
-            integral = int_unit(family, a, n, cfg.tol).value
-            rhs_n = ((4.0 * n * family.F(a) / family.Fprime(a)) ** n * integral
-                     / (math.factorial(n - 1) * vol * a))
-        return rhs_n ** (1.0 / n)
+            base = 4.0 * n * family.F(a) / family.Fprime(a)
+            integral = int_unit(family, a, n, cfg.tol)
+        return (base ** n * integral.value / (math.factorial(n - 1) * vol * a)) ** (1.0 / n)
 
     rhs = rhs_of(muK.value)
-    delta = max(muK.error_estimate, 1e-9 * muK.value)
-    rhs_err = abs(rhs_of(muK.value + delta) - rhs_of(muK.value - delta)) / 2.0
+    rhs_err = first_order_error(rhs_of, muK.value, muK.error_estimate)
     witnesses = {"mu_boundary": Witness(bm.value, bm.error_estimate),
                  "mu_K": Witness(muK.value, muK.error_estimate),
                  "isotropy_residual": Witness(cert.residual)}
@@ -251,15 +245,11 @@ def isotropic_volume_sandwich(K: Polytope, mu: Density,
     cfg = cfg or RunConfig()
     _require_isotropic(K, mu, cfg.tol)
     n = K.n
-    bm = boundary_measure(mu, K, cfg.tol)
-    zon = projection_zonoid(K, mu, tol=cfg.tol)
-    pv, pv_err = zon.polar_volume()
-    product = bm.value ** n * pv
-    prod_err = power_product_error(bm.value, bm.error_estimate, n, pv, pv_err)
-    lower = (n * ball_volume(n) / ball_volume(n - 1)) ** n * ball_volume(n)
+    _, _, product, lower = surface_product("isotropic_volume_sandwich", K, mu,
+                                           cfg.tol)
     upper = 4.0 ** n * n ** n / math.factorial(n)
-    margin = min(product - lower, upper - product)
-    witnesses = {"product": Witness(product, prod_err),
+    margin = min(product.value - lower, upper - product.value)
+    witnesses = {"product": product,
                  "lower": Witness(lower), "upper": Witness(upper)}
-    return finish_report("isotropic_volume_sandwich", -margin, 0.0, [prod_err],
-                         witnesses, cfg)
+    return finish_report("isotropic_volume_sandwich", -margin, 0.0,
+                         [product.error], witnesses, cfg)

@@ -2,8 +2,10 @@
 
 Every check is an lhs/rhs pair normalized so that margin = rhs - lhs >= 0
 means pass; ``finish_report`` turns its propagated error terms into the
-tolerance and the verdict.  ``direction_grid`` serves the direction-wise
-checks; polar volumes are exact (``Zonoid.polar_volume``) and use no grid.
+tolerance and the verdict; ``first_order_error`` carries an input's error
+through a side computed from it.  ``direction_grid`` serves the
+direction-wise checks; polar volumes are exact (``Zonoid.polar_volume``)
+and use no grid.
 """
 
 from __future__ import annotations
@@ -92,6 +94,16 @@ def finish_report(id_, lhs, rhs, errors, witnesses, cfg,
         witnesses["tight"] = Witness(margin, tolerance, note="|margin| <= tolerance")
     return Report(id_, float(lhs), float(rhs), float(margin), float(tolerance),
                   passed, verdict, witnesses, cfg.echo())
+
+
+def first_order_error(fn, a: float, a_err: float) -> float:
+    """|fn'(a)| a_err for a positive input a: a central difference at step
+    max(a_err, 1e-9 |a|) (floored above roundoff, lower point clamped at
+    1e-12), scaled from the step back to a_err; zero when a_err = 0."""
+    if a_err == 0.0:
+        return 0.0
+    delta = max(a_err, 1e-9 * abs(a))
+    return abs(fn(a + delta) - fn(max(a - delta, 1e-12))) / 2.0 * (a_err / delta)
 
 
 def worst_link(names, radii):

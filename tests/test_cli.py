@@ -350,3 +350,14 @@ def test_golden_gaussian_mass_of_the_square(golden):
     within the recorded error."""
     mu_K = json.loads((ROOT / "tests" / "golden" / golden).read_text())["witnesses"]["mu_K"]
     assert abs(mu_K["value"] - math.erf(1.0 / math.sqrt(2.0)) ** 2) <= mu_K["error"] <= 1e-9
+
+
+def test_golden_reverse_iso_tolerance_is_first_order():
+    """The golden's tolerance is 3 RSS of its inputs' first-order errors:
+    rhs = 4 n mu(K) Vol^(-1/n) on cube(2), so 3 sqrt(e_b^2 + (4 n
+    Vol^(-1/n) e_mu)^2), from the golden's own witnesses."""
+    rep = json.loads((ROOT / "tests" / "golden" / "isotropic_reverse_iso.json").read_text())
+    w, n, vol = rep["witnesses"], 2, 4.0
+    slope = 4.0 * n * vol ** (-1.0 / n)
+    expected = 3.0 * math.hypot(w["mu_boundary"]["error"], slope * w["mu_K"]["error"])
+    assert rep["tolerance"] == pytest.approx(expected, rel=1e-6)

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import projbodies as pb
 from projbodies import projection
 from projbodies.inequalities import _measure_support_set
+from projbodies.report import first_order_error
 from conftest import gauss_edge_weight
 
 CFG = pb.RunConfig(seed=11)
@@ -92,6 +94,15 @@ def test_exp_norm_gradient_identity(square, gauss2):
     rep = pb.verify("exp_norm_gradient_identity", square, mu=mu,
                     precision=CFG)
     assert rep.passed
+
+
+@pytest.mark.parametrize("mu", ["gaussian", "exp_norm"])
+def test_exp_norm_gradient_identity_3d(cube3, mu):
+    """n = 3 integrates the angular part over sampled directions."""
+    mu = pb.gaussian(3) if mu == "gaussian" else pb.exp_norm(cube3)
+    rep = pb.verify("exp_norm_gradient_identity", cube3, mu=mu, precision=CFG)
+    assert rep.passed
+    assert rep.witnesses["gradient_integral"].error > 0
 
 
 def test_set_inclusion_big(triangle, square, gauss2, leb2):
@@ -192,6 +203,36 @@ def test_ehrhard_gaussian(square, gauss2):
     assert rep.passed
     assert rep.rhs <= 2.0 + 1e-9  # bound below n!
     assert rep.witnesses["bound_below_factorial"].value >= 0
+
+
+def test_ehrhard_tolerance_is_first_order(square, gauss2):
+    """The tolerance is 3 RSS of the sides' first-order errors in gamma(K)
+    and Vol(Pi_mu°): the lhs Vol/(g^n pv) carries n lhs e_g / g + lhs
+    e_pv / pv; the rhs B(x), x = Phi^{-1}(g), carries |B'(x)| e_g / phi(x),
+    where B'/B = -n x - (n + 1) phi/Phi + I'/I and I(x) = ∫_0^inf z^n
+    e^{-(z - x)^2/2} dz."""
+    rep = pb.verify("ehrhard_gaussian", square, mu=gauss2, precision=CFG)
+    w, n = rep.witnesses, 2
+    g, e_g = w["gamma_K"].value, w["gamma_K"].error
+    pv, e_pv = w["polar_volume"].value, w["polar_volume"].error
+    x = w["x"].value
+
+    def moment(k):
+        return integrate.quad(lambda z: z ** n * (z - x) ** k * math.exp(-0.5 * (z - x) ** 2),
+                              0.0, np.inf, epsabs=0.0, epsrel=1e-13)[0]
+
+    phi = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    dB = rep.rhs * (-n * x - (n + 1) * phi / pb.gaussian_cdf(x) + moment(1) / moment(0))
+    lhs_term = n * rep.lhs / g * e_g + rep.lhs / pv * e_pv
+    rhs_term = abs(dB) / phi * e_g
+    assert rep.tolerance == pytest.approx(3.0 * math.hypot(lhs_term, rhs_term), rel=1e-6)
+
+
+def test_first_order_error_scales_the_difference_to_the_input_error():
+    assert first_order_error(lambda a: a ** 2, 3.0, 1e-3) == pytest.approx(6e-3, rel=1e-12)
+    # the step floor 1e-9 |a| = 3e-9 is scaled back to the input's error
+    assert first_order_error(lambda a: a ** 2, 3.0, 1e-14) == pytest.approx(6e-14, rel=1e-6)
+    assert first_order_error(math.log, 2.0, 0.0) == 0.0
 
 
 def test_two_measure_zhang_equality(triangle, leb2):

@@ -188,6 +188,16 @@ def test_reverse_isoperimetric(square, leb2, gauss2, stream):
     assert rep.rhs == pytest.approx(truth, rel=1e-2)
 
 
+def test_reverse_isoperimetric_tolerance_is_first_order(square, gauss2, stream):
+    """Log family, q_form: rhs = 4 n mu(K) Vol^(-1/n) is linear in mu(K),
+    so the tolerance is 3 RSS(e_boundary, 4 n Vol^(-1/n) e_mu)."""
+    rep = pb.reverse_isoperimetric(square, gauss2, pb.log_family(), stream=stream)
+    w, n = rep.witnesses, 2
+    slope = 4.0 * n * square.volume ** (-1.0 / n)
+    expected = 3.0 * math.hypot(w["mu_boundary"].error, slope * w["mu_K"].error)
+    assert rep.tolerance == pytest.approx(expected, rel=1e-6)
+
+
 def test_reverse_isoperimetric_f_form(square, leb2, stream):
     """Power family at s = 1/n: the Beta integral gives 16/sqrt(3)."""
     rep = pb.reverse_isoperimetric(square, leb2, pb.power_family(0.5),

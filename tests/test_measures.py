@@ -94,6 +94,15 @@ def test_exp_norm_total_mass(square):
     assert abs(res.value - 2 * hexagon.volume) < 1e-6
 
 
+@pytest.mark.parametrize("body", [pb.cube(3), pb.cross_polytope(3)],
+                         ids=["cube", "cross_polytope"])
+def test_exp_norm_total_mass_on_a_sphere_grid(body):
+    """n = 3 sums Gamma(n) rho_L^n over a direction grid: n! Vol(L)."""
+    res = pb.total_mass(pb.exp_norm(body), grid=pb.sphere_directions(3, 4096),
+                        body=body)
+    assert abs(res.value - 6.0 * body.volume) <= res.error_estimate
+
+
 def test_facet_weights_lebesgue(square, triangle, leb2):
     w, e = pb.facet_weights(leb2, square)
     assert np.allclose(w, 2.0) and np.all(e == 0)
