@@ -27,15 +27,23 @@ read off its facet slacks, gives every mask.  The integrand runs the kernels
 on blocks of ``numerics.MC_BLOCK`` rows, so their temporaries never span all
 N points and their memory does not depend on the body or the seed.
 
-Translated averages integrate a covariogram against a second measure by
-sampling pairs of uniform points of K.  ``sample_uniform`` draws them by
-box rejection, a block of ``MC_BLOCK`` candidates at a time; it stops
-testing once it has enough and skips the generator past the untested rest,
-so its points and the draws after it are those of whole-chunk rejection.
+Translated averages integrate a covariogram against a second measure.  On a
+polygon under a density with a flux (the radial builtins) the average
+(1/Vol K) ∫_DK g_K dmu is deterministic: ``_polygon_covariogram`` evaluates
+g_K at a whole stack of translations by clipping K's edges against K + x
+and those of K + x against K, and ``_polar_average`` integrates it in polar
+coordinates with Gauss-Legendre rules on the arcs between the directions
+of v_i - v_j and on the radial pieces between the kink segments, where g_K
+is one quadratic.  Every other translated average samples pairs of uniform
+points of K.  ``sample_uniform`` draws them by box rejection, a block of
+``MC_BLOCK`` candidates at a time; it stops testing once it has enough and
+skips the generator past the untested rest, so its points and the draws
+after it are those of whole-chunk rejection.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -43,7 +51,8 @@ import numpy as np
 
 from . import bodies
 from .bodies import Polytope
-from .measures import Density, lebesgue, measure_body, DEFAULT_MC_SAMPLES
+from .measures import (RELATIVE_FLOOR, Density, lebesgue, measure_body,
+                       DEFAULT_MC_SAMPLES)
 from .numerics import (MC_BLOCK, BoxSampler, ConfigurationError, DomainError,
                        PrecisionError, QuadratureFailure, QuadratureResult,
                        RandomStream, mean_with_budget, monte_carlo, row_blocks)
@@ -417,6 +426,318 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
 
 # -- translated averages ------------------------------------------------------
 
+_POLAR_NODES = 16         # nodes of the first fine rule, per quarter turn and per piece
+_POLAR_MAX_ANGULAR = 128  # the finest angular rule tried
+_POLAR_MAX_RADIAL = 1024  # the finest radial rule tried, in nodes per piece
+_POLAR_ROUNDOFF = 64      # roundoff floor of the budget, in ulp of the value
+_POLAR_BLOCK = 2 ** 18    # clip pairs x translations held at once
+
+
+class _PolygonEdges(NamedTuple):
+    """A polygon's edges, set up for ``_polygon_covariogram``.
+
+    Edge i runs counter-clockwise from p_i to p_i + d_i along facet i, with
+    p_i relative to the vertex mean; w_i = p_i x d_i.  The constraint pairs
+    (i, j) of edge i against facet j are split by the sign of their rate
+    <u_j, d_i>: ``up`` (> 0, an upper bound on the edge parameter) and
+    ``low`` (< 0), each as (i, j, slack of p_i in facet j, 1 / rate),
+    sorted by i.  A facet parallel to edge i bounds nothing: its own facet
+    is the tie-break, and for x in DK the edge lies inside an antiparallel
+    facet of the other body (DK is the slab |<u_i, x>| <= the width of K
+    along u_i).
+    """
+
+    p: np.ndarray
+    d: np.ndarray
+    w: np.ndarray
+    up: tuple
+    low: tuple
+
+
+def _polygon_edges(K: Polytope) -> _PolygonEdges:
+    """K's ``_PolygonEdges``, cached on K."""
+    if not hasattr(K, "_polygon_edges"):
+        center = K.vertices.mean(axis=0)
+        u, b = K.normals, K.offsets - K.normals @ center
+        tangent = np.c_[-u[:, 1], u[:, 0]]
+        ends = (K.facet_simplices - center).reshape(-1, 2)
+        facet = np.repeat(K.simplex_facet, 2)
+        p, q = np.empty_like(u), np.empty_like(u)
+        for i, t in enumerate(tangent):
+            points = ends[facet == i]
+            along = points @ t
+            p[i], q[i] = points[np.argmin(along)], points[np.argmax(along)]
+        d = q - p
+        rate = d @ u.T
+        rate[np.abs(rate) <= 1e-12 * np.linalg.norm(d, axis=1)[:, None]] = 0.0
+        slack = b - p @ u.T
+
+        def pairs(mask):
+            i, j = np.nonzero(mask)          # row-major: sorted by i
+            return i, j, slack[i, j], 1.0 / rate[i, j]
+
+        K._polygon_edges = _PolygonEdges(
+            p, d, p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0],
+            pairs(rate > 0.0), pairs(rate < 0.0))
+    return K._polygon_edges
+
+
+def _polygon_covariogram(K: Polytope, xs) -> np.ndarray:
+    """g_K at a stack (N, 2) of translations of a polygon, by clipping.
+
+    The boundary of K ∩ (K + x) is the part of each edge of K inside K + x
+    and the part of each edge of K + x inside K.  Edge i, p_i + t d_i for t
+    in [0, 1], is clipped against the other body's facets j (Cyrus-Beck): with
+    c_j = <u_j, x> and s = +1 for K's edges, -1 for those of K + x, the
+    constraint is t <u_j, d_i> <= slack_ij + s c_j.  A clipped piece of
+    length L (in t) adds L (p_i - x/2 + [s < 0] x) x d_i / 2 to the shoelace
+    sum about x/2, a point near the intersection.  Where edge i of K and of
+    K + x lie on one line (c_i = 0) they would be counted twice: K's edge i
+    is kept when c_i >= 0 and that of K + x when c_i < 0.  Areas below
+    1e-14 max(1, Vol K) are 0, as in ``covariogram_exact``; beyond DK the
+    clipped pieces turn clockwise, and the value is 0 too.  The pairs are
+    taken a block of translations at a time, so memory stays flat.
+    """
+    E = _polygon_edges(K)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    out = np.empty(len(xs))
+    pairs = len(E.up[0]) + len(E.low[0])
+    step = max(1, _POLAR_BLOCK // pairs)
+    starts = [np.searchsorted(i, np.arange(len(E.p))) for i, *_ in (E.up, E.low)]
+    for begin in range(0, len(xs), step):
+        x = xs[begin:begin + step]
+        c = K.normals @ x.T                                   # (m, N)
+        half_cross = 0.5 * (np.outer(E.d[:, 1], x[:, 0])
+                            - np.outer(E.d[:, 0], x[:, 1]))  # (x / 2) x d_i
+        total = np.zeros(len(x))
+        for s, own in ((1.0, c >= 0.0), (-1.0, c < 0.0)):
+            bounds = []
+            for (i, j, slack, inverse), start, reduce in zip(
+                    (E.up, E.low), starts, (np.minimum, np.maximum)):
+                t = s * c[j]
+                t += slack[:, None]
+                t *= inverse[:, None]
+                bounds.append(reduce.reduceat(t, start, axis=0))
+            length = np.minimum(bounds[0], 1.0) - np.maximum(bounds[1], 0.0)
+            np.maximum(length, 0.0, out=length)
+            length *= own
+            total += np.einsum("in,in->n", length, E.w[:, None] - s * half_cross)
+        g = 0.5 * total
+        g[g <= 1e-14 * max(1.0, K.volume)] = 0.0
+        out[begin:begin + step] = g
+    return out
+
+
+@functools.cache
+def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k-node Gauss-Legendre nodes and weights on [0, 1]."""
+    z, w = np.polynomial.legendre.leggauss(k)
+    nodes, weights = 0.5 * (z + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by callers
+    return nodes, weights
+
+
+def _polar_geometry(K: Polytope):
+    """K's arcs and kink segments, cached on K.
+
+    Arcs run between the sorted directions of v_i - v_j (duplicates within
+    1e-12 rad merged); each is (start angle, width).  The kink segments are
+    ±(e_b - v_a) for each edge e_b and vertex v_a, as (start A, direction D);
+    those with an end at 0 (v_a on e_b) lie along an arc boundary and are
+    dropped.
+    """
+    if not hasattr(K, "_polar_geometry"):
+        v = K.vertices
+        diffs = (v[:, None, :] - v[None, :, :])[~np.eye(len(v), dtype=bool)]
+        angles = np.sort(np.arctan2(diffs[:, 1], diffs[:, 0]))
+        angles = angles[np.diff(angles, prepend=-np.inf) > 1e-12]
+        arcs = np.c_[angles, np.diff(angles, append=angles[0] + 2.0 * np.pi)]
+        E = _polygon_edges(K)
+        A = (E.p + v.mean(axis=0) - v[:, None, :]).reshape(-1, 2)
+        D = np.tile(E.d, (len(v), 1))
+        scale = 1e-12 * K.diameter
+        keep = ((np.linalg.norm(A, axis=1) > scale)
+                & (np.linalg.norm(A + D, axis=1) > scale))
+        A, D = np.r_[A[keep], -A[keep]], np.r_[D[keep], -D[keep]]
+        K._polar_geometry = arcs, A, D
+    return K._polar_geometry
+
+
+def _arc_nodes(arcs: np.ndarray, k: np.ndarray):
+    """Gauss-Legendre angles and weights on each arc (start, width), arc i
+    with ceil(k_i (1 + width_i / (pi/4)) / 2) nodes; also each node's arc."""
+    counts = np.ceil(k * (1.0 + arcs[:, 1] / (np.pi / 4)) / 2.0).astype(int)
+    angle, weight, arc = [], [], []
+    for count in np.unique(counts):
+        s, w = _gauss_legendre(int(count))
+        which = np.flatnonzero(counts == count)
+        start, span = arcs[which].T
+        angle.append((start[:, None] + span[:, None] * s).ravel())
+        weight.append((span[:, None] * w).ravel())
+        arc.append(np.repeat(which, count))
+    return np.concatenate(angle), np.concatenate(weight), np.concatenate(arc)
+
+
+def _polar_rule(K: Polytope, mu: Density, arcs: np.ndarray, angular: np.ndarray,
+                radial: np.ndarray, graded: bool):
+    """The polar rule with ``angular`` and ``radial`` nodes on arc i: per
+    arc, its value of ∫ g_K dmu over the arc's sector of DK and its radial
+    miss; and the number of points.  The radial miss sums over the arc's
+    rays the angular weight times |∫_0^rho phi r dr - Psi(rho)|, the radial
+    rule on phi r alone against the exact Psi(rho) = rho^2 G(rho theta)
+    from the flux G.
+
+    On each angular node's ray, r theta meets kink segment (A, D) where
+    r = (A x D) / (theta x D), at segment parameter (A x theta) / (theta x D)
+    in (0, 1).  The sorted radii in (0, rho_DK(theta)), merged within 1e-10
+    rho, cut [0, rho] into pieces.  A piece gets ``radial`` Gauss-Legendre
+    nodes in r, as one rule of up to ``_POLAR_NODES`` nodes or as p parts
+    with ``_POLAR_NODES`` each: equal parts, except on the piece [0, b] at
+    the origin, whose parts [0, b 2^(1-p)], ..., [b/2, b] halve toward 0,
+    where a radial density's mass may sit on a body far larger than its
+    scale (the Gaussian's is 1).  ``graded`` maps each part [0, b] by
+    r = b s^3, which turns r^(1 + alpha) dr into a multiple of
+    s^(3 alpha + 5) ds: smooth enough at 0 for fast convergence at
+    fractional alpha.  All rays and pieces are built and evaluated in one
+    batch per radial node count.
+    """
+    _, A, D = _polar_geometry(K)
+    angle, angle_w, arc = _arc_nodes(arcs, angular)
+    theta = np.c_[np.cos(angle), np.sin(angle)]
+    rho = bodies.radial_many(bodies.difference_body(K), theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        across = theta @ np.stack([D[:, 1], -D[:, 0]])             # theta x D
+        r = (A[:, 0] * D[:, 1] - A[:, 1] * D[:, 0]) / across
+        t = (theta @ np.stack([-A[:, 1], A[:, 0]])) / across         # A x theta
+        hit = (t > 0.0) & (t < 1.0) & (r > 0.0)
+    edges = np.where(hit, np.minimum(r, rho[:, None]), rho[:, None])
+    edges = np.c_[np.zeros(len(rho)), np.sort(edges, axis=1), rho]
+    merge = 1e-10 * rho[:, None]
+    keep = np.diff(edges, axis=1, prepend=-np.inf) > merge
+    keep &= edges < rho[:, None] - merge
+    keep[:, -1] = True
+    ray = np.nonzero(keep)[0]
+    flat = edges[keep]
+    same = ray[:-1] == ray[1:]
+    a, b, ray = flat[:-1][same], flat[1:][same], ray[:-1][same]
+
+    sums, mass, points = np.zeros(len(arcs)), np.zeros(len(rho)), 0
+    for nodes in np.unique(radial):
+        piece = np.flatnonzero(radial[arc[ray]] == nodes)
+        parts = max(1, nodes // _POLAR_NODES)
+        s, w = _gauss_legendre(int(nodes // parts))
+        cuts = np.where((a[piece] == 0.0)[:, None],
+                        np.r_[0.0, 2.0 ** np.arange(1 - parts, 1)],
+                        np.arange(parts + 1) / parts)
+        length = (b[piece] - a[piece])[:, None]
+        lo = (a[piece, None] + length * cuts[:, :-1]).reshape(-1, 1)
+        step = (length * np.diff(cuts, axis=1)).reshape(-1, 1)
+        on = np.repeat(ray[piece], parts)
+        radius, weight = lo + step * s, step * w
+        if graded:
+            first = lo[:, 0] == 0.0
+            radius[first] = step[first] * s ** 3
+            weight[first] = step[first] * 3.0 * s ** 2 * w
+        weight *= radius * angle_w[on, None]
+        x = (radius[..., None] * theta[on, None, :]).reshape(-1, 2)
+        phi = mu.eval(x) * weight.ravel()
+        sums += np.bincount(np.repeat(arc[on], len(s)),
+                            _polygon_covariogram(K, x) * phi, len(arcs))
+        mass += np.bincount(np.repeat(on, len(s)), phi, len(rho))
+        points += len(x)
+    miss = np.abs(mass - angle_w * rho ** 2 * mu.flux(rho[:, None] * theta))
+    return sums, np.bincount(arc, miss, len(arcs)), points
+
+
+def _polar_average(K: Polytope, mu: Density, tol: float) -> QuadratureResult:
+    """(1/Vol K) ∫_DK g_K dmu on a polygon, for mu with a ``flux``.
+
+    In polar coordinates the integral is ∫ dtheta ∫_0^rho_DK(theta)
+    g_K(r theta) phi(r theta) r dr.  In the plane the combinatorial type of
+    K ∩ (K + x) changes only where a vertex of one polygon crosses an edge
+    of the other, that is on the 2m^2 kink segments ±(e_b - v_a); on each
+    cell of their arrangement g_K is one quadratic polynomial.  Across a
+    kink where a vertex crosses an edge, the part of the boundary of K + x
+    inside K changes length continuously, so grad g_K is continuous: g_K
+    is C^1 there, and near a point where kinks cross it is a polynomial
+    plus multiples of (l)_+^2 for the kinks' lines l (the truncated powers
+    of a cross-cut partition).  It is only C^0 where parallel edges meet:
+    on the lines <u_i, x> = 0, which run along edge directions v_{i+1} - v_i
+    through 0, and on the boundary of DK.  The ends of the kink segments are
+    the points v_c - v_a.  So inside an arc between consecutive directions
+    of v_i - v_j every ray meets the same kink segments, at interior points
+    and transversally; their radii, rho_DK and the integral of each
+    truncated power from its radius on are analytic in theta, and so is the
+    radial integral.  Gauss-Legendre on the arcs in theta and on the pieces
+    between the radii in r then converges geometrically; the one endpoint
+    singularity, r^(1 + alpha) at 0 under ``radial_power``, is graded away
+    (``_polar_rule``).
+
+    Every arc starts with ``_POLAR_NODES`` angular and radial nodes.  Its
+    error is the gap to the rule with half the angular nodes, plus the gap
+    to the rule with half the radial nodes, plus Vol K times the radial
+    miss of ``_polar_rule`` (0 <= g_K <= Vol K; this catches radial nodes
+    that all miss where phi lives, as on a body far larger than the
+    Gaussian's unit scale, where both rules would agree on 0), plus a
+    roundoff floor of ``_POLAR_ROUNDOFF`` ulp of its value (each gap is a
+    coarse rule's error, a heuristic bound on the fine rule's).  The errors
+    may sum to ``tol`` or to ``RELATIVE_FLOOR`` of the value, whichever is
+    larger, as in the facet cubature: on a large body the roundoff floor
+    alone can exceed an absolute ``tol``, and the error then shows the
+    relative accuracy reached.  While they sum to more, each arc over an
+    equal share of that allowance doubles its angular or its radial nodes,
+    whichever has the larger gap; past ``_POLAR_MAX_ANGULAR`` or
+    ``_POLAR_MAX_RADIAL`` that raises ``QuadratureFailure``.
+    """
+    arcs = _polar_geometry(K)[0]
+    graded = mu.kind == "radial_power"
+    angular = np.full(len(arcs), _POLAR_NODES)
+    radial = angular.copy()
+    evaluations = 0
+
+    def rule(which, halve_angular=False, halve_radial=False):
+        nonlocal evaluations
+        if not len(which):
+            return np.zeros(0), np.zeros(0)
+        sums, miss, count = _polar_rule(
+            K, mu, arcs[which], angular[which] // (1 + halve_angular),
+            radial[which] // (1 + halve_radial), graded)
+        evaluations += count
+        return sums, miss
+
+    every = np.arange(len(arcs))
+    fine, miss = rule(every)
+    coarse_angular = rule(every, True)[0]
+    coarse_radial = rule(every, False, True)[0]
+    while True:
+        gap_angular = np.abs(fine - coarse_angular)
+        gap_radial = np.abs(fine - coarse_radial) + K.volume * miss
+        errors = (gap_angular + gap_radial
+                  + _POLAR_ROUNDOFF * np.finfo(float).eps * np.abs(fine))
+        result = QuadratureResult(fine.sum() / K.volume, errors.sum() / K.volume,
+                                  evaluations)
+        allowed = max(tol * K.volume, RELATIVE_FLOOR * abs(fine.sum()))
+        if errors.sum() <= allowed:
+            return result
+        todo = errors > allowed / len(arcs)
+        finer_angular = np.flatnonzero(todo & (gap_angular >= gap_radial))
+        finer_radial = np.flatnonzero(todo & (gap_angular < gap_radial))
+        if (np.any(angular[finer_angular] >= _POLAR_MAX_ANGULAR)
+                or np.any(radial[finer_radial] >= _POLAR_MAX_RADIAL)):
+            raise QuadratureFailure(
+                f"polar translated average misses tol {tol:.1e} at "
+                f"{_POLAR_MAX_ANGULAR} angular or {_POLAR_MAX_RADIAL} radial "
+                f"nodes (error {result.error_estimate:.3e})", result)
+        angular[finer_angular] *= 2
+        radial[finer_radial] *= 2
+        coarse_angular[finer_angular] = fine[finer_angular]
+        coarse_radial[finer_radial] = fine[finer_radial]
+        refined = np.r_[finer_angular, finer_radial]
+        fine[refined], miss[refined] = rule(refined)
+        coarse_radial[finer_angular] = rule(finer_angular, False, True)[0]
+        coarse_angular[finer_radial] = rule(finer_radial, True)[0]
+
+
 def sample_uniform(body, gen: np.random.Generator, count: int) -> np.ndarray:
     """Uniform points in a convex body by bounding-box rejection.
 
@@ -462,17 +783,45 @@ def translated_average(kind: str, K, mu: Density | None = None,
                        tol: float = 1e-9) -> QuadratureResult:
     """Covariogram integrated against a second measure, normalized.
 
-    Kinds (all reduce by Fubini to double integrals over K x K, which is
-    what gets sampled):
+    * ``mu_lambda``:  (1/Vol K) ∫_DK g_K dmu
+    * ``nu_mu_body``: (1/mu K)  ∫_DK g_{mu,K} dnu
+    * ``nu_mu_functional``: (1/||f||_{L^1(mu, K)}) ∫_DK g_{mu,f}(K, .) dnu
 
-    * ``mu_lambda``:  (1/Vol K) ∫_DK g_K dmu       = Vol(K) E[phi_mu(y - w)]
-    * ``nu_mu_body``: (1/mu K)  ∫_DK g_{mu,K} dnu  = V^2 E[phi_mu(y) phi_nu(y-w)] / mu(K)
-    * ``nu_mu_functional``: same with f(w) inserted, normalized by the
+    On a polygon, ``mu_lambda`` under a density with a ``flux`` (the radial
+    builtins) is deterministic: ``_polar_average`` integrates the exact
+    covariogram in polar coordinates to ``tol``, or raises
+    ``QuadratureFailure``.  ``nu_mu_body`` with a Lebesgue mu is that same
+    integral under nu, since g_{lambda,K} = g_K and lambda(K) = Vol K.
+    Everything else (3-D bodies, balls, densities without a flux, a
+    non-Lebesgue mu in ``nu_mu_body``, and ``nu_mu_functional``) is Monte
+    Carlo from ``stream`` with N pairs of uniform points of K
+    (``_sampled_average``).
+    """
+    density = mu if kind == "mu_lambda" else None
+    if kind == "nu_mu_body" and mu is not None and mu.is_lebesgue:
+        density = nu
+    if (density is not None and density.flux is not None
+            and isinstance(K, Polytope) and K.n == 2):
+        return _polar_average(K, density, tol)
+    return _sampled_average(kind, K, mu, nu, f, stream, N, tol)
+
+
+def _sampled_average(kind: str, K, mu: Density | None = None,
+                     nu: Density | None = None, f=None,
+                     stream: RandomStream | None = None,
+                     N: int = DEFAULT_MC_SAMPLES,
+                     tol: float = 1e-9) -> QuadratureResult:
+    """``translated_average`` by Monte Carlo over pairs of uniform points of
+    K (y, acted on by mu, and the translate w), by Fubini:
+
+    * ``mu_lambda``:  Vol(K) E[phi_mu(y - w)]
+    * ``nu_mu_body``: Vol(K)^2 E[phi_mu(y) phi_nu(y - w)] / mu(K)
+    * ``nu_mu_functional``: the same with f(w) inserted, normalized by the
       L^1(mu, K) norm of f.
 
-    y Stands for the K-sample acted on by mu, w for the translate sample.
-    mu(K) comes from ``measure_body`` at ``tol``.  The integrand is evaluated on
-    ``MC_BLOCK`` rows at a time, so its temporaries stay block-sized.
+    mu(K) comes from ``measure_body`` at ``tol``.  The integrand is
+    evaluated on ``MC_BLOCK`` rows at a time, so its temporaries stay
+    block-sized.
     """
     if stream is None:
         raise ConfigurationError("translated_average needs a RandomStream")

@@ -11,8 +11,10 @@ failed inequality.  ``isotropic`` shares ``require`` and ``surface_product``.
 
 mu(K), nu(DK) and the support-set measures nu((Z - c)° scaled) are
 deterministic for Lebesgue and for the radial builtins on polytopes
-(``measures.measure_body``); other densities, translated averages and the
-concavity checks are Monte Carlo.
+(``measures.measure_body``), and so are the translated averages of the
+radial builtins on polygons (``covariogram.translated_average``); other
+densities, other translated averages and the concavity checks are Monte
+Carlo.  Every report passes its ``RunConfig.tol`` to each of these.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ def _verify_rst(K, mu, nu, f, family, s, cfg) -> Report:
     st = cfg.stream()
     lhs = measure_body(nu, DK, st.substream(0), cfg.samples, cfg.tol)
     avg = translated_average("mu_lambda", K, mu=nu, stream=st.substream(1),
-                             N=cfg.samples)
+                             N=cfg.samples, tol=cfg.tol)
     rhs = _binom(2 * n, n) * avg.value
     witnesses = {"nu_DK": Witness(lhs.value, lhs.error_estimate),
                  "nu_lambda": Witness(avg.value, avg.error_estimate)}
@@ -250,7 +252,7 @@ def _verify_weak_zhang(K, mu, nu, f, family, s, cfg) -> Report:
     n = K.n
     st = cfg.stream()
     lhs = translated_average("mu_lambda", K, mu=mu, stream=st.substream(0),
-                             N=cfg.samples)
+                             N=cfg.samples, tol=cfg.tol)
     Z = projection_zonoid(K)
     rhs = _measure_support_set(mu, Z, n * K.volume, cfg, st.substream(1))
     witnesses = {"mu_lambda": Witness(lhs.value, lhs.error_estimate),
@@ -264,10 +266,11 @@ def _verify_zhang_rad(K, mu, nu, f, family, s, cfg) -> Report:
             "zhang_radial_nondecreasing needs nu in Lambda_rad")
     n = K.n
     st = cfg.stream()
-    avg_pos = translated_average("mu_lambda", K, mu=nu,
-                                 stream=st.substream(0), N=cfg.samples)
+    avg_pos = translated_average("mu_lambda", K, mu=nu, stream=st.substream(0),
+                                 N=cfg.samples, tol=cfg.tol)
     avg_neg = translated_average("mu_lambda", K.negate(), mu=nu,
-                                 stream=st.substream(1), N=cfg.samples)
+                                 stream=st.substream(1), N=cfg.samples,
+                                 tol=cfg.tol)
     lhs = _binom(2 * n, n) * max(avg_pos.value, avg_neg.value)
     lhs_err = _binom(2 * n, n) * max(avg_pos.error_estimate,
                                      avg_neg.error_estimate)

@@ -321,7 +321,7 @@ _MAX_DEPTH = 14
 _BATCH = 4096  # simplices refined per density call: bounds memory at tight tol
 _GM_S = 4      # Grundmann-Moller rule of degree 2s + 1 = 9
 _ROUNDOFF_ULPS = 16  # roundoff floor added to each accepted error, in ulp of |value|
-_RTOL = 1e-12        # relative budget floor of every facet simplex
+RELATIVE_FLOOR = 1e-12  # relative budget floor of the deterministic quadratures
 
 
 @functools.cache
@@ -373,14 +373,14 @@ def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9):
     children's rule sum and its own rule value, plus a roundoff floor of
     ``_ROUNDOFF_ULPS`` ulp of that sum (the rule's weights alternate in
     sign).  It is accepted, with the children's sum as its value, when that
-    error is at most its budget or at most ``_RTOL`` times that sum, and is
-    otherwise refined with the budget split evenly among its children; a
-    simplex still over budget at depth ``_MAX_DEPTH`` raises
+    error is at most its budget or at most ``RELATIVE_FLOOR`` times that
+    sum, and is otherwise refined with the budget split evenly among its
+    children; a simplex still over budget at depth ``_MAX_DEPTH`` raises
     ``QuadratureFailure``.  The roundoff floor shrinks with the budget as a
     simplex refines, so a budget below it (on a large body, say) would never
-    be met alone; ``_RTOL``, well above ``_ROUNDOFF_ULPS`` ulp, keeps every
-    simplex acceptable, and the error then shows the relative accuracy
-    reached instead of ``tol``.  The gap between the two levels is a
+    be met alone; ``RELATIVE_FLOOR``, well above ``_ROUNDOFF_ULPS`` ulp,
+    keeps every simplex acceptable, and the error then shows the relative
+    accuracy reached instead of ``tol``.  The gap between the two levels is a
     heuristic error estimate, not a bound; tests compare it with tight
     references.  All facets are refined together: a batch of at most
     ``_BATCH`` simplices makes one call of ``fn`` on all of its children's
@@ -431,7 +431,7 @@ def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9):
             fine = fine + kid_vals[:, j]
         local_err = (np.abs(fine - coarse)
                      + _ROUNDOFF_ULPS * np.finfo(float).eps * np.abs(fine))
-        done = local_err <= np.maximum(budget, _RTOL * np.abs(fine))
+        done = local_err <= np.maximum(budget, RELATIVE_FLOOR * np.abs(fine))
         if depth >= _MAX_DEPTH and not done.all():
             raise QuadratureFailure(
                 "facet cubature refinement depth exhausted",

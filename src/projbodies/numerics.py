@@ -275,6 +275,14 @@ def mean_with_budget(values: np.ndarray):
     return mean, budget
 
 
+def check_monte_carlo(N: int, stream: RandomStream | None):
+    """The stream and sample-count guard of every Monte Carlo estimate."""
+    if stream is None:
+        raise ConfigurationError("Monte Carlo needs a RandomStream")
+    if N < 1000:
+        raise ConfigurationError(f"need N >= 1000 Monte Carlo samples, got {N}")
+
+
 def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureResult:
     """Plain Monte Carlo of ``integrand`` over the sampler's region (a box,
     or a union of prisms): the mean of its values at N uniform points,
@@ -286,13 +294,11 @@ def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureR
     values, or (N, k) columns that share the draw; each column then gets the
     bits a 1-D run of its own would give, and the result's value and error
     are (k,) arrays.  Stack columns column-major, so each is reduced in
-    place.  This is the one estimator, and the one place that checks
-    the stream, the sample count and that every value is finite.
+    place.  This is the one estimator, and the one place that checks that
+    every value is finite; ``check_monte_carlo`` checks the stream and the
+    sample count.
     """
-    if stream is None:
-        raise ConfigurationError("Monte Carlo needs a RandomStream")
-    if N < 1000:
-        raise ConfigurationError(f"need N >= 1000 Monte Carlo samples, got {N}")
+    check_monte_carlo(N, stream)
     points = sampler.sample(stream.generator(), N)
     values = np.asarray(integrand(points), dtype=float)
     bad = ~np.isfinite(values)

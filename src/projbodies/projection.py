@@ -26,9 +26,9 @@ from .bodies import Ball, LinearMap, PolarDomainError, Polytope
 from .covariogram import CovariogramQuery, brightness_derivative
 from .measures import (Density, compose_linear, facet_integrals,
                        facet_weights, lebesgue, DEFAULT_MC_SAMPLES)
-from .numerics import (BoxSampler, ConfigurationError, QuadratureResult,
-                       RandomStream, SphereGrid, ball_volume, monte_carlo,
-                       row_blocks)
+from .numerics import (BoxSampler, ConfigurationError, PrecisionError,
+                       QuadratureResult, RandomStream, SphereGrid, ball_volume,
+                       check_monte_carlo, monte_carlo, row_blocks)
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,20 @@ class Zonoid:
     def polar_bracket(self, measure) -> tuple[float, float]:
         """``measure`` (monotone under inclusion) of the polar, given its
         ``polar_points``, and its weight-error bound: the polar shrinks as
-        any weight grows, so w + e and max(w - e, 0) bracket it."""
+        any weight grows, so w + e and w - e bracket it.  A weight whose
+        error is at least the weight leaves no lower end, and raises
+        ``PrecisionError``."""
         w, e = self.weights, self.weight_errors
         value = measure(self.polar_points(w))
         if not np.any(e):   # exact weights: the bracket would repeat value
             return value, 0.0
-        lo, hi = (measure(self.polar_points(x))
-                  for x in (w + e, np.maximum(w - e, 0.0)))
+        unresolved = np.flatnonzero((e > 0.0) & (e >= w))
+        if len(unresolved):
+            i = unresolved[0]
+            raise PrecisionError(
+                f"facet {i} weight {w[i]:.3e} has error {e[i]:.3e}, at least "
+                f"the weight, so the polar has no error bracket; tighten tol")
+        lo, hi = (measure(self.polar_points(x)) for x in (w + e, w - e))
         return value, max(hi - value, value - lo)
 
     def polar_volume(self) -> tuple[float, float]:
@@ -157,7 +164,9 @@ def offset_vector(K: Polytope, mu: Density, f=None,
     eta is computed from the boundary form (facet integrals of n_K phi,
     authoritative) and cross-checked against the interior Monte Carlo form;
     the two agree by Gauss-Green.  tau has no boundary-only form and is
-    Monte Carlo.
+    Monte Carlo, except when f is the same object as mu: its integrand is
+    then exactly 0, and so is tau (the bits the Monte Carlo would give).
+    The stream and sample-count guards hold either way.
     """
     if f is None:
         off = shifted_zonoid(K, mu, tol=tol)[1]
@@ -168,6 +177,10 @@ def offset_vector(K: Polytope, mu: Density, f=None,
 
     if not isinstance(f, Density):
         raise ConfigurationError("tau needs f with a gradient (a Density)")
+    check_monte_carlo(N, stream)
+    if f is mu:
+        # f grad phi - phi grad f is exactly 0 at every point
+        return OffsetVector(np.zeros(K.n), 0.0, "tau")
 
     def fn(p):
         fp, mp, fg, mg = f.eval(p), mu.eval(p), f.grad(p), mu.grad(p)

@@ -10,7 +10,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 import projbodies as pb
 from projbodies.covariogram import (PrismSampler, _brightness_quotients,
-                                    _pointwise_values, _prism_quotients,
+                                    _pointwise_values, _polygon_covariogram,
+                                    _prism_quotients, _sampled_average,
                                     _sampling_box, l1_norm, sample_uniform)
 from projbodies.numerics import MC_BLOCK, row_blocks
 
@@ -316,17 +317,174 @@ def test_translated_average_guards(triangle, stream, gauss2):
         pb.translated_average("bogus", triangle, mu=gauss2, stream=stream)
 
 
+# -- the planar polar route of translated_average -----------------------------
+
+def _planar_bodies():
+    return ([pb.cube(2), pb.standard_simplex(2)]
+            + [K for K in _c04_bodies() if K.n == 2])
+
+
+def test_polygon_covariogram_matches_the_exact_covariogram():
+    """The clipped-edge g_K of a stack of translations against
+    ``covariogram_exact``, one translation at a time: inside DK, on its
+    boundary (g = 0) and beyond it."""
+    gen = np.random.default_rng(1818)
+    for K in _planar_bodies():
+        thetas = gen.standard_normal((120, 2))
+        thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+        rho = pb.radial_many(pb.difference_body(K), thetas)
+        scale = np.r_[gen.uniform(0.0, 1.0, 80), np.ones(20), gen.uniform(1.0, 1.2, 20)]
+        xs = thetas * (scale * rho)[:, None]
+        exact = np.array([pb.covariogram_exact(K, x) for x in xs])
+        batched = _polygon_covariogram(K, xs)
+        assert np.max(np.abs(batched - exact)) <= 4e-15 * K.volume
+        assert np.all(batched[80:] == 0.0)
+
+
+def test_polygon_covariogram_counts_coincident_edges_once(square):
+    """Along the axes of cube(2) an edge of K + x lies on the parallel edge
+    of K; the tie-break keeps one of the two, so g = 2 (2 - |t|) exactly,
+    and on the diagonal g = (2 - |t|)^2."""
+    t = np.linspace(-2.0, 2.0, 33)
+    for xs, ref in ((np.c_[t, 0 * t], 2.0 * (2.0 - np.abs(t))),
+                    (np.c_[0 * t, t], 2.0 * (2.0 - np.abs(t))),
+                    (np.c_[t, t], (2.0 - np.abs(t)) ** 2)):
+        assert np.array_equal(_polygon_covariogram(square, xs), ref)
+        assert np.array_equal(ref, [pb.covariogram_exact(square, x) for x in xs])
+
+
+def _gaussian_square_average(R):
+    """(1/4R^2) ∫ (2R - |x_1|)(2R - |x_2|) phi(x_1) phi(x_2) dx over
+    DK = [-2R, 2R]^2 for K = R [-1, 1]^2: the square of ∫_{-2R}^{2R}
+    (2R - |t|) phi(t) dt = 2R erf(sqrt 2 R) - 2 (phi(0) - phi(2R)), over 4R^2."""
+    phi = lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
+    line = 2.0 * R * math.erf(math.sqrt(2.0) * R) - 2.0 * (phi(0.0) - phi(2.0 * R))
+    return line ** 2 / (4.0 * R * R)
+
+
+def _second_moment_average(K):
+    """(1/Vol K) ∫ g_K |x|^2 dx = Vol K E|Y - W|^2 = 2 Vol K tr Cov(K), from
+    the exact polygon moments (shoelace sums over the vertices in angle order)."""
+    c = K.vertices.mean(axis=0)
+    v = K.vertices[np.argsort(np.arctan2(*(K.vertices - c).T[::-1]))]
+    x, y = v.T
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = cross.sum() / 2.0
+    mean = np.array([((x + xn) * cross).sum(), ((y + yn) * cross).sum()]) / (6.0 * area)
+    second = ((x * x + x * xn + xn * xn + y * y + y * yn + yn * yn) * cross).sum() / 12.0
+    return 2.0 * area * (second / area - mean @ mean)
+
+
+@pytest.mark.parametrize("R", [1.0, 8.0, 30.0, 1e4])
+def test_polar_average_of_the_gaussian_on_a_square_meets_the_closed_form(R, gauss2):
+    """From the unit square to one 10^4 times the Gaussian's scale, whose
+    mass sits in the first 10^-3 of each ray."""
+    res = pb.translated_average("mu_lambda", pb.cube(2).scale(R), mu=gauss2, tol=1e-12)
+    ref = _gaussian_square_average(R)
+    assert abs(res.value - ref) <= res.error_estimate <= 1e-12
+    assert abs(res.value - ref) <= 4e-15
+
+
+def test_polar_average_fails_loudly_where_its_nodes_miss_the_gaussian(gauss2):
+    """On a square 10^30 times the Gaussian's scale even the innermost of 64
+    radial parts misses its mass, and the rules agree on 0; the radial miss
+    against the flux sees it, and the route raises with an error of about
+    the whole value."""
+    with pytest.raises(pb.QuadratureFailure) as info:
+        pb.translated_average("mu_lambda", pb.cube(2).scale(1e30), mu=gauss2)
+    best = info.value.best
+    assert best.value == 0.0 and best.error_estimate == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("K", _planar_bodies(), ids=lambda K: f"m{K.facet_count}")
+def test_polar_average_budgets_cover_exact_moments(K):
+    """|x|^0 gives Vol K and |x|^2 gives 2 Vol K tr Cov(K); each budget covers
+    the gap to these references, at the default tol and at 1e-12 (where the
+    relative floor of 1e-12 of the value may take over)."""
+    for alpha, ref in ((0.0, K.volume), (2.0, _second_moment_average(K))):
+        for tol in (1e-9, 1e-12):
+            res = pb.translated_average("mu_lambda", K, mu=pb.radial_power(2, alpha),
+                                        tol=tol)
+            assert abs(res.value - ref) <= res.error_estimate
+            assert res.error_estimate <= max(tol, 1e-12 * res.value)
+            assert abs(res.value - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_polar_average_agrees_with_pooled_monte_carlo(alpha):
+    """|x| and |x|^0.5 on an irregular c04 pentagon: within three pooled
+    standard errors of 2M pairs of uniform points (ten runs of 200k)."""
+    K = pb.random_polytope(2, pb.RandomStream(424242).substream(2))
+    assert len(K.vertices) == 5
+    mu = pb.radial_power(2, alpha)
+    res = pb.translated_average("mu_lambda", K, mu=mu)
+    runs = [_sampled_average("mu_lambda", K, mu=mu, stream=pb.RandomStream(1818, i))
+            for i in range(10)]
+    pooled = np.mean([r.value for r in runs])
+    three_sigma = np.sqrt(np.mean([r.error_estimate ** 2 for r in runs]) / len(runs))
+    assert abs(res.value - pooled) <= three_sigma + res.error_estimate
+    assert res.error_estimate <= 1e-9 * res.value
+
+
+def test_fractional_powers_need_no_more_nodes_than_integer_ones(triangle):
+    """|x|^alpha is singular at 0 for fractional alpha; the graded first part
+    lets |x|^0.25 and |x|^0.5 meet tol with the first rules, as |x| does."""
+    counts = {alpha: pb.translated_average("mu_lambda", triangle,
+                                           mu=pb.radial_power(2, alpha)).evaluations
+              for alpha in (0.25, 0.5, 1.0)}
+    assert counts[0.25] == counts[0.5] == counts[1.0]
+
+
+def test_lebesgue_nu_mu_body_is_mu_lambda_under_nu(triangle, leb2):
+    """g_{lambda,K} = g_K and lambda(K) = Vol K: the same integral, bit for
+    bit, and no stream is needed."""
+    K = pb.random_polytope(2, pb.RandomStream(424242).substream(3))
+    for body in (triangle, K):
+        for nu in (pb.radial_power(2, 1.0), pb.gaussian(2)):
+            two = pb.translated_average("nu_mu_body", body, mu=leb2, nu=nu)
+            one = pb.translated_average("mu_lambda", body, mu=nu)
+            assert two == one
+
+
+def test_translated_average_keeps_monte_carlo_bits_off_the_route(triangle, gauss2):
+    """3-D bodies, balls, densities without a flux (custom, even one labelled
+    "gaussian", composed, exp_norm), a non-Lebesgue mu in nu_mu_body and
+    the functional kind stay on the Monte Carlo kernel, bit for bit."""
+    stream, N = pb.RandomStream(1819), 20_000
+    lookalike = pb.custom_density(2, gauss2.eval, gauss2.grad, label="gaussian",
+                                  even=True, radially_decreasing=True)
+    rp = pb.radial_power(2, 1.0)
+    cases = [
+        ("mu_lambda", pb.standard_simplex(3), {"mu": pb.gaussian(3)}),
+        ("mu_lambda", pb.Ball(2, 1.5), {"mu": gauss2}),
+        ("mu_lambda", triangle, {"mu": lookalike}),
+        ("mu_lambda", triangle, {"mu": pb.compose_linear(gauss2, np.diag([1.0, 2.0]))}),
+        ("mu_lambda", triangle, {"mu": pb.exp_norm(pb.cube(2))}),
+        ("mu_lambda", triangle, {"mu": pb.lebesgue(2)}),
+        ("nu_mu_body", triangle, {"mu": gauss2, "nu": rp}),
+        ("nu_mu_body", triangle, {"mu": pb.lebesgue(2), "nu": lookalike}),
+        ("nu_mu_functional", triangle, {"mu": pb.lebesgue(2), "nu": rp, "f": gauss2}),
+    ]
+    for kind, K, kw in cases:
+        res = pb.translated_average(kind, K, stream=stream, N=N, **kw)
+        ref = _sampled_average(kind, K, stream=stream, N=N, **kw)
+        assert res == ref and res.evaluations in (N, 2 * N)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_blocked_translated_average_matches_whole_array(n):
     """Over 2.3 blocks of rows, every kind has the bits of its integrand
-    evaluated on the whole (N,) arrays at once."""
+    evaluated on the whole (N,) arrays at once.  A planar Gaussian mu_lambda
+    is deterministic in ``translated_average``, so its Monte Carlo kernel is
+    called directly."""
     K = pb.random_polytope(n, pb.RandomStream(424242).substream(20 if n == 3 else 0))
     mu, nu, f = pb.gaussian(n), pb.radial_power(n, 1.0), pb.gaussian(n)
     N, stream = 2 * MC_BLOCK + 9_000, pb.RandomStream(61)
     gen = stream.generator()
     ys, ws = sample_uniform(K, gen, N), sample_uniform(K, gen, N)
     vol = K.volume
-    res = pb.translated_average("mu_lambda", K, mu=mu, stream=stream, N=N)
+    res = _sampled_average("mu_lambda", K, mu=mu, stream=stream, N=N)
     mean, err = pb.numerics.mean_with_budget(mu.eval(ys - ws) * vol)
     assert (res.value, res.error_estimate) == (mean, err)
     den = pb.measure_body(mu, K, stream.substream(1), N)

@@ -228,6 +228,17 @@ def test_ehrhard_tolerance_is_first_order(square, gauss2):
     assert rep.tolerance == pytest.approx(3.0 * math.hypot(lhs_term, rhs_term), rel=1e-6)
 
 
+def test_ehrhard_on_a_far_square_asks_for_a_tighter_tol():
+    """On cube(2).scale(8) each Gaussian edge weight is about 5e-15, and at
+    the default tol its cubature error exceeds it: a PrecisionError, not a
+    domain error about the origin.  R = 3, 5 and 6 pass."""
+    with pytest.raises(pb.PrecisionError, match=r"facet \d+ weight .* has error .*tighten tol"):
+        pb.verify("ehrhard_gaussian", pb.cube(2).scale(8), mu=pb.gaussian(2))
+    for R in (3, 5, 6):
+        assert pb.verify("ehrhard_gaussian", pb.cube(2).scale(R),
+                         mu=pb.gaussian(2)).passed
+
+
 def test_first_order_error_scales_the_difference_to_the_input_error():
     assert first_order_error(lambda a: a ** 2, 3.0, 1e-3) == pytest.approx(6e-3, rel=1e-12)
     # the step floor 1e-9 |a| = 3e-9 is scaled back to the input's error
@@ -460,3 +471,48 @@ def test_support_set_measure_lebesgue_is_the_polar_hull_volume():
     assert res.value == 0.2 ** 2 * pv
     assert res.error_estimate == 0.2 ** 2 * max(hi - pv, pv - lo)
     assert res.evaluations == 0
+
+
+# -- deterministic translated averages -------------------------------------------
+
+# (id, inputs, the witnesses that are translated averages)
+TRANSLATED_AVERAGE_REPORTS = [
+    ("rst_radially_decreasing", {"nu": pb.gaussian(2)}, ["nu_lambda"]),
+    ("weak_zhang", {"mu": pb.gaussian(2)}, ["mu_lambda"]),
+    ("zhang_radial_nondecreasing", {"nu": pb.radial_power(2, 1.0)},
+     ["nu_lambda_K", "nu_lambda_negK"]),
+    ("two_measure_zhang", {"mu": pb.lebesgue(2), "nu": pb.radial_power(2, 1.0),
+                           "family": pb.power_family(0.5)}, ["nu_mu"]),
+    ("s_concave_zhang", {"mu": pb.lebesgue(2), "nu": pb.radial_power(2, 1.0),
+                         "s": 0.5}, ["nu_mu"]),
+]
+
+
+def test_translated_averages_take_the_report_tol(monkeypatch, triangle):
+    """Each translated average in a report is computed at the report's tol."""
+    tols = []
+
+    def recording(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return pb.covariogram.translated_average(*args, **kwargs)
+
+    monkeypatch.setattr(pb.inequalities, "translated_average", recording)
+    cfg = pb.RunConfig(seed=11, samples=20_000, tol=1e-7)
+    for id_, kw, _ in TRANSLATED_AVERAGE_REPORTS:
+        pb.verify(id_, triangle, precision=cfg, **kw)
+    assert tols == [cfg.tol] * 6
+
+
+@pytest.mark.parametrize("id_, kw, averages", TRANSLATED_AVERAGE_REPORTS,
+                         ids=[case[0] for case in TRANSLATED_AVERAGE_REPORTS])
+def test_translated_average_reports_reach_eight_digits(monkeypatch, triangle,
+                                                       id_, kw, averages):
+    """On the triangle the five reports draw no uniform pairs, their
+    tolerances are within 1e-8 of their sides, and every translated-average
+    witness is good to 1e-9."""
+    monkeypatch.setattr(pb.covariogram, "sample_uniform", None)
+    rep = pb.verify(id_, triangle, precision=CFG, **kw)
+    assert rep.passed
+    assert rep.tolerance <= 1e-8 * max(abs(rep.lhs), abs(rep.rhs))
+    for name in averages:
+        assert rep.witnesses[name].error <= 1e-9 * rep.witnesses[name].value

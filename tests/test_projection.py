@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -115,6 +116,37 @@ def test_tau_has_the_monte_carlo_guards(square, gauss2, stream):
         pb.offset_vector(square, nan_density(2), f=gauss2, stream=stream, N=2000)
 
 
+def test_tau_of_mu_itself_is_the_monte_carlo_zero_without_sampling(
+        monkeypatch, gauss2, stream):
+    """f is mu: f grad phi - phi grad f is exactly 0, so tau is the zero
+    vector with error 0, the bits that sampling gives (a copy of mu is
+    another object and still samples), and no point is drawn."""
+    K = pb.random_polytope(2, pb.RandomStream(31)).translate([0.4, -0.7])
+    sampled = pb.offset_vector(K, gauss2, f=dataclasses.replace(gauss2),
+                               stream=stream, N=20_000)
+    calls = []
+    monkeypatch.setattr(projection, "_interior_vector",
+                        lambda *args: calls.append(args))
+    off = pb.offset_vector(K, gauss2, f=gauss2, stream=stream, N=20_000)
+    assert calls == [] and off.which == sampled.which == "tau"
+    assert off.value.tobytes() == sampled.value.tobytes() == np.zeros(2).tobytes()
+    assert off.error_estimate == sampled.error_estimate == 0.0
+
+
+def test_tau_of_a_density_labelled_like_mu_samples(monkeypatch, square, gauss2,
+                                                    stream):
+    """The shortcut keys on the object: a custom density labelled
+    "gaussian" with the Gaussian's functions is sampled."""
+    lookalike = pb.custom_density(2, gauss2.eval, gauss2.grad, label="gaussian",
+                                  even=True, radially_decreasing=True)
+    calls = []
+    sample = projection._interior_vector
+    monkeypatch.setattr(projection, "_interior_vector",
+                        lambda *args: calls.append(args) or sample(*args))
+    off = pb.offset_vector(square, gauss2, f=lookalike, stream=stream, N=20_000)
+    assert len(calls) == 1 and off.which == "tau"
+
+
 def test_brightness_residual_plain_lebesgue(square, leb2):
     res = pb.brightness_residual(square, leb2, [1.0, 0.0])
     assert res.value <= 1e-6
@@ -209,6 +241,16 @@ def test_exact_polar_volume_domain(square):
     shifted = pb.projection_zonoid(square).with_offset([10.0, 0.0])
     with pytest.raises(pb.PolarDomainError):
         shifted.polar_volume()
+
+
+def test_unresolved_weight_has_no_polar_bracket():
+    """A weight error at least the weight leaves no lower end of the bracket:
+    a PrecisionError naming the facet, its weight and its error."""
+    zon = pb.Zonoid(2, np.eye(2), np.array([1.0, 0.5]),
+                    weight_errors=np.array([0.1, 0.5]))
+    with pytest.raises(pb.PrecisionError,
+                       match=r"facet 1 weight 5\.000e-01 has error 5\.000e-01.*tighten tol"):
+        zon.polar_volume()
 
 
 def test_grid_polar_volume_converges_to_exact():
