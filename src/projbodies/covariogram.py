@@ -28,17 +28,19 @@ on blocks of ``numerics.MC_BLOCK`` rows, so their temporaries never span all
 N points and their memory does not depend on the body or the seed.
 
 Translated averages integrate a covariogram against a second measure.  On a
-polygon under a density with a flux (the radial builtins) the average
-(1/Vol K) ∫_DK g_K dmu is deterministic: ``_polygon_covariogram`` evaluates
-g_K at a whole stack of translations by clipping K's edges against K + x
-and those of K + x against K, and ``_polar_average`` integrates it in polar
-coordinates with Gauss-Legendre rules on the arcs between the directions
-of v_i - v_j and on the radial pieces between the kink segments, where g_K
-is one quadratic.  Every other translated average samples pairs of uniform
-points of K.  ``sample_uniform`` draws them by box rejection, a block of
-``MC_BLOCK`` candidates at a time; it stops testing once it has enough and
-skips the generator past the untested rest, so its points and the draws
-after it are those of whole-chunk rejection.
+polygon of at most five vertices under a density with a flux (the radial
+builtins) the average (1/Vol K) ∫_DK g_K dmu is deterministic:
+``_polygon_covariogram`` evaluates g_K at a whole stack of translations by
+clipping K's edges against K + x and those of K + x against K, and
+``_polar_average`` integrates it in polar coordinates with Gauss-Legendre
+rules on the arcs between the directions of v_i - v_j and on the radial
+pieces between the kink segments, where g_K is one quadratic.  Its work
+grows much faster with the vertex count than sampling's, so larger polygons
+and every other translated average sample pairs of uniform points of K.
+``sample_uniform`` draws them by box rejection, a block of ``MC_BLOCK``
+candidates at a time; it stops testing once it has enough and skips the
+generator past the untested rest, so its points and the draws after it are
+those of whole-chunk rejection.
 """
 
 from __future__ import annotations
@@ -430,7 +432,13 @@ _POLAR_NODES = 16         # nodes of the first fine rule, per quarter turn and p
 _POLAR_MAX_ANGULAR = 128  # the finest angular rule tried
 _POLAR_MAX_RADIAL = 1024  # the finest radial rule tried, in nodes per piece
 _POLAR_ROUNDOFF = 64      # roundoff floor of the budget, in ulp of the value
-_POLAR_BLOCK = 2 ** 18    # clip pairs x translations held at once
+_POLAR_BLOCK = 2 ** 18    # clip pairs x translations, rays x kinks or points at once
+# The route's work grows with the vertex count m about like m^5 on a generic
+# polygon (m^2 arcs, m pieces per ray, m^2 clip pairs per point), the Monte
+# Carlo's at most like m (its membership tests).  On random m-gons the
+# route's median time is 0.86 of 200k Monte Carlo pairs at m = 5, 1.4 times
+# it at m = 6 and 3.3 at m = 7 (2-core x86); larger polygons are sampled.
+_POLAR_MAX_VERTICES = 5
 
 
 class _PolygonEdges(NamedTuple):
@@ -494,8 +502,9 @@ def _polygon_covariogram(K: Polytope, xs) -> np.ndarray:
     sum about x/2, a point near the intersection.  Where edge i of K and of
     K + x lie on one line (c_i = 0) they would be counted twice: K's edge i
     is kept when c_i >= 0 and that of K + x when c_i < 0.  Areas below
-    1e-14 max(1, Vol K) are 0, as in ``covariogram_exact``; beyond DK the
-    clipped pieces turn clockwise, and the value is 0 too.  The pairs are
+    1e-14 Vol K are roundoff and read 0 (relative to the body, so that a
+    tiny polygon keeps its values); beyond DK the clipped pieces turn
+    clockwise, and the value is 0 too.  The pairs are
     taken a block of translations at a time, so memory stays flat.
     """
     E = _polygon_edges(K)
@@ -523,7 +532,7 @@ def _polygon_covariogram(K: Polytope, xs) -> np.ndarray:
             length *= own
             total += np.einsum("in,in->n", length, E.w[:, None] - s * half_cross)
         g = 0.5 * total
-        g[g <= 1e-14 * max(1.0, K.volume)] = 0.0
+        g[g <= 1e-14 * K.volume] = 0.0
         out[begin:begin + step] = g
     return out
 
@@ -598,13 +607,44 @@ def _polar_rule(K: Polytope, mu: Density, arcs: np.ndarray, angular: np.ndarray,
     scale (the Gaussian's is 1).  ``graded`` maps each part [0, b] by
     r = b s^3, which turns r^(1 + alpha) dr into a multiple of
     s^(3 alpha + 5) ds: smooth enough at 0 for fast convergence at
-    fractional alpha.  All rays and pieces are built and evaluated in one
-    batch per radial node count.
+    fractional alpha.  The rays are cut into pieces a block of about
+    ``_POLAR_BLOCK`` ray-segment pairs at a time, and the pieces of each
+    radial node count evaluated a block of about ``_POLAR_BLOCK`` points at
+    a time, so memory stays flat as the polygon grows.
     """
     _, A, D = _polar_geometry(K)
     angle, angle_w, arc = _arc_nodes(arcs, angular)
     theta = np.c_[np.cos(angle), np.sin(angle)]
     rho = bodies.radial_many(bodies.difference_body(K), theta)
+    sums, mass, points = np.zeros(len(arcs)), np.zeros(len(rho)), 0
+    rays_per_block = max(1, _POLAR_BLOCK // len(A))
+    for begin in range(0, len(rho), rays_per_block):
+        rays = slice(begin, begin + rays_per_block)
+        a, b, ray = _ray_pieces(A, D, theta[rays], rho[rays])
+        ray += begin
+        count = radial[arc[ray]]
+        for nodes in np.unique(count):
+            group = np.flatnonzero(count == nodes)
+            pieces_per_block = max(1, _POLAR_BLOCK // int(nodes))
+            for first in range(0, len(group), pieces_per_block):
+                piece = group[first:first + pieces_per_block]
+                radius, weight, on = _piece_nodes(a[piece], b[piece], ray[piece],
+                                                  int(nodes), graded)
+                weight *= radius * angle_w[on, None]
+                x = (radius[..., None] * theta[on, None, :]).reshape(-1, 2)
+                phi = mu.eval(x) * weight.ravel()
+                sums += np.bincount(np.repeat(arc[on], radius.shape[1]),
+                                    _polygon_covariogram(K, x) * phi, len(arcs))
+                mass += np.bincount(np.repeat(on, radius.shape[1]), phi, len(rho))
+                points += len(x)
+    miss = np.abs(mass - angle_w * rho ** 2 * mu.flux(rho[:, None] * theta))
+    return sums, np.bincount(arc, miss, len(arcs)), points
+
+
+def _ray_pieces(A: np.ndarray, D: np.ndarray, theta: np.ndarray, rho: np.ndarray):
+    """The pieces (a, b) of each ray [0, rho_i] theta_i between its crossings
+    with the kink segments (A, D), merged within 1e-10 rho_i, and each
+    piece's ray."""
     with np.errstate(divide="ignore", invalid="ignore"):
         across = theta @ np.stack([D[:, 1], -D[:, 0]])             # theta x D
         r = (A[:, 0] * D[:, 1] - A[:, 1] * D[:, 0]) / across
@@ -619,34 +659,27 @@ def _polar_rule(K: Polytope, mu: Density, arcs: np.ndarray, angular: np.ndarray,
     ray = np.nonzero(keep)[0]
     flat = edges[keep]
     same = ray[:-1] == ray[1:]
-    a, b, ray = flat[:-1][same], flat[1:][same], ray[:-1][same]
+    return flat[:-1][same], flat[1:][same], ray[:-1][same]
 
-    sums, mass, points = np.zeros(len(arcs)), np.zeros(len(rho)), 0
-    for nodes in np.unique(radial):
-        piece = np.flatnonzero(radial[arc[ray]] == nodes)
-        parts = max(1, nodes // _POLAR_NODES)
-        s, w = _gauss_legendre(int(nodes // parts))
-        cuts = np.where((a[piece] == 0.0)[:, None],
-                        np.r_[0.0, 2.0 ** np.arange(1 - parts, 1)],
-                        np.arange(parts + 1) / parts)
-        length = (b[piece] - a[piece])[:, None]
-        lo = (a[piece, None] + length * cuts[:, :-1]).reshape(-1, 1)
-        step = (length * np.diff(cuts, axis=1)).reshape(-1, 1)
-        on = np.repeat(ray[piece], parts)
-        radius, weight = lo + step * s, step * w
-        if graded:
-            first = lo[:, 0] == 0.0
-            radius[first] = step[first] * s ** 3
-            weight[first] = step[first] * 3.0 * s ** 2 * w
-        weight *= radius * angle_w[on, None]
-        x = (radius[..., None] * theta[on, None, :]).reshape(-1, 2)
-        phi = mu.eval(x) * weight.ravel()
-        sums += np.bincount(np.repeat(arc[on], len(s)),
-                            _polygon_covariogram(K, x) * phi, len(arcs))
-        mass += np.bincount(np.repeat(on, len(s)), phi, len(rho))
-        points += len(x)
-    miss = np.abs(mass - angle_w * rho ** 2 * mu.flux(rho[:, None] * theta))
-    return sums, np.bincount(arc, miss, len(arcs)), points
+
+def _piece_nodes(a: np.ndarray, b: np.ndarray, ray: np.ndarray, nodes: int,
+                 graded: bool):
+    """Radii and weights (rows, k) of ``nodes`` Gauss-Legendre nodes on each
+    piece [a, b], split into parts as ``_polar_rule`` says; each row's ray."""
+    parts = max(1, nodes // _POLAR_NODES)
+    s, w = _gauss_legendre(nodes // parts)
+    cuts = np.where((a == 0.0)[:, None],
+                    np.r_[0.0, 2.0 ** np.arange(1 - parts, 1)],
+                    np.arange(parts + 1) / parts)
+    length = (b - a)[:, None]
+    lo = (a[:, None] + length * cuts[:, :-1]).reshape(-1, 1)
+    step = (length * np.diff(cuts, axis=1)).reshape(-1, 1)
+    radius, weight = lo + step * s, step * w
+    if graded:
+        first = lo[:, 0] == 0.0
+        radius[first] = step[first] * s ** 3
+        weight[first] = step[first] * 3.0 * s ** 2 * w
+    return radius, weight, np.repeat(ray, parts)
 
 
 def _polar_average(K: Polytope, mu: Density, tol: float) -> QuadratureResult:
@@ -787,21 +820,23 @@ def translated_average(kind: str, K, mu: Density | None = None,
     * ``nu_mu_body``: (1/mu K)  ∫_DK g_{mu,K} dnu
     * ``nu_mu_functional``: (1/||f||_{L^1(mu, K)}) ∫_DK g_{mu,f}(K, .) dnu
 
-    On a polygon, ``mu_lambda`` under a density with a ``flux`` (the radial
-    builtins) is deterministic: ``_polar_average`` integrates the exact
-    covariogram in polar coordinates to ``tol``, or raises
-    ``QuadratureFailure``.  ``nu_mu_body`` with a Lebesgue mu is that same
-    integral under nu, since g_{lambda,K} = g_K and lambda(K) = Vol K.
-    Everything else (3-D bodies, balls, densities without a flux, a
-    non-Lebesgue mu in ``nu_mu_body``, and ``nu_mu_functional``) is Monte
-    Carlo from ``stream`` with N pairs of uniform points of K
-    (``_sampled_average``).
+    On a polygon of at most ``_POLAR_MAX_VERTICES`` vertices, ``mu_lambda``
+    under a density with a ``flux`` (the radial builtins) is deterministic:
+    ``_polar_average`` integrates the exact covariogram in polar coordinates
+    to ``tol``, or raises ``QuadratureFailure``.  ``nu_mu_body`` with a
+    Lebesgue mu is that same integral under nu, since g_{lambda,K} = g_K and
+    lambda(K) = Vol K.  Everything else (3-D bodies, balls, polygons with
+    more vertices, where the route is slower than sampling, densities
+    without a flux, a non-Lebesgue mu in ``nu_mu_body``, and
+    ``nu_mu_functional``) is Monte Carlo from ``stream`` with N pairs of
+    uniform points of K (``_sampled_average``).
     """
     density = mu if kind == "mu_lambda" else None
     if kind == "nu_mu_body" and mu is not None and mu.is_lebesgue:
         density = nu
     if (density is not None and density.flux is not None
-            and isinstance(K, Polytope) and K.n == 2):
+            and isinstance(K, Polytope) and K.n == 2
+            and len(K.vertices) <= _POLAR_MAX_VERTICES):
         return _polar_average(K, density, tol)
     return _sampled_average(kind, K, mu, nu, f, stream, N, tol)
 

@@ -86,21 +86,27 @@ class Zonoid:
     def polar_bracket(self, measure) -> tuple[float, float]:
         """``measure`` (monotone under inclusion) of the polar, given its
         ``polar_points``, and its weight-error bound: the polar shrinks as
-        any weight grows, so w + e and w - e bracket it.  A weight whose
-        error is at least the weight leaves no lower end, and raises
-        ``PrecisionError``."""
+        any weight grows, so w + e and max(w - e, 0) bracket it.  Where the
+        lower weights leave the origin on the boundary (unresolved weights,
+        whose errors are at least the weights, make h vanish on a normal),
+        the polar is unbounded and the bracket has no end: that raises
+        ``PrecisionError`` naming those facets."""
         w, e = self.weights, self.weight_errors
         value = measure(self.polar_points(w))
         if not np.any(e):   # exact weights: the bracket would repeat value
             return value, 0.0
-        unresolved = np.flatnonzero((e > 0.0) & (e >= w))
-        if len(unresolved):
-            i = unresolved[0]
+        lo = measure(self.polar_points(w + e))
+        try:
+            widest = self.polar_points(np.maximum(w - e, 0.0))
+        except PolarDomainError:
+            unresolved = "".join(
+                f"; facet {i} weight {w[i]:.3e} has error {e[i]:.3e}"
+                for i in np.flatnonzero((e > 0.0) & (e >= w)))
             raise PrecisionError(
-                f"facet {i} weight {w[i]:.3e} has error {e[i]:.3e}, at least "
-                f"the weight, so the polar has no error bracket; tighten tol")
-        lo, hi = (measure(self.polar_points(x)) for x in (w + e, w - e))
-        return value, max(hi - value, value - lo)
+                "the weights minus their errors leave the origin on the "
+                f"boundary, so the polar has no error bracket{unresolved}; "
+                "tighten tol") from None
+        return value, max(measure(widest) - value, value - lo)
 
     def polar_volume(self) -> tuple[float, float]:
         """Exact polar volume and its weight-error bound."""

@@ -9,10 +9,12 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 import projbodies as pb
+from projbodies import covariogram
 from projbodies.covariogram import (PrismSampler, _brightness_quotients,
-                                    _pointwise_values, _polygon_covariogram,
-                                    _prism_quotients, _sampled_average,
-                                    _sampling_box, l1_norm, sample_uniform)
+                                    _pointwise_values, _polar_average,
+                                    _polygon_covariogram, _prism_quotients,
+                                    _sampled_average, _sampling_box, l1_norm,
+                                    sample_uniform)
 from projbodies.numerics import MC_BLOCK, row_blocks
 
 
@@ -356,9 +358,10 @@ def test_polygon_covariogram_counts_coincident_edges_once(square):
 def _gaussian_square_average(R):
     """(1/4R^2) ∫ (2R - |x_1|)(2R - |x_2|) phi(x_1) phi(x_2) dx over
     DK = [-2R, 2R]^2 for K = R [-1, 1]^2: the square of ∫_{-2R}^{2R}
-    (2R - |t|) phi(t) dt = 2R erf(sqrt 2 R) - 2 (phi(0) - phi(2R)), over 4R^2."""
-    phi = lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
-    line = 2.0 * R * math.erf(math.sqrt(2.0) * R) - 2.0 * (phi(0.0) - phi(2.0 * R))
+    (2R - |t|) phi(t) dt = 2R erf(sqrt 2 R) - 2 (phi(0) - phi(2R)), over 4R^2.
+    phi(0) - phi(2R) = -phi(0) expm1(-2R^2) keeps its digits at small R."""
+    phi0 = 1.0 / math.sqrt(2.0 * math.pi)
+    line = 2.0 * R * math.erf(math.sqrt(2.0) * R) + 2.0 * phi0 * math.expm1(-2.0 * R * R)
     return line ** 2 / (4.0 * R * R)
 
 
@@ -386,6 +389,17 @@ def test_polar_average_of_the_gaussian_on_a_square_meets_the_closed_form(R, gaus
     assert abs(res.value - ref) <= 4e-15
 
 
+@pytest.mark.parametrize("R", [1e-4, 1e-8])
+def test_polar_average_on_a_tiny_square_keeps_its_relative_digits(R, gauss2):
+    """Vol K = 4R^2 is far below 1 and so is every g_K; the roundoff floor is
+    relative to Vol K, so the average is about Vol K phi(0) and not 0."""
+    res = pb.translated_average("mu_lambda", pb.cube(2).scale(R), mu=gauss2, tol=1e-9)
+    ref = _gaussian_square_average(R)
+    assert ref == pytest.approx(4.0 * R * R / (2.0 * math.pi), rel=1e-6)
+    assert abs(res.value - ref) <= res.error_estimate <= 1e-9
+    assert abs(res.value - ref) <= 1e-14 * ref
+
+
 def test_polar_average_fails_loudly_where_its_nodes_miss_the_gaussian(gauss2):
     """On a square 10^30 times the Gaussian's scale even the innermost of 64
     radial parts misses its mass, and the rules agree on 0; the radial miss
@@ -401,11 +415,11 @@ def test_polar_average_fails_loudly_where_its_nodes_miss_the_gaussian(gauss2):
 def test_polar_average_budgets_cover_exact_moments(K):
     """|x|^0 gives Vol K and |x|^2 gives 2 Vol K tr Cov(K); each budget covers
     the gap to these references, at the default tol and at 1e-12 (where the
-    relative floor of 1e-12 of the value may take over)."""
+    relative floor of 1e-12 of the value may take over).  Polygons with more
+    vertices than ``translated_average`` routes here are run directly."""
     for alpha, ref in ((0.0, K.volume), (2.0, _second_moment_average(K))):
         for tol in (1e-9, 1e-12):
-            res = pb.translated_average("mu_lambda", K, mu=pb.radial_power(2, alpha),
-                                        tol=tol)
+            res = _polar_average(K, pb.radial_power(2, alpha), tol)
             assert abs(res.value - ref) <= res.error_estimate
             assert res.error_estimate <= max(tol, 1e-12 * res.value)
             assert abs(res.value - ref) <= 1e-13 * ref
@@ -470,6 +484,46 @@ def test_translated_average_keeps_monte_carlo_bits_off_the_route(triangle, gauss
         res = pb.translated_average(kind, K, stream=stream, N=N, **kw)
         ref = _sampled_average(kind, K, stream=stream, N=N, **kw)
         assert res == ref and res.evaluations in (N, 2 * N)
+
+
+def _ellipse_polygon(m):
+    """An irregular m-gon: m vertices at uneven angles on an ellipse."""
+    angles = np.sort(np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, m))
+    K = pb.build_polytope(np.c_[1.5 * np.cos(angles), np.sin(angles)])
+    assert len(K.vertices) == m
+    return K
+
+
+@pytest.mark.parametrize("K", [_ellipse_polygon(5), _ellipse_polygon(6),
+                               pb.regular_polygon(256)],
+                         ids=lambda K: f"m{len(K.vertices)}")
+def test_translated_average_routes_by_vertex_count(K, gauss2, leb2):
+    """The polar route's work grows much faster with the vertex count than
+    sampling's: up to five vertices it is taken (no stream needed), beyond
+    that mu_lambda and a Lebesgue nu_mu_body keep the Monte Carlo bits."""
+    stream, N = pb.RandomStream(1820), 2_000
+    for kind, kw in (("mu_lambda", {"mu": gauss2}),
+                     ("nu_mu_body", {"mu": leb2, "nu": gauss2})):
+        res = pb.translated_average(kind, K, stream=stream, N=N, **kw)
+        if len(K.vertices) <= covariogram._POLAR_MAX_VERTICES:
+            assert res == _polar_average(K, gauss2, 1e-9)
+        else:
+            assert res == _sampled_average(kind, K, stream=stream, N=N, **kw)
+
+
+def test_polar_rule_blocks_match_one_batch(monkeypatch, gauss2):
+    """Rays, pieces and translations taken a few hundred at a time give the
+    rule of one batch, up to the order of the sums."""
+    K = _ellipse_polygon(5)
+    for mu in (gauss2, pb.radial_power(2, 0.5)):
+        whole = _polar_average(K, mu, 1e-9)
+        with monkeypatch.context() as patch:
+            patch.setattr(covariogram, "_POLAR_BLOCK", 4096)
+            blocked = _polar_average(K, mu, 1e-9)
+        assert blocked.evaluations == whole.evaluations
+        assert blocked.value == pytest.approx(whole.value, rel=1e-14)
+        assert blocked.error_estimate == pytest.approx(whole.error_estimate,
+                                                       rel=1e-6, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3])

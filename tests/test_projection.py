@@ -243,9 +243,23 @@ def test_exact_polar_volume_domain(square):
         shifted.polar_volume()
 
 
+def test_one_unresolved_weight_keeps_a_polar_bracket():
+    """In the plane h at the normal of generator i does not involve w_i, so
+    one weight below its error still leaves the clamped weights
+    max(w - e, 0) a bounded polar: the bracket's wide end."""
+    g = np.array([[1.0, 0.0], [0.0, 1.0], [math.sqrt(0.5), math.sqrt(0.5)]])
+    w, e = np.array([1.0, 0.8, 1e-15]), np.array([1e-3, 2e-3, 3e-15])
+    value, err = pb.Zonoid(2, g, w, weight_errors=e).polar_volume()
+    polar = lambda weights: ConvexHull(pb.Zonoid(2, g, weights).polar_points()).volume
+    assert value == polar(w)
+    assert err == max(polar(np.maximum(w - e, 0.0)) - value, value - polar(w + e))
+    assert 0.0 < err < 1e-2 * value
+
+
 def test_unresolved_weight_has_no_polar_bracket():
-    """A weight error at least the weight leaves no lower end of the bracket:
-    a PrecisionError naming the facet, its weight and its error."""
+    """A weight error at least the weight leaves no lower end of the bracket
+    where the clamped weights leave the origin on the zonoid's boundary: a
+    PrecisionError naming the facet, its weight and its error."""
     zon = pb.Zonoid(2, np.eye(2), np.array([1.0, 0.5]),
                     weight_errors=np.array([0.1, 0.5]))
     with pytest.raises(pb.PrecisionError,
