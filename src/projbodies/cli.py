@@ -218,7 +218,8 @@ def _body(args, out) -> int:
 
 def _query(args) -> CovariogramQuery:
     return CovariogramQuery(args.K, args.mu, args.f, mode=args.mode,
-                            stream=args.cfg.stream(), N=args.samples)
+                            stream=args.cfg.stream(), N=args.samples,
+                            tol=args.cfg.tol)
 
 
 def _covariogram_eval(args, out) -> int:

@@ -9,12 +9,18 @@ reads the vertices of K ∩ (K+x) off the same pairs) and samples each piece
 at n + 1 nodes.  Mean bodies integrate the pieces in closed form,
 and the slope of the first one is the exact brightness derivative.
 
-The measure-weighted variants are ``numerics.monte_carlo`` over the
-intersection, known in H-representation (membership tests against K's
-facets).  Several translations are the columns of one integrand: they share
-one draw of box points, one projection onto K's normals and one phi, and
-each column gets the bits of a draw of its own.  Only the polarized mode,
-whose box grows with |x|, draws afresh for each.  Their brightness
+The measure-weighted variants are deterministic on a polygon under a
+density with a flux (the radial builtins), in plain and polarized mode:
+``_clipped_edges`` clips K's edges against K + x and those of K + x against
+K for a whole stack of translations, and ``_flux_covariogram`` integrates
+the flux over the clipped pieces by the divergence theorem, as
+``measure_body`` does over facets, in one ``simplex_integrals`` call.  Every
+other one is ``numerics.monte_carlo`` over the intersection, known in
+H-representation (membership tests against K's facets).  Several
+translations are the columns of one integrand: they share one draw of box
+points, one projection onto K's normals and one phi, and each column gets
+the bits of a draw of its own.  Only the polarized mode, whose box grows
+with |x|, draws afresh for each.  Their brightness
 derivatives are ``monte_carlo`` of Richardson-combined difference quotients
 4 v(h/2) - v(h) - 3 v(0) on common random points.  In the plain and
 polarized modes that quotient is zero outside a sliver of K within one step
@@ -31,8 +37,8 @@ Translated averages integrate a covariogram against a second measure.  On a
 polygon of at most five vertices under a density with a flux (the radial
 builtins) the average (1/Vol K) ∫_DK g_K dmu is deterministic:
 ``_polygon_covariogram`` evaluates g_K at a whole stack of translations by
-clipping K's edges against K + x and those of K + x against K, and
-``_polar_average`` integrates it in polar coordinates with Gauss-Legendre
+a shoelace sum over the same clipped edges, and ``_polar_average``
+integrates it in polar coordinates with Gauss-Legendre
 rules on the arcs between the directions of v_i - v_j and on the radial
 pieces between the kink segments, where g_K is one quadratic.  Its work
 grows much faster with the vertex count than sampling's, so larger polygons
@@ -54,7 +60,7 @@ import numpy as np
 from . import bodies
 from .bodies import Polytope
 from .measures import (RELATIVE_FLOOR, Density, lebesgue, measure_body,
-                       DEFAULT_MC_SAMPLES)
+                       simplex_integrals, DEFAULT_MC_SAMPLES)
 from .numerics import (MC_BLOCK, BoxSampler, ConfigurationError, DomainError,
                        PrecisionError, QuadratureFailure, QuadratureResult,
                        RandomStream, mean_with_budget, monte_carlo, row_blocks)
@@ -71,6 +77,15 @@ class CovariogramQuery:
     stream: RandomStream | None = None
     N: int = DEFAULT_MC_SAMPLES
     tol: float | None = None
+
+    @property
+    def sampled(self) -> bool:
+        """Whether ``mu_covariogram`` samples: it does except in plain and
+        polarized mode under Lebesgue, or under a density with a ``flux`` on
+        a polygon."""
+        return self.mode == "functional" or not (
+            self.mu.is_lebesgue or (self.mu.flux is not None
+                                    and isinstance(self.K, Polytope) and self.K.n == 2))
 
     def __post_init__(self):
         if self.mu is None:
@@ -338,11 +353,14 @@ def mu_covariogram(q: CovariogramQuery, x):
     ``x`` is one translation (n,), which gives one ``QuadratureResult``, or a
     stack (k, n) of them, which gives a list.  At x = 0 the value is mu(K)
     (plain/polarized) or the L^1(mu, K) norm of f (functional).  The
-    Lebesgue plain/polarized path is exact.  Otherwise the translations are
-    the columns of one ``monte_carlo`` call from ``q.stream`` over K's box,
-    except in polarized mode, whose box is padded by |x| / 2 and so drawn
-    afresh for each x.  Each translation gets the bits a draw of its own
-    would give.
+    Lebesgue plain/polarized path is exact.  On a polygon under a density
+    with a ``flux`` the plain/polarized values are deterministic: one
+    cubature over the clipped edges of all the translations, to ``q.tol``
+    (1e-9 if None) each (``_flux_covariogram``).  Otherwise (``q.sampled``)
+    the translations are the columns of one ``monte_carlo`` call from
+    ``q.stream`` over K's box, except in polarized mode, whose box is padded
+    by |x| / 2 and so drawn afresh for each x.  Each translation gets the
+    bits a draw of its own would give.
     """
     xs = np.asarray(x, dtype=float)
     single = xs.ndim == 1
@@ -350,21 +368,23 @@ def mu_covariogram(q: CovariogramQuery, x):
     if q.mu.is_lebesgue and q.mode in ("plain", "polarized"):
         # r_{lambda,K} = g_K by translation invariance
         results = [QuadratureResult(covariogram_exact(q.K, x), 0.0, 0) for x in xs]
-        return results[0] if single else results
-    if q.mode == "polarized":
-        draws = [(_sampling_box(q, float(np.linalg.norm(x)) / 2.0), x[None])
-                 for x in xs]
+    elif not q.sampled:
+        results = _flux_covariogram(q, xs)
     else:
-        draws = [(_sampling_box(q), xs)]
-    results = []
-    for box, group in draws:
-        def columns(points, group=group):
-            # stacked column-major, so each column is reduced in place
-            return np.array(list(_pointwise_values(q, points, group))).T
+        results = []
+        if q.mode == "polarized":
+            draws = [(_sampling_box(q, float(np.linalg.norm(x)) / 2.0), x[None])
+                     for x in xs]
+        else:
+            draws = [(_sampling_box(q), xs)]
+        for box, group in draws:
+            def columns(points, group=group):
+                # stacked column-major, so each column is reduced in place
+                return np.array(list(_pointwise_values(q, points, group))).T
 
-        res = monte_carlo(box, columns, q.N, q.stream)
-        results += [QuadratureResult(float(v), float(e), res.evaluations)
-                    for v, e in zip(res.value, res.error_estimate)]
+            res = monte_carlo(box, columns, q.N, q.stream)
+            results += [QuadratureResult(float(v), float(e), res.evaluations)
+                        for v, e in zip(res.value, res.error_estimate)]
     return results[0] if single else results
 
 
@@ -490,35 +510,30 @@ def _polygon_edges(K: Polytope) -> _PolygonEdges:
     return K._polygon_edges
 
 
-def _polygon_covariogram(K: Polytope, xs) -> np.ndarray:
-    """g_K at a stack (N, 2) of translations of a polygon, by clipping.
+def _clipped_edges(K: Polytope, xs: np.ndarray):
+    """The edges of K ∩ (K + x) for a stack (N, 2) of translations of a
+    polygon, by clipping; yields (x, c, sides) a block of translations at a
+    time, so memory stays flat.
 
     The boundary of K ∩ (K + x) is the part of each edge of K inside K + x
     and the part of each edge of K + x inside K.  Edge i, p_i + t d_i for t
     in [0, 1], is clipped against the other body's facets j (Cyrus-Beck): with
     c_j = <u_j, x> and s = +1 for K's edges, -1 for those of K + x, the
-    constraint is t <u_j, d_i> <= slack_ij + s c_j.  A clipped piece of
-    length L (in t) adds L (p_i - x/2 + [s < 0] x) x d_i / 2 to the shoelace
-    sum about x/2, a point near the intersection.  Where edge i of K and of
-    K + x lie on one line (c_i = 0) they would be counted twice: K's edge i
-    is kept when c_i >= 0 and that of K + x when c_i < 0.  Areas below
-    1e-14 Vol K are roundoff and read 0 (relative to the body, so that a
-    tiny polygon keeps its values); beyond DK the clipped pieces turn
-    clockwise, and the value is 0 too.  The pairs are
-    taken a block of translations at a time, so memory stays flat.
+    constraint is t <u_j, d_i> <= slack_ij + s c_j.  ``sides`` holds, for
+    s = +1 and then s = -1, (s, own, lo, hi): edge i keeps [lo, hi] (m, N)
+    of its parameter range, none where hi <= lo.  Where edge i of K and of
+    K + x lie on one line (c_i = 0) they would be counted twice: ``own``
+    keeps K's edge i when c_i >= 0 and that of K + x when c_i < 0.  Beyond
+    DK the kept pieces need not bound anything (they turn clockwise).
     """
     E = _polygon_edges(K)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    out = np.empty(len(xs))
     pairs = len(E.up[0]) + len(E.low[0])
     step = max(1, _POLAR_BLOCK // pairs)
     starts = [np.searchsorted(i, np.arange(len(E.p))) for i, *_ in (E.up, E.low)]
     for begin in range(0, len(xs), step):
         x = xs[begin:begin + step]
         c = K.normals @ x.T                                   # (m, N)
-        half_cross = 0.5 * (np.outer(E.d[:, 1], x[:, 0])
-                            - np.outer(E.d[:, 0], x[:, 1]))  # (x / 2) x d_i
-        total = np.zeros(len(x))
+        sides = []
         for s, own in ((1.0, c >= 0.0), (-1.0, c < 0.0)):
             bounds = []
             for (i, j, slack, inverse), start, reduce in zip(
@@ -527,14 +542,83 @@ def _polygon_covariogram(K: Polytope, xs) -> np.ndarray:
                 t += slack[:, None]
                 t *= inverse[:, None]
                 bounds.append(reduce.reduceat(t, start, axis=0))
-            length = np.minimum(bounds[0], 1.0) - np.maximum(bounds[1], 0.0)
-            np.maximum(length, 0.0, out=length)
-            length *= own
-            total += np.einsum("in,in->n", length, E.w[:, None] - s * half_cross)
-        g = 0.5 * total
-        g[g <= 1e-14 * K.volume] = 0.0
-        out[begin:begin + step] = g
-    return out
+            sides.append((s, own, np.maximum(bounds[1], 0.0),
+                          np.minimum(bounds[0], 1.0)))
+        yield x, c, sides
+
+
+def _shoelace(K: Polytope, x: np.ndarray, sides) -> np.ndarray:
+    """g_K at one block of ``_clipped_edges``.  A clipped piece of length L
+    (in t) adds L (p_i - x/2 + [s < 0] x) x d_i / 2 to the shoelace sum about
+    x/2, a point near the intersection.  Areas below 1e-14 Vol K are
+    roundoff and read 0 (relative to the body, so that a tiny polygon keeps
+    its values); beyond DK the clipped pieces turn clockwise, and the value
+    is 0 too."""
+    E = _polygon_edges(K)
+    half_cross = 0.5 * (np.outer(E.d[:, 1], x[:, 0])
+                        - np.outer(E.d[:, 0], x[:, 1]))      # (x / 2) x d_i
+    total = np.zeros(len(x))
+    for s, own, lo, hi in sides:
+        length = hi - lo
+        np.maximum(length, 0.0, out=length)
+        length *= own
+        total += np.einsum("in,in->n", length, E.w[:, None] - s * half_cross)
+    g = 0.5 * total
+    g[g <= 1e-14 * K.volume] = 0.0
+    return g
+
+
+def _polygon_covariogram(K: Polytope, xs) -> np.ndarray:
+    """g_K at a stack (N, 2) of translations of a polygon, by the shoelace
+    sum over the clipped edges of ``_clipped_edges``."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    return np.concatenate([_shoelace(K, x, sides)
+                           for x, _, sides in _clipped_edges(K, xs)])
+
+
+def _flux_covariogram(q: CovariogramQuery, xs: np.ndarray) -> list:
+    """g_{mu,K}(x) (plain) or r_{mu,K}(x) (polarized) at a stack (N, 2) of
+    translations of a polygon, for mu with a ``flux``.
+
+    The edges of K ∩ (K + x) are the clipped pieces of ``_clipped_edges``:
+    a piece of K's edge i lies on the line <u_i, y> = b_i, one of K + x's on
+    <u_i, y> = b_i + c_i; the polarized body (K - x/2) ∩ (K + x/2) is the
+    same polygon moved by -x/2, its offsets by -c_i / 2.  As in
+    ``measure_body``, mu(P) = sum_s b_s ∫_s G ds over the pieces s with
+    offsets b_s, by the divergence theorem on the field G(y) y, with error
+    sum_s |b_s| e_s; the integrals come from ``simplex_integrals``, each
+    piece of a translation with S pieces at budget tol / (S |b_s|).  Where
+    the shoelace area of the pieces is 0 (on and beyond the boundary of DK)
+    the value is 0.  All pieces of all translations make one cubature call,
+    and each result carries that call's evaluations.
+    """
+    K, polarized = q.K, q.mode == "polarized"
+    tol = 1e-9 if q.tol is None else q.tol
+    E = _polygon_edges(K)
+    start = E.p + K.vertices.mean(axis=0)
+    segments, offsets, owner, begin = [], [], [], 0
+    for x, c, sides in _clipped_edges(K, xs):
+        area = _shoelace(K, x, sides)
+        for s, own, lo, hi in sides:
+            i, k = np.nonzero(own & (hi > lo) & (area > 0.0))
+            w = (s < 0.0) - 0.5 * polarized       # the piece moves by w x
+            base = start[i] + w * x[k]
+            segments.append(np.stack([base + lo[i, k, None] * E.d[i],
+                                      base + hi[i, k, None] * E.d[i]], axis=1))
+            offsets.append(K.offsets[i] + w * c[i, k])
+            owner.append(k + begin)
+        begin += len(x)
+    segments, b, owner = (np.concatenate(a) for a in (segments, offsets, owner))
+    values, errors, evaluations = np.zeros(len(xs)), np.zeros(len(xs)), 0
+    if len(b):
+        with np.errstate(divide="ignore"):
+            budgets = tol / (np.bincount(owner)[owner] * np.abs(b))
+        v, e, evaluations = simplex_integrals(segments, np.arange(len(b)),
+                                              q.mu.flux, budgets)
+        values = np.bincount(owner, b * v, len(xs))
+        errors = np.bincount(owner, np.abs(b) * e, len(xs))
+    return [QuadratureResult(float(v), float(e), evaluations)
+            for v, e in zip(values, errors)]
 
 
 @functools.cache
@@ -820,9 +904,10 @@ def translated_average(kind: str, K, mu: Density | None = None,
     * ``nu_mu_body``: (1/mu K)  ∫_DK g_{mu,K} dnu
     * ``nu_mu_functional``: (1/||f||_{L^1(mu, K)}) ∫_DK g_{mu,f}(K, .) dnu
 
-    On a polygon of at most ``_POLAR_MAX_VERTICES`` vertices, ``mu_lambda``
-    under a density with a ``flux`` (the radial builtins) is deterministic:
-    ``_polar_average`` integrates the exact covariogram in polar coordinates
+    A Lebesgue ``mu_lambda`` is Vol K for every body, since ∫ g_K dx =
+    Vol(K)^2.  On a polygon of at most ``_POLAR_MAX_VERTICES`` vertices,
+    ``mu_lambda`` under a density with a ``flux`` (the radial builtins) is
+    deterministic: ``_polar_average`` integrates the exact covariogram in polar coordinates
     to ``tol``, or raises ``QuadratureFailure``.  ``nu_mu_body`` with a
     Lebesgue mu is that same integral under nu, since g_{lambda,K} = g_K and
     lambda(K) = Vol K.  Everything else (3-D bodies, balls, polygons with
@@ -831,6 +916,8 @@ def translated_average(kind: str, K, mu: Density | None = None,
     ``nu_mu_functional``) is Monte Carlo from ``stream`` with N pairs of
     uniform points of K (``_sampled_average``).
     """
+    if kind == "mu_lambda" and mu is not None and mu.is_lebesgue:
+        return QuadratureResult(bodies.volume(K), 0.0, 0)
     density = mu if kind == "mu_lambda" else None
     if kind == "nu_mu_body" and mu is not None and mu.is_lebesgue:
         density = nu

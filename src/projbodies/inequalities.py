@@ -12,9 +12,11 @@ failed inequality.  ``isotropic`` shares ``require`` and ``surface_product``.
 mu(K), nu(DK) and the support-set measures nu((Z - c)° scaled) are
 deterministic for Lebesgue and for the radial builtins on polytopes
 (``measures.measure_body``), and so are the translated averages of the
-radial builtins on polygons (``covariogram.translated_average``); other
-densities, other translated averages and the concavity checks are Monte
-Carlo.  Every report passes its ``RunConfig.tol`` to each of these.
+radial builtins on polygons (``covariogram.translated_average``) and the
+concavity checks of plain covariograms under Lebesgue, or under the radial
+builtins on polygons (``covariogram.mu_covariogram``); other densities,
+other translated averages and the other concavity checks are Monte Carlo.
+Every report passes its ``RunConfig.tol`` to each of these.
 """
 
 from __future__ import annotations
@@ -138,24 +140,35 @@ def _concavity_check(fam: ConcavityFamily, K: Polytope, mu: Density, f,
     """Midpoint test of concavity of F o g along random rays.
 
     Returns (ok, worst normalized violation).  A violation beyond the
-    combined Monte Carlo budget fails the hypothesis.
+    combined error budget fails the hypothesis.  The rays are drawn first;
+    a deterministic covariogram then takes all their translations in one
+    call, and a sampled one takes each ray's three, which share one draw of
+    box points from the ray's own substream.
     """
     gen = stream.generator()
-    n = K.n
     DK = bodies.difference_body(K)
-    check_N = max(20_000, cfg.samples // 8)
-    worst = -np.inf
-    ok = True
-    for i in range(triples):
-        theta = gen.standard_normal(n)
+    rays = []
+    for _ in range(triples):
+        theta = gen.standard_normal(K.n)
         theta /= np.linalg.norm(theta)
         rho = bodies.radial_many(DK, theta[None, :])[0]
         r1, r2 = np.sort(gen.random(2)) * 0.9 * rho
-        rm = 0.5 * (r1 + r2)
-        q = CovariogramQuery(K, mu, f, mode="functional" if f is not None else "plain",
-                             stream=stream.substream(100 + i), N=check_N)
-        # the three translations share one draw of box points
-        results = mu_covariogram(q, np.outer([r1, rm, r2], theta))
+        rays.append(np.outer([r1, 0.5 * (r1 + r2), r2], theta))
+
+    def query(substream=None):
+        return CovariogramQuery(K, mu, f, mode="functional" if f is not None else "plain",
+                                stream=substream, N=max(20_000, cfg.samples // 8),
+                                tol=cfg.tol)
+
+    if query().sampled:
+        per_ray = [mu_covariogram(query(stream.substream(100 + i)), xs)
+                   for i, xs in enumerate(rays)]
+    else:
+        flat = mu_covariogram(query(), np.concatenate(rays))
+        per_ray = [flat[i:i + 3] for i in range(0, len(flat), 3)]
+    worst = -np.inf
+    ok = True
+    for results in per_ray:
         vals = [res.value for res in results]
         errs = [res.error_estimate for res in results]
         if min(vals) <= 0:

@@ -365,10 +365,19 @@ _CHILDREN = {d: np.array(kids) for d, kids in {
 
 
 def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9):
-    """Integral of ``fn`` over each facet of K: (values, errors, evaluations).
+    """Integral of ``fn`` over each facet of K: (values, errors, evaluations),
+    by ``simplex_integrals`` on the facet simplices grouped by facet."""
+    return simplex_integrals(K.facet_simplices, K.simplex_facet, fn, tol)
+
+
+def simplex_integrals(simplices: np.ndarray, group: np.ndarray, fn,
+                      tol: float | np.ndarray = 1e-9):
+    """Integral of ``fn`` over each group of simplices (S, d + 1, n), where
+    simplex i belongs to group ``group[i]`` and every group 0 .. max has a
+    simplex: (values, errors, evaluations), one value and error per group.
 
     The rule on each simplex is the degree-9 Grundmann-Moller rule.  Each
-    facet's budget ``tol`` (one for all facets, or one per facet) is split
+    group's budget ``tol`` (one for all groups, or one per group) is split
     evenly among its simplices.  A simplex's error is the gap between its
     children's rule sum and its own rule value, plus a roundoff floor of
     ``_ROUNDOFF_ULPS`` ulp of that sum (the rule's weights alternate in
@@ -382,16 +391,18 @@ def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9):
     keeps every simplex acceptable, and the error then shows the relative
     accuracy reached instead of ``tol``.  The gap between the two levels is a
     heuristic error estimate, not a bound; tests compare it with tight
-    references.  All facets are refined together: a batch of at most
+    references.  All simplices are refined together: a batch of at most
     ``_BATCH`` simplices makes one call of ``fn`` on all of its children's
     nodes, so memory stays flat however tight ``tol`` is.  A child's rule
     value is kept as its coarse value when it is refined in turn, so no rule
     is evaluated twice.  Accepted values are summed depth-first, simplex by
-    simplex, so the result does not depend on the batching.  ``evaluations``
-    is the number of points passed to ``fn``.
+    simplex, and the simplices' sums group by group in simplex order, so the
+    result does not depend on the batching.  ``evaluations`` is the number
+    of points passed to ``fn``.
     """
-    roots, facet = K.facet_simplices, K.simplex_facet
+    roots = simplices
     d, n = roots.shape[1] - 1, roots.shape[2]
+    sizes = np.bincount(group)
     bary, w = _grundmann_moller(d)
     pairs = _CHILDREN[d]
     c = len(pairs)
@@ -420,7 +431,7 @@ def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9):
     # Per simplex: its root, its path code (child indices in base c, the
     # first step most significant), its budget and its own rule value.
     push(0, roots, np.arange(len(roots)), np.zeros(len(roots), dtype=np.int64),
-         (np.broadcast_to(tol, K.facet_count) / np.bincount(facet))[facet],
+         (np.broadcast_to(tol, len(sizes)) / sizes)[group],
          rule(roots) * bodies.simplex_measure(roots))
     while stack:
         depth, spx, root, code, budget, coarse = stack.pop()
@@ -447,19 +458,15 @@ def facet_integrals(K: Polytope, fn, tol: float | np.ndarray = 1e-9):
                  np.repeat(budget[todo] / c, c), kid_vals[todo].ravel())
 
     # Sum root by root, each depth-first with the last child first (codes
-    # descending), in sequence (cumsum): the order of a one-simplex-at-a-time
-    # recursion.
+    # descending) and in sequence, then the roots group by group in order:
+    # the order of a one-simplex-at-a-time recursion.  ``bincount`` adds its
+    # weights one by one in the order given.
     root, code, fine, err = (np.concatenate(a) for a in zip(*accepted))
     order = np.lexsort((-code, root))
-    bounds = np.searchsorted(root[order], np.arange(len(roots) + 1))
-    fine, err = fine[order], err[order]
-    values = np.zeros(K.facet_count)
-    errors = np.zeros(K.facet_count)
-    for i, f in enumerate(facet):
-        part = slice(bounds[i], bounds[i + 1])
-        values[f] += np.cumsum(fine[part])[-1]
-        errors[f] += np.cumsum(err[part])[-1]
-    return values, errors, evals
+    root = root[order]
+    return (np.bincount(group, np.bincount(root, fine[order], len(roots)), len(sizes)),
+            np.bincount(group, np.bincount(root, err[order], len(roots)), len(sizes)),
+            evals)
 
 
 def facet_weights(mu: Density, K: Polytope, tol: float = 1e-9):

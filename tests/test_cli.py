@@ -118,6 +118,23 @@ def test_covariogram_eval():
     assert json.loads(out)["value"] == pytest.approx(2.0)
 
 
+def test_covariogram_eval_gaussian_meets_the_erf_product():
+    """A planar Gaussian covariogram is deterministic at the run's --tol:
+    g(0.5 e1) on cube(2) is the product of the Gaussian masses of
+    [-0.5, 1] and [-1, 1], within the reported error, and a rerun prints
+    the same bytes."""
+    argv = ["covariogram", "eval", "--body", "cube:2", "--measure", "gaussian",
+            "--x", "0.5,0"]
+    code, out = run_cli(argv)
+    assert code == 0 and run_cli(argv) == (code, out)
+    data = json.loads(out)
+    ref = (0.5 * (math.erf(1.0 / math.sqrt(2.0)) + math.erf(0.5 / math.sqrt(2.0)))
+           * math.erf(1.0 / math.sqrt(2.0)))
+    assert abs(data["value"] - ref) <= data["error"] <= 1e-8
+    loose = json.loads(run_cli(argv + ["--tol", "1e-3"])[1])
+    assert loose["evaluations"] < data["evaluations"]
+
+
 def test_covariogram_profile_csv():
     code, out = run_cli(["covariogram", "profile", "--body", "simplex:2",
                          "--theta", "1,0", "--steps", "4", "--format", "csv"])

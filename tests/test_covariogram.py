@@ -188,16 +188,19 @@ def test_query_validation(square, gauss2):
         pb.CovariogramQuery(square, gauss2, mode="weird")
 
 
-def test_evenness(square, gauss2, stream):
-    q = pb.CovariogramQuery(square, gauss2, stream=stream)
-    for x in ([0.4, 0.3], [0.8, -0.2]):
-        a = pb.mu_covariogram(q, np.array(x))
-        b = pb.mu_covariogram(q, -np.array(x))
-        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
-    qp = pb.CovariogramQuery(square, gauss2, mode="polarized", stream=stream)
-    a = pb.mu_covariogram(qp, np.array([0.7, 0.1]))
-    b = pb.mu_covariogram(qp, np.array([-0.7, -0.1]))
-    assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
+def test_evenness(square, gauss2):
+    """r(x) = r(-x) on any polygon, and g(x) = g(-x) on symmetric ones under
+    an even mu (K ∩ (K - x) = -(K ∩ (K + x)) there), within the two
+    budgets."""
+    gen = np.random.default_rng(1919)
+    c04 = _c04_bodies()
+    for K in (square, c04[10], c04[2]):
+        xs = gen.uniform(-0.8, 0.8, (20, 2)) * K.diameter / 2.0
+        for mode in ("plain", "polarized") if K.is_symmetric() else ("polarized",):
+            for mu in (gauss2, pb.radial_power(2, 0.5)):
+                q = pb.CovariogramQuery(K, mu, mode=mode)
+                for a, b in zip(pb.mu_covariogram(q, xs), pb.mu_covariogram(q, -xs)):
+                    assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
 
 def test_f_concavity_transfer(square, gauss2, leb2, stream):
@@ -461,6 +464,14 @@ def test_lebesgue_nu_mu_body_is_mu_lambda_under_nu(triangle, leb2):
             assert two == one
 
 
+def test_lebesgue_mu_lambda_is_the_volume(monkeypatch):
+    """(1/Vol K) ∫ g_K dx = Vol K for every body, with no sampling."""
+    monkeypatch.setattr(covariogram, "sample_uniform", None)
+    for K in (pb.standard_simplex(2), pb.cube(3), pb.Ball(3, 0.7)):
+        res = pb.translated_average("mu_lambda", K, mu=pb.lebesgue(K.n))
+        assert (res.value, res.error_estimate, res.evaluations) == (pb.volume(K), 0.0, 0)
+
+
 def test_translated_average_keeps_monte_carlo_bits_off_the_route(triangle, gauss2):
     """3-D bodies, balls, densities without a flux (custom, even one labelled
     "gaussian", composed, exp_norm), a non-Lebesgue mu in nu_mu_body and
@@ -475,7 +486,6 @@ def test_translated_average_keeps_monte_carlo_bits_off_the_route(triangle, gauss
         ("mu_lambda", triangle, {"mu": lookalike}),
         ("mu_lambda", triangle, {"mu": pb.compose_linear(gauss2, np.diag([1.0, 2.0]))}),
         ("mu_lambda", triangle, {"mu": pb.exp_norm(pb.cube(2))}),
-        ("mu_lambda", triangle, {"mu": pb.lebesgue(2)}),
         ("nu_mu_body", triangle, {"mu": gauss2, "nu": rp}),
         ("nu_mu_body", triangle, {"mu": pb.lebesgue(2), "nu": lookalike}),
         ("nu_mu_functional", triangle, {"mu": pb.lebesgue(2), "nu": rp, "f": gauss2}),
@@ -961,7 +971,7 @@ def test_mu_covariogram_stack_matches_one_draw_per_translation(mode):
 
 
 def test_concavity_check_draws_once_per_ray(monkeypatch):
-    """Each ray's three covariograms share one draw of box points."""
+    """Each ray's three sampled covariograms share one draw of box points."""
     from projbodies.inequalities import _concavity_check
     draws = []
     sample = pb.BoxSampler.sample
@@ -971,7 +981,116 @@ def test_concavity_check_draws_once_per_ray(monkeypatch):
         return sample(self, gen, count)
 
     monkeypatch.setattr(pb.BoxSampler, "sample", counting)
-    ok, worst = _concavity_check(pb.log_family(), pb.cube(2), pb.gaussian(2),
+    ok, worst = _concavity_check(pb.log_family(), pb.cube(3), pb.gaussian(3),
                                  None, pb.RunConfig(seed=7), pb.RandomStream(7),
                                  triples=4)
     assert ok and len(draws) == 4
+
+
+def test_planar_concavity_check_makes_one_deterministic_call(monkeypatch):
+    """On a polygon under a density with a flux the check draws no box
+    points and evaluates every ray's three translations in one call; its
+    margin is then the true midpoint gap, well inside a Monte Carlo budget."""
+    from projbodies import inequalities
+    draws, calls = [], []
+    sample, evaluate = pb.BoxSampler.sample, inequalities.mu_covariogram
+
+    def counting_draws(self, gen, count):
+        draws.append(count)
+        return sample(self, gen, count)
+
+    def counting_calls(q, x):
+        calls.append(len(x))
+        return evaluate(q, x)
+
+    monkeypatch.setattr(pb.BoxSampler, "sample", counting_draws)
+    monkeypatch.setattr(inequalities, "mu_covariogram", counting_calls)
+    ok, worst = inequalities._concavity_check(
+        pb.log_family(), pb.cube(2), pb.gaussian(2), None, pb.RunConfig(seed=7),
+        pb.RandomStream(7), triples=4)
+    assert ok and -1e-3 < worst < 0.0
+    assert draws == [] and calls == [12]
+
+
+# -- the planar flux route of mu_covariogram ----------------------------------
+
+def _gaussian_square_covariogram(R, x, polarized):
+    """g_{gamma_2,K}(x), or r_{gamma_2,K}(x), for K = R [-1, 1]^2: per axis
+    the Gaussian mass of [-R + |t|, R] (K ∩ (K + x) up to a reflection) or
+    of [-R + |t|/2, R - |t|/2], and 0 once |t| >= 2R."""
+    out = 1.0
+    for t in np.abs(x):
+        if t >= 2.0 * R:
+            return 0.0
+        lo, hi = (-R + t / 2.0, R - t / 2.0) if polarized else (-R + t, R)
+        out *= 0.5 * (math.erf(hi / math.sqrt(2.0)) - math.erf(lo / math.sqrt(2.0)))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["plain", "polarized"])
+@pytest.mark.parametrize("R", [1.0, 3.0])
+def test_flux_covariogram_of_a_square_meets_the_erf_products(R, mode, gauss2):
+    """R cube(2) under gamma_2 at 0, along an axis (an edge of K + x on the
+    parallel edge of K: the tie-break), off the axes, on the boundary of DK
+    and beyond it (both 0 exactly); each budget covers its gap, and a stack
+    gives the bits of one translation at a time."""
+    K = pb.cube(2).scale(R)
+    q = pb.CovariogramQuery(K, gauss2, mode=mode, tol=1e-9)
+    assert not q.sampled
+    xs = R * np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -1.3], [0.3, -0.7],
+                       [-1.9, 1.9], [2.0, 0.4], [-0.6, 2.0], [2.5, 0.1], [3.0, 3.0]])
+    got = pb.mu_covariogram(q, xs)
+    for x, res in zip(xs, got):
+        ref = _gaussian_square_covariogram(R, x, mode == "polarized")
+        assert abs(res.value - ref) <= res.error_estimate + 1e-16 * (ref == 0.0)
+        assert res.error_estimate <= 1e-9
+        one = pb.mu_covariogram(q, x)
+        assert (one.value, one.error_estimate) == (res.value, res.error_estimate)
+    assert [res.value for res in got[5:]] == [0.0] * 4
+    assert got[0].value == pytest.approx(pb.measure_body(gauss2, K).value, rel=1e-13)
+
+
+@pytest.mark.parametrize("index", [2, 0], ids=["pentagon", "hexagon"])
+def test_flux_covariogram_matches_the_measure_of_the_intersection(index):
+    """On c04's pentagon and hexagon, under gamma_2 and |x|^0.5, each value
+    agrees with measure_body on the polygon K ∩ (K + x) (moved by -x/2 in
+    polarized mode) built from its vertices, and its budget covers the gap."""
+    K = _c04_bodies()[index]
+    gen = np.random.default_rng(index)
+    thetas = gen.standard_normal((8, 2))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    rho = pb.radial_many(pb.difference_body(K), thetas)
+    xs = thetas * (gen.uniform(0.0, 0.95, 8) * rho)[:, None]
+    for mu in (pb.gaussian(2), pb.radial_power(2, 0.5)):
+        for mode in ("plain", "polarized"):
+            q = pb.CovariogramQuery(K, mu, mode=mode, tol=1e-12)
+            for x, res in zip(xs, pb.mu_covariogram(q, xs)):
+                P = pb.intersect_translate(K, x)
+                if mode == "polarized":
+                    P = P.translate(-x / 2.0)
+                ref = pb.measure_body(mu, P, tol=1e-12)
+                assert abs(res.value - ref.value) <= res.error_estimate
+
+
+def test_covariogram_route_comes_from_flux_dimension_and_mode(square, gauss2):
+    """Plain and polarized queries on a polygon under a density with a flux
+    (or Lebesgue) are deterministic; the functional mode, 3-D bodies and
+    densities without a flux, a custom one labelled "gaussian" included,
+    sample and keep their Monte Carlo results."""
+    lookalike = pb.custom_density(2, gauss2.eval, gauss2.grad, label="gaussian",
+                                  even=True, radially_decreasing=True)
+    for mu in (gauss2, pb.radial_power(2, 1.0), pb.lebesgue(2)):
+        for mode in ("plain", "polarized"):
+            assert not pb.CovariogramQuery(square, mu, mode=mode).sampled
+    assert pb.CovariogramQuery(square, gauss2, gauss2, mode="functional").sampled
+    assert pb.CovariogramQuery(pb.cube(3), pb.gaussian(3)).sampled
+    stream, N = pb.RandomStream(1919), 2_000
+    for mu in (lookalike, pb.exp_norm(square)):
+        q = pb.CovariogramQuery(square, mu, stream=stream, N=N)
+        assert q.sampled
+        res = pb.mu_covariogram(q, [0.3, 0.2])
+        lo, hi = square.bounding_box()
+        ref = pb.monte_carlo(pb.BoxSampler(lo, hi), lambda p: mu.eval(p) * (
+            np.all(square.slack(p) >= np.maximum(-square.normals @ [0.3, 0.2], 0.0)[:, None],
+                   axis=0)), N, stream)
+        assert (res.value, res.error_estimate) == (ref.value, ref.error_estimate)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -442,6 +443,37 @@ def test_facet_integral_errors_bound_the_true_error(tol):
             truth = _gauss_legendre_facet_integrals(K, fn)
             assert np.all(np.abs(values - truth) <= errors)
             assert np.all(errors <= tol)
+
+
+# sha256 of values.tobytes() + errors.tobytes() (first 16 hex digits) and the
+# evaluations of facet_integrals on c04's 3-D bodies and cube(3), for
+# gamma_3's phi at tol 1e-5, its flux at 1e-9 and phi at 1e-12, recorded
+# before the cubature was split into ``simplex_integrals``.
+FACET_INTEGRAL_BITS = [
+    [("a57bb1f5233ea05e", 2100), ("70242d7d4f30b03e", 3220), ("6b9cf42e2bb33005", 26180)],
+    [("6e76cb0fceb96665", 4900), ("9843885796ed4df6", 18340), ("2ecbcdd0f1e2ee09", 132020)],
+    [("4c885d548d0c740e", 3220), ("0a92c47e9ee9732a", 13300), ("1bdbcfc07d218b5b", 98980)],
+    [("5a742d47b29ea09e", 2800), ("caa8d0cd9fe5d491", 7280), ("e7a2a3e93cfb4a60", 42000)],
+    [("56ec78918a21bb63", 4900), ("f8cc174861c9686a", 8260), ("a01de801d9fc6610", 51940)],
+    [("b6f442b424d67866", 2800), ("635c97507e7d2f36", 12880), ("2984ac8585236597", 87920)],
+    [("3ffc3737f7eab377", 5320), ("df7a2112928bf8b2", 17640), ("28ce4742d78797ae", 119560)],
+    [("6e6facea2f8dbead", 4200), ("3fa334d59a664046", 8680), ("f33b6b1e5d825b88", 54600)],
+    [("3cfc2a01c81f37d4", 2100), ("2f95c989f1bd828e", 8820), ("5f816f327ec9a37b", 49140)],
+]
+
+
+def test_facet_integrals_keep_their_bits():
+    stream = pb.RandomStream(424242)
+    bodies = [pb.random_polytope(3, stream.substream(20 + i)) for i in range(4)]
+    bodies += [pb.random_polytope(3, stream.substream(30 + i), symmetric=True)
+               for i in range(4)]
+    g = pb.gaussian(3)
+    for K, recorded in zip(bodies + [pb.cube(3)], FACET_INTEGRAL_BITS):
+        for (fn, tol), (digest, evaluations) in zip(
+                ((g.eval, 1e-5), (g.flux, 1e-9), (g.eval, 1e-12)), recorded):
+            values, errors, evals = pb.measures.facet_integrals(K, fn, tol)
+            got = hashlib.sha256(values.tobytes() + errors.tobytes()).hexdigest()
+            assert (got[:16], evals) == (digest, evaluations)
 
 
 # -- mu(K) by the divergence theorem ------------------------------------------
