@@ -17,21 +17,21 @@ the flux over the clipped pieces by the divergence theorem, as
 ``measure_body`` does over facets, in one ``simplex_integrals`` call.  Every
 other one is ``numerics.monte_carlo`` over the intersection, known in
 H-representation (membership tests against K's facets).  Several
-translations are the columns of one integrand: they share one draw of box
-points, one projection onto K's normals and one phi, and each column gets
-the bits of a draw of its own.  Only the polarized mode, whose box grows
-with |x|, draws afresh for each.  Their brightness
-derivatives are ``monte_carlo`` of Richardson-combined difference quotients
-4 v(h/2) - v(h) - 3 v(0) on common random points.  In the plain and
-polarized modes that quotient is zero outside a sliver of K within one step
-h of its shadow boundary, so ``PrismSampler`` draws the points from thin
-prisms on K's facets that hold the sliver: their volume is h h_{Pi K}(theta)
-by Cauchy's formula, and each draw's depth in its prism is its reach.  The
-functional quotient is nonzero on all of K, so it keeps box points, projected
-onto K's normals once; each point's largest admissible step along theta,
-read off its facet slacks, gives every mask.  The integrand runs the kernels
-on blocks of ``numerics.MC_BLOCK`` rows, so their temporaries never span all
-N points and their memory does not depend on the body or the seed.
+translations are the columns of one integrand: they share one draw from K's
+own box (each of these sets lies in K), one projection onto K's normals and
+one phi at K's points, and each column gets the bits of a draw of its
+own.  Their brightness derivatives are ``monte_carlo`` of
+Richardson-combined difference quotients 4 v(h/2) - v(h) - 3 v(0) on common
+random points.  In the plain and polarized modes that quotient is zero
+outside a sliver of K within one step h of its shadow boundary, so
+``PrismSampler`` draws the points from thin prisms on K's facets that hold
+the sliver: their volume is h h_{Pi K}(theta) by Cauchy's formula, and each
+draw's depth in its prism is its reach.  The functional quotient is nonzero
+on all of K, so it keeps points of K's box, projected onto K's normals
+once; each point's largest admissible step along theta, read off its facet
+slacks, gives every mask.  The integrand runs the kernels on blocks of
+``numerics.MC_BLOCK`` rows, so their temporaries never span all N points
+and their memory does not depend on the body or the seed.
 
 Translated averages integrate a covariogram against a second measure.  On a
 polygon of at most five vertices under a density with a flux (the radial
@@ -63,7 +63,9 @@ from .measures import (RELATIVE_FLOOR, Density, lebesgue, measure_body,
                        simplex_integrals, DEFAULT_MC_SAMPLES)
 from .numerics import (MC_BLOCK, BoxSampler, ConfigurationError, DomainError,
                        PrecisionError, QuadratureFailure, QuadratureResult,
-                       RandomStream, mean_with_budget, monte_carlo, row_blocks)
+                       RandomStream, check_finite, check_monte_carlo,
+                       mean_with_budget, monte_carlo, monte_carlo_in,
+                       row_blocks)
 
 
 @dataclass
@@ -170,11 +172,6 @@ def ray_pieces(K: Polytope, theta, tol: float = 1e-9):
                                     QuadratureResult(g, abs(residual), n + 1))
         yield RayPiece(float(a), float(b), values, coefficients, float(residual))
         left = right
-
-
-def _sampling_box(q: CovariogramQuery, pad: float = 0.0) -> BoxSampler:
-    lo, hi = q.K.bounding_box()
-    return BoxSampler(lo - pad, hi + pad)
 
 
 class PrismSampler:
@@ -325,26 +322,30 @@ def _brightness_quotients(q: CovariogramQuery, points: np.ndarray,
     return out
 
 
-def _pointwise_values(q: CovariogramQuery, points: np.ndarray, xs):
-    """Yield the integrand of the queried covariogram at the sample points,
-    for each translation in ``xs`` in turn, from one projection onto K's
-    normals and one phi.
+def _pointwise_values(q: CovariogramQuery, points: np.ndarray, xs) -> np.ndarray:
+    """The integrand of the queried covariogram at the sample points: (k, N),
+    a row per translation in ``xs``, so its transpose is column-major.
 
     With c_i = <u_i, x>: p, p - x are in K iff every slack_i >= max(-c_i, 0);
-    p ± x/2 iff slack_i >= |c_i| / 2 (polarized).  Roundoff may flip a point
-    within an ulp of a shifted facet.
+    p ± x/2 iff slack_i >= |c_i| / 2 (polarized).  Such p lie in K, so phi
+    and f are evaluated only there, after one projection onto K's normals.
+    Roundoff may flip a point within an ulp of a shifted facet.
     """
     K = q.K
     slack = K.slack(points)
-    phi = q.mu.eval(points)
-    for x in xs:
+    inside = np.flatnonzero(np.all(slack >= 0.0, axis=0))
+    slack, p = np.take(slack, inside, axis=1), points[inside]   # C-ordered
+    phi = q.mu.eval(p)
+    out = np.zeros((len(xs), len(points)))
+    for row, x in zip(out, xs):
         c = K.normals @ x
         need = np.abs(c) / 2.0 if q.mode == "polarized" else np.maximum(-c, 0.0)
-        inside = np.all(slack >= need[:, None], axis=0)
+        mask = np.all(slack >= need[:, None], axis=0)
         if q.mode == "functional":
-            yield q.f.eval(points - x) * phi * inside
+            row[inside] = q.f.eval(p - x) * phi * mask
         else:
-            yield phi * inside
+            row[inside] = phi * mask
+    return out
 
 
 def mu_covariogram(q: CovariogramQuery, x):
@@ -358,9 +359,9 @@ def mu_covariogram(q: CovariogramQuery, x):
     cubature over the clipped edges of all the translations, to ``q.tol``
     (1e-9 if None) each (``_flux_covariogram``).  Otherwise (``q.sampled``)
     the translations are the columns of one ``monte_carlo`` call from
-    ``q.stream`` over K's box, except in polarized mode, whose box is padded
-    by |x| / 2 and so drawn afresh for each x.  Each translation gets the
-    bits a draw of its own would give.
+    ``q.stream`` over K's box, in every mode: the polarized set
+    (K - x/2) ∩ (K + x/2) lies in K too.  Each translation gets the bits a
+    draw of its own would give.
     """
     xs = np.asarray(x, dtype=float)
     single = xs.ndim == 1
@@ -371,20 +372,11 @@ def mu_covariogram(q: CovariogramQuery, x):
     elif not q.sampled:
         results = _flux_covariogram(q, xs)
     else:
-        results = []
-        if q.mode == "polarized":
-            draws = [(_sampling_box(q, float(np.linalg.norm(x)) / 2.0), x[None])
-                     for x in xs]
-        else:
-            draws = [(_sampling_box(q), xs)]
-        for box, group in draws:
-            def columns(points, group=group):
-                # stacked column-major, so each column is reduced in place
-                return np.array(list(_pointwise_values(q, points, group))).T
-
-            res = monte_carlo(box, columns, q.N, q.stream)
-            results += [QuadratureResult(float(v), float(e), res.evaluations)
-                        for v, e in zip(res.value, res.error_estimate)]
+        res = monte_carlo(BoxSampler(*q.K.bounding_box()),
+                          lambda points: _pointwise_values(q, points, xs).T,
+                          q.N, q.stream)
+        results = [QuadratureResult(float(v), float(e), res.evaluations)
+                   for v, e in zip(res.value, res.error_estimate)]
     return results[0] if single else results
 
 
@@ -400,7 +392,7 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
     1e-3 of the body diameter), on common random points; its budget is
     three standard errors of that quotient.  The plain and polarized modes
     draw the points from the facet prisms of ``PrismSampler``, where the
-    quotient lives; the functional mode draws them from K's box padded by h.
+    quotient lives; the functional mode draws them from K's box.
     The quotients are per row, so building them a block of rows at a
     time gives the bits of one kernel call over all N rows (tests pin this
     in two and three dimensions).
@@ -420,7 +412,7 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
         err = np.abs(_nodal_inverse(q.K.n)[1]).sum() * noise / first.b
     else:
         if q.mode == "functional":
-            sampler = _sampling_box(q, pad=h)
+            sampler = BoxSampler(*q.K.bounding_box())
 
             def kernel(points):
                 return _brightness_quotients(q, points, theta, h)
@@ -869,10 +861,9 @@ def sample_uniform(body, gen: np.random.Generator, count: int) -> np.ndarray:
     depend on the blocking (``advance`` also drops a buffered 32-bit
     half-draw, which no float draw leaves).
     """
-    lo, hi = body.bounding_box()
-    box = BoxSampler(lo, hi)
+    box = BoxSampler(*body.bounding_box())
     vol = bodies.volume(body)
-    n = len(lo)
+    n = len(box.lows)
     out = np.empty((count, n))
     have = 0
     chunk = int(min(4_000_000, max(1024, count * box.measure / vol * 1.3)))
@@ -943,10 +934,9 @@ def _sampled_average(kind: str, K, mu: Density | None = None,
 
     mu(K) comes from ``measure_body`` at ``tol``.  The integrand is
     evaluated on ``MC_BLOCK`` rows at a time, so its temporaries stay
-    block-sized.
+    block-sized, under ``monte_carlo``'s guards.
     """
-    if stream is None:
-        raise ConfigurationError("translated_average needs a RandomStream")
+    check_monte_carlo(N, stream)
     vol = bodies.volume(K)
     if vol <= 0:
         raise DomainError("zero-volume normalizer")
@@ -960,6 +950,7 @@ def _sampled_average(kind: str, K, mu: Density | None = None,
         out = np.empty(N)
         for rows in row_blocks(N):
             out[rows] = pair_values(ys[rows], ws[rows])
+        check_finite(out, ys, ws)
         return out
 
     if kind == "mu_lambda":
@@ -993,12 +984,6 @@ def _sampled_average(kind: str, K, mu: Density | None = None,
 
 def l1_norm(f, mu: Density, K, stream: RandomStream,
             N: int = DEFAULT_MC_SAMPLES) -> QuadratureResult:
-    """L^1(mu, K) norm of f by Monte Carlo over K's bounding box."""
-    lo, hi = K.bounding_box()
-    box = BoxSampler(lo, hi)
+    """L^1(mu, K) norm of f, by ``monte_carlo_in`` over K."""
     fe = _as_eval(f)
-
-    def integrand(p):
-        return np.abs(fe(p)) * mu.eval(p) * K.contains(p)
-
-    return monte_carlo(box, integrand, N, stream)
+    return monte_carlo_in(K, lambda p: np.abs(fe(p)) * mu.eval(p), N, stream)

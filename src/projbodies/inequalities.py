@@ -35,8 +35,9 @@ from .measures import (ConcavityFamily, Density, boundary_measure,
                        lebesgue, measure_body, power_family)
 from .numerics import (BoxSampler, ConfigurationError, DomainError,
                        QuadratureResult, RandomStream, ball_volume,
-                       gaussian_cdf, gaussian_quantile, integrate_1d,
-                       mean_with_budget, monte_carlo, sphere_directions)
+                       check_finite, check_monte_carlo, gaussian_cdf,
+                       gaussian_quantile, integrate_1d, mean_with_budget,
+                       monte_carlo, sphere_directions)
 from .projection import Zonoid, projection_zonoid, shifted_zonoid
 from .report import (Report, RunConfig, Witness, direction_grid,
                      finish_report, first_order_error, worst_link)
@@ -322,7 +323,7 @@ def _verify_exp_norm_gradient(K, mu, nu, f, family, s, cfg) -> Report:
 
     The radial part of the right-hand side is exact per direction (a Gamma
     integral), leaving an angular integral handled adaptively in the plane
-    and by direction sampling for n >= 3.
+    and by direction sampling for n >= 3, under the Monte Carlo guards.
     """
     require(mu is not None, "exp_norm_gradient_identity needs a measure mu")
     require(np.min(K.offsets) > 1e-9,
@@ -348,9 +349,12 @@ def _verify_exp_norm_gradient(K, mu, nu, f, family, s, cfg) -> Report:
         res = integrate_1d(f1, 0.0, 2.0 * np.pi, max(cfg.tol, 1e-10))
         rhs, rhs_err = res.value, res.error_estimate
     else:
-        omega = sphere_directions(n, cfg.samples // 4, "uniform_random",
-                                  cfg.stream().substream(3)).directions
-        mean, budget = mean_with_budget(angular(omega))
+        count, stream = cfg.samples // 4, cfg.stream().substream(3)
+        check_monte_carlo(count, stream)
+        omega = sphere_directions(n, count, "uniform_random", stream).directions
+        values = angular(omega)
+        check_finite(values, omega)
+        mean, budget = mean_with_budget(values)
         surf = n * ball_volume(n)
         rhs, rhs_err = mean * surf, budget * surf
     witnesses = {"mu_boundary": Witness(bm.value, bm.error_estimate),

@@ -23,8 +23,9 @@ Interior measures mu(K) are exact for Lebesgue.  For the radial builtins
 (``gaussian``, ``radial_power``) on a polytope they come from the same
 cubature by the divergence theorem: the density's ``flux`` G makes G(y) y a
 field of divergence phi, so mu(K) = sum_i b_i ∫_{F_i} G dA over the facets
-with offsets b_i.  Every other density, and every ``Ball``, is Monte Carlo
-over the body's box.
+with offsets b_i.  Every other density, and every ``Ball``, is
+``numerics.monte_carlo_in``: Monte Carlo over the body's box, with phi
+evaluated only at the body's points.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from scipy import special
 
 from . import bodies
 from .bodies import Polytope
-from .numerics import (BoxSampler, ConfigurationError, DomainError,
-                       EvaluationError, QuadratureFailure, QuadratureResult,
-                       RandomStream, SphereGrid, gaussian_cdf, gaussian_pdf,
-                       gaussian_quantile, integrate_1d, monte_carlo,
+from .numerics import (ConfigurationError, DomainError, EvaluationError,
+                       QuadratureFailure, QuadratureResult, RandomStream,
+                       SphereGrid, gaussian_cdf, gaussian_pdf,
+                       gaussian_quantile, integrate_1d, monte_carlo_in,
                        sphere_surface, squared_norms)
 
 DEFAULT_MC_SAMPLES = 200_000
@@ -242,7 +243,7 @@ def compose_linear(mu: Density, T) -> Density:
 
 def measure_body(mu: Density, K, stream: RandomStream | None = None,
                  N: int = DEFAULT_MC_SAMPLES, tol: float = 1e-9) -> QuadratureResult:
-    """mu(K): exact for Lebesgue, otherwise Monte Carlo over K's box, except
+    """mu(K): exact for Lebesgue, otherwise ``monte_carlo_in`` over K, except
     for a density with a ``flux`` on a polytope.
 
     There the field G(y) y has divergence phi, and on facet F_i it has
@@ -263,14 +264,7 @@ def measure_body(mu: Density, K, stream: RandomStream | None = None,
             budgets = tol / (len(b) * np.abs(b))
         values, errors, evals = facet_integrals(K, mu.flux, budgets)
         return QuadratureResult(float(b @ values), float(np.abs(b) @ errors), evals)
-    lo, hi = K.bounding_box()
-    sampler = BoxSampler(lo, hi)
-    contains = K.contains
-
-    def integrand(p):
-        return mu.eval(p) * contains(p)
-
-    return monte_carlo(sampler, integrand, N, stream)
+    return monte_carlo_in(K, mu.eval, N, stream)
 
 
 def gaussian_ball_mass(n: int, radius: float) -> float:

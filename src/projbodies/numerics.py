@@ -10,13 +10,13 @@ inequality reports) builds on the four primitives here:
   with the weights summing to the sphere's surface measure n*kappa_n.
 * ``QuadratureResult`` -- a value together with an error estimate that every
   caller treats as an upper bound when it builds tolerance budgets.
-* ``monte_carlo`` -- the one Monte Carlo estimator.  mu(K) and polar-set
-  measures of densities without a ``flux`` (custom, composed and
-  ``exp_norm`` densities, or any density on a ball), L^1 norms,
-  mu-covariograms, their brightness derivatives (over a box, or over the
-  thin facet prisms of ``covariogram.PrismSampler``) and the interior
-  offset integrals all draw through it, so its guards (a stream,
-  N >= 1000, finite values) hold for every one of them.
+* ``monte_carlo`` -- the one Monte Carlo estimator, and ``monte_carlo_in``,
+  the same over a body's box with the integrand evaluated only in the body.
+  mu(K) and polar-set measures of densities without a ``flux``, L^1 norms,
+  mu-covariograms, their brightness derivatives and the interior offset
+  integrals draw through them; the pair averages of ``translated_average``
+  and the direction average of the exp_norm gradient identity draw their
+  own.  The guards (a stream, N >= 1000, finite values) hold for them all.
 """
 
 from __future__ import annotations
@@ -283,6 +283,17 @@ def check_monte_carlo(N: int, stream: RandomStream | None):
         raise ConfigurationError(f"need N >= 1000 Monte Carlo samples, got {N}")
 
 
+def check_finite(values: np.ndarray, *points: np.ndarray):
+    """Raise ``EvaluationError`` at the first row holding a non-finite value;
+    its ``point`` is that row of ``points`` (stacked, for a pair of arrays)."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        row = int(np.argmax(np.reshape(bad, (len(bad), -1)).any(axis=1)))
+        point = np.stack([p[row] for p in points])
+        raise EvaluationError("integrand returned a non-finite value",
+                              point=point[0] if len(points) == 1 else point)
+
+
 def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureResult:
     """Plain Monte Carlo of ``integrand`` over the sampler's region (a box,
     or a union of prisms): the mean of its values at N uniform points,
@@ -294,17 +305,33 @@ def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureR
     values, or (N, k) columns that share the draw; each column then gets the
     bits a 1-D run of its own would give, and the result's value and error
     are (k,) arrays.  Stack columns column-major, so each is reduced in
-    place.  This is the one estimator, and the one place that checks that
-    every value is finite; ``check_monte_carlo`` checks the stream and the
-    sample count.
+    place.  This is the one estimator; ``check_monte_carlo`` checks the
+    stream and the sample count, ``check_finite`` every value.
     """
     check_monte_carlo(N, stream)
     points = sampler.sample(stream.generator(), N)
     values = np.asarray(integrand(points), dtype=float)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        row = int(np.argmax(np.reshape(bad, (N, -1)).any(axis=1)))
-        raise EvaluationError("integrand returned a non-finite value",
-                              point=points[row])
+    check_finite(values, points)
     mean, budget = mean_with_budget(values)
     return QuadratureResult(mean * sampler.measure, budget * sampler.measure, N)
+
+
+def monte_carlo_in(body, fn, N: int, stream: RandomStream) -> QuadratureResult:
+    """``monte_carlo`` over ``body``'s bounding box of ``fn`` times the
+    body's indicator (a ``Polytope`` or a ``Ball``).  ``fn`` sees only the
+    body's points, one ``MC_BLOCK`` of rows at a time, and returns (rows,)
+    values or (rows, k) columns for one column-major array that is 0 off the
+    body: an elementwise ``fn`` gets the bits of ``fn(p) * body.contains(p)``.
+    """
+    def integrand(points):
+        values = None
+        for block in row_blocks(len(points)):
+            p = points[block]
+            inside = body.contains(p)
+            v = np.asarray(fn(p[inside]), dtype=float)
+            if values is None:
+                values = np.zeros((len(points),) + v.shape[1:], order="F")
+            values[block][inside] = v
+        return values
+
+    return monte_carlo(BoxSampler(*body.bounding_box()), integrand, N, stream)

@@ -26,9 +26,9 @@ from .bodies import Ball, LinearMap, PolarDomainError, Polytope
 from .covariogram import CovariogramQuery, brightness_derivative
 from .measures import (Density, compose_linear, facet_integrals,
                        facet_weights, lebesgue, DEFAULT_MC_SAMPLES)
-from .numerics import (BoxSampler, ConfigurationError, PrecisionError,
-                       QuadratureResult, RandomStream, SphereGrid, ball_volume,
-                       check_monte_carlo, monte_carlo, row_blocks)
+from .numerics import (ConfigurationError, PrecisionError, QuadratureResult,
+                       RandomStream, SphereGrid, ball_volume,
+                       check_monte_carlo, monte_carlo_in)
 
 
 @dataclass(frozen=True)
@@ -219,22 +219,9 @@ def shifted_zonoid(K: Polytope, mu: Density, f=None,
 
 
 def _interior_vector(K: Polytope, fn, stream: RandomStream, N: int):
-    """``monte_carlo`` of a vector field over K's box, one column per
-    component; returns (vector, norm of the componentwise errors).
-
-    The field is K's membership mask times ``fn``, taken a block of rows at
-    a time, so the (m, rows) slacks and the gathered points stay
-    block-sized.
-    """
-    def field(points):
-        values = np.zeros_like(points)
-        for block in row_blocks(len(points)):
-            p, v = points[block], values[block]
-            inside = K.contains(p)
-            v[inside] = fn(p[inside])   # the field only where it counts
-        return values
-
-    res = monte_carlo(BoxSampler(*K.bounding_box()), field, N, stream)
+    """``monte_carlo_in`` of a vector field over K, one column per
+    component; returns (vector, norm of the componentwise errors)."""
+    res = monte_carlo_in(K, fn, N, stream)
     return res.value, float(np.linalg.norm(res.error_estimate))
 
 

@@ -80,6 +80,19 @@ def test_verify_config_error_exit_1():
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "weak_zhang", "--body", "cube:3", "--measure", "gaussian",
+     "--samples", "10"],
+    ["verify", "exp_norm_gradient_identity", "--body", "cube:3",
+     "--measure", "exp_norm:cube:3", "--samples", "3996"],
+], ids=["pair-average", "direction-average"])
+def test_verify_too_few_samples_exit_1(argv, capsys):
+    """The pair and direction averages keep the N >= 1000 guard."""
+    code, out = run_cli(argv)
+    assert code == 1 and out == ""
+    assert "N >= 1000" in capsys.readouterr().err
+
+
 def test_verify_witnesses():
     code, out = run_cli(["verify", "log_concave_zhang", "--body", "cube:2",
                          "--measure", "gaussian", "--seed", "7"])

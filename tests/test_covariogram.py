@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -13,8 +14,7 @@ from projbodies import covariogram
 from projbodies.covariogram import (PrismSampler, _brightness_quotients,
                                     _pointwise_values, _polar_average,
                                     _polygon_covariogram, _prism_quotients,
-                                    _sampled_average, _sampling_box, l1_norm,
-                                    sample_uniform)
+                                    _sampled_average, l1_norm, sample_uniform)
 from projbodies.numerics import MC_BLOCK, row_blocks
 
 
@@ -320,6 +320,30 @@ def test_translated_average_guards(triangle, stream, gauss2):
         pb.translated_average("nu_mu_body", triangle, mu=gauss2, stream=stream)
     with pytest.raises(pb.ConfigurationError):
         pb.translated_average("bogus", triangle, mu=gauss2, stream=stream)
+    # the sampled pair averages keep monte_carlo's stream and N >= 1000 guards
+    cube3, g3 = pb.cube(3), pb.gaussian(3)
+    for kwargs in ({"N": 999, "stream": stream}, {"stream": None}):
+        with pytest.raises(pb.ConfigurationError):
+            pb.translated_average("nu_mu_body", cube3, mu=g3, nu=g3, **kwargs)
+        with pytest.raises(pb.ConfigurationError):
+            pb.translated_average("mu_lambda", cube3, mu=g3, **kwargs)
+
+
+def test_translated_average_rejects_non_finite_pair_values(stream):
+    """A pair value that is not finite raises EvaluationError at that pair."""
+    g3 = pb.gaussian(3)
+
+    def ev(p):
+        out = g3.eval(p)
+        out[np.all(p > 0.0, axis=1)] = np.nan   # nan for y - w in the open octant
+        return out
+
+    mu = dataclasses.replace(g3, eval=ev, label="nan-octant")
+    with pytest.raises(pb.EvaluationError) as err:
+        pb.translated_average("mu_lambda", pb.cube(3), mu=mu, stream=stream,
+                              N=1000)
+    y, w = err.value.point
+    assert np.all(y - w > 0.0)
 
 
 # -- the planar polar route of translated_average -----------------------------
@@ -720,7 +744,7 @@ def _counting(density):
 def test_brightness_evaluates_phi_on_the_sliver_only():
     """Plain and polarized quotients draw their points from the prisms that
     hold the sliver and evaluate phi once per draw, a block at a time; the
-    functional one needs f and phi at every point of K in the padded box."""
+    functional one needs f and phi at every point of K in K's box."""
     K, g, N = pb.cube(2), pb.gaussian(2), 200_000
     theta = np.array([0.8, 0.6])
     h = 1e-3 * K.diameter   # the default step
@@ -735,9 +759,8 @@ def test_brightness_evaluates_phi_on_the_sliver_only():
         assert res == pb.brightness_derivative(builtin, theta)
         assert res.evaluations == 3 * N
 
-    lo, hi = K.bounding_box()
-    # the points brightness_derivative draws: K's box padded by h
-    points = pb.BoxSampler(lo - h, hi + h).sample(stream.generator(), N)
+    # the points brightness_derivative draws: K's own box
+    points = pb.BoxSampler(*K.bounding_box()).sample(stream.generator(), N)
     base = K.contains(points)
     mu, seen = _counting(g)
     f, f_seen = _counting(g)
@@ -755,7 +778,7 @@ def test_blocked_derivative_matches_one_kernel_call(n, mode):
     """Quotients built a block of rows at a time have the bits of one
     kernel call over all the rows, across an uneven last block: the value
     is mean(quotients / h) times the measure of the sampled region (K's
-    padded box, or the prisms for plain and polarized) and the budget three
+    box, or the prisms for plain and polarized) and the budget three
     standard errors."""
     g = pb.gaussian(n)
     K = pb.random_polytope(n, pb.RandomStream(5151).substream(n), symmetric=True)
@@ -769,7 +792,7 @@ def test_blocked_derivative_matches_one_kernel_call(n, mode):
 
     h = 1e-3 * K.diameter
     if mode == "functional":
-        sampler = _sampling_box(q, pad=h)
+        sampler = pb.BoxSampler(*K.bounding_box())
         points = sampler.sample(stream.generator(), N)
         r = _brightness_quotients(q, points, theta, h) / h
     else:
@@ -940,8 +963,9 @@ def test_pointwise_values_match_two_contains(n, mode):
 @pytest.mark.parametrize("mode", ["plain", "functional", "polarized"])
 def test_mu_covariogram_stack_matches_one_draw_per_translation(mode):
     """Translations that share a draw get the bits of a Monte Carlo run of
-    their own: one box per x, the integrand phi(p) [p, p - x in K] (f(p - x)
-    phi(p) [...] in functional mode; p ± x/2 in K in polarized mode)."""
+    their own: K's box for every x, the integrand phi(p) [p, p - x in K]
+    (f(p - x) phi(p) [...] in functional mode; p ± x/2 in K in polarized
+    mode)."""
     K = pb.random_polytope(3, pb.RandomStream(424242).substream(20))
     g = pb.gaussian(3)
     q = pb.CovariogramQuery(K, g, f=g if mode == "functional" else None,
@@ -953,7 +977,6 @@ def test_mu_covariogram_stack_matches_one_draw_per_translation(mode):
     for x, res in zip(xs, got):
         c = K.normals @ x
         need = np.abs(c) / 2.0 if mode == "polarized" else np.maximum(-c, 0.0)
-        pad = np.linalg.norm(x) / 2.0 if mode == "polarized" else 0.0
         lo, hi = K.bounding_box()
 
         def integrand(p, x=x, need=need):
@@ -961,13 +984,39 @@ def test_mu_covariogram_stack_matches_one_draw_per_translation(mode):
             weight = g.eval(p - x) * g.eval(p) if mode == "functional" else g.eval(p)
             return weight * inside
 
-        ref = pb.monte_carlo(pb.BoxSampler(lo - pad, hi + pad), integrand,
-                             q.N, q.stream)
+        ref = pb.monte_carlo(pb.BoxSampler(lo, hi), integrand, q.N, q.stream)
         assert res.value.hex() == ref.value.hex()
         assert res.error_estimate.hex() == ref.error_estimate.hex()
         assert res.evaluations == ref.evaluations
         one = pb.mu_covariogram(q, x)
         assert (one.value, one.error_estimate) == (res.value, res.error_estimate)
+
+
+@pytest.mark.parametrize("what", ["plain", "functional", "polarized", "brightness"])
+def test_box_sampled_covariograms_draw_once_from_K_box(monkeypatch, what):
+    """A sampled stack of 10 translations, in every mode, and the functional
+    brightness derivative make one draw, from exactly K's bounding box."""
+    K = pb.random_polytope(3, pb.RandomStream(424242).substream(31), symmetric=True)
+    g = pb.gaussian(3)
+    draws = []
+    sample = pb.BoxSampler.sample
+
+    def recording(self, gen, count):
+        draws.append((self.lows.tobytes(), self.highs.tobytes(), count))
+        return sample(self, gen, count)
+
+    monkeypatch.setattr(pb.BoxSampler, "sample", recording)
+    mode = "functional" if what == "brightness" else what
+    q = pb.CovariogramQuery(K, g, g if mode == "functional" else None, mode=mode,
+                            stream=pb.RandomStream(12), N=25_000)
+    theta = np.array([0.6, -0.48, 0.64])
+    if what == "brightness":
+        pb.brightness_derivative(q, theta)
+    else:
+        got = pb.mu_covariogram(q, np.outer(np.linspace(0.0, 0.9, 10), theta))
+        assert len(got) == 10 and got[0].value > got[-1].value > 0.0
+    lo, hi = K.bounding_box()
+    assert draws == [(lo.tobytes(), hi.tobytes(), q.N)]
 
 
 def test_concavity_check_draws_once_per_ray(monkeypatch):

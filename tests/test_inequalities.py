@@ -371,13 +371,14 @@ def test_ehrhard_bound_value():
 def test_log_concave_zhang_measures_mu_K_without_sampling(monkeypatch):
     """gamma_2(K) on the square comes from the facet cubature: no
     ``monte_carlo`` call, and erf(1/sqrt 2)^2 within its budget."""
-    calls = []
+    calls, estimate = [], pb.numerics.monte_carlo
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return pb.numerics.monte_carlo(*args, **kwargs)
+        return estimate(*args, **kwargs)
 
-    monkeypatch.setattr(pb.measures, "monte_carlo", counting)
+    # measure_body samples through numerics.monte_carlo_in
+    monkeypatch.setattr(pb.numerics, "monte_carlo", counting)
     monkeypatch.setattr(pb.inequalities, "monte_carlo", counting)
     rep = pb.verify("log_concave_zhang", pb.cube(2), mu=pb.gaussian(2),
                     precision=CFG)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import projbodies as pb
-from projbodies.numerics import MC_BLOCK, BoxSampler, mean_with_budget, row_blocks
+from projbodies.numerics import (MC_BLOCK, BoxSampler, mean_with_budget, row_blocks,
+                                 squared_norms)
 
 
 def test_sphere_grid_2d_axes():
@@ -224,3 +225,135 @@ def test_monte_carlo_columns_have_the_bits_of_separate_runs(stream, order):
         one = pb.monte_carlo(box, f, N, stream)
         assert res.value[j].hex() == one.value.hex()
         assert res.error_estimate[j].hex() == one.error_estimate.hex()
+
+
+# -- monte_carlo_in: box Monte Carlo over a body ------------------------------
+
+@pytest.mark.parametrize("body", ["ball", "polytope"])
+def test_monte_carlo_in_matches_the_masked_box_integrand(body):
+    """Columns evaluated only at the body's points, a block at a time, give
+    the bits of the whole-box integrand fn(p) * contains(p)."""
+    K = (pb.Ball(3, 0.7, center=[0.1, -0.2, 0.3]) if body == "ball"
+         else pb.random_polytope(3, pb.RandomStream(4040)))
+    g = pb.gaussian(3)
+
+    def fn(p):
+        return np.c_[g.eval(p), np.sum(p * p, axis=1)]
+
+    N, stream = MC_BLOCK + 1234, pb.RandomStream(4141)
+    res = pb.numerics.monte_carlo_in(K, fn, N, stream)
+    ref = pb.monte_carlo(BoxSampler(*K.bounding_box()),
+                         lambda p: fn(p) * K.contains(p)[:, None], N, stream)
+    assert res.value.tobytes() == ref.value.tobytes()
+    assert res.error_estimate.tobytes() == ref.error_estimate.tobytes()
+    assert res.evaluations == N
+    with pytest.raises(pb.ConfigurationError):
+        pb.numerics.monte_carlo_in(K, fn, 999, stream)
+
+
+def _inverse_square(n):
+    """A custom density without a flux: 1 / (1 + |x|^2)."""
+    def ev(p):
+        return 1.0 / (1.0 + squared_norms(p))
+
+    def gr(p):
+        p = np.atleast_2d(p)
+        return -2.0 * p / ((1.0 + squared_norms(p)) ** 2)[:, None]
+
+    return pb.custom_density(n, eval=ev, grad=gr, even=True)
+
+
+# hex bits of measure_body (exp_norm of the cross-polytope, then the custom
+# density), l1_norm, the eta cross-check and tau, each value then its
+# error, on pb.random_polytope(n, RandomStream(2020, 10 n + i)), as the
+# whole-box integrands of the earlier code gave them
+BOX_INTEGRAND_BITS = {
+    (2, 0): ("0x1.eb546a6482b79p-1", "0x1.317a2c6f30f0bp-7", "0x1.724ecaf8d73f0p+0",
+             "0x1.a0535cf6e018dp-7", "0x1.038cdfd1e165ep-3", "0x1.753d01218405fp-10",
+             "-0x1.18ac3e94de5f6p-6", "-0x1.38faf45c70583p-5", "0x1.11013aa1ff061p-10",
+             "0x1.221e4000bfcf1p-7", "0x1.0f1d21cf0bd91p-8", "0x1.2804657b4e6b4p-10"),
+    (2, 1): ("0x1.80ab319cb82cbp-1", "0x1.86c6fc38d765cp-7", "0x1.479c9118a0555p+0",
+             "0x1.3fddd65cb5f8ap-6", "0x1.25ef1ed3787bcp-4", "0x1.7b8d8d9a08b9fp-10",
+             "-0x1.7827a99fad856p-4", "-0x1.8e29da167a8fbp-6", "0x1.df24cb0a0cbeep-10",
+             "0x1.666eda801f0c4p-7", "0x1.6e468c95b876fp-9", "0x1.7d9944318ac8ep-11"),
+    (2, 2): ("0x1.2ef14344abd9cp+1", "0x1.f1785e333ef26p-6", "0x1.0245bdfff18e9p+2",
+             "0x1.715f93958cf12p-5", "0x1.fe613d050d462p-3", "0x1.19b950e270e68p-8",
+             "-0x1.cf119327ae1efp-11", "-0x1.fdcd66177ac43p-11", "0x1.4f308d6a2b672p-8",
+             "0x1.6a3cfe23a0d33p-11", "-0x1.8aa26ea9a9356p-11", "0x1.5e4ec287c0b6fp-9"),
+    (3, 0): ("0x1.d1649c233003ep+0", "0x1.5fac7ef2c8c2ap-5", "0x1.eb53812522ac5p+1",
+             "0x1.4b1f1b001d9c9p-4", "0x1.4aab3b7c7b08ep-4", "0x1.2473bca7f01f8p-9",
+             "-0x1.d45594234603bp-7", "-0x1.3170b56f03f23p-7", "-0x1.81da4266a561ep-6",
+             "0x1.79298942205d4p-9", "0x1.0fdf745a7bf8ep-11", "-0x1.1a8eac84a080ep-11",
+             "0x1.83a6f4108d7ccp-10", "0x1.9fab2f0f5f270p-10"),
+    (3, 1): ("0x1.d4b5e85d12d21p+0", "0x1.ba827fb2be201p-5", "0x1.ef461020e3b1fp+1",
+             "0x1.9c58b4ff5c0fdp-4", "0x1.3d333a6ee4112p-4", "0x1.667441b97cb9ep-9",
+             "0x1.4da1773ecada5p-5", "-0x1.c18ac7044e793p-6", "-0x1.697b99f049ecap-7",
+             "0x1.cbb164dce9916p-9", "-0x1.96458d43166e4p-9", "0x1.6059175e2f448p-10",
+             "0x1.bef284d16910ap-11", "0x1.f4fe94f9be5a6p-10"),
+    (3, 2): ("0x1.02b1695e8e4e1p+2", "0x1.c986e71e7158ep-4", "0x1.3e66c089bc7c7p+3",
+             "0x1.d7a12c32c53eap-3", "0x1.0d44253ac37acp-3", "0x1.540559e206822p-8",
+             "-0x1.4eacf41b01990p-15", "-0x1.bea035dcee8bap-13", "0x1.0fd42fad560edp-9",
+             "0x1.48f28663c8f0ap-7", "-0x1.c35c7fb0094cep-11", "-0x1.f85fd0f8cea12p-13",
+             "0x1.e636a4ec3fcf8p-14", "0x1.b64dd3dac52aep-9"),
+    (4, 0): ("0x1.f136b5c154032p-1", "0x1.64a933f95da37p-5", "0x1.3f320658b6a23p+1",
+             "0x1.8b8630d243c10p-4", "0x1.0d851d833b735p-6", "0x1.c8a0272680fb7p-11",
+             "-0x1.27a852ac1377fp-7", "-0x1.616a5414261e1p-8", "-0x1.176be3637d53cp-8",
+             "0x1.845076be753a4p-7", "0x1.50382554554e0p-10", "0x1.a93fd210b245cp-12",
+             "0x1.b1c4bc02b68c4p-11", "0x1.38b6144f529b8p-10", "-0x1.1be7f4206a9f0p-11",
+             "0x1.7080cd18eaa21p-11"),
+    (4, 1): ("0x1.15657cace412ap-1", "0x1.3e366abec6dd8p-5", "0x1.8edc43e0da75dp+0",
+             "0x1.8e6edae6257d3p-4", "0x1.ffa996ff694e7p-8", "0x1.5d0411a2893f1p-11",
+             "-0x1.a76a8a5f1791bp-7", "-0x1.c3cac8d085ce6p-12", "0x1.5773185a91d1bp-9",
+             "-0x1.e506fa0bc8f11p-11", "0x1.74ec60ba71c57p-10", "0x1.618d4c5b2771ep-10",
+             "0x1.e75f3366acd48p-15", "-0x1.12c9be1d4f2cbp-13", "0x1.3409ebe05940dp-11",
+             "0x1.093dd55b23bd5p-11"),
+    (4, 2): ("0x1.90320b980aef3p+2", "0x1.15ed070b0808dp-2", "0x1.7aedb57636139p+4",
+             "0x1.973502433e233p-1", "0x1.0be24eac92b6ap-4", "0x1.17cc52c2b66c2p-8",
+             "-0x1.8dd842232dfc6p-8", "0x1.2b468861b872cp-8", "-0x1.db9e59d4a6d98p-11",
+             "-0x1.9d0147935007dp-11", "0x1.cec304083ed05p-7", "-0x1.0292ae99d3c7bp-12",
+             "-0x1.4d66232bb4e71p-12", "0x1.0a734a2c4460ep-12", "-0x1.100811a316dfdp-11",
+             "0x1.a2f533f44bdc8p-9"),
+}
+
+
+@pytest.mark.parametrize("n, i", list(BOX_INTEGRAND_BITS))
+def test_box_estimates_over_K_keep_their_bits(n, i):
+    K = pb.random_polytope(n, pb.RandomStream(2020, 10 * n + i),
+                           symmetric=i == 2)
+    s, N = pb.RandomStream(3030, 10 * n + i), 70_000
+    en, g = pb.exp_norm(pb.cross_polytope(n)), pb.gaussian(n)
+    a = pb.measure_body(en, K, s.substream(0), N)
+    b = pb.measure_body(_inverse_square(n), K, s.substream(1), N)
+    c = pb.covariogram.l1_norm(en, g, K, s.substream(2), N)
+    eta = pb.offset_vector(K, g, stream=s.substream(3), N=N)
+    tau = pb.offset_vector(K, g, f=en, stream=s.substream(4), N=N)
+    got = np.concatenate([np.ravel(v) for v in (
+        a.value, a.error_estimate, b.value, b.error_estimate, c.value,
+        c.error_estimate, eta.cross_value, eta.cross_error, tau.value,
+        tau.error_estimate)])
+    assert [float(v).hex() for v in got] == list(BOX_INTEGRAND_BITS[n, i])
+
+
+def test_measure_body_and_l1_norm_evaluate_only_at_points_of_K():
+    """phi (and f) see only the points of K, one block of box rows at a time."""
+    K = pb.random_polytope(3, pb.RandomStream(5050))
+    seen = []
+
+    def ev(p):
+        seen.append(p.copy())
+        return 1.0 / (1.0 + squared_norms(p))
+
+    mu = pb.custom_density(3, eval=ev, grad=lambda p: np.zeros_like(p))
+    N, stream = 2 * MC_BLOCK + 99, pb.RandomStream(5151)
+    points = BoxSampler(*K.bounding_box()).sample(stream.generator(), N)
+    per_block = [points[block][K.contains(points[block])] for block in row_blocks(N)]
+    assert len(per_block) == 3
+    g = pb.gaussian(3)
+    for run in (lambda: pb.measure_body(mu, K, stream, N),
+                lambda: pb.covariogram.l1_norm(mu, g, K, stream, N),    # f counted
+                lambda: pb.covariogram.l1_norm(g, mu, K, stream, N)):   # mu counted
+        seen.clear()   # drop the certification probes
+        run()
+        assert len(seen) == len(per_block)
+        for got, want in zip(seen, per_block):
+            assert got.tobytes() == want.tobytes()
