@@ -10,7 +10,7 @@ translates K ∩ (K + x) are read off the face lattice (``face_pairs``): each
 of their vertices is where a face of K meets a face of K + x of
 complementary dimension, a point affine in x whose map is cached per face
 pair, so each x costs one matrix product, a facet membership test and a
-hull volume, in every dimension.
+hull volume (in 3-D and 4-D; ``covariogram`` clips polygons itself).
 
 Volumes of polytopes are exact up to floating point: a fan decomposition
 over an interior point into simplices, summed determinants.
@@ -404,24 +404,20 @@ def _intersection_vertices(K: Polytope, x: np.ndarray) -> np.ndarray:
 
 
 def clip_translate_volume(K: Polytope, x) -> float:
-    """Volume of K ∩ (K + x): the hull volume of its vertices, by the shoelace
-    formula on their angle order in the plane and by qhull elsewhere (Q12:
-    the clusters of nearly coinciding vertices at tiny x may make wide facets
-    in 4-D).  Volumes below machine dust are reported as exactly 0, so the
-    support of the covariogram is exactly the difference body.
+    """Volume of K ∩ (K + x): the qhull volume of its vertices (Q12: the
+    clusters of nearly coinciding vertices at tiny x may make wide facets in
+    4-D).  Volumes below machine dust are reported as exactly 0, so the
+    support of the covariogram is exactly the difference body.  This is the
+    covariogram of bodies in 3-D and 4-D; ``covariogram.covariogram_exact``
+    clips polygons itself.
     """
     points = _intersection_vertices(K, np.asarray(x, dtype=float))
     if len(points) <= K.n:
         return 0.0
-    if K.n == 2:
-        rel = points - points.mean(axis=0)
-        u, v = points[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))].T
-        vol = 0.5 * abs(np.dot(u, np.roll(v, -1)) - np.dot(v, np.roll(u, -1)))
-    else:
-        try:
-            vol = float(ConvexHull(points, qhull_options="Q12").volume)
-        except QhullError:
-            vol = 0.0
+    try:
+        vol = float(ConvexHull(points, qhull_options="Q12").volume)
+    except QhullError:
+        vol = 0.0
     return vol if vol > 1e-14 * max(1.0, K.volume) else 0.0
 
 

@@ -1,19 +1,20 @@
 """Covariograms: classical, measure-weighted, functional and polarized.
 
-The classical covariogram g_K(x) = Vol(K ∩ (K+x)) is computed exactly from
-polytope arithmetic.  Along a ray, r -> g_K(r theta) is a polynomial of
-degree <= n between the radii where a face of K meets a face of K + r theta
-of complementary dimension; ``ray_pieces`` finds those radii from the face
-pairs of ``bodies.face_pairs`` (the face lattice lives in ``bodies``, which
-reads the vertices of K ∩ (K+x) off the same pairs) and samples each piece
-at n + 1 nodes.  Mean bodies integrate the pieces in closed form,
-and the slope of the first one is the exact brightness derivative.
+The classical covariogram g_K(x) = Vol(K ∩ (K+x)) is exact, at a stack of
+translations at once: on a polygon a shoelace sum over ``_clipped_edges``
+(K's edges clipped against K + x, and those of K + x against K), in 3-D and
+4-D the hull volumes of ``bodies.clip_translate_volume``.  Along a ray,
+r -> g_K(r theta) is a polynomial of degree <= n between the radii where a
+face of K meets a face of K + r theta of complementary dimension;
+``_breakpoints`` finds them for a stack of rays from ``bodies.face_pairs``
+(which also give the vertices of K ∩ (K+x)), and ``ray_pieces`` samples
+each piece at n + 1 nodes.  Mean bodies integrate the pieces in closed
+form, and the slope of the first one is the exact brightness derivative.
 
 The measure-weighted variants are deterministic on a polygon under a
 density with a flux (the radial builtins), in plain and polarized mode:
-``_clipped_edges`` clips K's edges against K + x and those of K + x against
-K for a whole stack of translations, and ``_flux_covariogram`` integrates
-the flux over the clipped pieces by the divergence theorem, as
+``_flux_covariogram`` integrates the flux over the clipped edges of
+``_clipped_edges`` by the divergence theorem, as
 ``measure_body`` does over facets, in one ``simplex_integrals`` call.  Every
 other one is ``numerics.monte_carlo`` over the intersection, known in
 H-representation (membership tests against K's facets).  Several
@@ -36,13 +37,11 @@ and their memory does not depend on the body or the seed.
 Translated averages integrate a covariogram against a second measure.  On a
 polygon of at most five vertices under a density with a flux (the radial
 builtins) the average (1/Vol K) ∫_DK g_K dmu is deterministic:
-``_polygon_covariogram`` evaluates g_K at a whole stack of translations by
-a shoelace sum over the same clipped edges, and ``_polar_average``
-integrates it in polar coordinates with Gauss-Legendre
+``_polar_average`` integrates g_K in polar coordinates with Gauss-Legendre
 rules on the arcs between the directions of v_i - v_j and on the radial
-pieces between the kink segments, where g_K is one quadratic.  Its work
-grows much faster with the vertex count than sampling's, so larger polygons
-and every other translated average sample pairs of uniform points of K.
+pieces of ``_breakpoints``, where g_K is one quadratic.  Its work grows
+much faster with the vertex count than sampling's, so larger polygons and
+every other translated average sample pairs of uniform points of K.
 ``sample_uniform`` draws them by box rejection, a block of ``MC_BLOCK``
 candidates at a time; it stops testing once it has enough and skips the
 generator past the untested rest, so its points and the draws after it are
@@ -100,9 +99,19 @@ class CovariogramQuery:
             raise ConfigurationError(f"mode {self.mode!r} does not take an f")
 
 
-def covariogram_exact(K: Polytope, x) -> float:
-    """g_K(x) = Vol(K ∩ (K+x)); exact, supported exactly on DK."""
-    return bodies.clip_translate_volume(K, np.asarray(x, dtype=float))
+def covariogram_exact(K: Polytope, x):
+    """g_K(x) = Vol(K ∩ (K+x)); exact, supported exactly on DK.  One
+    translation (n,) gives a float, a stack (k, n) an array: on a polygon
+    one shoelace sum over ``_clipped_edges``, in 3-D and 4-D a hull volume
+    per translation (``bodies.clip_translate_volume``)."""
+    xs = np.asarray(x, dtype=float)
+    stack = np.atleast_2d(xs)
+    if K.n == 2:
+        g = np.concatenate([np.zeros(0)] + [_shoelace(K, c, sides)
+                                            for _, c, sides in _clipped_edges(K, stack)])
+    else:
+        g = np.array([bodies.clip_translate_volume(K, x) for x in stack])
+    return float(g[0]) if xs.ndim == 1 else g
 
 
 def _nodal_inverse(n: int) -> np.ndarray:
@@ -121,56 +130,89 @@ class RayPiece(NamedTuple):
     residual: float
 
 
-def _breakpoints(K: Polytope, theta: np.ndarray, rho: float) -> np.ndarray:
-    """Sorted radii in (0, rho) where r -> g_K(r theta) may change polynomial.
+def _breakpoints(K: Polytope, thetas: np.ndarray, rhos: np.ndarray):
+    """The pieces (a, b) of each ray [0, rho_i] theta_i on which
+    r -> g_K(r theta_i) is one polynomial, in order, and each piece's ray.
 
     A face of K cut out by j facets meets one of K + r theta cut out by
-    n + 1 - j facets where the determinant of their rows [u, b] (shifted:
-    [u, b + r <u, theta>]), affine in r, vanishes and the meeting point lies
-    in both bodies.  Roots closer than 1e-10 rho are merged.
+    n + 1 - j facets where the determinant of their rows M = [A, b]
+    (shifted: [A, b + r G theta], G = A with its first j rows zeroed)
+    vanishes and the meeting point pinv(A) (b + r G theta) lies in both
+    bodies.  That determinant is det M + r <w, theta> with
+    w_k = det [A, G e_k]; det M, w, G, b and pinv(A) are cached on K.  The
+    radii in (1e-10 rho, (1 - 1e-10) rho) cut [0, rho], and a radius within
+    1e-10 rho of the one below it is merged into it.  The products are
+    written out term by term, so a ray gets the same pieces in any stack.
     """
     n, tol = K.n, 1e-9 * max(1.0, K.diameter)
-    roots = []
-    for j, M in bodies.face_pairs(K, n + 1):
-        A, shift = M[..., :n], M[..., :n] @ theta
-        shift[:, :j] = 0.0
-        d1 = np.linalg.det(np.concatenate([A, shift[..., None]], axis=2))
+    if not hasattr(K, "_ray_maps"):
+        K._ray_maps = []
+        for j, M in bodies.face_pairs(K, n + 1):
+            A, G = M[..., :n], M[..., :n].copy()
+            G[:, :j] = 0.0
+            columns = np.concatenate([np.repeat(A[:, None], n, axis=1),
+                                      G.transpose(0, 2, 1)[..., None]], axis=3)
+            K._ray_maps.append((np.linalg.det(M), np.linalg.det(columns), G,
+                                M[..., n], np.linalg.pinv(A)))
+    count = len(rhos)
+    rays, radii = [np.arange(count)], [np.zeros(count)]
+    for det, w, G, b, inverse in K._ray_maps:
+        d1 = sum(w[:, k, None] * thetas[:, k] for k in range(n))            # (P, T)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = -np.linalg.det(M) / d1
-            ok = (np.abs(d1) > 1e-12) & (r > 1e-10 * rho) & (r < (1.0 - 1e-10) * rho)
-        r, rhs = r[ok], M[ok][..., n] + r[ok, None] * shift[ok]
-        x = (np.linalg.pinv(A[ok]) @ rhs[..., None])[..., 0]
+            r = -det[:, None] / d1
+            ok = (np.abs(d1) > 1e-12) & (r > 1e-10 * rhos) & (r < (1.0 - 1e-10) * rhos)
+        pair, ray = np.nonzero(ok)
+        r, theta = r[pair, ray], thetas[ray]
+        rhs = b[pair] + r[:, None] * sum(G[pair, :, k] * theta[:, k, None]
+                                         for k in range(n))
+        x = sum(inverse[pair, :, i] * rhs[:, i, None] for i in range(n + 1))
         meets = ((K.slack(x, tol).min(axis=0) >= 0.0)
                  & (K.slack(x - r[:, None] * theta, tol).min(axis=0) >= 0.0))
-        roots.append(r[meets])
-    roots = np.sort(np.concatenate(roots))
-    return roots[np.diff(roots, prepend=-np.inf) > 1e-10 * rho]
+        rays.append(ray[meets])
+        radii.append(r[meets])
+    ray, r = np.concatenate(rays + [np.arange(count)]), np.concatenate(radii + [rhos])
+    order = np.lexsort((r, ray))
+    ray, r = ray[order], r[order]
+    keep = ((np.diff(r, prepend=-np.inf) > 1e-10 * rhos[ray])
+            | (np.diff(ray, prepend=-1) != 0) | (np.diff(ray, append=count) != 0))
+    ray, r = ray[keep], r[keep]
+    same = ray[:-1] == ray[1:]
+    return r[:-1][same], r[1:][same], ray[:-1][same]
 
 
 def ray_pieces(K: Polytope, theta, tol: float = 1e-9):
     """Yield the polynomial pieces of r -> g_K(r theta) on [0, rho_DK(theta)].
 
-    g(0) = Vol K and g(rho_DK) = 0 are known, and neighbours share a node.
-    Each piece is checked at t = 1 / (2n) of the way along it: a gap above
-    tol * Vol K (a missed breakpoint) raises ``QuadratureFailure``.
+    The pieces come from ``_breakpoints``.  One ``covariogram_exact`` call
+    gives the first piece's nodes, all that the exact brightness derivative
+    reads, and one more call those of every other piece.  g(0) = Vol K and
+    g(rho_DK) = 0 are known, and neighbours share a node.  Each piece is
+    checked at t = 1 / (2n) of the way along it: a gap above tol * Vol K (a
+    missed breakpoint) raises ``QuadratureFailure``.
     """
     theta = np.asarray(theta, dtype=float) / np.linalg.norm(theta)
     n, vol = K.n, K.volume
-    rho = bodies.radial_many(bodies.difference_body(K), theta[None, :])[0]
-    edges = np.r_[0.0, _breakpoints(K, theta, rho), rho]
-    left, check = vol, 0.5 / n
-    for a, b in zip(edges, edges[1:]):
-        right = 0.0 if b == rho else covariogram_exact(K, b * theta)
-        values = np.r_[left, [covariogram_exact(K, (a + (b - a) * i / n) * theta)
-                              for i in range(1, n)], right]
+    rho = bodies.radial_many(bodies.difference_body(K), theta[None, :])
+    a, b, _ = _breakpoints(K, theta[None, :], rho)
+    check = 0.5 / n
+    radii = np.c_[a[:, None] + (b - a)[:, None] * np.arange(1, n) / n, b,
+                  a + (b - a) * check]
+    g, left = np.empty_like(radii), vol
+    for i, (lo, hi) in enumerate(zip(a, b)):
+        if i < 2:
+            rows = slice(i, None if i else 1)
+            g[rows] = covariogram_exact(K, radii[rows].reshape(-1, 1) * theta
+                                        ).reshape(-1, n + 1)
+        right = 0.0 if hi == rho[0] else g[i, n - 1]
+        values = np.r_[left, g[i, :n - 1], right]
         coefficients = _nodal_inverse(n) @ values
-        g = covariogram_exact(K, (a + (b - a) * check) * theta)
-        residual = g - np.polyval(coefficients[::-1], check)
+        residual = g[i, n] - np.polyval(coefficients[::-1], check)
         if abs(residual) > tol * vol:
-            raise QuadratureFailure(f"covariogram piece [{a:.6g}, {b:.6g}] misses its "
-                                    f"check node by {residual:.3e} (tol {tol:.1e})",
-                                    QuadratureResult(g, abs(residual), n + 1))
-        yield RayPiece(float(a), float(b), values, coefficients, float(residual))
+            raise QuadratureFailure(
+                f"covariogram piece [{lo:.6g}, {hi:.6g}] misses its check node by "
+                f"{residual:.3e} (tol {tol:.1e})",
+                QuadratureResult(float(g[i, n]), abs(residual), n + 1))
+        yield RayPiece(float(lo), float(hi), values, coefficients, float(residual))
         left = right
 
 
@@ -354,21 +396,21 @@ def mu_covariogram(q: CovariogramQuery, x):
     ``x`` is one translation (n,), which gives one ``QuadratureResult``, or a
     stack (k, n) of them, which gives a list.  At x = 0 the value is mu(K)
     (plain/polarized) or the L^1(mu, K) norm of f (functional).  The
-    Lebesgue plain/polarized path is exact.  On a polygon under a density
-    with a ``flux`` the plain/polarized values are deterministic: one
-    cubature over the clipped edges of all the translations, to ``q.tol``
-    (1e-9 if None) each (``_flux_covariogram``).  Otherwise (``q.sampled``)
-    the translations are the columns of one ``monte_carlo`` call from
-    ``q.stream`` over K's box, in every mode: the polarized set
-    (K - x/2) ∩ (K + x/2) lies in K too.  Each translation gets the bits a
-    draw of its own would give.
+    Lebesgue plain/polarized path is one exact ``covariogram_exact`` call.
+    On a polygon under a density with a ``flux`` the plain/polarized values
+    are deterministic: one cubature over the clipped edges of all the
+    translations, to ``q.tol`` (1e-9 if None) each (``_flux_covariogram``).
+    Otherwise (``q.sampled``) the translations are the columns of one
+    ``monte_carlo`` call from ``q.stream`` over K's box, in every mode: the
+    polarized set (K - x/2) ∩ (K + x/2) lies in K too.  Each translation
+    gets the bits a draw of its own would give.
     """
     xs = np.asarray(x, dtype=float)
     single = xs.ndim == 1
     xs = np.atleast_2d(xs)
     if q.mu.is_lebesgue and q.mode in ("plain", "polarized"):
         # r_{lambda,K} = g_K by translation invariance
-        results = [QuadratureResult(covariogram_exact(q.K, x), 0.0, 0) for x in xs]
+        results = [QuadratureResult(float(g), 0.0, 0) for g in covariogram_exact(q.K, xs)]
     elif not q.sampled:
         results = _flux_covariogram(q, xs)
     else:
@@ -444,7 +486,7 @@ _POLAR_NODES = 16         # nodes of the first fine rule, per quarter turn and p
 _POLAR_MAX_ANGULAR = 128  # the finest angular rule tried
 _POLAR_MAX_RADIAL = 1024  # the finest radial rule tried, in nodes per piece
 _POLAR_ROUNDOFF = 64      # roundoff floor of the budget, in ulp of the value
-_POLAR_BLOCK = 2 ** 18    # clip pairs x translations, rays x kinks or points at once
+_POLAR_BLOCK = 2 ** 18    # clip pairs x translations, rays x face pairs or points at once
 # The route's work grows with the vertex count m about like m^5 on a generic
 # polygon (m^2 arcs, m pieces per ray, m^2 clip pairs per point), the Monte
 # Carlo's at most like m (its membership tests).  On random m-gons the
@@ -454,20 +496,23 @@ _POLAR_MAX_VERTICES = 5
 
 
 class _PolygonEdges(NamedTuple):
-    """A polygon's edges, set up for ``_polygon_covariogram``.
+    """A polygon's edges, set up for ``_clipped_edges``.
 
-    Edge i runs counter-clockwise from p_i to p_i + d_i along facet i, with
-    p_i relative to the vertex mean; w_i = p_i x d_i.  The constraint pairs
-    (i, j) of edge i against facet j are split by the sign of their rate
-    <u_j, d_i>: ``up`` (> 0, an upper bound on the edge parameter) and
-    ``low`` (< 0), each as (i, j, slack of p_i in facet j, 1 / rate),
+    Edge i runs counter-clockwise from the vertex ``start[i]`` by d_i along
+    facet i, and n_i = (d_i2, -d_i1) is its outward perpendicular, of
+    length |d_i|.  With p_i that vertex relative to the centre of K's box,
+    w_i = p_i x d_i = <n_i, p_i>.  The constraint pairs (i, j) of edge
+    i against facet j are split by the sign of their rate <n_j, d_i>:
+    ``up`` (> 0, an upper bound on the edge parameter) and ``low`` (< 0),
+    each as (i, j, slack w_j - <n_j, p_i> of p_i in facet j, 1 / rate),
     sorted by i.  A facet parallel to edge i bounds nothing: its own facet
     is the tie-break, and for x in DK the edge lies inside an antiparallel
     facet of the other body (DK is the slab |<u_i, x>| <= the width of K
-    along u_i).
+    along u_i).  The perpendiculars and the box centre keep the clip exact
+    on dyadic vertices (the unit triangle); unit normals and means do not.
     """
 
-    p: np.ndarray
+    start: np.ndarray
     d: np.ndarray
     w: np.ndarray
     up: tuple
@@ -477,28 +522,30 @@ class _PolygonEdges(NamedTuple):
 def _polygon_edges(K: Polytope) -> _PolygonEdges:
     """K's ``_PolygonEdges``, cached on K."""
     if not hasattr(K, "_polygon_edges"):
-        center = K.vertices.mean(axis=0)
-        u, b = K.normals, K.offsets - K.normals @ center
+        u = K.normals
         tangent = np.c_[-u[:, 1], u[:, 0]]
-        ends = (K.facet_simplices - center).reshape(-1, 2)
+        ends = K.facet_simplices.reshape(-1, 2)
         facet = np.repeat(K.simplex_facet, 2)
-        p, q = np.empty_like(u), np.empty_like(u)
+        start, end = np.empty_like(u), np.empty_like(u)
         for i, t in enumerate(tangent):
             points = ends[facet == i]
             along = points @ t
-            p[i], q[i] = points[np.argmin(along)], points[np.argmax(along)]
-        d = q - p
-        rate = d @ u.T
-        rate[np.abs(rate) <= 1e-12 * np.linalg.norm(d, axis=1)[:, None]] = 0.0
-        slack = b - p @ u.T
+            start[i], end[i] = points[np.argmin(along)], points[np.argmax(along)]
+        d = end - start
+        perpendicular = np.c_[d[:, 1], -d[:, 0]]
+        p = start - 0.5 * np.add(*K.bounding_box())
+        w = p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0]
+        rate = d @ perpendicular.T
+        length = np.linalg.norm(d, axis=1)
+        rate[np.abs(rate) <= 1e-12 * np.outer(length, length)] = 0.0
+        slack = w - p @ perpendicular.T
 
         def pairs(mask):
             i, j = np.nonzero(mask)          # row-major: sorted by i
             return i, j, slack[i, j], 1.0 / rate[i, j]
 
-        K._polygon_edges = _PolygonEdges(
-            p, d, p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0],
-            pairs(rate > 0.0), pairs(rate < 0.0))
+        K._polygon_edges = _PolygonEdges(start, d, w,
+                                         pairs(rate > 0.0), pairs(rate < 0.0))
     return K._polygon_edges
 
 
@@ -510,8 +557,8 @@ def _clipped_edges(K: Polytope, xs: np.ndarray):
     The boundary of K ∩ (K + x) is the part of each edge of K inside K + x
     and the part of each edge of K + x inside K.  Edge i, p_i + t d_i for t
     in [0, 1], is clipped against the other body's facets j (Cyrus-Beck): with
-    c_j = <u_j, x> and s = +1 for K's edges, -1 for those of K + x, the
-    constraint is t <u_j, d_i> <= slack_ij + s c_j.  ``sides`` holds, for
+    c_j = <n_j, x> and s = +1 for K's edges, -1 for those of K + x, the
+    constraint is t <n_j, d_i> <= slack_ij + s c_j.  ``sides`` holds, for
     s = +1 and then s = -1, (s, own, lo, hi): edge i keeps [lo, hi] (m, N)
     of its parameter range, none where hi <= lo.  Where edge i of K and of
     K + x lie on one line (c_i = 0) they would be counted twice: ``own``
@@ -521,10 +568,11 @@ def _clipped_edges(K: Polytope, xs: np.ndarray):
     E = _polygon_edges(K)
     pairs = len(E.up[0]) + len(E.low[0])
     step = max(1, _POLAR_BLOCK // pairs)
-    starts = [np.searchsorted(i, np.arange(len(E.p))) for i, *_ in (E.up, E.low)]
+    starts = [np.searchsorted(i, np.arange(len(E.d))) for i, *_ in (E.up, E.low)]
     for begin in range(0, len(xs), step):
         x = xs[begin:begin + step]
-        c = K.normals @ x.T                                   # (m, N)
+        # <n_j, x> by elements: a product's bits may depend on the stack
+        c = np.outer(E.d[:, 1], x[:, 0]) - np.outer(E.d[:, 0], x[:, 1])
         sides = []
         for s, own in ((1.0, c >= 0.0), (-1.0, c < 0.0)):
             bounds = []
@@ -539,33 +587,26 @@ def _clipped_edges(K: Polytope, xs: np.ndarray):
         yield x, c, sides
 
 
-def _shoelace(K: Polytope, x: np.ndarray, sides) -> np.ndarray:
-    """g_K at one block of ``_clipped_edges``.  A clipped piece of length L
-    (in t) adds L (p_i - x/2 + [s < 0] x) x d_i / 2 to the shoelace sum about
-    x/2, a point near the intersection.  Areas below 1e-14 Vol K are
-    roundoff and read 0 (relative to the body, so that a tiny polygon keeps
-    its values); beyond DK the clipped pieces turn clockwise, and the value
-    is 0 too."""
-    E = _polygon_edges(K)
-    half_cross = 0.5 * (np.outer(E.d[:, 1], x[:, 0])
-                        - np.outer(E.d[:, 0], x[:, 1]))      # (x / 2) x d_i
-    total = np.zeros(len(x))
+def _shoelace(K: Polytope, c: np.ndarray, sides) -> np.ndarray:
+    """g_K at one block of ``_clipped_edges``, from its c and sides.  A
+    clipped piece of length L (in t) adds L (p_i - x/2 + [s < 0] x) x d_i / 2
+    to the shoelace sum about x/2, a point near the intersection, and
+    (x/2) x d_i = c_i / 2.  The pieces are summed edge by edge, so each
+    translation gets the same bits in any stack.  Areas below 1e-14 Vol K
+    are roundoff and read 0 (relative to the body, so that a tiny polygon
+    keeps its values); beyond DK the clipped pieces turn clockwise, and the
+    value is 0 too."""
+    w = _polygon_edges(K).w[:, None]
+    total = np.zeros(c.shape[1])
     for s, own, lo, hi in sides:
         length = hi - lo
         np.maximum(length, 0.0, out=length)
         length *= own
-        total += np.einsum("in,in->n", length, E.w[:, None] - s * half_cross)
+        for term in length * (w - s * 0.5 * c):
+            total += term
     g = 0.5 * total
     g[g <= 1e-14 * K.volume] = 0.0
     return g
-
-
-def _polygon_covariogram(K: Polytope, xs) -> np.ndarray:
-    """g_K at a stack (N, 2) of translations of a polygon, by the shoelace
-    sum over the clipped edges of ``_clipped_edges``."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    return np.concatenate([_shoelace(K, x, sides)
-                           for x, _, sides in _clipped_edges(K, xs)])
 
 
 def _flux_covariogram(q: CovariogramQuery, xs: np.ndarray) -> list:
@@ -574,8 +615,8 @@ def _flux_covariogram(q: CovariogramQuery, xs: np.ndarray) -> list:
 
     The edges of K ∩ (K + x) are the clipped pieces of ``_clipped_edges``:
     a piece of K's edge i lies on the line <u_i, y> = b_i, one of K + x's on
-    <u_i, y> = b_i + c_i; the polarized body (K - x/2) ∩ (K + x/2) is the
-    same polygon moved by -x/2, its offsets by -c_i / 2.  As in
+    <u_i, y> = b_i + <u_i, x>; the polarized body (K - x/2) ∩ (K + x/2) is
+    the same polygon moved by -x/2, its offsets by -<u_i, x> / 2.  As in
     ``measure_body``, mu(P) = sum_s b_s ∫_s G ds over the pieces s with
     offsets b_s, by the divergence theorem on the field G(y) y, with error
     sum_s |b_s| e_s; the integrals come from ``simplex_integrals``, each
@@ -587,17 +628,17 @@ def _flux_covariogram(q: CovariogramQuery, xs: np.ndarray) -> list:
     K, polarized = q.K, q.mode == "polarized"
     tol = 1e-9 if q.tol is None else q.tol
     E = _polygon_edges(K)
-    start = E.p + K.vertices.mean(axis=0)
     segments, offsets, owner, begin = [], [], [], 0
     for x, c, sides in _clipped_edges(K, xs):
-        area = _shoelace(K, x, sides)
+        area = _shoelace(K, c, sides)
+        shift = K.normals @ x.T              # <u_i, x>, with unit normals
         for s, own, lo, hi in sides:
             i, k = np.nonzero(own & (hi > lo) & (area > 0.0))
             w = (s < 0.0) - 0.5 * polarized       # the piece moves by w x
-            base = start[i] + w * x[k]
+            base = E.start[i] + w * x[k]
             segments.append(np.stack([base + lo[i, k, None] * E.d[i],
                                       base + hi[i, k, None] * E.d[i]], axis=1))
-            offsets.append(K.offsets[i] + w * c[i, k])
+            offsets.append(K.offsets[i] + w * shift[i, k])
             owner.append(k + begin)
         begin += len(x)
     segments, b, owner = (np.concatenate(a) for a in (segments, offsets, owner))
@@ -620,32 +661,6 @@ def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = 0.5 * (z + 1.0), 0.5 * w
     nodes.flags.writeable = weights.flags.writeable = False  # shared by callers
     return nodes, weights
-
-
-def _polar_geometry(K: Polytope):
-    """K's arcs and kink segments, cached on K.
-
-    Arcs run between the sorted directions of v_i - v_j (duplicates within
-    1e-12 rad merged); each is (start angle, width).  The kink segments are
-    ±(e_b - v_a) for each edge e_b and vertex v_a, as (start A, direction D);
-    those with an end at 0 (v_a on e_b) lie along an arc boundary and are
-    dropped.
-    """
-    if not hasattr(K, "_polar_geometry"):
-        v = K.vertices
-        diffs = (v[:, None, :] - v[None, :, :])[~np.eye(len(v), dtype=bool)]
-        angles = np.sort(np.arctan2(diffs[:, 1], diffs[:, 0]))
-        angles = angles[np.diff(angles, prepend=-np.inf) > 1e-12]
-        arcs = np.c_[angles, np.diff(angles, append=angles[0] + 2.0 * np.pi)]
-        E = _polygon_edges(K)
-        A = (E.p + v.mean(axis=0) - v[:, None, :]).reshape(-1, 2)
-        D = np.tile(E.d, (len(v), 1))
-        scale = 1e-12 * K.diameter
-        keep = ((np.linalg.norm(A, axis=1) > scale)
-                & (np.linalg.norm(A + D, axis=1) > scale))
-        A, D = np.r_[A[keep], -A[keep]], np.r_[D[keep], -D[keep]]
-        K._polar_geometry = arcs, A, D
-    return K._polar_geometry
 
 
 def _arc_nodes(arcs: np.ndarray, k: np.ndarray):
@@ -672,31 +687,29 @@ def _polar_rule(K: Polytope, mu: Density, arcs: np.ndarray, angular: np.ndarray,
     rule on phi r alone against the exact Psi(rho) = rho^2 G(rho theta)
     from the flux G.
 
-    On each angular node's ray, r theta meets kink segment (A, D) where
-    r = (A x D) / (theta x D), at segment parameter (A x theta) / (theta x D)
-    in (0, 1).  The sorted radii in (0, rho_DK(theta)), merged within 1e-10
-    rho, cut [0, rho] into pieces.  A piece gets ``radial`` Gauss-Legendre
-    nodes in r, as one rule of up to ``_POLAR_NODES`` nodes or as p parts
-    with ``_POLAR_NODES`` each: equal parts, except on the piece [0, b] at
-    the origin, whose parts [0, b 2^(1-p)], ..., [b/2, b] halve toward 0,
-    where a radial density's mass may sit on a body far larger than its
-    scale (the Gaussian's is 1).  ``graded`` maps each part [0, b] by
-    r = b s^3, which turns r^(1 + alpha) dr into a multiple of
+    ``_breakpoints`` cuts each angular node's ray [0, rho_DK(theta)] into
+    the pieces where g_K is one quadratic.  A piece gets ``radial``
+    Gauss-Legendre nodes in r, as one rule of up to ``_POLAR_NODES`` nodes
+    or as p parts with ``_POLAR_NODES`` each: equal parts, except on the
+    piece [0, b] at the origin, whose parts [0, b 2^(1-p)], ..., [b/2, b]
+    halve toward 0, where a radial density's mass may sit on a body far
+    larger than its scale (the Gaussian's is 1).  ``graded`` maps each part
+    [0, b] by r = b s^3, which turns r^(1 + alpha) dr into a multiple of
     s^(3 alpha + 5) ds: smooth enough at 0 for fast convergence at
     fractional alpha.  The rays are cut into pieces a block of about
-    ``_POLAR_BLOCK`` ray-segment pairs at a time, and the pieces of each
-    radial node count evaluated a block of about ``_POLAR_BLOCK`` points at
-    a time, so memory stays flat as the polygon grows.
+    ``_POLAR_BLOCK`` rays times face pairs (2 m^2 on m vertices) at a time,
+    and the pieces of each radial node count evaluated a block of about
+    ``_POLAR_BLOCK`` points at a time, so memory stays flat as the polygon
+    grows.
     """
-    _, A, D = _polar_geometry(K)
     angle, angle_w, arc = _arc_nodes(arcs, angular)
     theta = np.c_[np.cos(angle), np.sin(angle)]
     rho = bodies.radial_many(bodies.difference_body(K), theta)
     sums, mass, points = np.zeros(len(arcs)), np.zeros(len(rho)), 0
-    rays_per_block = max(1, _POLAR_BLOCK // len(A))
+    rays_per_block = max(1, _POLAR_BLOCK // (2 * len(K.vertices) ** 2))
     for begin in range(0, len(rho), rays_per_block):
         rays = slice(begin, begin + rays_per_block)
-        a, b, ray = _ray_pieces(A, D, theta[rays], rho[rays])
+        a, b, ray = _breakpoints(K, theta[rays], rho[rays])
         ray += begin
         count = radial[arc[ray]]
         for nodes in np.unique(count):
@@ -710,32 +723,11 @@ def _polar_rule(K: Polytope, mu: Density, arcs: np.ndarray, angular: np.ndarray,
                 x = (radius[..., None] * theta[on, None, :]).reshape(-1, 2)
                 phi = mu.eval(x) * weight.ravel()
                 sums += np.bincount(np.repeat(arc[on], radius.shape[1]),
-                                    _polygon_covariogram(K, x) * phi, len(arcs))
+                                    covariogram_exact(K, x) * phi, len(arcs))
                 mass += np.bincount(np.repeat(on, radius.shape[1]), phi, len(rho))
                 points += len(x)
     miss = np.abs(mass - angle_w * rho ** 2 * mu.flux(rho[:, None] * theta))
     return sums, np.bincount(arc, miss, len(arcs)), points
-
-
-def _ray_pieces(A: np.ndarray, D: np.ndarray, theta: np.ndarray, rho: np.ndarray):
-    """The pieces (a, b) of each ray [0, rho_i] theta_i between its crossings
-    with the kink segments (A, D), merged within 1e-10 rho_i, and each
-    piece's ray."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        across = theta @ np.stack([D[:, 1], -D[:, 0]])             # theta x D
-        r = (A[:, 0] * D[:, 1] - A[:, 1] * D[:, 0]) / across
-        t = (theta @ np.stack([-A[:, 1], A[:, 0]])) / across         # A x theta
-        hit = (t > 0.0) & (t < 1.0) & (r > 0.0)
-    edges = np.where(hit, np.minimum(r, rho[:, None]), rho[:, None])
-    edges = np.c_[np.zeros(len(rho)), np.sort(edges, axis=1), rho]
-    merge = 1e-10 * rho[:, None]
-    keep = np.diff(edges, axis=1, prepend=-np.inf) > merge
-    keep &= edges < rho[:, None] - merge
-    keep[:, -1] = True
-    ray = np.nonzero(keep)[0]
-    flat = edges[keep]
-    same = ray[:-1] == ray[1:]
-    return flat[:-1][same], flat[1:][same], ray[:-1][same]
 
 
 def _piece_nodes(a: np.ndarray, b: np.ndarray, ray: np.ndarray, nodes: int,
@@ -765,17 +757,18 @@ def _polar_average(K: Polytope, mu: Density, tol: float) -> QuadratureResult:
     g_K(r theta) phi(r theta) r dr.  In the plane the combinatorial type of
     K ∩ (K + x) changes only where a vertex of one polygon crosses an edge
     of the other, that is on the 2m^2 kink segments ±(e_b - v_a); on each
-    cell of their arrangement g_K is one quadratic polynomial.  Across a
-    kink where a vertex crosses an edge, the part of the boundary of K + x
-    inside K changes length continuously, so grad g_K is continuous: g_K
-    is C^1 there, and near a point where kinks cross it is a polynomial
-    plus multiples of (l)_+^2 for the kinks' lines l (the truncated powers
-    of a cross-cut partition).  It is only C^0 where parallel edges meet:
-    on the lines <u_i, x> = 0, which run along edge directions v_{i+1} - v_i
-    through 0, and on the boundary of DK.  The ends of the kink segments are
-    the points v_c - v_a.  So inside an arc between consecutive directions
-    of v_i - v_j every ray meets the same kink segments, at interior points
-    and transversally; their radii, rho_DK and the integral of each
+    cell of their arrangement g_K is one quadratic polynomial.  A ray meets
+    them at radii of ``_breakpoints`` (a vertex on an edge is a face pair of
+    complementary dimension).  Across a kink where a vertex crosses an edge,
+    the part of the boundary of K + x inside K changes length continuously,
+    so grad g_K is continuous: g_K is C^1 there, and near a point where
+    kinks cross it is a polynomial plus multiples of (l)_+^2 for the kinks'
+    lines l (the truncated powers of a cross-cut partition).  It is only C^0
+    where parallel edges meet: on the lines <u_i, x> = 0, which run along
+    edge directions v_{i+1} - v_i through 0, and on the boundary of DK.  The
+    ends of the kink segments are the points v_c - v_a.  So inside an arc
+    between consecutive directions of v_i - v_j every ray meets the same
+    kink segments, at interior points and transversally; their radii, rho_DK and the integral of each
     truncated power from its radius on are analytic in theta, and so is the
     radial integral.  Gauss-Legendre on the arcs in theta and on the pieces
     between the radii in r then converges geometrically; the one endpoint
@@ -798,7 +791,11 @@ def _polar_average(K: Polytope, mu: Density, tol: float) -> QuadratureResult:
     whichever has the larger gap; past ``_POLAR_MAX_ANGULAR`` or
     ``_POLAR_MAX_RADIAL`` that raises ``QuadratureFailure``.
     """
-    arcs = _polar_geometry(K)[0]
+    v = K.vertices   # arcs (start, width) between the directions of v_i - v_j
+    diffs = (v[:, None, :] - v[None, :, :])[~np.eye(len(v), dtype=bool)]
+    angles = np.sort(np.arctan2(diffs[:, 1], diffs[:, 0]))
+    angles = angles[np.diff(angles, prepend=-np.inf) > 1e-12]
+    arcs = np.c_[angles, np.diff(angles, append=angles[0] + 2.0 * np.pi)]
     graded = mu.kind == "radial_power"
     angular = np.full(len(arcs), _POLAR_NODES)
     radial = angular.copy()

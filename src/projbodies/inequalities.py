@@ -323,7 +323,7 @@ def _verify_exp_norm_gradient(K, mu, nu, f, family, s, cfg) -> Report:
 
     The radial part of the right-hand side is exact per direction (a Gamma
     integral), leaving an angular integral handled adaptively in the plane
-    and by direction sampling for n >= 3, under the Monte Carlo guards.
+    and for n >= 3 by ``cfg.samples`` directions, under the Monte Carlo guards.
     """
     require(mu is not None, "exp_norm_gradient_identity needs a measure mu")
     require(np.min(K.offsets) > 1e-9,
@@ -349,7 +349,7 @@ def _verify_exp_norm_gradient(K, mu, nu, f, family, s, cfg) -> Report:
         res = integrate_1d(f1, 0.0, 2.0 * np.pi, max(cfg.tol, 1e-10))
         rhs, rhs_err = res.value, res.error_estimate
     else:
-        count, stream = cfg.samples // 4, cfg.stream().substream(3)
+        count, stream = cfg.samples, cfg.stream().substream(3)
         check_monte_carlo(count, stream)
         omega = sphere_directions(n, count, "uniform_random", stream).directions
         values = angular(omega)

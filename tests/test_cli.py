@@ -84,13 +84,23 @@ def test_verify_config_error_exit_1():
     ["verify", "weak_zhang", "--body", "cube:3", "--measure", "gaussian",
      "--samples", "10"],
     ["verify", "exp_norm_gradient_identity", "--body", "cube:3",
-     "--measure", "exp_norm:cube:3", "--samples", "3996"],
+     "--measure", "exp_norm:cube:3", "--samples", "999"],
 ], ids=["pair-average", "direction-average"])
 def test_verify_too_few_samples_exit_1(argv, capsys):
-    """The pair and direction averages keep the N >= 1000 guard."""
+    """The pair and direction averages keep the N >= 1000 guard, and its
+    message names the count passed."""
     code, out = run_cli(argv)
     assert code == 1 and out == ""
-    assert "N >= 1000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "N >= 1000" in err and f"got {argv[-1]}" in err
+
+
+def test_verify_direction_average_takes_the_samples_passed():
+    """The direction average of the n >= 3 branch draws --samples
+    directions, so any count the guard accepts runs."""
+    code, out = run_cli(["verify", "exp_norm_gradient_identity", "--body", "cube:3",
+                         "--measure", "exp_norm:cube:3", "--samples", "3996"])
+    assert code == 0 and json.loads(out)["pass"]
 
 
 def test_verify_witnesses():

@@ -11,9 +11,9 @@ from scipy.spatial import ConvexHull, QhullError
 
 import projbodies as pb
 from projbodies import covariogram
-from projbodies.covariogram import (PrismSampler, _brightness_quotients,
-                                    _pointwise_values, _polar_average,
-                                    _polygon_covariogram, _prism_quotients,
+from projbodies.covariogram import (PrismSampler, _breakpoints,
+                                    _brightness_quotients, _pointwise_values,
+                                    _polar_average, _prism_quotients,
                                     _sampled_average, l1_norm, sample_uniform)
 from projbodies.numerics import MC_BLOCK, row_blocks
 
@@ -354,9 +354,9 @@ def _planar_bodies():
 
 
 def test_polygon_covariogram_matches_the_exact_covariogram():
-    """The clipped-edge g_K of a stack of translations against
-    ``covariogram_exact``, one translation at a time: inside DK, on its
-    boundary (g = 0) and beyond it."""
+    """The clipped-edge g_K of a stack of translations against the qhull
+    volume of ``intersect_translate``, one translation at a time (0 where it
+    is None): inside DK, on its boundary (g = 0) and beyond it."""
     gen = np.random.default_rng(1818)
     for K in _planar_bodies():
         thetas = gen.standard_normal((120, 2))
@@ -364,8 +364,9 @@ def test_polygon_covariogram_matches_the_exact_covariogram():
         rho = pb.radial_many(pb.difference_body(K), thetas)
         scale = np.r_[gen.uniform(0.0, 1.0, 80), np.ones(20), gen.uniform(1.0, 1.2, 20)]
         xs = thetas * (scale * rho)[:, None]
-        exact = np.array([pb.covariogram_exact(K, x) for x in xs])
-        batched = _polygon_covariogram(K, xs)
+        exact = np.array([getattr(pb.intersect_translate(K, x), "volume", 0.0)
+                          for x in xs])
+        batched = pb.covariogram_exact(K, xs)
         assert np.max(np.abs(batched - exact)) <= 4e-15 * K.volume
         assert np.all(batched[80:] == 0.0)
 
@@ -373,13 +374,52 @@ def test_polygon_covariogram_matches_the_exact_covariogram():
 def test_polygon_covariogram_counts_coincident_edges_once(square):
     """Along the axes of cube(2) an edge of K + x lies on the parallel edge
     of K; the tie-break keeps one of the two, so g = 2 (2 - |t|) exactly,
-    and on the diagonal g = (2 - |t|)^2."""
+    and on the diagonal g = (2 - |t|)^2.  Along e_1 the standard simplex keeps
+    g = (1 - t)^2 / 2 exactly at dyadic t."""
     t = np.linspace(-2.0, 2.0, 33)
-    for xs, ref in ((np.c_[t, 0 * t], 2.0 * (2.0 - np.abs(t))),
-                    (np.c_[0 * t, t], 2.0 * (2.0 - np.abs(t))),
-                    (np.c_[t, t], (2.0 - np.abs(t)) ** 2)):
-        assert np.array_equal(_polygon_covariogram(square, xs), ref)
-        assert np.array_equal(ref, [pb.covariogram_exact(square, x) for x in xs])
+    s = np.arange(33) / 32.0
+    for K, xs, ref in ((square, np.c_[t, 0 * t], 2.0 * (2.0 - np.abs(t))),
+                       (square, np.c_[0 * t, t], 2.0 * (2.0 - np.abs(t))),
+                       (square, np.c_[t, t], (2.0 - np.abs(t)) ** 2),
+                       (pb.standard_simplex(2), np.c_[s, 0 * s], (1.0 - s) ** 2 / 2.0)):
+        assert np.array_equal(pb.covariogram_exact(K, xs), ref)
+
+
+def test_covariogram_stack_matches_one_call_per_translation():
+    """A stack through ``covariogram_exact`` gives, bit for bit, the floats
+    of one call per translation: c04's polygons (the clip) and cube(3)
+    (the hull volumes)."""
+    gen = np.random.default_rng(2121)
+    for K in [K for K in _c04_bodies() if K.n == 2] + [pb.cube(3)]:
+        thetas = gen.standard_normal((24, K.n))
+        thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+        rho = pb.radial_many(pb.difference_body(K), thetas)
+        xs = thetas * (gen.uniform(0.0, 1.1, 24) * rho)[:, None]
+        stack = pb.covariogram_exact(K, xs)
+        single = [pb.covariogram_exact(K, x) for x in xs]
+        assert all(type(g) is float for g in single)
+        assert stack.tobytes() == np.array(single).tobytes()
+
+
+@pytest.mark.parametrize("index", [2, 16], ids=["pentagon", "3d"])
+def test_breakpoints_of_a_stack_match_one_direction_at_a_time(index):
+    """``_breakpoints`` on 16 directions at once gives, bit for bit, the
+    pieces of 16 one-direction calls, so mean bodies, the brightness
+    derivative and the polar rule see the same pieces in any blocking."""
+    K = _c04_bodies()[index]
+    gen = np.random.default_rng(2122)
+    thetas = gen.standard_normal((16, K.n))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    rho = pb.radial_many(pb.difference_body(K), thetas)
+    a, b, ray = _breakpoints(K, thetas, rho)
+    assert np.array_equal(np.unique(ray), np.arange(16))
+    for i in range(16):
+        one = _breakpoints(K, thetas[i:i + 1], rho[i:i + 1])
+        assert np.array_equal(one[2], np.zeros(len(one[0]), dtype=int))
+        assert a[ray == i].tobytes() == one[0].tobytes()
+        assert b[ray == i].tobytes() == one[1].tobytes()
+        assert a[ray == i][0] == 0.0 and b[ray == i][-1] == rho[i]
+        assert len(one[0]) > 1
 
 
 def _gaussian_square_average(R):

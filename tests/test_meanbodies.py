@@ -203,6 +203,7 @@ def test_ray_pieces_check_node_catches_missed_breakpoints(monkeypatch):
     pentagon = pb.regular_polygon(5)
     theta = np.array([0.3, 0.7])
     assert len(list(pb.ray_pieces(pentagon, theta))) > 1
-    monkeypatch.setattr(covariogram, "_breakpoints", lambda K, theta, rho: np.empty(0))
+    monkeypatch.setattr(covariogram, "_breakpoints", lambda K, thetas, rhos: (
+        np.zeros(len(rhos)), rhos, np.arange(len(rhos))))
     with pytest.raises(pb.QuadratureFailure):
         list(pb.ray_pieces(pentagon, theta))

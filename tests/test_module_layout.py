@@ -8,7 +8,9 @@ neither ``scipy.stats`` nor ``scipy.optimize``: exact polytope algebra and
 loads ``scipy.optimize``) is imported only when a 1-D quadrature runs.
 Monte Carlo has one estimator, ``numerics.monte_carlo``: it alone draws
 points from a sampler, whether a box or the facet prisms of the brightness
-derivative, apart from the rejection sampler for uniform points in K.
+derivative, apart from the rejection sampler for uniform points in K.  Rays
+have one breakpoint finder, ``covariogram._breakpoints``: it and the
+intersection vertices alone read the face pairs.
 """
 
 from __future__ import annotations
@@ -129,3 +131,35 @@ def test_the_sampler_callers_still_draw():
     found = {(path.name, name) for path in MODULES
              for name, _ in _sample_calls(path)}
     assert found == SAMPLER_CALLERS
+
+
+# The readers of the face pairs: the vertices of K ∩ (K + x) and the one
+# ray-breakpoint finder; and the finder's callers, the covariogram pieces
+# along a ray (mean bodies, the exact brightness derivative) and the polar
+# rule of the planar translated averages.
+FACE_PAIR_READERS = {("bodies.py", "_intersection_vertices"),
+                     ("covariogram.py", "_breakpoints")}
+BREAKPOINT_CALLERS = {("covariogram.py", "ray_pieces"),
+                      ("covariogram.py", "_polar_rule")}
+
+
+def _references(name):
+    """(module, top-level function) of every use of ``name`` in the package,
+    as a name, an attribute or an import."""
+    found = set()
+    for path in MODULES:
+        for node in _tree(path).body:
+            where = getattr(node, "name", "<module>")
+            found |= {(path.name, where) for inner in ast.walk(node)
+                      if name in (getattr(inner, "id", None), getattr(inner, "attr", None))
+                      or (isinstance(inner, ast.alias) and inner.name == name)}
+    return found
+
+
+@pytest.mark.parametrize("name, allowed", [("face_pairs", FACE_PAIR_READERS),
+                                           ("_breakpoints", BREAKPOINT_CALLERS)])
+def test_one_ray_breakpoint_finder(name, allowed):
+    found = _references(name)
+    assert not found - allowed, f"{name} is used outside {allowed}: {found - allowed}"
+    # the allowed users still use it, so the check above is not vacuous
+    assert found == allowed
