@@ -35,13 +35,14 @@ slacks, gives every mask.  The integrand runs the kernels on blocks of
 and their memory does not depend on the body or the seed.
 
 Translated averages integrate a covariogram against a second measure.  On a
-polygon of at most five vertices under a density with a flux (the radial
-builtins) the average (1/Vol K) ∫_DK g_K dmu is deterministic:
-``_polar_average`` integrates g_K in polar coordinates with Gauss-Legendre
-rules on the arcs between the directions of v_i - v_j and on the radial
-pieces of ``_breakpoints``, where g_K is one quadratic.  Its work grows
-much faster with the vertex count than sampling's, so larger polygons and
-every other translated average sample pairs of uniform points of K.
+polygon of at most seven vertices under a density with radial moments (the
+radial builtins) the average (1/Vol K) ∫_DK g_K dmu is deterministic:
+``_polar_average`` integrates g_K in polar coordinates, with Gauss-Legendre
+rules on the arcs between the directions of v_i - v_j.  Along each ray g_K
+is one quadratic on each piece of ``_breakpoints``, which integrates in
+closed form from the density's ``radial_moment``.  Its work grows much
+faster with the vertex count than sampling's, so larger polygons and every
+other translated average sample pairs of uniform points of K.
 ``sample_uniform`` draws them by box rejection, a block of ``MC_BLOCK``
 candidates at a time; it stops testing once it has enough and skips the
 generator past the untested rest, so its points and the draws after it are
@@ -482,17 +483,18 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
 
 # -- translated averages ------------------------------------------------------
 
-_POLAR_NODES = 16         # nodes of the first fine rule, per quarter turn and per piece
+_POLAR_NODES = 16         # nodes of the first fine rule, per quarter turn
 _POLAR_MAX_ANGULAR = 128  # the finest angular rule tried
-_POLAR_MAX_RADIAL = 1024  # the finest radial rule tried, in nodes per piece
-_POLAR_ROUNDOFF = 64      # roundoff floor of the budget, in ulp of the value
-_POLAR_BLOCK = 2 ** 18    # clip pairs x translations, rays x face pairs or points at once
+_POLAR_ROUNDOFF = 16      # roundoff floor of each covariogram value, in ulp of Vol K
+_POLAR_BLOCK = 2 ** 18    # clip pairs x translations or rays x face pairs at once
 # The route's work grows with the vertex count m about like m^5 on a generic
 # polygon (m^2 arcs, m pieces per ray, m^2 clip pairs per point), the Monte
-# Carlo's at most like m (its membership tests).  On random m-gons the
-# route's median time is 0.86 of 200k Monte Carlo pairs at m = 5, 1.4 times
-# it at m = 6 and 3.3 at m = 7 (2-core x86); larger polygons are sampled.
-_POLAR_MAX_VERTICES = 5
+# Carlo's at most like m (its membership tests).  On 10 random m-gons per
+# size under gamma_2 at tol 1e-9, the medians of the route and of 200k Monte
+# Carlo pairs are 9 and 34 ms at m = 5, 16 and 33 at m = 6, 20 and 28 at
+# m = 7 (the route faster on 10 of 10) and 40 and 33 at m = 8 (1 of 10), on
+# a 2-core x86; larger polygons are sampled.
+_POLAR_MAX_VERTICES = 7
 
 
 class _PolygonEdges(NamedTuple):
@@ -679,79 +681,66 @@ def _arc_nodes(arcs: np.ndarray, k: np.ndarray):
 
 
 def _polar_rule(K: Polytope, mu: Density, arcs: np.ndarray, angular: np.ndarray,
-                radial: np.ndarray, graded: bool):
-    """The polar rule with ``angular`` and ``radial`` nodes on arc i: per
-    arc, its value of ∫ g_K dmu over the arc's sector of DK and its radial
-    miss; and the number of points.  The radial miss sums over the arc's
-    rays the angular weight times |∫_0^rho phi r dr - Psi(rho)|, the radial
-    rule on phi r alone against the exact Psi(rho) = rho^2 G(rho theta)
-    from the flux G.
+                tol: float):
+    """The polar rule with ``angular`` nodes on arc i: per arc, its value of
+    ∫ g_K dmu over the arc's sector of DK and its radial error; and the
+    number of covariogram points.
 
     ``_breakpoints`` cuts each angular node's ray [0, rho_DK(theta)] into
-    the pieces where g_K is one quadratic.  A piece gets ``radial``
-    Gauss-Legendre nodes in r, as one rule of up to ``_POLAR_NODES`` nodes
-    or as p parts with ``_POLAR_NODES`` each: equal parts, except on the
-    piece [0, b] at the origin, whose parts [0, b 2^(1-p)], ..., [b/2, b]
-    halve toward 0, where a radial density's mass may sit on a body far
-    larger than its scale (the Gaussian's is 1).  ``graded`` maps each part
-    [0, b] by r = b s^3, which turns r^(1 + alpha) dr into a multiple of
-    s^(3 alpha + 5) ds: smooth enough at 0 for fast convergence at
-    fractional alpha.  The rays are cut into pieces a block of about
+    the pieces [a, b] where g_K is one quadratic.  As in ``ray_pieces``, its
+    c_k in t = (r - a) / (b - a) come from g_K at t = 0, 1/2, 1 (g(0) =
+    Vol K and g(rho_DK) = 0 are known, and neighbours share a node) and are
+    checked at t = 1/4: a gap above tol * Vol K (a missed breakpoint) raises
+    ``QuadratureFailure``.  The piece then integrates in closed form as
+    sum_k c_k m_k, with m_k = ∫_a^b t^k psi(r) r dr from the binomial
+    expansion of t^k and the density's ``radial_moment``.  Its radial error
+    carries the gap plus a roundoff floor of ``_POLAR_ROUNDOFF`` ulp of
+    Vol K through ``_nodal_inverse`` into the c_k, and so into the value,
+    since 0 <= m_k <= m_0.  The rays are taken a block of about
     ``_POLAR_BLOCK`` rays times face pairs (2 m^2 on m vertices) at a time,
-    and the pieces of each radial node count evaluated a block of about
-    ``_POLAR_BLOCK`` points at a time, so memory stays flat as the polygon
-    grows.
+    each block with one ``covariogram_exact`` stack, so memory stays flat as
+    the polygon grows.
     """
     angle, angle_w, arc = _arc_nodes(arcs, angular)
     theta = np.c_[np.cos(angle), np.sin(angle)]
     rho = bodies.radial_many(bodies.difference_body(K), theta)
-    sums, mass, points = np.zeros(len(arcs)), np.zeros(len(rho)), 0
+    vol, N = K.volume, _nodal_inverse(2)
+    floor = _POLAR_ROUNDOFF * np.finfo(float).eps * vol
+    sums, errors, points = np.zeros(len(arcs)), np.zeros(len(arcs)), 0
     rays_per_block = max(1, _POLAR_BLOCK // (2 * len(K.vertices) ** 2))
     for begin in range(0, len(rho), rays_per_block):
         rays = slice(begin, begin + rays_per_block)
         a, b, ray = _breakpoints(K, theta[rays], rho[rays])
         ray += begin
-        count = radial[arc[ray]]
-        for nodes in np.unique(count):
-            group = np.flatnonzero(count == nodes)
-            pieces_per_block = max(1, _POLAR_BLOCK // int(nodes))
-            for first in range(0, len(group), pieces_per_block):
-                piece = group[first:first + pieces_per_block]
-                radius, weight, on = _piece_nodes(a[piece], b[piece], ray[piece],
-                                                  int(nodes), graded)
-                weight *= radius * angle_w[on, None]
-                x = (radius[..., None] * theta[on, None, :]).reshape(-1, 2)
-                phi = mu.eval(x) * weight.ravel()
-                sums += np.bincount(np.repeat(arc[on], radius.shape[1]),
-                                    covariogram_exact(K, x) * phi, len(arcs))
-                mass += np.bincount(np.repeat(on, radius.shape[1]), phi, len(rho))
-                points += len(x)
-    miss = np.abs(mass - angle_w * rho ** 2 * mu.flux(rho[:, None] * theta))
-    return sums, np.bincount(arc, miss, len(arcs)), points
-
-
-def _piece_nodes(a: np.ndarray, b: np.ndarray, ray: np.ndarray, nodes: int,
-                 graded: bool):
-    """Radii and weights (rows, k) of ``nodes`` Gauss-Legendre nodes on each
-    piece [a, b], split into parts as ``_polar_rule`` says; each row's ray."""
-    parts = max(1, nodes // _POLAR_NODES)
-    s, w = _gauss_legendre(nodes // parts)
-    cuts = np.where((a == 0.0)[:, None],
-                    np.r_[0.0, 2.0 ** np.arange(1 - parts, 1)],
-                    np.arange(parts + 1) / parts)
-    length = (b - a)[:, None]
-    lo = (a[:, None] + length * cuts[:, :-1]).reshape(-1, 1)
-    step = (length * np.diff(cuts, axis=1)).reshape(-1, 1)
-    radius, weight = lo + step * s, step * w
-    if graded:
-        first = lo[:, 0] == 0.0
-        radius[first] = step[first] * s ** 3
-        weight[first] = step[first] * 3.0 * s ** 2 * w
-    return radius, weight, np.repeat(ray, parts)
+        length, inner = b - a, b < rho[ray]
+        radii = np.r_[a + 0.5 * length, a + 0.25 * length, b[inner]]
+        g = covariogram_exact(K, radii[:, None] * theta[np.r_[ray, ray, ray[inner]]])
+        points += len(radii)
+        middle, quarter = g[:len(a)], g[len(a):2 * len(a)]
+        right = np.zeros(len(a))
+        right[inner] = g[2 * len(a):]
+        left = np.where(a == 0.0, vol, np.r_[0.0, right[:-1]])
+        # by elements: a stacked product's bits may depend on the stack
+        c = [N[k, 0] * left + N[k, 1] * middle + N[k, 2] * right for k in range(3)]
+        gap = quarter - (c[0] + c[1] / 4.0 + c[2] / 16.0)
+        worst = int(np.argmax(np.abs(gap)))
+        if abs(gap[worst]) > tol * vol:
+            raise QuadratureFailure(
+                f"covariogram piece [{a[worst]:.6g}, {b[worst]:.6g}] misses its "
+                f"check node by {gap[worst]:.3e} (tol {tol:.1e})",
+                QuadratureResult(float(quarter[worst]), abs(float(gap[worst])), points))
+        M1, M2, M3 = (mu.radial_moment(j, a, b) for j in (1, 2, 3))
+        m = (M1, (M2 - a * M1) / length, (M3 - 2.0 * a * M2 + a * a * M1) / length ** 2)
+        value = c[0] * m[0] + c[1] * m[1] + c[2] * m[2]
+        error = np.abs(N).sum() * (np.abs(gap) + floor) * m[0]
+        w = angle_w[ray]
+        sums += np.bincount(arc[ray], w * value, len(arcs))
+        errors += np.bincount(arc[ray], w * error, len(arcs))
+    return sums, errors, points
 
 
 def _polar_average(K: Polytope, mu: Density, tol: float) -> QuadratureResult:
-    """(1/Vol K) ∫_DK g_K dmu on a polygon, for mu with a ``flux``.
+    """(1/Vol K) ∫_DK g_K dmu on a polygon, for mu with a ``radial_moment``.
 
     In polar coordinates the integral is ∫ dtheta ∫_0^rho_DK(theta)
     g_K(r theta) phi(r theta) r dr.  In the plane the combinatorial type of
@@ -759,7 +748,8 @@ def _polar_average(K: Polytope, mu: Density, tol: float) -> QuadratureResult:
     of the other, that is on the 2m^2 kink segments ±(e_b - v_a); on each
     cell of their arrangement g_K is one quadratic polynomial.  A ray meets
     them at radii of ``_breakpoints`` (a vertex on an edge is a face pair of
-    complementary dimension).  Across a kink where a vertex crosses an edge,
+    complementary dimension), and ``_polar_rule`` integrates each radial
+    piece in closed form.  Across a kink where a vertex crosses an edge,
     the part of the boundary of K + x inside K changes length continuously,
     so grad g_K is continuous: g_K is C^1 there, and near a point where
     kinks cross it is a polynomial plus multiples of (l)_+^2 for the kinks'
@@ -768,80 +758,55 @@ def _polar_average(K: Polytope, mu: Density, tol: float) -> QuadratureResult:
     edge directions v_{i+1} - v_i through 0, and on the boundary of DK.  The
     ends of the kink segments are the points v_c - v_a.  So inside an arc
     between consecutive directions of v_i - v_j every ray meets the same
-    kink segments, at interior points and transversally; their radii, rho_DK and the integral of each
-    truncated power from its radius on are analytic in theta, and so is the
-    radial integral.  Gauss-Legendre on the arcs in theta and on the pieces
-    between the radii in r then converges geometrically; the one endpoint
-    singularity, r^(1 + alpha) at 0 under ``radial_power``, is graded away
-    (``_polar_rule``).
+    kink segments, at interior points and transversally; their radii,
+    rho_DK and the integral of each truncated power from its radius on are
+    analytic in theta, and so is the radial integral.  Gauss-Legendre on the
+    arcs in theta then converges geometrically.
 
-    Every arc starts with ``_POLAR_NODES`` angular and radial nodes.  Its
-    error is the gap to the rule with half the angular nodes, plus the gap
-    to the rule with half the radial nodes, plus Vol K times the radial
-    miss of ``_polar_rule`` (0 <= g_K <= Vol K; this catches radial nodes
-    that all miss where phi lives, as on a body far larger than the
-    Gaussian's unit scale, where both rules would agree on 0), plus a
-    roundoff floor of ``_POLAR_ROUNDOFF`` ulp of its value (each gap is a
-    coarse rule's error, a heuristic bound on the fine rule's).  The errors
-    may sum to ``tol`` or to ``RELATIVE_FLOOR`` of the value, whichever is
-    larger, as in the facet cubature: on a large body the roundoff floor
-    alone can exceed an absolute ``tol``, and the error then shows the
-    relative accuracy reached.  While they sum to more, each arc over an
-    equal share of that allowance doubles its angular or its radial nodes,
-    whichever has the larger gap; past ``_POLAR_MAX_ANGULAR`` or
-    ``_POLAR_MAX_RADIAL`` that raises ``QuadratureFailure``.
+    Every arc starts with ``_POLAR_NODES`` angular nodes.  Its error is the
+    gap to the rule with half the angular nodes (a coarse rule's error, a
+    heuristic bound on the fine rule's) plus the radial error of
+    ``_polar_rule``.  The errors may sum to ``tol`` or to ``RELATIVE_FLOOR``
+    of the value, whichever is larger, as in the facet cubature: on a large
+    body the roundoff floor alone can exceed an absolute ``tol``, and the
+    error then shows the relative accuracy reached.  While they sum to more,
+    each arc over an equal share of that allowance doubles its angular
+    nodes; past ``_POLAR_MAX_ANGULAR`` that raises ``QuadratureFailure``.
     """
     v = K.vertices   # arcs (start, width) between the directions of v_i - v_j
     diffs = (v[:, None, :] - v[None, :, :])[~np.eye(len(v), dtype=bool)]
     angles = np.sort(np.arctan2(diffs[:, 1], diffs[:, 0]))
     angles = angles[np.diff(angles, prepend=-np.inf) > 1e-12]
     arcs = np.c_[angles, np.diff(angles, append=angles[0] + 2.0 * np.pi)]
-    graded = mu.kind == "radial_power"
     angular = np.full(len(arcs), _POLAR_NODES)
-    radial = angular.copy()
     evaluations = 0
 
-    def rule(which, halve_angular=False, halve_radial=False):
+    def rule(which, halve=False):
         nonlocal evaluations
-        if not len(which):
-            return np.zeros(0), np.zeros(0)
-        sums, miss, count = _polar_rule(
-            K, mu, arcs[which], angular[which] // (1 + halve_angular),
-            radial[which] // (1 + halve_radial), graded)
+        sums, errors, count = _polar_rule(K, mu, arcs[which],
+                                          angular[which] // (1 + halve), tol)
         evaluations += count
-        return sums, miss
+        return sums, errors
 
     every = np.arange(len(arcs))
-    fine, miss = rule(every)
-    coarse_angular = rule(every, True)[0]
-    coarse_radial = rule(every, False, True)[0]
+    fine, radial = rule(every)
+    coarse = rule(every, True)[0]
     while True:
-        gap_angular = np.abs(fine - coarse_angular)
-        gap_radial = np.abs(fine - coarse_radial) + K.volume * miss
-        errors = (gap_angular + gap_radial
-                  + _POLAR_ROUNDOFF * np.finfo(float).eps * np.abs(fine))
+        errors = np.abs(fine - coarse) + radial
         result = QuadratureResult(fine.sum() / K.volume, errors.sum() / K.volume,
                                   evaluations)
         allowed = max(tol * K.volume, RELATIVE_FLOOR * abs(fine.sum()))
         if errors.sum() <= allowed:
             return result
-        todo = errors > allowed / len(arcs)
-        finer_angular = np.flatnonzero(todo & (gap_angular >= gap_radial))
-        finer_radial = np.flatnonzero(todo & (gap_angular < gap_radial))
-        if (np.any(angular[finer_angular] >= _POLAR_MAX_ANGULAR)
-                or np.any(radial[finer_radial] >= _POLAR_MAX_RADIAL)):
+        finer = np.flatnonzero(errors > allowed / len(arcs))
+        if np.any(angular[finer] >= _POLAR_MAX_ANGULAR):
             raise QuadratureFailure(
                 f"polar translated average misses tol {tol:.1e} at "
-                f"{_POLAR_MAX_ANGULAR} angular or {_POLAR_MAX_RADIAL} radial "
-                f"nodes (error {result.error_estimate:.3e})", result)
-        angular[finer_angular] *= 2
-        radial[finer_radial] *= 2
-        coarse_angular[finer_angular] = fine[finer_angular]
-        coarse_radial[finer_radial] = fine[finer_radial]
-        refined = np.r_[finer_angular, finer_radial]
-        fine[refined], miss[refined] = rule(refined)
-        coarse_radial[finer_angular] = rule(finer_angular, False, True)[0]
-        coarse_angular[finer_radial] = rule(finer_radial, True)[0]
+                f"{_POLAR_MAX_ANGULAR} angular nodes (error "
+                f"{result.error_estimate:.3e})", result)
+        angular[finer] *= 2
+        coarse[finer] = fine[finer]
+        fine[finer], radial[finer] = rule(finer)
 
 
 def sample_uniform(body, gen: np.random.Generator, count: int) -> np.ndarray:
@@ -894,13 +859,14 @@ def translated_average(kind: str, K, mu: Density | None = None,
 
     A Lebesgue ``mu_lambda`` is Vol K for every body, since ∫ g_K dx =
     Vol(K)^2.  On a polygon of at most ``_POLAR_MAX_VERTICES`` vertices,
-    ``mu_lambda`` under a density with a ``flux`` (the radial builtins) is
-    deterministic: ``_polar_average`` integrates the exact covariogram in polar coordinates
-    to ``tol``, or raises ``QuadratureFailure``.  ``nu_mu_body`` with a
+    ``mu_lambda`` under a density with a ``radial_moment`` (the radial
+    builtins) is deterministic: ``_polar_average`` integrates the exact
+    covariogram in polar coordinates, each radial piece in closed form, to
+    ``tol``, or raises ``QuadratureFailure``.  ``nu_mu_body`` with a
     Lebesgue mu is that same integral under nu, since g_{lambda,K} = g_K and
     lambda(K) = Vol K.  Everything else (3-D bodies, balls, polygons with
     more vertices, where the route is slower than sampling, densities
-    without a flux, a non-Lebesgue mu in ``nu_mu_body``, and
+    without radial moments, a non-Lebesgue mu in ``nu_mu_body``, and
     ``nu_mu_functional``) is Monte Carlo from ``stream`` with N pairs of
     uniform points of K (``_sampled_average``).
     """
@@ -909,7 +875,7 @@ def translated_average(kind: str, K, mu: Density | None = None,
     density = mu if kind == "mu_lambda" else None
     if kind == "nu_mu_body" and mu is not None and mu.is_lebesgue:
         density = nu
-    if (density is not None and density.flux is not None
+    if (density is not None and density.radial_moment is not None
             and isinstance(K, Polytope) and K.n == 2
             and len(K.vertices) <= _POLAR_MAX_VERTICES):
         return _polar_average(K, density, tol)

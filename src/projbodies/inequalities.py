@@ -33,11 +33,10 @@ from .covariogram import (CovariogramQuery, l1_norm, mu_covariogram,
 from .measures import (ConcavityFamily, Density, boundary_measure,
                        exp_norm, exp_norm_mass_of_scaled, gaussian_ball_mass,
                        lebesgue, measure_body, power_family)
-from .numerics import (BoxSampler, ConfigurationError, DomainError,
-                       QuadratureResult, RandomStream, ball_volume,
-                       check_finite, check_monte_carlo, gaussian_cdf,
-                       gaussian_quantile, integrate_1d, mean_with_budget,
-                       monte_carlo, sphere_directions)
+from .numerics import (ConfigurationError, DomainError, QuadratureResult,
+                       RandomStream, ball_volume, check_finite,
+                       check_monte_carlo, gaussian_cdf, gaussian_quantile,
+                       integrate_1d, mean_with_budget, sphere_directions)
 from .projection import Zonoid, projection_zonoid, shifted_zonoid
 from .report import (Report, RunConfig, Witness, direction_grid,
                      finish_report, first_order_error, worst_link)
@@ -59,33 +58,25 @@ def _measure_support_set(nu: Density, Z: Zonoid, scale: float,
                          cfg: RunConfig, stream: RandomStream) -> QuadratureResult:
     """nu-measure of {x : h_{Z - c}(x) <= scale}, the scaled polar body.
 
-    Lebesgue is the exact polar volume.  A density with a ``flux`` takes
-    ``measure_body``'s divergence-theorem route on the polar polytope, at
-    the weights and at the ends of their error bracket; the error is the
-    bracket's plus the largest cubature error.  Other measures use Monte
-    Carlo over the exact bounding box of the polar polytope.
+    Lebesgue is the exact polar volume.  Every other nu is ``measure_body``
+    on the polar polytope (the divergence-theorem cubature for a density
+    with a ``flux``, Monte Carlo from ``stream`` otherwise), at the weights
+    and at the ends of their error bracket; the error is the bracket's plus
+    the largest error of the three measures.
     """
     if nu.is_lebesgue:
         pv, err = Z.polar_volume()
         return QuadratureResult(scale ** Z.n * pv, scale ** Z.n * err, 0)
-    if nu.flux is not None:
-        parts = []
+    parts = []
 
-        def measure(points):
-            parts.append(measure_body(nu, bodies.build_polytope(scale * points),
-                                      tol=cfg.tol))
-            return parts[-1].value
+    def measure(points):
+        parts.append(measure_body(nu, bodies.build_polytope(scale * points),
+                                  stream, cfg.samples, cfg.tol))
+        return parts[-1].value
 
-        value, err = Z.polar_bracket(measure)
-        return QuadratureResult(value, err + max(r.error_estimate for r in parts),
-                                sum(r.evaluations for r in parts))
-    points = scale * Z.polar_points()
-    box = BoxSampler(points.min(axis=0), points.max(axis=0))
-
-    def integrand(p):
-        return nu.eval(p) * (Z.support(p) <= scale)
-
-    return monte_carlo(box, integrand, cfg.samples, stream)
+    value, err = Z.polar_bracket(measure)
+    return QuadratureResult(value, err + max(r.error_estimate for r in parts),
+                            sum(r.evaluations for r in parts))
 
 
 # -- decay integrals of the concavity families --------------------------------

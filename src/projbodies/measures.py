@@ -65,6 +65,9 @@ class Density:
     builtins, is G(y) = |y|^-n Psi(|y|) with Psi(r) = ∫_0^r psi(s) s^(n-1) ds
     for phi(x) = psi(|x|): the field G(y) y has divergence phi, which
     ``measure_body`` integrates over the boundary of a polytope.
+    ``radial_moment``, also set only by the radial builtins, is
+    (j, a, b) -> ∫_a^b r^j psi(r) dr, vectorised over the arrays a and b:
+    the polar translated average integrates g_K along rays with it.
     """
 
     n: int
@@ -79,6 +82,7 @@ class Density:
     label: str = "custom"
     kind: str = "custom"
     flux: Callable[[np.ndarray], np.ndarray] | None = None
+    radial_moment: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __repr__(self):
         return f"Density({self.label}, n={self.n})"
@@ -148,11 +152,29 @@ def gaussian(n: int) -> Density:
                     / (area * r2[far] ** (n / 2.0)))
         return out
 
+    def lower_gamma(s, y):
+        # ∫_0^y u^(s-1) e^-u du; below y = s its Kummer series
+        # y^s e^-y M(1, s+1, y) / s keeps the digits that gammainc loses
+        # there (up to 5e-14 relative near 0)
+        x = np.minimum(y, s)
+        return np.where(y < s, x ** s * np.exp(-x) * special.hyp1f1(1.0, s + 1.0, x) / s,
+                        special.gamma(s) * special.gammainc(s, y))
+
+    def radial_moment(j, a, b):
+        # with u = r^2/2 this is norm 2^((j-1)/2) ∫ u^(s-1) e^-u du over
+        # [a^2/2, b^2/2], s = (j+1)/2; past u = s the upper incomplete gamma
+        # keeps the tail's digits
+        s, lo, hi = (j + 1) / 2.0, np.square(a) / 2.0, np.square(b) / 2.0
+        part = np.where(lo > s, special.gamma(s) * (special.gammaincc(s, lo)
+                                                    - special.gammaincc(s, hi)),
+                        lower_gamma(s, hi) - lower_gamma(s, lo))
+        return norm * 2.0 ** ((j - 1) / 2.0) * part
+
     return Density(
         n=n, eval=ev, grad=gr, even=True, radially_decreasing=True,
         concavity=frozenset({"log_concave", "ehrhard_gaussian"}),
         s_concave_symmetric=1.0 / n, label="gaussian", kind="gaussian",
-        flux=flux)
+        flux=flux, radial_moment=radial_moment)
 
 
 def exp_norm(L: Polytope) -> Density:
@@ -206,18 +228,23 @@ def radial_power(n: int, alpha: float) -> Density:
     def flux(p):
         return np.sqrt(squared_norms(p)) ** alpha / (n + alpha)
 
+    def radial_moment(j, a, b):
+        p = j + alpha + 1.0
+        return (b ** p - a ** p) / p
+
     return Density(
         n=n, eval=ev, grad=gr, even=True, radially_nondecreasing=True,
-        label=f"radial_power({alpha})", kind="radial_power", flux=flux)
+        label=f"radial_power({alpha})", kind="radial_power", flux=flux,
+        radial_moment=radial_moment)
 
 
 def custom_density(n, eval, grad, label="custom", **flags) -> Density:
     """User-supplied density; flags are declared, then probe-certified.
 
-    Its kind is always "custom" and it has no flux: a label never selects
-    an exact path.
+    Its kind is always "custom" and it has no flux and no radial moments: a
+    label never selects an exact path.
     """
-    for field in ("kind", "flux"):
+    for field in ("kind", "flux", "radial_moment"):
         if field in flags:
             raise ConfigurationError(f"custom densities cannot declare a {field}")
     return _certify_flags(Density(n=n, eval=eval, grad=grad, label=label, **flags))

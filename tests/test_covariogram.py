@@ -446,10 +446,11 @@ def _second_moment_average(K):
     return 2.0 * area * (second / area - mean @ mean)
 
 
-@pytest.mark.parametrize("R", [1.0, 8.0, 30.0, 1e4])
+@pytest.mark.parametrize("R", [1.0, 8.0, 30.0, 1e4, 1e8, 1e30])
 def test_polar_average_of_the_gaussian_on_a_square_meets_the_closed_form(R, gauss2):
-    """From the unit square to one 10^4 times the Gaussian's scale, whose
-    mass sits in the first 10^-3 of each ray."""
+    """From the unit square to one 10^30 times the Gaussian's scale, whose
+    mass sits in the first 10^-30 of each ray: the radial moments are exact,
+    so no radial node can miss it."""
     res = pb.translated_average("mu_lambda", pb.cube(2).scale(R), mu=gauss2, tol=1e-12)
     ref = _gaussian_square_average(R)
     assert abs(res.value - ref) <= res.error_estimate <= 1e-12
@@ -465,17 +466,6 @@ def test_polar_average_on_a_tiny_square_keeps_its_relative_digits(R, gauss2):
     assert ref == pytest.approx(4.0 * R * R / (2.0 * math.pi), rel=1e-6)
     assert abs(res.value - ref) <= res.error_estimate <= 1e-9
     assert abs(res.value - ref) <= 1e-14 * ref
-
-
-def test_polar_average_fails_loudly_where_its_nodes_miss_the_gaussian(gauss2):
-    """On a square 10^30 times the Gaussian's scale even the innermost of 64
-    radial parts misses its mass, and the rules agree on 0; the radial miss
-    against the flux sees it, and the route raises with an error of about
-    the whole value."""
-    with pytest.raises(pb.QuadratureFailure) as info:
-        pb.translated_average("mu_lambda", pb.cube(2).scale(1e30), mu=gauss2)
-    best = info.value.best
-    assert best.value == 0.0 and best.error_estimate == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("K", _planar_bodies(), ids=lambda K: f"m{K.facet_count}")
@@ -509,8 +499,8 @@ def test_polar_average_agrees_with_pooled_monte_carlo(alpha):
 
 
 def test_fractional_powers_need_no_more_nodes_than_integer_ones(triangle):
-    """|x|^alpha is singular at 0 for fractional alpha; the graded first part
-    lets |x|^0.25 and |x|^0.5 meet tol with the first rules, as |x| does."""
+    """|x|^alpha is singular at 0 for fractional alpha; |x|^0.25 and |x|^0.5
+    meet tol with the first rules, as |x| does."""
     counts = {alpha: pb.translated_average("mu_lambda", triangle,
                                            mu=pb.radial_power(2, alpha)).evaluations
               for alpha in (0.25, 0.5, 1.0)}
@@ -568,12 +558,12 @@ def _ellipse_polygon(m):
     return K
 
 
-@pytest.mark.parametrize("K", [_ellipse_polygon(5), _ellipse_polygon(6),
+@pytest.mark.parametrize("K", [_ellipse_polygon(7), _ellipse_polygon(8),
                                pb.regular_polygon(256)],
                          ids=lambda K: f"m{len(K.vertices)}")
 def test_translated_average_routes_by_vertex_count(K, gauss2, leb2):
     """The polar route's work grows much faster with the vertex count than
-    sampling's: up to five vertices it is taken (no stream needed), beyond
+    sampling's: up to seven vertices it is taken (no stream needed), beyond
     that mu_lambda and a Lebesgue nu_mu_body keep the Monte Carlo bits."""
     stream, N = pb.RandomStream(1820), 2_000
     for kind, kw in (("mu_lambda", {"mu": gauss2}),

@@ -379,7 +379,6 @@ def test_log_concave_zhang_measures_mu_K_without_sampling(monkeypatch):
 
     # measure_body samples through numerics.monte_carlo_in
     monkeypatch.setattr(pb.numerics, "monte_carlo", counting)
-    monkeypatch.setattr(pb.inequalities, "monte_carlo", counting)
     rep = pb.verify("log_concave_zhang", pb.cube(2), mu=pb.gaussian(2),
                     precision=CFG)
     assert rep.passed and calls == []
@@ -412,13 +411,15 @@ def _gauss_zonoid_triangle():
     return pb.shifted_zonoid(K, pb.gaussian(2), tol=1e-9)[0]
 
 
-@pytest.mark.parametrize("nu", [pb.gaussian(2), pb.radial_power(2, 1.0)],
-                         ids=["gaussian", "norm"])
+@pytest.mark.parametrize("nu", [pb.gaussian(2), pb.radial_power(2, 1.0),
+                                dataclasses.replace(pb.radial_power(2, 1.0), flux=None)],
+                         ids=["gaussian", "norm", "flux_free"])
 @pytest.mark.parametrize("widen", [1.0, 1e8], ids=["own", "widened"])
 def test_support_set_measure_inside_its_bracket(nu, widen):
     """nu of the scaled polar of a shifted Gaussian zonoid lies between its
     values at the weights w + e and max(w - e, 0), and within its error of
-    both; ``widen`` scales the weight errors to make the bracket visible."""
+    both; ``widen`` scales the weight errors to make the bracket visible.
+    A flux-free copy of the norm takes Monte Carlo on the same stream."""
     _check_support_set_bracket(nu, widen, 0.2)
 
 
@@ -434,7 +435,7 @@ def _check_support_set_bracket(nu, widen, scale):
     Z = pb.Zonoid(Z.n, Z.generators, Z.weights, Z.offset, widen * Z.weight_errors)
     res = _measure_support_set(nu, Z, scale, CFG, pb.RandomStream(1))
     lo, hi = (pb.measure_body(nu, pb.build_polytope(scale * Z.polar_points(w)),
-                              tol=CFG.tol).value
+                              pb.RandomStream(1), CFG.samples, CFG.tol).value
               for w in (Z.weights + Z.weight_errors,
                         np.maximum(Z.weights - Z.weight_errors, 0.0)))
     assert lo <= res.value <= hi
@@ -453,7 +454,7 @@ def test_support_set_measure_matches_monte_carlo(nu):
     plain = dataclasses.replace(nu, flux=None)
     parts = [_measure_support_set(plain, Z, 0.2, CFG, pb.RandomStream(98, i))
              for i in range(10)]
-    assert all(r.evaluations == CFG.samples for r in parts)
+    assert all(r.evaluations == 3 * CFG.samples for r in parts)
     mean = math.fsum(r.value for r in parts) / len(parts)
     sigma = math.sqrt(math.fsum((r.error_estimate / 3.0) ** 2
                                 for r in parts)) / len(parts)

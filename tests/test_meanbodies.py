@@ -200,10 +200,17 @@ def test_ray_pieces_are_the_covariogram(K):
 
 
 def test_ray_pieces_check_node_catches_missed_breakpoints(monkeypatch):
+    """With every breakpoint dropped, the check node of ``ray_pieces`` and
+    of the polar translated average sees that g_K is no longer one quadratic
+    on [0, rho_DK]."""
     pentagon = pb.regular_polygon(5)
     theta = np.array([0.3, 0.7])
     assert len(list(pb.ray_pieces(pentagon, theta))) > 1
+    gauss2 = pb.gaussian(2)
+    pb.translated_average("mu_lambda", pentagon, mu=gauss2)
     monkeypatch.setattr(covariogram, "_breakpoints", lambda K, thetas, rhos: (
         np.zeros(len(rhos)), rhos, np.arange(len(rhos))))
     with pytest.raises(pb.QuadratureFailure):
         list(pb.ray_pieces(pentagon, theta))
+    with pytest.raises(pb.QuadratureFailure, match="check node"):
+        pb.translated_average("mu_lambda", pentagon, mu=gauss2)

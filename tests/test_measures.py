@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import projbodies as pb
 from conftest import gauss_edge_weight
@@ -621,10 +622,35 @@ def test_facet_weights_on_large_bodies(R):
 
 
 def test_flux_is_builtin_only(gauss2):
-    with pytest.raises(pb.ConfigurationError):
-        pb.custom_density(2, flux=gauss2.flux, **_constant(1.0))
-    assert pb.compose_linear(gauss2, np.eye(2)).flux is None
-    assert pb.lebesgue(2).flux is None and pb.exp_norm(pb.cube(2)).flux is None
+    for field in ("flux", "radial_moment"):
+        with pytest.raises(pb.ConfigurationError):
+            pb.custom_density(2, **{field: getattr(gauss2, field)}, **_constant(1.0))
+        assert getattr(pb.compose_linear(gauss2, np.eye(2)), field) is None
+        assert getattr(pb.lebesgue(2), field) is None
+        assert getattr(pb.exp_norm(pb.cube(2)), field) is None
+
+
+# (a, b): pieces at the origin, tiny ones, unit ones and in the Gaussian's tail
+RADIAL_PIECES = [(0.0, 0.7), (0.0, 4.0), (0.0, 1e-8), (1e-8, 3e-8), (0.5, 1.5),
+                 (1.0, 2.0), (30.0, 31.0), (30.0, 45.0)]
+
+
+@pytest.mark.parametrize("mu", [pb.gaussian(2), pb.gaussian(3)]
+                         + [pb.radial_power(2, alpha) for alpha in (0.0, 0.25, 1.0, 2.0)],
+                         ids=lambda mu: f"{mu.label}-n{mu.n}")
+def test_radial_moment_matches_quad(mu):
+    """∫_a^b r^j psi(r) dr, j = 0 .. 3, against adaptive quadrature of the
+    density's own values along an axis."""
+    def psi(r):
+        return mu.eval(np.eye(mu.n)[:1] * r)[0]
+
+    a, b = np.array(RADIAL_PIECES).T
+    for j in range(4):
+        got = mu.radial_moment(j, a, b)
+        for lo, hi, value in zip(a, b, got):
+            ref = integrate.quad(lambda r: r ** j * psi(r), lo, hi,
+                                 epsabs=0.0, epsrel=2e-14, limit=200)[0]
+            assert value == pytest.approx(ref, rel=1e-13, abs=0.0), (j, lo, hi)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

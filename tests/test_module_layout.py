@@ -10,7 +10,9 @@ Monte Carlo has one estimator, ``numerics.monte_carlo``: it alone draws
 points from a sampler, whether a box or the facet prisms of the brightness
 derivative, apart from the rejection sampler for uniform points in K.  Rays
 have one breakpoint finder, ``covariogram._breakpoints``: it and the
-intersection vertices alone read the face pairs.
+intersection vertices alone read the face pairs.  The covariogram routes
+read what a density can do (``flux``, ``radial_moment``, ``is_lebesgue``),
+never its ``kind`` or ``label``.
 """
 
 from __future__ import annotations
@@ -163,3 +165,15 @@ def test_one_ray_breakpoint_finder(name, allowed):
     assert not found - allowed, f"{name} is used outside {allowed}: {found - allowed}"
     # the allowed users still use it, so the check above is not vacuous
     assert found == allowed
+
+
+def _attribute_reads(path, names):
+    return [f"{node.lineno}: .{node.attr}" for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and node.attr in names]
+
+
+def test_covariogram_routes_read_capabilities():
+    reads = _attribute_reads(SRC / "covariogram.py", ("kind", "label"))
+    assert not reads, f"covariogram.py reads a density's kind or label: {reads}"
+    # the scan finds such reads where they are, so it is not vacuous
+    assert _attribute_reads(SRC / "measures.py", ("kind", "label"))
