@@ -26,7 +26,7 @@ from .measures import (ConcavityFamily, Density, boundary_measure,
                        gaussian, gaussian_ball_mass,
                        gaussian_phi_inverse_family, lebesgue, log_family,
                        measure_body, power_family, radial_power, total_mass)
-from .covariogram import (CovariogramQuery, RayPiece, brightness_derivative,
+from .covariogram import (CovariogramQuery, RayPieces, brightness_derivative,
                           covariogram_exact, mu_covariogram, ray_pieces,
                           translated_average)
 from .projection import (OffsetVector, Zonoid, ball_projection_body,

@@ -7,9 +7,10 @@ translations at once: on a polygon a shoelace sum over ``_clipped_edges``
 r -> g_K(r theta) is a polynomial of degree <= n between the radii where a
 face of K meets a face of K + r theta of complementary dimension;
 ``_breakpoints`` finds them for a stack of rays from ``bodies.face_pairs``
-(which also give the vertices of K ∩ (K+x)), and ``ray_pieces`` samples
-each piece at n + 1 nodes.  Mean bodies integrate the pieces in closed
-form, and the slope of the first one is the exact brightness derivative.
+(which also give the vertices of K ∩ (K+x)), and ``_fit_pieces`` fits all
+their pieces from one covariogram stack.  Mean bodies and the polar rule
+integrate the pieces in closed form; a first piece's slope is the exact
+brightness derivative.
 
 The measure-weighted variants are deterministic on a polygon under a
 density with a flux (the radial builtins), in plain and polarized mode:
@@ -120,17 +121,6 @@ def _nodal_inverse(n: int) -> np.ndarray:
     return np.linalg.inv(np.vander(np.linspace(0.0, 1.0, n + 1), increasing=True))
 
 
-class RayPiece(NamedTuple):
-    """g_K(r theta) on [a, b]: its values at the n + 1 equispaced nodes, the
-    c_k of g(a + (b - a) t) = sum_k c_k t^k, and the gap at the check node."""
-
-    a: float
-    b: float
-    values: np.ndarray
-    coefficients: np.ndarray
-    residual: float
-
-
 def _breakpoints(K: Polytope, thetas: np.ndarray, rhos: np.ndarray):
     """The pieces (a, b) of each ray [0, rho_i] theta_i on which
     r -> g_K(r theta_i) is one polynomial, in order, and each piece's ray.
@@ -181,40 +171,64 @@ def _breakpoints(K: Polytope, thetas: np.ndarray, rhos: np.ndarray):
     return r[:-1][same], r[1:][same], ray[:-1][same]
 
 
-def ray_pieces(K: Polytope, theta, tol: float = 1e-9):
-    """Yield the polynomial pieces of r -> g_K(r theta) on [0, rho_DK(theta)].
+def _unit_rays(K: Polytope, thetas):
+    """Unit rays for a stack (k, n) of directions, and rho_DK along each.  A
+    row's products are one stacked matmul item, the bits of ``np.linalg.norm``
+    and ``bodies.radial_many`` on it alone, so they do not depend on the stack."""
+    t = np.atleast_2d(np.asarray(thetas, dtype=float))[:, None, :]
+    t = t / np.sqrt(t @ t.transpose(0, 2, 1))
+    DK = bodies.difference_body(K)
+    c = (t @ DK.normals.T)[:, 0]
+    return t[:, 0], np.where(c > 0.0, DK.offsets / np.where(c > 0.0, c, 1.0),
+                             np.inf).min(axis=1)
 
-    The pieces come from ``_breakpoints``.  One ``covariogram_exact`` call
-    gives the first piece's nodes, all that the exact brightness derivative
-    reads, and one more call those of every other piece.  g(0) = Vol K and
-    g(rho_DK) = 0 are known, and neighbours share a node.  Each piece is
-    checked at t = 1 / (2n) of the way along it: a gap above tol * Vol K (a
-    missed breakpoint) raises ``QuadratureFailure``.
-    """
-    theta = np.asarray(theta, dtype=float) / np.linalg.norm(theta)
-    n, vol = K.n, K.volume
-    rho = bodies.radial_many(bodies.difference_body(K), theta[None, :])
-    a, b, _ = _breakpoints(K, theta[None, :], rho)
-    check = 0.5 / n
-    radii = np.c_[a[:, None] + (b - a)[:, None] * np.arange(1, n) / n, b,
-                  a + (b - a) * check]
-    g, left = np.empty_like(radii), vol
-    for i, (lo, hi) in enumerate(zip(a, b)):
-        if i < 2:
-            rows = slice(i, None if i else 1)
-            g[rows] = covariogram_exact(K, radii[rows].reshape(-1, 1) * theta
-                                        ).reshape(-1, n + 1)
-        right = 0.0 if hi == rho[0] else g[i, n - 1]
-        values = np.r_[left, g[i, :n - 1], right]
-        coefficients = _nodal_inverse(n) @ values
-        residual = g[i, n] - np.polyval(coefficients[::-1], check)
-        if abs(residual) > tol * vol:
-            raise QuadratureFailure(
-                f"covariogram piece [{lo:.6g}, {hi:.6g}] misses its check node by "
-                f"{residual:.3e} (tol {tol:.1e})",
-                QuadratureResult(float(g[i, n]), abs(residual), n + 1))
-        yield RayPiece(float(lo), float(hi), values, coefficients, float(residual))
-        left = right
+
+class RayPieces(NamedTuple):
+    """Pieces of r -> g_K(r theta) on a stack of rays, a row each, in order
+    along each ray: [a_i, b_i] on ray ``ray_i``, with g(a + (b - a) t) =
+    sum_k c_k t^k for c = ``coefficients[i]``, and the check-node gap."""
+
+    a: np.ndarray
+    b: np.ndarray
+    ray: np.ndarray
+    coefficients: np.ndarray
+    residual: np.ndarray
+
+
+def _fit_pieces(K: Polytope, thetas: np.ndarray, rhos: np.ndarray, a: np.ndarray,
+                b: np.ndarray, ray: np.ndarray, tol: float) -> RayPieces:
+    """Fit the pieces [a, b] of rays ``ray`` from ``_breakpoints``: one
+    ``covariogram_exact`` stack at t = k/n (0 < k < n), at t = 1 where
+    b < rho_DK and at the check node t = 1/(2n); g(0) = Vol K, g(rho_DK) = 0
+    and neighbours share a node.  The c_k are one matrix-vector product per
+    piece (the same bits in any stack).  A check gap above tol * Vol K (a
+    missed breakpoint) raises ``QuadratureFailure``."""
+    n, vol, count = K.n, K.volume, len(a)
+    span, inner, check = b - a, b < rhos[ray], 0.5 / n
+    nodes = a[:, None] + span[:, None] * np.arange(1, n) / n
+    radii = np.r_[np.c_[nodes, a + span * check].ravel(), b[inner]]
+    g = covariogram_exact(K, radii[:, None]
+                          * thetas[np.r_[np.repeat(ray, n), ray[inner]]])
+    right = np.zeros(count)
+    right[inner] = g[count * n:]
+    g = g[:count * n].reshape(count, n)
+    values = np.c_[np.where(a == 0.0, vol, np.r_[0.0, right[:-1]]), g[:, :-1], right]
+    coefficients = (_nodal_inverse(n) @ values[:, :, None])[:, :, 0]
+    residual = g[:, -1] - np.polyval(coefficients.T[::-1], check)
+    worst = int(np.argmax(np.abs(residual)))
+    if abs(residual[worst]) > tol * vol:
+        raise QuadratureFailure(
+            f"covariogram piece [{a[worst]:.6g}, {b[worst]:.6g}] misses its check "
+            f"node by {residual[worst]:.3e} (tol {tol:.1e})",
+            QuadratureResult(float(g[worst, -1]), abs(residual[worst]), len(radii)))
+    return RayPieces(a, b, ray, coefficients, residual)
+
+
+def ray_pieces(K: Polytope, thetas, tol: float = 1e-9) -> RayPieces:
+    """The polynomial pieces of r -> g_K(r theta) on [0, rho_DK(theta)] for
+    a stack (k, n) of directions: ``_fit_pieces`` of ``_breakpoints``."""
+    thetas, rhos = _unit_rays(K, thetas)
+    return _fit_pieces(K, thetas, rhos, *_breakpoints(K, thetas, rhos), tol)
 
 
 class PrismSampler:
@@ -427,9 +441,9 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
                           ) -> QuadratureResult:
     """One-sided radial derivative of the covariogram at 0.
 
-    The exact Lebesgue path reads it off the first piece of ``ray_pieces``:
-    the linear coefficient c_1 / b, with an error propagated from the
-    piece's check residual plus a roundoff floor of 64 ulp of Vol K.  The
+    The exact Lebesgue path fits the first piece [0, b] of ``_breakpoints``
+    alone: its slope c_1 / b, with an error propagated from its check
+    residual plus a roundoff floor of 64 ulp of Vol K.  The
     Monte Carlo path is ``monte_carlo`` of the Richardson-combined
     difference quotients at steps {h, h/2}, divided by h (h defaults to
     1e-3 of the body diameter), on common random points; its budget is
@@ -440,19 +454,20 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
     time gives the bits of one kernel call over all N rows (tests pin this
     in two and three dimensions).
     """
-    theta = np.asarray(theta, dtype=float)
-    theta = theta / np.linalg.norm(theta)
+    (theta,), (rho,) = _unit_rays(q.K, theta)
     if h is None:
         h = 1e-3 * q.K.diameter
-    rho = bodies.radial_many(bodies.difference_body(q.K), theta[None, :])[0]
     if not 0.0 < h <= rho / 4.0 + 1e-12:
         raise DomainError(f"step {h} outside (0, rho_DK/4 = {rho / 4.0:.3g}]")
 
     if q.mu.is_lebesgue and q.mode in ("plain", "polarized"):
-        first = next(ray_pieces(q.K, theta, 1e-9 if q.tol is None else q.tol))
-        noise = abs(first.residual) + 64.0 * np.finfo(float).eps * q.K.volume
-        value, evals = first.coefficients[1] / first.b, q.K.n + 1
-        err = np.abs(_nodal_inverse(q.K.n)[1]).sum() * noise / first.b
+        # normalised once more, as the slope was always fitted (its bits are pinned)
+        rays, rhos = _unit_rays(q.K, theta)
+        a, b, ray = (x[:1] for x in _breakpoints(q.K, rays, rhos))
+        first = _fit_pieces(q.K, rays, rhos, a, b, ray, 1e-9 if q.tol is None else q.tol)
+        noise = abs(first.residual[0]) + 64.0 * np.finfo(float).eps * q.K.volume
+        value, evals = first.coefficients[0, 1] / b[0], q.K.n + 1
+        err = np.abs(_nodal_inverse(q.K.n)[1]).sum() * noise / b[0]
     else:
         if q.mode == "functional":
             sampler = BoxSampler(*q.K.bounding_box())
@@ -687,19 +702,15 @@ def _polar_rule(K: Polytope, mu: Density, arcs: np.ndarray, angular: np.ndarray,
     number of covariogram points.
 
     ``_breakpoints`` cuts each angular node's ray [0, rho_DK(theta)] into
-    the pieces [a, b] where g_K is one quadratic.  As in ``ray_pieces``, its
-    c_k in t = (r - a) / (b - a) come from g_K at t = 0, 1/2, 1 (g(0) =
-    Vol K and g(rho_DK) = 0 are known, and neighbours share a node) and are
-    checked at t = 1/4: a gap above tol * Vol K (a missed breakpoint) raises
-    ``QuadratureFailure``.  The piece then integrates in closed form as
-    sum_k c_k m_k, with m_k = ∫_a^b t^k psi(r) r dr from the binomial
-    expansion of t^k and the density's ``radial_moment``.  Its radial error
-    carries the gap plus a roundoff floor of ``_POLAR_ROUNDOFF`` ulp of
-    Vol K through ``_nodal_inverse`` into the c_k, and so into the value,
-    since 0 <= m_k <= m_0.  The rays are taken a block of about
-    ``_POLAR_BLOCK`` rays times face pairs (2 m^2 on m vertices) at a time,
-    each block with one ``covariogram_exact`` stack, so memory stays flat as
-    the polygon grows.
+    the pieces [a, b] where g_K is one quadratic, fitted by ``_fit_pieces``.
+    A piece integrates in closed form as sum_k c_k m_k, with m_k = ∫_a^b t^k
+    psi(r) r dr from the binomial expansion of t^k, t = (r - a) / (b - a),
+    and the density's ``radial_moment``.  Its radial error carries the check
+    gap plus a roundoff floor of ``_POLAR_ROUNDOFF`` ulp of Vol K through
+    ``_nodal_inverse`` into the c_k, and so into the value, since
+    0 <= m_k <= m_0.  The rays are taken a block of about ``_POLAR_BLOCK``
+    rays times face pairs (2 m^2 on m vertices) at a time, so memory stays
+    flat as the polygon grows.
     """
     angle, angle_w, arc = _arc_nodes(arcs, angular)
     theta = np.c_[np.cos(angle), np.sin(angle)]
@@ -712,27 +723,13 @@ def _polar_rule(K: Polytope, mu: Density, arcs: np.ndarray, angular: np.ndarray,
         rays = slice(begin, begin + rays_per_block)
         a, b, ray = _breakpoints(K, theta[rays], rho[rays])
         ray += begin
-        length, inner = b - a, b < rho[ray]
-        radii = np.r_[a + 0.5 * length, a + 0.25 * length, b[inner]]
-        g = covariogram_exact(K, radii[:, None] * theta[np.r_[ray, ray, ray[inner]]])
-        points += len(radii)
-        middle, quarter = g[:len(a)], g[len(a):2 * len(a)]
-        right = np.zeros(len(a))
-        right[inner] = g[2 * len(a):]
-        left = np.where(a == 0.0, vol, np.r_[0.0, right[:-1]])
-        # by elements: a stacked product's bits may depend on the stack
-        c = [N[k, 0] * left + N[k, 1] * middle + N[k, 2] * right for k in range(3)]
-        gap = quarter - (c[0] + c[1] / 4.0 + c[2] / 16.0)
-        worst = int(np.argmax(np.abs(gap)))
-        if abs(gap[worst]) > tol * vol:
-            raise QuadratureFailure(
-                f"covariogram piece [{a[worst]:.6g}, {b[worst]:.6g}] misses its "
-                f"check node by {gap[worst]:.3e} (tol {tol:.1e})",
-                QuadratureResult(float(quarter[worst]), abs(float(gap[worst])), points))
+        pieces = _fit_pieces(K, theta, rho, a, b, ray, tol)
+        points += 2 * len(a) + np.count_nonzero(b < rho[ray])
+        c, length = pieces.coefficients.T, b - a
         M1, M2, M3 = (mu.radial_moment(j, a, b) for j in (1, 2, 3))
         m = (M1, (M2 - a * M1) / length, (M3 - 2.0 * a * M2 + a * a * M1) / length ** 2)
         value = c[0] * m[0] + c[1] * m[1] + c[2] * m[2]
-        error = np.abs(N).sum() * (np.abs(gap) + floor) * m[0]
+        error = np.abs(N).sum() * (np.abs(pieces.residual) + floor) * m[0]
         w = angle_w[ray]
         sums += np.bincount(arc[ray], w * value, len(arcs))
         errors += np.bincount(arc[ray], w * error, len(arcs))

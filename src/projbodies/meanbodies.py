@@ -7,9 +7,9 @@ of every p > -1 other than 0, and the p = 0 (geometric-mean) limit, are
     rho_{R_0}(theta) = rho * exp( (1/V) ∫_0^rho (g_K(r theta) - V) / r dr ).
 
 g_K is a polynomial of degree <= n on each piece of ``ray_pieces``, so the
-integrals are exact sums of moments per piece, built once per direction for
-every p.  Then rho_{R_p} = M_p^{1/p}, rho_{S_p} = ((p+1) M_p)^{1/p} and
-rho_{S_-1} = V / h_{Pi K}.  Mean bodies stay star-body samples; convexity
+integrals are exact sums of moments per piece, of one stack of pieces for
+all rays and p.  Then rho_{R_p} = M_p^{1/p}, rho_{S_p} = ((p+1) M_p)^{1/p}
+and rho_{S_-1} = V / h_{Pi K}.  Mean bodies stay star-body samples; convexity
 (unknown for p in (-1,0)) is never assumed downstream.
 """
 
@@ -23,7 +23,7 @@ from scipy import special
 
 from . import bodies
 from .bodies import Polytope, StarBody
-from .covariogram import RayPiece, ray_pieces
+from .covariogram import RayPieces, ray_pieces
 from .numerics import DomainError, SphereGrid
 from .projection import projection_zonoid
 from .report import Report, Witness, worst_link
@@ -36,30 +36,32 @@ class MeanBodyResult:
     method: str
 
 
-def _piece_integral(piece: RayPiece, p: float, vol: float) -> float:
-    """∫_a^b r^{p-1} (g(r) - V) dr, g - V = sum_k c_k t^k, t = (r - a) / (b - a).
-
-    The moment of t^k is b^p / (k + p) on the first piece (c_0 = 0 there),
-    else z b^p / (k + 1) 2F1(1 - p, 1; k + 2; z) with z = 1 - a / b."""
-    a, b, c = piece.a, piece.b, piece.coefficients
-    k = np.arange(len(c))
-    if a == 0.0:
-        return float(c[1:] @ (b ** p / (k[1:] + p)))
+def _piece_integrals(pieces: RayPieces, p: float, vol: float) -> np.ndarray:
+    """∫_a^b r^{p-1} (g(r) - V) dr per piece: with t = (r - a) / (b - a),
+    g - V = sum_k c_k t^k, and the moment of t^k is b^p / (k + p) on a first
+    piece (c_0 - V = 0 there), else z b^p / (k + 1) 2F1(1 - p, 1; k + 2; z)
+    with z = 1 - a / b."""
+    a, b, c = pieces.a[:, None], pieces.b[:, None], pieces.coefficients
+    k, first = np.arange(c.shape[1]), pieces.a == 0.0
     z = (b - a) / b
     moments = z * b ** p / (k + 1) * special.hyp2f1(1.0 - p, 1.0, k + 2.0, z)
-    return float((c - vol * (k == 0)) @ moments)
+    moments[first, 0] = 0.0
+    moments[first, 1:] = b[first] ** p / (k[1:] + p)
+    c = c - vol * (k == 0) * ~first[:, None]
+    return (c[:, None, :] @ moments[:, :, None])[:, 0, 0]
 
 
 def _mean_radii(K: Polytope, p_list, grid: SphereGrid, tol: float) -> np.ndarray:
-    """rho_{R_p}(theta) for every p in p_list (rows) and grid direction."""
+    """rho_{R_p}(theta) for every p in p_list (rows) and grid direction; a
+    ray's last piece ends at rho_DK."""
+    pieces = ray_pieces(K, grid.directions, tol)
+    rho = pieces.b[np.diff(pieces.ray, append=grid.count) != 0]
     radii = np.empty((len(p_list), grid.count))
-    for i, theta in enumerate(grid.directions):
-        pieces = list(ray_pieces(K, theta, tol))
-        rho = pieces[-1].b
-        for j, p in enumerate(p_list):
-            mean = sum(_piece_integral(piece, p, K.volume) for piece in pieces) / K.volume
-            radii[j, i] = (rho * math.exp(mean) if p == 0.0
-                           else (rho ** p + p * mean) ** (1.0 / p))
+    for j, p in enumerate(p_list):
+        mean = np.bincount(pieces.ray, _piece_integrals(pieces, p, K.volume),
+                           grid.count) / K.volume
+        radii[j] = (rho * np.exp(mean) if p == 0.0
+                    else (rho ** p + p * mean) ** (1.0 / p))
     return radii
 
 

@@ -113,6 +113,52 @@ def test_exact_brightness_is_the_first_piece_slope():
             assert abs(fd.value + h_theta) <= min(1e-12 * h_theta, fd.error_estimate)
 
 
+# value.hex() and error_estimate.hex() of the exact slope on c04's 12
+# polygons and cube(3), two directions each (drawn below): the bits the slope
+# had when each ray was fitted alone, which fitting stacks must keep.
+_EXACT_SLOPE_BITS = (
+    (("-0x1.64247d27c4800p+1", "0x1.e271306427529p-43"),
+     ("-0x1.8933bd9c17a62p+1", "0x1.fc89e66357503p-43")),
+    (("-0x1.451233d1ff1adp+1", "0x1.7f843695202aap-42"),
+     ("-0x1.c51ec6ff4beadp+1", "0x1.8933038a8e722p-42")),
+    (("-0x1.aa63d4104693ep+1", "0x1.0c4cee26375f3p-41"),
+     ("-0x1.e473eba3a8997p+1", "0x1.addefbc8cdb51p-42")),
+    (("-0x1.38b2010560655p+0", "0x1.4519527b202dfp-42"),
+     ("-0x1.0f44fbf512a73p+2", "0x1.911d8d5c6a0dbp-42")),
+    (("-0x1.d26bb66fa61f6p+1", "0x1.f3d95bbda7468p-41"),
+     ("-0x1.d0d1e5974a1a9p+1", "0x1.ec0f71c25dd4fp-41")),
+    (("-0x1.041cffa0ff6c4p+1", "0x1.ec4ac62d60649p-43"),
+     ("-0x1.8881181d8ef12p+1", "0x1.97a06ac5a3d20p-42")),
+    (("-0x1.ddda5279c63b6p+1", "0x1.305bc36983d16p-41"),
+     ("-0x1.1e8614aa3fe2ap+2", "0x1.3742df3aa54a7p-41")),
+    (("-0x1.29d5db90f12c8p+2", "0x1.65256be688cdap-38"),
+     ("-0x1.2c390a07904e1p+2", "0x1.8fa272f395a6ep-38")),
+    (("-0x1.375d9a3cafd95p+2", "0x1.6d9d8c1a642d0p-42"),
+     ("-0x1.03acf8d3fe257p+2", "0x1.856b9f653162dp-42")),
+    (("-0x1.b28fd6fb9e03ap+1", "0x1.257be6fe28ab7p-41"),
+     ("-0x1.891284b2c710fp+1", "0x1.ed136ca24c276p-41")),
+    (("-0x1.bd0d78ebc79adp+1", "0x1.0fc84caf117c4p-42"),
+     ("-0x1.3577b8014e37dp+1", "0x1.cc196ea399dbap-43")),
+    (("-0x1.de73d8507be66p+1", "0x1.5a3fb0bef1cedp-41"),
+     ("-0x1.381a68f5f11b5p+2", "0x1.89fdfd73e9255p-41")),
+    (("-0x1.41743f9ac9255p+2", "0x1.36ed1838f8c16p-40"),
+     ("-0x1.af09690a9b45ap+2", "0x1.cf6ec96085541p-41")),
+)
+
+
+def test_exact_brightness_keeps_its_bits():
+    """The exact slope fits theta normalised twice, once by
+    ``brightness_derivative`` and once more as ``ray_pieces`` would, and
+    keeps the recorded value and error bits."""
+    gen = np.random.default_rng(2323)
+    for K, bits in zip(_c04_bodies()[:12] + [pb.cube(3)], _EXACT_SLOPE_BITS):
+        thetas = gen.standard_normal((2, K.n))
+        thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+        for theta, (value, error) in zip(thetas, bits):
+            fd = pb.brightness_derivative(pb.CovariogramQuery(K), theta)
+            assert (fd.value.hex(), fd.error_estimate.hex()) == (value, error)
+
+
 def test_support_is_difference_body(triangle, stream):
     DK = pb.difference_body(triangle)
     gen = stream.generator()
@@ -420,6 +466,24 @@ def test_breakpoints_of_a_stack_match_one_direction_at_a_time(index):
         assert b[ray == i].tobytes() == one[1].tobytes()
         assert a[ray == i][0] == 0.0 and b[ray == i][-1] == rho[i]
         assert len(one[0]) > 1
+
+
+@pytest.mark.parametrize("index", range(14),
+                         ids=[f"c04_{i}" for i in range(12)] + ["cube3", "random3"])
+def test_ray_pieces_of_a_stack_match_one_direction_at_a_time(index):
+    """16 directions in one ``ray_pieces`` call give, bit for bit, the pieces
+    of 16 one-direction calls: the unit rays, rho_DK, the breakpoints, the
+    covariogram values and each piece's c_k do not depend on the stack."""
+    K = (_c04_bodies()[:12] + [pb.cube(3), pb.random_polytope(
+        3, pb.RandomStream(424242).substream(22))])[index]
+    thetas = np.random.default_rng(2123).standard_normal((16, K.n))
+    whole = pb.ray_pieces(K, thetas)
+    for i, theta in enumerate(thetas):
+        one = pb.ray_pieces(K, theta)
+        assert np.array_equal(one.ray, np.zeros(len(one.a), dtype=int))
+        for field in ("a", "b", "coefficients", "residual"):
+            mine = getattr(whole, field)[whole.ray == i]
+            assert mine.tobytes() == getattr(one, field).tobytes(), (i, field)
 
 
 def _gaussian_square_average(R):

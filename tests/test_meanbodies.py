@@ -163,8 +163,9 @@ def _c07_pentagon():
 
 
 def test_chains_share_pieces_across_p(monkeypatch, square, triangle, grid64):
-    """c07's three chains need few exact covariograms: one set of pieces per
-    direction serves every p (the adaptive ray route took 108,696)."""
+    """c07's three chains make one exact covariogram stack per body: one
+    ``ray_pieces`` stack serves every direction and every p (the adaptive
+    ray route took 108,696 calls, the per-direction pieces 256)."""
     calls = []
     exact = covariogram.covariogram_exact
 
@@ -175,28 +176,33 @@ def test_chains_share_pieces_across_p(monkeypatch, square, triangle, grid64):
     monkeypatch.setattr(covariogram, "covariogram_exact", counting)
     for K in (square, triangle, _c07_pentagon()):
         assert pb.inclusion_chain_report(K, [0, 1, 2], grid64, tol=1e-9).passed
-    assert len(calls) <= 1000
+    assert len(calls) == 3
 
 
-@pytest.mark.parametrize("K", [pb.regular_polygon(5), pb.cube(3),
-                               pb.random_polytope(3, pb.RandomStream(424242).substream(22))],
-                         ids=["pentagon", "cube3", "random3"])
+_PIECE_BODIES = [pb.regular_polygon(5), pb.cube(3),
+                 pb.random_polytope(3, pb.RandomStream(424242).substream(22))]
+
+
+@pytest.mark.parametrize("K", _PIECE_BODIES, ids=["pentagon", "cube3", "random3"])
 def test_ray_pieces_are_the_covariogram(K):
     gen = np.random.default_rng(3)
-    DK = pb.difference_body(K)
-    for _ in range(3):
-        theta = gen.standard_normal(K.n)
-        theta /= np.linalg.norm(theta)
-        pieces = list(pb.ray_pieces(K, theta))
-        edges = [piece.a for piece in pieces] + [pieces[-1].b]
+    thetas = gen.standard_normal((3, K.n))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    rho = pb.radial_many(pb.difference_body(K), thetas)
+    pieces = pb.ray_pieces(K, thetas)
+    assert np.array_equal(np.unique(pieces.ray), np.arange(3))
+    assert pieces.coefficients.shape == (len(pieces.a), K.n + 1)
+    for i, theta in enumerate(thetas):
+        on = pieces.ray == i
+        edges = np.r_[pieces.a[on], pieces.b[on][-1]]
         assert edges[0] == 0.0 and np.all(np.diff(edges) > 0.0)
-        assert edges[-1] == pytest.approx(pb.radial_many(DK, theta[None, :])[0],
-                                          rel=1e-15)
-        for piece in pieces:
-            c = piece.coefficients
+        assert np.array_equal(pieces.a[on][1:], pieces.b[on][:-1])
+        assert edges[-1] == pytest.approx(rho[i], rel=1e-15)
+        for a, b, c in zip(pieces.a[on], pieces.b[on], pieces.coefficients[on]):
             for t in gen.random(3):
-                g = pb.covariogram_exact(K, (piece.a + (piece.b - piece.a) * t) * theta)
+                g = pb.covariogram_exact(K, (a + (b - a) * t) * theta)
                 assert abs(g - np.polyval(c[::-1], t)) <= 1e-13 * K.volume
+    assert np.all(np.abs(pieces.residual) <= 1e-9 * K.volume)
 
 
 def test_ray_pieces_check_node_catches_missed_breakpoints(monkeypatch):
@@ -204,13 +210,13 @@ def test_ray_pieces_check_node_catches_missed_breakpoints(monkeypatch):
     of the polar translated average sees that g_K is no longer one quadratic
     on [0, rho_DK]."""
     pentagon = pb.regular_polygon(5)
-    theta = np.array([0.3, 0.7])
-    assert len(list(pb.ray_pieces(pentagon, theta))) > 1
+    thetas = np.array([[0.3, 0.7], [-0.9, 0.2]])
+    assert len(pb.ray_pieces(pentagon, thetas).a) > 2
     gauss2 = pb.gaussian(2)
     pb.translated_average("mu_lambda", pentagon, mu=gauss2)
     monkeypatch.setattr(covariogram, "_breakpoints", lambda K, thetas, rhos: (
         np.zeros(len(rhos)), rhos, np.arange(len(rhos))))
-    with pytest.raises(pb.QuadratureFailure):
-        list(pb.ray_pieces(pentagon, theta))
+    with pytest.raises(pb.QuadratureFailure, match="check node"):
+        pb.ray_pieces(pentagon, thetas)
     with pytest.raises(pb.QuadratureFailure, match="check node"):
         pb.translated_average("mu_lambda", pentagon, mu=gauss2)

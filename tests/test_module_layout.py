@@ -10,9 +10,10 @@ Monte Carlo has one estimator, ``numerics.monte_carlo``: it alone draws
 points from a sampler, whether a box or the facet prisms of the brightness
 derivative, apart from the rejection sampler for uniform points in K.  Rays
 have one breakpoint finder, ``covariogram._breakpoints``: it and the
-intersection vertices alone read the face pairs.  The covariogram routes
-read what a density can do (``flux``, ``radial_moment``, ``is_lebesgue``),
-never its ``kind`` or ``label``.
+intersection vertices alone read the face pairs.  Their pieces have one
+fitter, ``covariogram._fit_pieces``, the one raiser of a missed check node.
+The covariogram routes read what a density can do (``flux``,
+``radial_moment``, ``is_lebesgue``), never its ``kind`` or ``label``.
 """
 
 from __future__ import annotations
@@ -137,11 +138,12 @@ def test_the_sampler_callers_still_draw():
 
 # The readers of the face pairs: the vertices of K ∩ (K + x) and the one
 # ray-breakpoint finder; and the finder's callers, the covariogram pieces
-# along a ray (mean bodies, the exact brightness derivative) and the polar
-# rule of the planar translated averages.
+# along a ray (mean bodies), the first piece of the exact brightness
+# derivative and the polar rule of the planar translated averages.
 FACE_PAIR_READERS = {("bodies.py", "_intersection_vertices"),
                      ("covariogram.py", "_breakpoints")}
 BREAKPOINT_CALLERS = {("covariogram.py", "ray_pieces"),
+                      ("covariogram.py", "brightness_derivative"),
                       ("covariogram.py", "_polar_rule")}
 
 
@@ -165,6 +167,28 @@ def test_one_ray_breakpoint_finder(name, allowed):
     assert not found - allowed, f"{name} is used outside {allowed}: {found - allowed}"
     # the allowed users still use it, so the check above is not vacuous
     assert found == allowed
+
+
+def _check_node_raisers(path):
+    """Top-level functions of ``path`` that raise a ``QuadratureFailure``
+    whose message speaks of a check node."""
+    found = set()
+    for node in _tree(path).body:
+        for inner in ast.walk(node):
+            exc = getattr(inner, "exc", None) if isinstance(inner, ast.Raise) else None
+            if (isinstance(exc, ast.Call) and getattr(exc.func, "id", None)
+                    == "QuadratureFailure" and exc.args):
+                text = "".join(part.value for part in ast.walk(exc.args[0])
+                               if isinstance(part, ast.Constant)
+                               and isinstance(part.value, str))
+                if "check node" in text:
+                    found.add(getattr(node, "name", "<module>"))
+    return found
+
+
+def test_one_ray_piece_fitter():
+    """Ray pieces are fitted, and their check node tested, in one place."""
+    assert _check_node_raisers(SRC / "covariogram.py") == {"_fit_pieces"}
 
 
 def _attribute_reads(path, names):
