@@ -14,8 +14,10 @@ deterministic for Lebesgue and for the radial builtins on polytopes
 (``measures.measure_body``), and so are the translated averages of the
 radial builtins on polygons (``covariogram.translated_average``) and the
 concavity checks of plain covariograms under Lebesgue, or under the radial
-builtins on polygons (``covariogram.mu_covariogram``); other densities,
-other translated averages and the other concavity checks are Monte Carlo.
+builtins on polygons, and of functional ones on polygons whose mu and f
+are both ``smooth`` builtins (``covariogram.mu_covariogram``);
+other densities, other translated averages and the other concavity checks
+are Monte Carlo.
 Every report passes its ``RunConfig.tol`` to each of these.
 """
 

@@ -68,6 +68,12 @@ class Density:
     ``radial_moment``, also set only by the radial builtins, is
     (j, a, b) -> ∫_a^b r^j psi(r) dr, vectorised over the arrays a and b:
     the polar translated average integrates g_K along rays with it.
+    ``smooth``, set only by the builtins whose phi is a smooth function on
+    all of R^n (``lebesgue``, ``gaussian``, ``radial_power`` with an even
+    integer exponent), lets the planar functional covariogram integrate phi
+    by cubature over triangles that may hold any point: a cusp or kink
+    inside a triangle (|x|^alpha at 0, the ridges of ``exp_norm``) would
+    stall its refinement.
     """
 
     n: int
@@ -83,6 +89,7 @@ class Density:
     kind: str = "custom"
     flux: Callable[[np.ndarray], np.ndarray] | None = None
     radial_moment: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
+    smooth: bool = False
 
     def __repr__(self):
         return f"Density({self.label}, n={self.n})"
@@ -121,7 +128,8 @@ def lebesgue(n: int) -> Density:
         grad=lambda p: np.zeros_like(np.atleast_2d(p), dtype=float),
         even=True, radially_nondecreasing=True, radially_decreasing=True,
         concavity=frozenset({"log_concave"}), s_concave=1.0 / n,
-        s_concave_symmetric=1.0 / n, label="lebesgue", kind="lebesgue")
+        s_concave_symmetric=1.0 / n, label="lebesgue", kind="lebesgue",
+        smooth=True)
 
 
 def gaussian(n: int) -> Density:
@@ -174,7 +182,7 @@ def gaussian(n: int) -> Density:
         n=n, eval=ev, grad=gr, even=True, radially_decreasing=True,
         concavity=frozenset({"log_concave", "ehrhard_gaussian"}),
         s_concave_symmetric=1.0 / n, label="gaussian", kind="gaussian",
-        flux=flux, radial_moment=radial_moment)
+        flux=flux, radial_moment=radial_moment, smooth=True)
 
 
 def exp_norm(L: Polytope) -> Density:
@@ -235,16 +243,17 @@ def radial_power(n: int, alpha: float) -> Density:
     return Density(
         n=n, eval=ev, grad=gr, even=True, radially_nondecreasing=True,
         label=f"radial_power({alpha})", kind="radial_power", flux=flux,
-        radial_moment=radial_moment)
+        radial_moment=radial_moment, smooth=alpha % 2.0 == 0.0)
 
 
 def custom_density(n, eval, grad, label="custom", **flags) -> Density:
     """User-supplied density; flags are declared, then probe-certified.
 
-    Its kind is always "custom" and it has no flux and no radial moments: a
-    label never selects an exact path.
+    Its kind is always "custom", it has no flux and no radial moments, and
+    it is not ``smooth`` (no probe can certify that): a label never selects
+    an exact path.
     """
-    for field in ("kind", "flux", "radial_moment"):
+    for field in ("kind", "flux", "radial_moment", "smooth"):
         if field in flags:
             raise ConfigurationError(f"custom densities cannot declare a {field}")
     return _certify_flags(Density(n=n, eval=eval, grad=grad, label=label, **flags))
@@ -419,8 +428,11 @@ def simplex_integrals(simplices: np.ndarray, group: np.ndarray, fn,
     is evaluated twice.  Accepted values are summed depth-first, simplex by
     simplex, and the simplices' sums group by group in simplex order, so the
     result does not depend on the batching.  ``evaluations`` is the number
-    of points passed to ``fn``.
+    of points passed to ``fn``.  No simplices give empty arrays, without a
+    call of ``fn``.
     """
+    if len(simplices) == 0:
+        return np.zeros(0), np.zeros(0), 0
     roots = simplices
     d, n = roots.shape[1] - 1, roots.shape[2]
     sizes = np.bincount(group)

@@ -74,3 +74,12 @@ def nan_density(n):
     are probe-certified and would be rejected."""
     return pb.Density(n=n, eval=lambda p: np.full(len(p), np.nan),
                       grad=lambda p: np.full(np.shape(p), np.nan), even=True)
+
+
+def flux_free(density):
+    """A custom copy of a builtin density: the same eval and grad, so the
+    same Monte Carlo bits, but no flux, so every covariogram query and
+    brightness derivative under it samples."""
+    return pb.custom_density(density.n, density.eval, density.grad,
+                             label=f"{density.label} (sampled)", even=density.even,
+                             radially_decreasing=density.radially_decreasing)

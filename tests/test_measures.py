@@ -446,6 +446,18 @@ def test_facet_integral_errors_bound_the_true_error(tol):
             assert np.all(errors <= tol)
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2), (0, 3, 2), (0, 3, 4)])
+def test_simplex_integrals_of_no_simplices_are_empty(shape):
+    """No simplices (a stack of translations that all miss DK) give empty
+    values and errors and 0 evaluations, without calling fn."""
+    def fn(p):
+        raise AssertionError("fn called")
+
+    values, errors, evaluations = pb.measures.simplex_integrals(
+        np.zeros(shape), np.zeros(0, dtype=int), fn, 1e-9)
+    assert values.shape == errors.shape == (0,) and evaluations == 0
+
+
 # sha256 of values.tobytes() + errors.tobytes() (first 16 hex digits) and the
 # evaluations of facet_integrals on c04's 3-D bodies and cube(3), for
 # gamma_3's phi at tol 1e-5, its flux at 1e-9 and phi at 1e-12, recorded
@@ -628,6 +640,20 @@ def test_flux_is_builtin_only(gauss2):
         assert getattr(pb.compose_linear(gauss2, np.eye(2)), field) is None
         assert getattr(pb.lebesgue(2), field) is None
         assert getattr(pb.exp_norm(pb.cube(2)), field) is None
+
+
+def test_smooth_is_builtin_only():
+    """Only builtins whose phi is smooth on all of R^n are ``smooth``: a
+    custom density cannot declare it, and cusped or kinked ones are not."""
+    with pytest.raises(pb.ConfigurationError):
+        pb.custom_density(2, smooth=True, **_constant(1.0))
+    for mu in (pb.lebesgue(2), pb.gaussian(2), pb.gaussian(3), pb.radial_power(2, 0.0),
+               pb.radial_power(2, 2.0), pb.radial_power(3, 4.0)):
+        assert mu.smooth, mu
+    for mu in (pb.radial_power(2, 0.5), pb.radial_power(2, 1.0), pb.radial_power(2, 3.0),
+               pb.exp_norm(pb.cube(2)), pb.compose_linear(pb.gaussian(2), np.eye(2)),
+               pb.custom_density(2, **_constant(1.0))):
+        assert not mu.smooth, mu
 
 
 # (a, b): pieces at the origin, tiny ones, unit ones and in the Gaussian's tail
