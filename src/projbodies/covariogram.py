@@ -17,12 +17,17 @@ modes: in plain and polarized mode under Lebesgue or a density with a flux
 (the radial builtins), in functional mode when mu and f are both
 ``smooth`` (Lebesgue, Gaussian, |x|^2k).  They read the edges of
 K ∩ (K + x) from ``_intersection_pieces``: ``_flux_covariogram`` integrates
-the flux over them by the divergence theorem (plain and polarized), as
-``measure_body`` does over facets, and ``_functional_covariogram``
-integrates f(y - x) phi(y) over a fan of triangles, in ``simplex_integrals``
-calls.  Their brightness derivatives are slopes at 0 of Chebyshev
-interpolants on the first piece of ``_breakpoints``, where r -> g(r theta)
-is analytic (``_chebyshev_slope``).  Every other variant (3-D bodies,
+a flux over them by the divergence theorem, as ``measure_body`` does over
+facets, in one ``simplex_integrals`` call.  In plain and polarized mode
+that is mu's flux; in functional mode under gamma_n with f = gamma_n it is
+the Gaussian product rule's (``measures.product_flux``): gamma(y - x)
+gamma(y) = gamma(x / sqrt 2) gamma(sqrt 2 (y - x/2)), so the value is
+gamma(x / sqrt 2) times the flux z -> G(sqrt 2 z) over the polarized
+pieces.  Every other functional pair (|x|^2k, Lebesgue) is
+``_functional_covariogram``, which integrates f(y - x) phi(y) over a fan
+of triangles lifted to R^4.  Their brightness derivatives are slopes at 0
+of Chebyshev interpolants on the first piece of ``_breakpoints``, where
+r -> g(r theta) is analytic (``_chebyshev_slope``).  Every other variant (3-D bodies,
 ``exp_norm``, custom densities, balls) is ``numerics.monte_carlo`` over the
 intersection, known in H-representation (membership tests against K's
 facets).  Several translations are the columns of one integrand: they share
@@ -67,7 +72,7 @@ import numpy as np
 from . import bodies
 from .bodies import Polytope
 from .measures import (RELATIVE_FLOOR, Density, lebesgue, measure_body,
-                       simplex_integrals, DEFAULT_MC_SAMPLES)
+                       product_flux, simplex_integrals, DEFAULT_MC_SAMPLES)
 from .numerics import (MC_BLOCK, BoxSampler, ConfigurationError, DomainError,
                        PrecisionError, QuadratureFailure, QuadratureResult,
                        RandomStream, check_finite, check_monte_carlo,
@@ -93,9 +98,10 @@ class CovariogramQuery:
         They do not in plain and polarized mode under Lebesgue (in every
         dimension), nor on a polygon under a density with a ``flux`` in
         those modes, or under a ``smooth`` mu and f in functional mode (the
-        Lebesgue and Gaussian densities and the even powers |x|^2k, each
-        Lebesgue or with a flux; the functional cubature needs no flux, but
-        a cusp such as |x|^(1/2) at 0 would stall it)."""
+        Lebesgue and Gaussian densities and the even powers |x|^2k; the fan
+        needs no flux, but a cusp such as |x|^(1/2) at 0 would stall it).
+        Which deterministic route a functional pair takes (the product rule
+        or the fan) does not change this."""
         planar = isinstance(self.K, Polytope) and self.K.n == 2
         if self.mode == "functional":
             return not (planar and self.mu.smooth and self.f.smooth)
@@ -424,32 +430,39 @@ def mu_covariogram(q: CovariogramQuery, x):
     (plain/polarized) or the L^1(mu, K) norm of f (functional).  The
     Lebesgue plain/polarized path is one exact ``covariogram_exact`` call.
     On a polygon the other queries that ``q.sampled`` calls deterministic
-    are cubatures, each value to ``q.tol`` (1e-9 if None): under a density
-    with a ``flux`` the plain/polarized values integrate the flux over the
-    clipped edges, one call for all the translations
-    (``_flux_covariogram``), and the functional values integrate
-    f(y - x) phi(y) over a fan of triangles of each K ∩ (K + x), one call
-    per block of translations (``_functional_covariogram``).  Otherwise
-    (``q.sampled``) the translations are the columns of one ``monte_carlo``
-    call from ``q.stream`` over K's box, in every mode: the polarized set
-    (K - x/2) ∩ (K + x/2) lies in K too.  Each translation gets the bits a
+    are cubatures, each value to ``q.tol`` (1e-9 if None), one call for all
+    the translations (``_flux_covariogram``): under a density with a
+    ``flux`` the plain/polarized values integrate the flux over the clipped
+    edges, and functional values under gamma_n with f = gamma_n integrate
+    the product rule's flux over the polarized edges, times its weight
+    gamma(x / sqrt 2) (``measures.product_flux``).  Other functional values
+    integrate f(y - x) phi(y) over a fan of triangles of each K ∩ (K + x),
+    one call per block of translations (``_functional_covariogram``).
+    Otherwise (``q.sampled``) the translations are the columns of one
+    ``monte_carlo`` call from ``q.stream`` over K's box, in every mode: the
+    polarized set (K - x/2) ∩ (K + x/2) lies in K too.  Each translation gets the bits a
     draw of its own would give.
     """
     xs = np.asarray(x, dtype=float)
     single = xs.ndim == 1
     xs = np.atleast_2d(xs)
+    tol = 1e-9 if q.tol is None else q.tol
     if q.mu.is_lebesgue and q.mode in ("plain", "polarized"):
         # r_{lambda,K} = g_K by translation invariance
         results = [QuadratureResult(float(g), 0.0, 0) for g in covariogram_exact(q.K, xs)]
-    elif not q.sampled:
-        route = _functional_covariogram if q.mode == "functional" else _flux_covariogram
-        results = route(q, xs)
-    else:
+    elif q.sampled:
         res = monte_carlo(BoxSampler(*q.K.bounding_box()),
                           lambda points: _pointwise_values(q, points, xs).T,
                           q.N, q.stream)
         results = [QuadratureResult(float(v), float(e), res.evaluations)
                    for v, e in zip(res.value, res.error_estimate)]
+    elif q.mode != "functional":
+        results = _flux_covariogram(q.K, xs, q.mu.flux, q.mode == "polarized", tol)
+    elif (product := product_flux(q.mu, q.f)) is not None:
+        weight, flux = product
+        results = _flux_covariogram(q.K, xs, flux, True, tol, weight(xs))
+    else:
+        results = _functional_covariogram(q, xs)
     return results[0] if single else results
 
 
@@ -463,13 +476,14 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
     slope c_1 / b, with an error propagated from its check residual plus a
     roundoff floor of 64 ulp of Vol K.  Every other deterministic query (a
     polygon under a density with a ``flux``, or under a ``smooth`` mu and f
-    in functional mode) takes the slope at 0 of Chebyshev interpolants of
-    r -> ``mu_covariogram(q, r theta)``, which is analytic on [0, b], so the
-    slope converges geometrically in the degree: one stack of values at the
-    nodes of the degree-16 Chebyshev-Lobatto rule on [0, b], of which every
-    other one is the degree-8 rule's (``_chebyshev_slope``).  A mu that is
-    not ``smooth`` (|x|^alpha) shortens b to ``_analytic_reach``.  The value
-    is the fine rule's slope, and the error is the gap to the coarse rule's
+    in functional mode, whether by the product rule or by the fan) takes
+    the slope at 0 of Chebyshev interpolants of r -> ``mu_covariogram(q,
+    r theta)``, which is analytic on [0, b], so the slope converges
+    geometrically in the degree: one stack of values at the nodes of the
+    degree-16 Chebyshev-Lobatto rule on [0, b], of which every other one is
+    the degree-8 rule's (``_chebyshev_slope``).  A mu that is not
+    ``smooth`` (|x|^alpha) shortens b to ``_analytic_reach``.  The value is
+    the fine rule's slope, and the error is the gap to the coarse rule's
     plus sum_k |w_k| (e_k + 64 ulp |v_k|) / b, the value errors e_k (at
     ``q.tol``, 1e-9 if None) and roundoff carried through the fine weights
     w_k.
@@ -697,42 +711,51 @@ def _intersection_pieces(K: Polytope, xs: np.ndarray, polarized: bool = False):
     return tuple(np.concatenate(a) for a in (segments, offsets, owner))
 
 
-def _flux_covariogram(q: CovariogramQuery, xs: np.ndarray) -> list:
-    """g_{mu,K}(x) (plain) or r_{mu,K}(x) (polarized) at a stack (N, 2) of
-    translations of a polygon, for mu with a ``flux``.
+def _flux_covariogram(K: Polytope, xs: np.ndarray, flux, polarized: bool, tol,
+                      weight=1.0) -> list:
+    """weight(x) sum_s b_s ∫_s G ds over the edges s of K ∩ (K + x), with
+    offsets b_s, for G = ``flux`` at a stack (N, 2) of translations of a
+    polygon; the edges are moved by -x/2 when ``polarized``.  ``weight`` is
+    one number or one per translation.
 
-    As in ``measure_body``, mu(P) = sum_s b_s ∫_s G ds over the edges s of
-    P = K ∩ (K + x) (``_intersection_pieces``) with offsets b_s, by the
-    divergence theorem on the field G(y) y, with error sum_s |b_s| e_s; the
+    By the divergence theorem, as in ``measure_body``, the sum is the
+    integral of phi = div(G(y) y) over the polygon: g_{mu,K}(x) for G =
+    ``mu.flux`` (plain), r_{mu,K}(x) (polarized), and with the product
+    rule's flux and weight (``measures.product_flux``, polarized)
+    g_{gamma,gamma}(K, x).  The error is weight sum_s |b_s| e_s; the
     integrals come from ``simplex_integrals``, each piece of a translation
-    with S pieces at budget tol / (S |b_s|), tol = ``q.tol`` (1e-9 if
-    None).  A translation without pieces gets 0.  All pieces of all
-    translations make one cubature call, and each result carries that
-    call's evaluations.
+    with S pieces at budget tol / (S |b_s|), so that the error is at most
+    weight tol (the product rule's weight is at most 1/(2 pi)).  A
+    translation without pieces (``_intersection_pieces``) gets 0.  All
+    pieces of all translations make one cubature call, and each result
+    carries that call's evaluations.
     """
-    tol = 1e-9 if q.tol is None else q.tol
-    segments, b, owner = _intersection_pieces(q.K, xs, q.mode == "polarized")
+    segments, b, owner = _intersection_pieces(K, xs, polarized)
     with np.errstate(divide="ignore"):
         budgets = tol / (np.bincount(owner)[owner] * np.abs(b))
-    v, e, evaluations = simplex_integrals(segments, np.arange(len(b)), q.mu.flux, budgets)
-    values = np.bincount(owner, b * v, len(xs))
-    errors = np.bincount(owner, np.abs(b) * e, len(xs))
+    v, e, evaluations = simplex_integrals(segments, np.arange(len(b)), flux, budgets)
+    values = weight * np.bincount(owner, b * v, len(xs))
+    errors = weight * np.bincount(owner, np.abs(b) * e, len(xs))
     return [QuadratureResult(float(v), float(e), evaluations)
             for v, e in zip(values, errors)]
 
 
-# Translations per cubature call of the functional route.  Its triangles
-# carry four coordinates per node, and a call's refinement batches grow with
-# its triangles up to ``measures._BATCH``.  The worst brightness derivative
-# of c04's polygons (17 translations) peaked at 10.5 MB (tracemalloc) in one
-# call and at 4.4 MB in blocks of 4, about 8% slower; 170 translations along
-# one ray peaked at 37 MB in one call and at 1.5 MB in blocks (2-core x86).
+# Translations per cubature call of the fan.  Its triangles carry four
+# coordinates per node, and a call's refinement batches grow with its
+# triangles up to ``measures._BATCH``.  Under gamma_2 with f = |x|^2, the
+# worst brightness derivative of c04's polygons at their 16 c04 directions
+# (17 translations) peaked at 17.3 MB (tracemalloc) in one call and at
+# 4.8 MB in blocks of 4, about 13% slower over all 192; 170 translations
+# along one ray peaked at 39 MB in one call and at 1.5 MB in blocks (2-core
+# x86).
 _FAN_BLOCK = 4
 
 
 def _functional_covariogram(q: CovariogramQuery, xs: np.ndarray) -> list:
     """g_{mu,f}(K, x) = ∫_{K ∩ (K+x)} f(y - x) phi(y) dy at a stack (N, 2)
-    of translations of a polygon, for a ``smooth`` f and mu.
+    of translations of a polygon, for a ``smooth`` f and mu that the
+    Gaussian product rule (``measures.product_flux``) does not cover: a
+    Lebesgue or |x|^2k mu or f.
 
     Each K ∩ (K + x) is fanned into triangles from the mean of the ends of
     its edges (``_intersection_pieces``), an interior point of the convex

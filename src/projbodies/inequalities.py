@@ -395,11 +395,14 @@ def _verify_set_inclusion_big(K, mu, nu, f, family, s, cfg) -> Report:
     inf_phi = _boundary_density_min(K, mu)
     ratio = family.F(muK.value) / family.Fprime(muK.value)  # = mu(K)/s for powers
     # Pi_mu K - eta is Pi_mu K: eta = 0 exactly for Lebesgue (facet closure)
-    # and by symmetry on the other route
+    # and by symmetry on the other route.  The two exact links carry a
+    # roundoff budget of a few ulp of each radius: links that meet (the
+    # square's axes, the Lebesgue triangle) sit within it of each other.
+    roundoff = 4.0 * np.finfo(float).eps
     chain = [("Vol*inf(phi)*rho_Pi_mu_polar", K.volume * inf_phi / h_mu,
               K.volume * inf_phi * h_mu_err / h_mu ** 2),
-             ("Vol*rho_Pi_polar", K.volume / h_le, np.zeros_like(h_le)),
-             ("rho_DK", rho_dk, np.zeros_like(rho_dk)),
+             ("Vol*rho_Pi_polar", K.volume / h_le, roundoff * K.volume / h_le),
+             ("rho_DK", rho_dk, roundoff * rho_dk),
              ("(F/F')*rho_shifted_polar", ratio / h_mu,
               muK.error_estimate / family.s / h_mu + ratio * h_mu_err / h_mu ** 2)]
     names, radii, _ = zip(*chain)

@@ -25,7 +25,9 @@ cubature by the divergence theorem: the density's ``flux`` G makes G(y) y a
 field of divergence phi, so mu(K) = sum_i b_i ∫_{F_i} G dA over the facets
 with offsets b_i.  Every other density, and every ``Ball``, is
 ``numerics.monte_carlo_in``: Monte Carlo over the body's box, with phi
-evaluated only at the body's points.
+evaluated only at the body's points.  ``product_flux`` rewrites the product
+gamma_n(y - x) gamma_n(y) as a weight times a Gaussian with a flux, so the
+functional covariogram of two Gaussians takes the same divergence route.
 """
 
 from __future__ import annotations
@@ -273,6 +275,24 @@ def compose_linear(mu: Density, T) -> Density:
                    radially_nondecreasing=False, radially_decreasing=False,
                    concavity=mu.concavity, s_concave=mu.s_concave,
                    s_concave_symmetric=None, label=f"{mu.label}∘T")
+
+
+def product_flux(mu: Density, f: Density):
+    """The Gaussian product rule for f(y - x) phi(y): (weight, flux) when f
+    and phi are both the standard Gaussian gamma_n, and None otherwise.
+
+    Completing the square, gamma(y - x) gamma(y) = gamma(x / sqrt 2)
+    gamma(sqrt 2 (y - x/2)), a Gaussian centred at x/2.  If G is gamma's
+    ``flux`` (div(G(z) z) = gamma(z)), then div(G(sqrt 2 z) z) =
+    gamma(sqrt 2 z).  So ``weight`` is x -> gamma(x / sqrt 2) and ``flux``
+    is z -> G(sqrt 2 z), both vectorised over rows: the integral of f(y - x)
+    phi(y) over a polytope P is weight(x) times the integral of that flux
+    against the offsets of the facets of P - x/2.
+    """
+    if not (mu.kind == f.kind == "gaussian" and mu.n == f.n):
+        return None
+    root2 = math.sqrt(2.0)
+    return lambda x: mu.eval(x / root2), lambda z: mu.flux(root2 * z)
 
 
 # -- measures of bodies -------------------------------------------------------

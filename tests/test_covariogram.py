@@ -16,6 +16,7 @@ from projbodies.covariogram import (PrismSampler, _breakpoints,
                                     _brightness_quotients, _pointwise_values,
                                     _polar_average, _prism_quotients,
                                     _sampled_average, l1_norm, sample_uniform)
+from projbodies.measures import product_flux
 from projbodies.numerics import MC_BLOCK, row_blocks
 
 
@@ -1043,19 +1044,23 @@ def _peak_bytes(call):
 def test_deterministic_brightness_peak_memory():
     """On the same polygon and direction under gamma_2, the deterministic
     derivatives peak (tracemalloc) at or below the box kernel's 10,766,696
-    bytes in all three modes.  The functional cubature lifts its triangles
-    to R^4 and refines a block of translations per call, so a stack of 170
-    functional translations along theta stays under that limit too."""
+    bytes in all three modes, in functional mode with f = gamma_2 (the
+    product rule's edge flux) and with f = |x|^2 (the fan).  The fan lifts
+    its triangles to R^4 and refines a block of translations per call, so a
+    stack of 170 functional translations along theta stays under that limit
+    too, with either f."""
     K = pb.random_polytope(2, pb.RandomStream(424242).substream(13), symmetric=True)
     g = pb.gaussian(2)
     theta = np.array([0.8, 0.6])
-    for mode, f in (("plain", None), ("polarized", None), ("functional", g)):
+    rho = pb.radial_many(pb.difference_body(K), theta[None, :])[0]
+    xs = np.outer(np.linspace(0.0, rho, 170), theta)
+    for mode, f in (("plain", None), ("polarized", None), ("functional", g),
+                    ("functional", pb.radial_power(2, 2.0))):
         q = pb.CovariogramQuery(K, g, f, mode=mode)
         pb.brightness_derivative(q, theta)   # the difference body is cached
         assert _peak_bytes(lambda: pb.brightness_derivative(q, theta)) <= 10_766_696, mode
-    rho = pb.radial_many(pb.difference_body(K), theta[None, :])[0]
-    xs = np.outer(np.linspace(0.0, rho, 170), theta)
-    assert _peak_bytes(lambda: pb.mu_covariogram(q, xs)) <= 10_766_696
+        if f is not None:
+            assert _peak_bytes(lambda: pb.mu_covariogram(q, xs)) <= 10_766_696, f
 
 
 def _two_contains_integrand(q, points, x):
@@ -1361,6 +1366,91 @@ def test_functional_covariogram_of_a_box_meets_the_quad_products(lo, hi, gauss2)
     plain = pb.CovariogramQuery(K, gauss2, tol=1e-10)
     for a, b in zip(pb.mu_covariogram(lebesgue_f, xs), pb.mu_covariogram(plain, xs)):
         assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
+
+
+def _polygon_dblquad(P, fn):
+    """∫_P fn(y1, y2) dy by ``scipy.integrate.dblquad`` on the strips
+    between P's vertex abscissae, where both envelopes are linear."""
+    from scipy.integrate import dblquad
+    A, b = P.normals, P.offsets
+    up, down = A[:, 1] > 1e-14, A[:, 1] < -1e-14
+
+    def upper(t):
+        return np.min((b[up] - A[up, 0] * t) / A[up, 1])
+
+    def lower(t):
+        return np.max((b[down] - A[down, 0] * t) / A[down, 1])
+
+    cuts = np.unique(P.vertices[:, 0])
+    return sum(dblquad(lambda y2, y1: fn(y1, y2), a, c, lower, upper,
+                       epsabs=1e-15, epsrel=1e-13)[0] for a, c in zip(cuts, cuts[1:]))
+
+
+def test_product_route_meets_a_dblquad_on_a_triangle(gauss2):
+    """Under gamma_2 with f = gamma_2 the product-rule values on a triangle
+    agree with a tight dblquad of gamma(y - x) gamma(y) over K ∩ (K + x)
+    within their budgets (plus the reference's relative 1e-13), each budget
+    at most tol: at 0, inside DK and near its boundary; on the boundary and
+    beyond it the value is 0."""
+    K = pb.build_polytope([[-0.4, -0.7], [1.3, 0.2], [0.1, 1.1]])
+    q = pb.CovariogramQuery(K, gauss2, gauss2, mode="functional", tol=1e-11)
+    thetas = np.array([[1.0, 0.0], [0.6, -0.8], [-0.28, 0.96], [-0.8, -0.6]])
+    rho = pb.radial_many(pb.difference_body(K), thetas)
+    xs = np.concatenate([[[0.0, 0.0]], thetas * (0.4 * rho)[:, None],
+                         thetas * (0.97 * rho)[:, None], thetas[:2] * rho[:2, None],
+                         thetas[:1] * 1.2 * rho[:1, None]])
+    got = pb.mu_covariogram(q, xs)
+    assert [res.value for res in got[9:]] == [0.0] * 3
+    assert max(res.error_estimate for res in got) <= 1e-11
+    for x, res in zip(xs[:9], got):
+        ref = _polygon_dblquad(pb.intersect_translate(K, x),
+                               lambda y1, y2: _phi1(y1 - x[0]) * _phi1(y2 - x[1])
+                               * _phi1(y1) * _phi1(y2))
+        assert abs(res.value - ref) <= res.error_estimate + 1e-13 * ref, x
+
+
+def test_product_route_meets_the_fan_on_c04_polygons(gauss2):
+    """On c04's 12 polygons at 3 translations each (0 and two inside DK),
+    the product-rule values agree with the fan, called directly, within the
+    sum of both budgets at tol 1e-11, with fewer evaluations."""
+    gen = np.random.default_rng(25)
+    for K in _c04_bodies()[:12]:
+        theta = gen.standard_normal(2)
+        theta /= np.linalg.norm(theta)
+        rho = pb.radial_many(pb.difference_body(K), theta[None, :])[0]
+        xs = np.outer([0.0, 0.3 * rho, 0.8 * rho], theta)
+        q = pb.CovariogramQuery(K, gauss2, gauss2, mode="functional", tol=1e-11)
+        fan = covariogram._functional_covariogram(q, xs)
+        product = pb.mu_covariogram(q, xs)
+        for a, b in zip(product, fan):
+            assert a.error_estimate <= 1e-11
+            assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
+        assert product[0].evaluations < fan[0].evaluations
+
+
+def test_only_gaussian_pairs_take_the_product_route(triangle, gauss2, leb2):
+    """The product rule covers gamma_n x gamma_n alone: (gamma, |x|^2),
+    (|x|^2, gamma), (lambda, gamma) and (gamma, lambda) keep the fan's bits
+    and evaluations, a custom density labelled "gaussian" samples, and the
+    gamma x gamma values are not the fan's."""
+    square_norm = pb.radial_power(2, 2.0)
+    lookalike = pb.custom_density(2, gauss2.eval, gauss2.grad, label="gaussian",
+                                  even=True, radially_decreasing=True)
+    xs = np.array([[0.0, 0.0], [0.2, 0.1], [-0.1, 0.3]])
+    for mu, f in ((gauss2, square_norm), (square_norm, gauss2), (leb2, gauss2),
+                  (gauss2, leb2)):
+        assert product_flux(mu, f) is None
+        q = pb.CovariogramQuery(triangle, mu, f, mode="functional")
+        assert pb.mu_covariogram(q, xs) == covariogram._functional_covariogram(q, xs)
+    for mu, f in ((lookalike, gauss2), (gauss2, lookalike)):
+        assert product_flux(mu, f) is None
+        assert pb.CovariogramQuery(triangle, mu, f, mode="functional").sampled
+    assert product_flux(gauss2, pb.gaussian(3)) is None
+    q = pb.CovariogramQuery(triangle, gauss2, pb.gaussian(2), mode="functional")
+    product, fan = pb.mu_covariogram(q, xs), covariogram._functional_covariogram(q, xs)
+    assert product_flux(gauss2, pb.gaussian(2)) is not None
+    assert product[0].evaluations < fan[0].evaluations
+    assert [r.value for r in product] != [r.value for r in fan]
 
 
 def _reference_slopes(K, mode, thetas):

@@ -116,6 +116,24 @@ def test_set_inclusion_big(triangle, square, gauss2, leb2):
                   family=pb.power_family(0.5), precision=CFG)
 
 
+@pytest.mark.parametrize("seed", [1, 11])
+def test_set_inclusion_big_exact_links_carry_a_roundoff_budget(triangle, square, gauss2,
+                                                              leb2, seed):
+    """The Lebesgue triangle and the gamma_2 square meet at equality along
+    some direction (margin 0).  Their exact links Vol*rho_Pi_polar and
+    rho_DK carry 4 ulp of each radius, and every radius of those links is
+    at least 2 Vol K / S (S the perimeter: h_{Pi K} <= S / 2 and
+    Vol Pi° K ⊆ DK), so the tolerance is at least 3 times that floor; with
+    zero budgets it was 0 and one ulp of rounding flipped the verdict."""
+    cfg = pb.RunConfig(seed=seed)
+    for K, mu, family in ((triangle, leb2, None), (square, gauss2, pb.power_family(0.5))):
+        rep = pb.verify("set_inclusion_big", K, mu=mu, family=family, precision=cfg)
+        floor = 4.0 * np.finfo(float).eps * 2.0 * K.volume / K.areas.sum()
+        assert rep.passed and abs(rep.margin) <= rep.tolerance
+        assert rep.witnesses["worst_margin"].error >= floor
+        assert rep.tolerance >= 3.0 * floor
+
+
 @pytest.fixture
 def cubatures(monkeypatch):
     """The facet_weights calls made through the projection module."""

@@ -13,8 +13,8 @@ have one breakpoint finder, ``covariogram._breakpoints``: it and the
 intersection vertices alone read the face pairs.  Their pieces have one
 fitter, ``covariogram._fit_pieces``, the one raiser of a missed check node.
 The covariogram routes read what a density can do (``flux``,
-``radial_moment``, ``smooth``, ``is_lebesgue``), never its ``kind`` or
-``label``.
+``radial_moment``, ``smooth``, ``is_lebesgue`` and the Gaussian product
+rule of ``measures.product_flux``), never its ``kind`` or ``label``.
 """
 
 from __future__ import annotations
