@@ -10,9 +10,9 @@ general measures.
 from .numerics import (BoxSampler, ConfigurationError, DomainError,
                        EvaluationError, PrecisionError, QuadratureFailure,
                        QuadratureResult, RandomStream, SphereGrid,
-                       ball_volume, gaussian_cdf, gaussian_quantile,
-                       integrate_1d, monte_carlo, sphere_directions,
-                       sphere_surface)
+                       SphereSampler, ball_volume, gaussian_cdf,
+                       gaussian_quantile, integrate_1d, monte_carlo,
+                       sphere_directions, sphere_surface)
 from .bodies import (Ball, DegeneracyError, LinearMap, PolarDomainError,
                      Polytope, StarBody, apply_linear, build_polytope,
                      cross_polytope, cube, difference_body,

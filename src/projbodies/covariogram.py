@@ -40,11 +40,8 @@ outside a sliver of K within one step h of its shadow boundary, so
 ``PrismSampler`` draws the points from thin prisms on K's facets that hold
 the sliver: their volume is h h_{Pi K}(theta) by Cauchy's formula, and each
 draw's depth in its prism is its reach.  The functional quotient is nonzero
-on all of K, so it keeps points of K's box, projected onto K's normals
-once; each point's largest admissible step along theta, read off its facet
-slacks, gives every mask.  The integrand runs the kernels on blocks of
-``numerics.MC_BLOCK`` rows, so their temporaries never span all N points
-and their memory does not depend on the body or the seed.
+on all of K, so it combines the covariogram integrand at the translations
+0, h theta / 2 and h theta on points of K's box.
 
 Translated averages integrate a covariogram against a second measure.  On a
 polygon of at most seven vertices under a density with radial moments (the
@@ -54,11 +51,11 @@ rules on the arcs between the directions of v_i - v_j.  Along each ray g_K
 is one quadratic on each piece of ``_breakpoints``, which integrates in
 closed form from the density's ``radial_moment``.  Its work grows much
 faster with the vertex count than sampling's, so larger polygons and every
-other translated average sample pairs of uniform points of K.
-``sample_uniform`` draws them by box rejection, a block of ``MC_BLOCK``
-candidates at a time; it stops testing once it has enough and skips the
-generator past the untested rest, so its points and the draws after it are
-those of whole-chunk rejection.
+other translated average are ``monte_carlo`` over pairs of uniform points
+of K.  ``sample_uniform`` draws them by box rejection, a block of
+``MC_BLOCK`` candidates at a time; it stops testing once it has enough and
+skips the generator past the untested rest, so its points and the draws
+after it are those of whole-chunk rejection.
 """
 
 from __future__ import annotations
@@ -75,9 +72,7 @@ from .measures import (RELATIVE_FLOOR, Density, lebesgue, measure_body,
                        product_flux, simplex_integrals, DEFAULT_MC_SAMPLES)
 from .numerics import (MC_BLOCK, BoxSampler, ConfigurationError, DomainError,
                        PrecisionError, QuadratureFailure, QuadratureResult,
-                       RandomStream, check_finite, check_monte_carlo,
-                       mean_with_budget, monte_carlo, monte_carlo_in,
-                       row_blocks)
+                       RandomStream, monte_carlo, monte_carlo_in)
 
 
 @dataclass
@@ -357,45 +352,6 @@ def _prism_quotients(q: CovariogramQuery, sampler: PrismSampler,
     return out
 
 
-def _brightness_quotients(q: CovariogramQuery, points: np.ndarray,
-                          theta: np.ndarray, h: float) -> np.ndarray:
-    """Per-point quotient 4 v(h/2) - v(h) - 3 v(0) of the functional
-    covariogram integrands v at steps {0, h/2, h} on shared box points.
-
-    The points are projected onto K's normals once, as facet-major slacks
-    b_i + tol - <u_i, x>.  The base mask (x in K) comes from them, and so
-    does each point's reach s*: with c_i = <u_i, theta>, x - s theta stays
-    in K while s <= min over c_i < 0 of slack_i / -c_i.  The masks at h/2
-    and h are s* >= step.  f(x - s theta) differs from f(x), so every point
-    of K is evaluated; the common random points make the variance of the
-    quotient proportional to the sliver, not the body.
-    """
-    K, mu = q.K, q.mu
-    slack = K.slack(points)
-    c = K.normals @ theta
-    inside = np.flatnonzero(np.all(slack >= 0.0, axis=0))
-    reach = np.full(len(points), np.inf)
-    # rows are scaled in place, so no second (m, N) array is ever held
-    for i in np.flatnonzero(c < 0.0):
-        slack[i] /= -c[i]
-        np.minimum(reach, slack[i], out=reach)
-    del slack
-    reach = np.take(reach, inside)
-
-    x = np.take(points, inside, axis=0)
-    phi = mu.eval(x)
-    values = [q.f.eval(x) * phi]
-    for step in (h / 2, h):
-        shifted = x.copy()
-        for j, t in enumerate(step * theta):   # x - step theta, by columns
-            shifted[:, j] -= t
-        values.append(q.f.eval(shifted) * phi * (reach >= step))
-    v0, v1, v2 = values
-    out = np.zeros(len(points))
-    out[inside] = 4.0 * v1 - v2 - 3.0 * v0
-    return out
-
-
 def _pointwise_values(q: CovariogramQuery, points: np.ndarray, xs) -> np.ndarray:
     """The integrand of the queried covariogram at the sample points: (k, N),
     a row per translation in ``xs``, so its transpose is column-major.
@@ -466,8 +422,7 @@ def mu_covariogram(q: CovariogramQuery, x):
     return results[0] if single else results
 
 
-def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
-                          ) -> QuadratureResult:
+def brightness_derivative(q: CovariogramQuery, theta) -> QuadratureResult:
     """One-sided radial derivative of the covariogram at 0.
 
     Every query that ``q.sampled`` calls deterministic reads the first piece
@@ -489,26 +444,20 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
     w_k.
 
     The Monte Carlo path is ``monte_carlo`` of the Richardson-combined
-    difference quotients at steps {h, h/2}, divided by h, on common random
-    points; its budget is three standard errors of that quotient.  Only
-    this path takes steps: ``h`` (1e-3 of the body diameter if None) is
-    range-checked for every query but moves no deterministic value.  The
-    plain and polarized modes draw the points from the facet prisms of
+    difference quotients 4 v(h/2) - v(h) - 3 v(0), divided by h, on common
+    random points; its budget is three standard errors of that quotient.
+    Only this path takes a step, h = 1e-3 of the body diameter, which must
+    be at most rho_DK(theta) / 4 (else ``DomainError``).  The plain and
+    polarized modes draw the points from the facet prisms of
     ``PrismSampler``, where the quotient lives; the functional mode draws
-    them from K's box.  The quotients are per row, so building them a block
-    of rows at a time gives the bits of one kernel call over all N rows
-    (tests pin this in two and three dimensions).
+    them from K's box and reads v from ``_pointwise_values`` at the
+    translations 0, h theta / 2 and h theta.
 
     A ``q.tol`` below the error raises ``PrecisionError``; on the Monte
     Carlo path a larger N lowers the error, on the deterministic paths N
     plays no part.
     """
     (theta,), (rho,) = _unit_rays(q.K, theta)
-    if h is None:
-        h = 1e-3 * q.K.diameter
-    if not 0.0 < h <= rho / 4.0 + 1e-12:
-        raise DomainError(f"step {h} outside (0, rho_DK/4 = {rho / 4.0:.3g}]")
-
     if not q.sampled:
         # normalised once more, as the slope was always fitted (its bits are pinned)
         rays, rhos = _unit_rays(q.K, theta)
@@ -523,23 +472,21 @@ def brightness_derivative(q: CovariogramQuery, theta, h: float | None = None
             reach = min(b[0], _analytic_reach(q, rays[0]))
             value, err, evals = _chebyshev_slope(q, rays[0], reach)
     else:
+        h = 1e-3 * q.K.diameter
+        if h > rho / 4.0 + 1e-12:
+            raise DomainError(f"step {h} outside (0, rho_DK/4 = {rho / 4.0:.3g}]")
         if q.mode == "functional":
             sampler = BoxSampler(*q.K.bounding_box())
+            steps = np.outer([0.0, h / 2, h], theta)
 
-            def kernel(points):
-                return _brightness_quotients(q, points, theta, h)
+            def quotients(points):
+                v0, v1, v2 = _pointwise_values(q, points, steps)
+                return (4.0 * v1 - v2 - 3.0 * v0) / h
         else:
             sampler = PrismSampler(q.K, theta, h, q.mode == "polarized")
 
-            def kernel(draws):
-                return _prism_quotients(q, sampler, draws)
-
-        def quotients(points):
-            r = np.empty(len(points))
-            for block in row_blocks(len(points)):
-                r[block] = kernel(points[block])
-            r /= h
-            return r
+            def quotients(draws):
+                return _prism_quotients(q, sampler, draws) / h
 
         res = monte_carlo(sampler, quotients, q.N, q.stream)
         value, err, evals = res.value, res.error_estimate, 3 * q.N
@@ -989,24 +936,24 @@ def _polar_average(K: Polytope, mu: Density, tol: float) -> QuadratureResult:
         fine[finer], radial[finer] = rule(finer)
 
 
-def sample_uniform(body, gen: np.random.Generator, count: int) -> np.ndarray:
-    """Uniform points in a convex body by bounding-box rejection.
+def sample_uniform(body, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (count, n) with uniform points in a convex body by
+    bounding-box rejection, and return it.
 
     Candidates come in chunks of about 1.3 times the expected need.  Each
     chunk is drawn, tested with ``body.contains`` and kept a block of
     ``numerics.MC_BLOCK`` rows at a time, the accepted rows going straight
-    into the output.  ``Generator.random`` fills row-major, one PCG64 step
-    per float, so a chunk drawn block by block has the bits of one draw.
-    Once ``count`` points are kept, the untested rest of the chunk is
-    skipped with ``bit_generator.advance``: the generator ends where a
-    whole-chunk draw would leave it, and the draws after this call do not
-    depend on the blocking (``advance`` also drops a buffered 32-bit
-    half-draw, which no float draw leaves).
+    into ``out``.  ``Generator.random`` fills row-major, one PCG64 step per
+    float, so a chunk drawn block by block has the bits of one draw.  Once
+    ``count`` points are kept, the untested rest of the chunk is skipped
+    with ``bit_generator.advance``: the generator ends where a whole-chunk
+    draw would leave it, and the draws after this call do not depend on the
+    blocking (``advance`` also drops a buffered 32-bit half-draw, which no
+    float draw leaves).
     """
     box = BoxSampler(*body.bounding_box())
     vol = bodies.volume(body)
-    n = len(box.lows)
-    out = np.empty((count, n))
+    count, n = out.shape
     have = 0
     chunk = int(min(4_000_000, max(1024, count * box.measure / vol * 1.3)))
     while have < count:
@@ -1020,6 +967,22 @@ def sample_uniform(body, gen: np.random.Generator, count: int) -> np.ndarray:
                 gen.bit_generator.advance((chunk - start - rows) * n)
                 break
     return out
+
+
+@dataclass(frozen=True)
+class _PairSampler:
+    """Pairs (y, w) of independent uniform points of K, of measure 1.0:
+    ``sample_uniform`` fills the y and then the w half of one (2, count, n)
+    array, and its (count, 2, n) transpose holds a pair per row uncopied."""
+
+    K: Polytope | bodies.Ball
+    measure = 1.0
+
+    def sample(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        pairs = np.empty((2, count, self.K.n))
+        for half in pairs:
+            sample_uniform(self.K, gen, half)
+        return pairs.transpose(1, 0, 2)
 
 
 def _as_eval(f) -> Callable[[np.ndarray], np.ndarray]:
@@ -1075,53 +1038,46 @@ def _sampled_average(kind: str, K, mu: Density | None = None,
     * ``nu_mu_functional``: the same with f(w) inserted, normalized by the
       L^1(mu, K) norm of f.
 
-    mu(K) comes from ``measure_body`` at ``tol``.  The integrand is
-    evaluated on ``MC_BLOCK`` rows at a time, so its temporaries stay
-    block-sized, under ``monte_carlo``'s guards.
+    mu(K) comes from ``measure_body`` at ``tol``.  The means are
+    ``monte_carlo`` over ``_PairSampler``: a non-finite value raises with
+    its pair (y, w) as the point.
     """
-    check_monte_carlo(N, stream)
     vol = bodies.volume(K)
     if vol <= 0:
         raise DomainError("zero-volume normalizer")
-    gen = stream.generator()
-    ys = sample_uniform(K, gen, N)
-    ws = sample_uniform(K, gen, N)
-
-    def blocked(pair_values):
-        # one (N,) array, filled a block of rows at a time: elementwise, so
-        # the bits are those of the whole-array expression
-        out = np.empty(N)
-        for rows in row_blocks(N):
-            out[rows] = pair_values(ys[rows], ws[rows])
-        check_finite(out, ys, ws)
-        return out
-
+    pairs = _PairSampler(K)
     if kind == "mu_lambda":
         if mu is None:
             raise ConfigurationError("mu_lambda needs mu")
-        mean, err = mean_with_budget(blocked(lambda y, w: mu.eval(y - w) * vol))
-        return QuadratureResult(mean, err, N)
+        return monte_carlo(pairs, lambda p: mu.eval(p[:, 0] - p[:, 1]) * vol,
+                           N, stream)
 
     if kind == "nu_mu_body":
         if mu is None or nu is None:
             raise ConfigurationError("nu_mu_body needs mu and nu")
-        num_vals = blocked(lambda y, w: mu.eval(y) * nu.eval(y - w) * vol * vol)
-        den = measure_body(mu, K, stream.substream(1), N, tol)
+
+        def pair_values(p):
+            y, w = p[:, 0], p[:, 1]
+            return mu.eval(y) * nu.eval(y - w) * vol * vol
     elif kind == "nu_mu_functional":
         if mu is None or nu is None or f is None:
             raise ConfigurationError("nu_mu_functional needs mu, nu and f")
         fe = _as_eval(f)
-        num_vals = blocked(lambda y, w: mu.eval(y) * fe(w) * nu.eval(y - w)
-                           * vol * vol)
-        den = l1_norm(f, mu, K, stream.substream(1), N)
+
+        def pair_values(p):
+            y, w = p[:, 0], p[:, 1]
+            return mu.eval(y) * fe(w) * nu.eval(y - w) * vol * vol
     else:
         raise ConfigurationError(f"unknown translated-average kind {kind!r}")
 
+    num = monte_carlo(pairs, pair_values, N, stream)
+    den = (measure_body(mu, K, stream.substream(1), N, tol) if kind == "nu_mu_body"
+           else l1_norm(f, mu, K, stream.substream(1), N))
     if den.value <= 0:
         raise DomainError(f"zero normalizer for kind {kind!r}")
-    num, num_err = mean_with_budget(num_vals)
-    value = num / den.value
-    err = num_err / den.value + abs(num) * den.error_estimate / den.value ** 2
+    value = num.value / den.value
+    err = (num.error_estimate / den.value
+           + abs(num.value) * den.error_estimate / den.value ** 2)
     return QuadratureResult(value, err, 2 * N)
 
 

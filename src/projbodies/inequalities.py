@@ -36,9 +36,8 @@ from .measures import (ConcavityFamily, Density, boundary_measure,
                        exp_norm, exp_norm_mass_of_scaled, gaussian_ball_mass,
                        lebesgue, measure_body, power_family)
 from .numerics import (ConfigurationError, DomainError, QuadratureResult,
-                       RandomStream, ball_volume, check_finite,
-                       check_monte_carlo, gaussian_cdf, gaussian_quantile,
-                       integrate_1d, mean_with_budget, sphere_directions)
+                       RandomStream, SphereSampler, ball_volume, gaussian_cdf,
+                       gaussian_quantile, integrate_1d, monte_carlo)
 from .projection import Zonoid, projection_zonoid, shifted_zonoid
 from .report import (Report, RunConfig, Witness, direction_grid,
                      finish_report, first_order_error, worst_link)
@@ -316,7 +315,8 @@ def _verify_exp_norm_gradient(K, mu, nu, f, family, s, cfg) -> Report:
 
     The radial part of the right-hand side is exact per direction (a Gamma
     integral), leaving an angular integral handled adaptively in the plane
-    and for n >= 3 by ``cfg.samples`` directions, under the Monte Carlo guards.
+    and for n >= 3 by ``monte_carlo`` over ``cfg.samples`` uniform
+    directions (``SphereSampler``).
     """
     require(mu is not None, "exp_norm_gradient_identity needs a measure mu")
     require(np.min(K.offsets) > 1e-9,
@@ -328,7 +328,6 @@ def _verify_exp_norm_gradient(K, mu, nu, f, family, s, cfg) -> Report:
     U = K.normals / K.offsets[:, None]
 
     def angular(omega):
-        omega = np.atleast_2d(omega)
         scores = omega @ U.T
         j = np.argmax(scores, axis=1)
         norm_val = scores[np.arange(len(omega)), j]
@@ -342,14 +341,9 @@ def _verify_exp_norm_gradient(K, mu, nu, f, family, s, cfg) -> Report:
         res = integrate_1d(f1, 0.0, 2.0 * np.pi, max(cfg.tol, 1e-10))
         rhs, rhs_err = res.value, res.error_estimate
     else:
-        count, stream = cfg.samples, cfg.stream().substream(3)
-        check_monte_carlo(count, stream)
-        omega = sphere_directions(n, count, "uniform_random", stream).directions
-        values = angular(omega)
-        check_finite(values, omega)
-        mean, budget = mean_with_budget(values)
-        surf = n * ball_volume(n)
-        rhs, rhs_err = mean * surf, budget * surf
+        res = monte_carlo(SphereSampler(n), angular, cfg.samples,
+                          cfg.stream().substream(3))
+        rhs, rhs_err = res.value, res.error_estimate
     witnesses = {"mu_boundary": Witness(bm.value, bm.error_estimate),
                  "gradient_integral": Witness(rhs, rhs_err)}
     # identity check: margin is minus the absolute defect

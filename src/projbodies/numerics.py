@@ -13,10 +13,10 @@ inequality reports) builds on the four primitives here:
 * ``monte_carlo`` -- the one Monte Carlo estimator, and ``monte_carlo_in``,
   the same over a body's box with the integrand evaluated only in the body.
   mu(K) and polar-set measures of densities without a ``flux``, L^1 norms,
-  mu-covariograms, their brightness derivatives and the interior offset
-  integrals draw through them; the pair averages of ``translated_average``
-  and the direction average of the exp_norm gradient identity draw their
-  own.  The guards (a stream, N >= 1000, finite values) hold for them all.
+  mu-covariograms, their brightness derivatives, the interior offset
+  integrals, the pair averages of ``translated_average`` and the direction
+  average of the exp_norm gradient identity all draw through them, under
+  one set of guards (a stream, N >= 1000, finite values).
 """
 
 from __future__ import annotations
@@ -163,9 +163,7 @@ def sphere_directions(n: int, count: int, mode: str = "auto",
     elif mode == "uniform_random":
         if stream is None:
             raise ConfigurationError("uniform_random mode requires a RandomStream")
-        gen = stream.generator()
-        raw = gen.standard_normal((count, n))
-        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        dirs = _unit_normals(stream.generator(), count, n)
         weights = np.full(count, sphere_surface(n) / count)
     else:
         raise ConfigurationError(f"unknown sphere grid mode {mode!r}")
@@ -173,6 +171,12 @@ def sphere_directions(n: int, count: int, mode: str = "auto",
     grid = SphereGrid(n, dirs, weights)
     grid.validate()
     return grid
+
+
+def _unit_normals(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """(count, n) uniform directions on S^{n-1}: normalised Gaussian rows."""
+    raw = gen.standard_normal((count, n))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 def gaussian_cdf(x):
@@ -242,7 +246,18 @@ class BoxSampler:
         return u
 
 
-# Rows of sample points per block in the Monte Carlo kernels.  Their
+class SphereSampler:
+    """Uniform directions on S^{n-1}, with its surface measure n kappa_n:
+    the draws of ``sphere_directions``' ``uniform_random`` mode."""
+
+    def __init__(self, n: int):
+        self.n, self.measure = n, sphere_surface(n)
+
+    def sample(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        return _unit_normals(gen, count, self.n)
+
+
+# Rows of sample points per integrand call in ``monte_carlo``.  Their
 # (m, rows) facet slacks and the subsets they gather are built a block at a
 # time, so their temporaries stay block-sized and the peak memory of a call
 # does not swing with the body's facet count or the seed.
@@ -283,34 +298,39 @@ def check_monte_carlo(N: int, stream: RandomStream | None):
         raise ConfigurationError(f"need N >= 1000 Monte Carlo samples, got {N}")
 
 
-def check_finite(values: np.ndarray, *points: np.ndarray):
+def check_finite(values: np.ndarray, points: np.ndarray):
     """Raise ``EvaluationError`` at the first row holding a non-finite value;
-    its ``point`` is that row of ``points`` (stacked, for a pair of arrays)."""
+    its ``point`` is that row of ``points``."""
     bad = ~np.isfinite(values)
     if np.any(bad):
         row = int(np.argmax(np.reshape(bad, (len(bad), -1)).any(axis=1)))
-        point = np.stack([p[row] for p in points])
         raise EvaluationError("integrand returned a non-finite value",
-                              point=point[0] if len(points) == 1 else point)
+                              point=points[row])
 
 
 def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureResult:
     """Plain Monte Carlo of ``integrand`` over the sampler's region (a box,
-    or a union of prisms): the mean of its values at N uniform points,
-    times the region's ``measure``, with three standard errors (a 99.7%
-    budget) as ``error_estimate``.
+    prisms, the sphere or pairs of points): the mean of its values at N
+    uniform draws, times the region's ``measure``, with three standard
+    errors (a 99.7% budget) as ``error_estimate``.
 
-    The integrand is vectorized over the (N, d) rows the sampler returns
-    (points, or points with their prism coordinates).  It returns (N,)
-    values, or (N, k) columns that share the draw; each column then gets the
-    bits a 1-D run of its own would give, and the result's value and error
-    are (k,) arrays.  Stack columns column-major, so each is reduced in
-    place.  This is the one estimator; ``check_monte_carlo`` checks the
-    stream and the sample count, ``check_finite`` every value.
+    The sampler returns N rows of any trailing shape (points, prism
+    coordinates or (y, w) pairs).  This is the one estimator and the one
+    place rows are blocked: the vectorized integrand is called on slices of
+    ``MC_BLOCK`` rows and returns (rows,) values, or (rows, k) columns that
+    share the draw, which fill one (N,) or column-major (N, k) array.  Each
+    column gets the bits of a 1-D run of its own; value and error are then
+    (k,) arrays.  ``check_monte_carlo`` checks the stream and the sample
+    count, ``check_finite`` every value.
     """
     check_monte_carlo(N, stream)
     points = sampler.sample(stream.generator(), N)
-    values = np.asarray(integrand(points), dtype=float)
+    values = None
+    for block in row_blocks(N):
+        v = np.asarray(integrand(points[block]), dtype=float)
+        if values is None:
+            values = np.empty((N,) + v.shape[1:], order="F")
+        values[block] = v
     check_finite(values, points)
     mean, budget = mean_with_budget(values)
     return QuadratureResult(mean * sampler.measure, budget * sampler.measure, N)
@@ -319,19 +339,14 @@ def monte_carlo(sampler, integrand, N: int, stream: RandomStream) -> QuadratureR
 def monte_carlo_in(body, fn, N: int, stream: RandomStream) -> QuadratureResult:
     """``monte_carlo`` over ``body``'s bounding box of ``fn`` times the
     body's indicator (a ``Polytope`` or a ``Ball``).  ``fn`` sees only the
-    body's points, one ``MC_BLOCK`` of rows at a time, and returns (rows,)
-    values or (rows, k) columns for one column-major array that is 0 off the
-    body: an elementwise ``fn`` gets the bits of ``fn(p) * body.contains(p)``.
+    body's points of each block and returns their values or columns: an
+    elementwise ``fn`` gets the bits of ``fn(p) * body.contains(p)``.
     """
-    def integrand(points):
-        values = None
-        for block in row_blocks(len(points)):
-            p = points[block]
-            inside = body.contains(p)
-            v = np.asarray(fn(p[inside]), dtype=float)
-            if values is None:
-                values = np.zeros((len(points),) + v.shape[1:], order="F")
-            values[block][inside] = v
+    def integrand(p):
+        inside = body.contains(p)
+        v = np.asarray(fn(p[inside]), dtype=float)
+        values = np.zeros((len(p),) + v.shape[1:])
+        values[inside] = v
         return values
 
     return monte_carlo(BoxSampler(*body.bounding_box()), integrand, N, stream)

@@ -227,7 +227,7 @@ def _interior_vector(K: Polytope, fn, stream: RandomStream, N: int):
 
 def brightness_residual(K: Polytope, mu: Density, theta, mode: str = "plain",
                         f=None, stream: RandomStream | None = None,
-                        N: int = DEFAULT_MC_SAMPLES, h: float | None = None,
+                        N: int = DEFAULT_MC_SAMPLES,
                         tol: float = 1e-9) -> QuadratureResult:
     """|d/dr covariogram + h_{Pi - offset}(theta)| with its error budget.
 
@@ -242,7 +242,7 @@ def brightness_residual(K: Polytope, mu: Density, theta, mode: str = "plain",
                 "polarized brightness needs symmetric K and even mu")
     f = f if mode == "functional" else None
     query = CovariogramQuery(K, mu, f, mode=mode, stream=stream, N=N)
-    fd = brightness_derivative(query, theta, h=h)
+    fd = brightness_derivative(query, theta)
 
     if mode == "polarized":
         zon, off_err = projection_zonoid(K, mu, tol=tol), 0.0

@@ -12,10 +12,10 @@ from scipy.spatial import ConvexHull, QhullError
 import projbodies as pb
 from conftest import flux_free
 from projbodies import covariogram
-from projbodies.covariogram import (PrismSampler, _breakpoints,
-                                    _brightness_quotients, _pointwise_values,
-                                    _polar_average, _prism_quotients,
-                                    _sampled_average, l1_norm, sample_uniform)
+from projbodies.covariogram import (PrismSampler, _PairSampler, _breakpoints,
+                                    _pointwise_values, _polar_average,
+                                    _prism_quotients, _sampled_average,
+                                    l1_norm, sample_uniform)
 from projbodies.measures import product_flux
 from projbodies.numerics import MC_BLOCK, row_blocks
 
@@ -290,10 +290,27 @@ def test_brightness_gaussian(square, gauss2, stream):
     assert abs(fd.value + gauss_edge_weight()) <= fd.error_estimate
 
 
-def test_brightness_step_guard(square):
-    q = pb.CovariogramQuery(square)
-    with pytest.raises(pb.DomainError):
-        pb.brightness_derivative(q, [1.0, 0.0], h=10.0)
+def test_only_the_monte_carlo_brightness_takes_a_step(gauss2, stream):
+    """A needle 2 x 0.002 across its width: the Monte Carlo step 1e-3 diam K
+    exceeds rho_DK / 4 = 0.0005 there, so a sampled query raises
+    ``DomainError``, while the deterministic derivatives, which take no
+    step, meet -h of the matching projection body within their budgets."""
+    K = pb.build_polytope([[-1, -0.001], [1, -0.001], [1, 0.001], [-1, 0.001]])
+    theta = np.array([[0.0, 1.0]])
+    fd = pb.brightness_derivative(pb.CovariogramQuery(K), theta[0])
+    h = pb.projection_zonoid(K).support(theta)[0]
+    assert abs(fd.value + h) <= fd.error_estimate < 1e-12
+    for mode in ("plain", "polarized", "functional"):
+        f = gauss2 if mode == "functional" else None
+        q = pb.CovariogramQuery(K, gauss2, f, mode=mode)
+        assert not q.sampled
+        fd = pb.brightness_derivative(q, theta[0])
+        # K and gamma_2 are even, so eta = 0, and f = mu gives tau = 0
+        h = pb.projection_zonoid(K, gauss2, f, tol=1e-12).support(theta)[0]
+        assert abs(fd.value + h) <= fd.error_estimate < 1e-4 * h
+        q = pb.CovariogramQuery(K, flux_free(gauss2), f, mode=mode, stream=stream)
+        with pytest.raises(pb.DomainError, match="rho_DK/4 = 0.0005"):
+            pb.brightness_derivative(q, theta[0])
 
 
 def test_brightness_precision_error(square, gauss2, stream):
@@ -675,7 +692,8 @@ def test_blocked_translated_average_matches_whole_array(n):
     mu, nu, f = pb.gaussian(n), pb.radial_power(n, 1.0), pb.gaussian(n)
     N, stream = 2 * MC_BLOCK + 9_000, pb.RandomStream(61)
     gen = stream.generator()
-    ys, ws = sample_uniform(K, gen, N), sample_uniform(K, gen, N)
+    ys = sample_uniform(K, gen, np.empty((N, n)))
+    ws = sample_uniform(K, gen, np.empty((N, n)))
     vol = K.volume
     res = _sampled_average("mu_lambda", K, mu=mu, stream=stream, N=N)
     mean, err = pb.numerics.mean_with_budget(mu.eval(ys - ws) * vol)
@@ -728,9 +746,10 @@ def test_sample_uniform_matches_whole_chunk_rejection(body, count):
          "simplex3": pb.standard_simplex(3), "simplex4": pb.standard_simplex(4)}[body]
     stream = pb.RandomStream(7373, count)
     gen, ref_gen = stream.generator(), stream.generator()
-    points = sample_uniform(K, gen, count)
+    out = np.empty((count, K.n))
+    points = sample_uniform(K, gen, out)
     ref = _whole_chunk_sample_uniform(K, ref_gen, count)
-    assert points.flags.c_contiguous and points.shape == (count, K.n)
+    assert points is out
     assert points.tobytes() == ref.tobytes()
     assert gen.bit_generator.state == ref_gen.bit_generator.state
     assert gen.random(64).tobytes() == ref_gen.random(64).tobytes()
@@ -749,7 +768,7 @@ def test_sample_uniform_stops_testing_at_the_block_of_the_last_kept(
         return contains(self, points, tol)
 
     monkeypatch.setattr(pb.Polytope, "contains", counting)
-    sample_uniform(triangle, stream.generator(), N)
+    sample_uniform(triangle, stream.generator(), np.empty((N, 2)))
     monkeypatch.undo()
 
     box, chunk = _chunk_rows(triangle, N)
@@ -757,6 +776,21 @@ def test_sample_uniform_stops_testing_at_the_block_of_the_last_kept(
     last = accepted[N - 1]   # one chunk holds all N points
     assert sum(tested) == (last // MC_BLOCK + 1) * MC_BLOCK < chunk
     assert max(tested) == MC_BLOCK
+
+
+def test_pair_rows_are_the_two_draws_uncopied():
+    """Each row of ``_PairSampler`` is (y, w): y from a first
+    ``sample_uniform`` call and w from a second on the same generator,
+    read in place from the halves of one (2, N, n) array."""
+    K, N, stream = pb.standard_simplex(3), MC_BLOCK + 999, pb.RandomStream(8181)
+    pairs = _PairSampler(K).sample(stream.generator(), N)
+    gen = stream.generator()
+    ys = sample_uniform(K, gen, np.empty((N, 3)))
+    ws = sample_uniform(K, gen, np.empty((N, 3)))
+    assert pairs.shape == (N, 2, 3) and _PairSampler.measure == 1.0
+    assert pairs[:, 0].tobytes() == ys.tobytes()
+    assert pairs[:, 1].tobytes() == ws.tobytes()
+    assert pairs.base.shape == (2, N, 3) and pairs.base.flags.c_contiguous
 
 
 def _three_contains_integrands(q, points, theta, h):
@@ -793,10 +827,11 @@ def _polarized_prism_count(K, theta, h, points):
 @pytest.mark.parametrize("mode", ["plain", "polarized", "functional"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_brightness_values_match_three_contains(n, mode):
-    """The box kernel (functional) and the prism kernel (plain, polarized)
-    against three ``contains`` masks on the same points.  The box points
-    include each facet hyperplane moved out by contains' tol, and one ulp to
-    either side.  A prism draw within h/2 of both polarized exits lies in
+    """The functional quotient (the Richardson combination of
+    ``_pointwise_values`` at 0, h theta / 2 and h theta, on box points) and
+    the prism kernel (plain, polarized) against three ``contains`` masks on
+    the same points.  The box points include each facet hyperplane moved
+    out by contains' tol, and one ulp to either side.  A prism draw within h/2 of both polarized exits lies in
     two prisms and counts half; the prism kernel writes phi and -3 phi where
     the masks give 4 phi - 3 phi and -3 phi, so it agrees to a few ulp."""
     stream = pb.RandomStream(4242)
@@ -823,7 +858,9 @@ def test_brightness_values_match_three_contains(n, mode):
             v0, v1, v2 = _three_contains_integrands(q, points, theta, h)
             ref = 4.0 * v1 - v2 - 3.0 * v0
             if mode == "functional":
-                new = _brightness_quotients(q, points, theta, h)
+                steps = np.outer([0.0, h / 2, h], theta)
+                p0, p1, p2 = _pointwise_values(q, points, steps)
+                new = 4.0 * p1 - p2 - 3.0 * p0
                 assert new.tobytes() == ref.tobytes()
                 continue
             new = _prism_quotients(q, sampler, draws)
@@ -881,10 +918,11 @@ def test_brightness_evaluates_phi_on_the_sliver_only():
 @pytest.mark.parametrize("n", [2, 3])
 def test_blocked_derivative_matches_one_kernel_call(n, mode):
     """Quotients built a block of rows at a time have the bits of one
-    kernel call over all the rows, across an uneven last block: the value
-    is mean(quotients / h) times the measure of the sampled region (K's
-    box, or the prisms for plain and polarized) and the budget three
-    standard errors."""
+    kernel call over all the rows, across an uneven last block (the
+    functional kernel is the Richardson combination of
+    ``_pointwise_values``): the value is mean(quotients / h) times the
+    measure of the sampled region (K's box, or the prisms for plain and
+    polarized) and the budget three standard errors."""
     g = flux_free(pb.gaussian(n))
     K = pb.random_polytope(n, pb.RandomStream(5151).substream(n), symmetric=True)
     theta = np.ones(n) / math.sqrt(n)
@@ -899,7 +937,8 @@ def test_blocked_derivative_matches_one_kernel_call(n, mode):
     if mode == "functional":
         sampler = pb.BoxSampler(*K.bounding_box())
         points = sampler.sample(stream.generator(), N)
-        r = _brightness_quotients(q, points, theta, h) / h
+        v0, v1, v2 = _pointwise_values(q, points, np.outer([0.0, h / 2, h], theta))
+        r = (4.0 * v1 - v2 - 3.0 * v0) / h
     else:
         sampler = PrismSampler(K, theta, h, mode == "polarized")
         r = _prism_quotients(q, sampler, sampler.sample(stream.generator(), N)) / h

@@ -7,12 +7,13 @@ neither ``scipy.stats`` nor ``scipy.optimize``: exact polytope algebra and
 ``scipy.special`` cover what they were used for.  ``scipy.integrate`` (which
 loads ``scipy.optimize``) is imported only when a 1-D quadrature runs.
 Monte Carlo has one estimator, ``numerics.monte_carlo``: it alone draws
-points from a sampler, whether a box or the facet prisms of the brightness
-derivative, apart from the rejection sampler for uniform points in K.  Rays
-have one breakpoint finder, ``covariogram._breakpoints``: it and the
-intersection vertices alone read the face pairs.  Their pieces have one
-fitter, ``covariogram._fit_pieces``, the one raiser of a missed check node.
-The covariogram routes read what a density can do (``flux``,
+points from a sampler, whether a box, the facet prisms of the brightness
+derivative, the sphere or pairs of points of K, apart from the rejection
+sampler for uniform points in K, and it alone blocks rows, checks values and
+reduces them to a mean and a budget.  Rays have one breakpoint finder,
+``covariogram._breakpoints``: it and the intersection vertices alone read
+the face pairs.  Their pieces have one fitter, ``covariogram._fit_pieces``,
+the one raiser of a missed check node.  The covariogram routes read what a density can do (``flux``,
 ``radial_moment``, ``smooth``, ``is_lebesgue`` and the Gaussian product
 rule of ``measures.product_flux``), never its ``kind`` or ``label``.
 """
@@ -168,6 +169,26 @@ def test_one_ray_breakpoint_finder(name, allowed):
     assert not found - allowed, f"{name} is used outside {allowed}: {found - allowed}"
     # the allowed users still use it, so the check above is not vacuous
     assert found == allowed
+
+
+# The parts of the one estimator: no caller blocks its own rows, checks its
+# own values or reduces them itself.
+ESTIMATOR_PARTS = ("row_blocks", "check_finite", "mean_with_budget")
+
+
+@pytest.mark.parametrize("name", ESTIMATOR_PARTS)
+def test_one_monte_carlo_estimator(name):
+    assert _references(name) == {("numerics.py", "monte_carlo")}
+
+
+def test_the_functional_quotient_has_no_kernel_of_its_own():
+    """The functional Monte Carlo quotient is the Richardson combination of
+    ``_pointwise_values``; the prism kernel of the plain and polarized
+    quotients stays."""
+    defined = {node.name for node in _tree(SRC / "covariogram.py").body
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert "_brightness_quotients" not in defined
+    assert {"_pointwise_values", "_prism_quotients", "PrismSampler"} <= defined
 
 
 def _check_node_raisers(path):

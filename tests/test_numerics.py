@@ -40,6 +40,17 @@ def test_sphere_grid_mode_guards(stream):
     assert abs(grid.weights.sum() - pb.sphere_surface(4)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_sphere_sampler_draws_the_uniform_random_grid(stream, n):
+    """``SphereSampler`` draws the directions of the ``uniform_random``
+    grid, bit for bit, and carries the sphere's surface as its measure."""
+    sampler = pb.SphereSampler(n)
+    directions = sampler.sample(stream.generator(), 5000)
+    grid = pb.sphere_directions(n, 5000, "uniform_random", stream)
+    assert directions.tobytes() == grid.directions.tobytes()
+    assert sampler.measure == pb.sphere_surface(n)
+
+
 def test_random_stream_reproducible():
     a = pb.RandomStream(123, 4).generator().random(16)
     b = pb.RandomStream(123, 4).generator().random(16)
@@ -180,6 +191,41 @@ def test_monte_carlo_bit_identical(stream):
     r1 = pb.monte_carlo(box, f, 5000, stream)
     r2 = pb.monte_carlo(box, f, 5000, stream)
     assert r1.value == r2.value and r1.error_estimate == r2.error_estimate
+
+
+def test_monte_carlo_blocks_rows_of_any_trailing_shape(stream):
+    """The integrand sees consecutive slices of at most MC_BLOCK rows of
+    the sampler's draws, whatever their trailing shape, and the result has
+    the bits of one call over all N rows; a non-finite value raises with
+    its whole row as the point."""
+    class PairsInBox:
+        measure = 2.0
+
+        def sample(self, gen, count):
+            return gen.random((count, 2, 3))
+
+    N = 2 * MC_BLOCK + 77
+    draws = PairsInBox().sample(stream.generator(), N)
+    seen = []
+
+    def integrand(p):
+        seen.append(p)
+        return np.exp(-squared_norms(p[:, 0] - p[:, 1]))
+
+    res = pb.monte_carlo(PairsInBox(), integrand, N, stream)
+    assert [len(p) for p in seen] == [MC_BLOCK, MC_BLOCK, 77]
+    assert np.concatenate(seen).tobytes() == draws.tobytes()
+    mean, budget = mean_with_budget(np.exp(-squared_norms(draws[:, 0] - draws[:, 1])))
+    assert (res.value, res.error_estimate) == (2.0 * mean, 2.0 * budget)
+
+    def nan_at_row(p):
+        out = np.ones(len(p))
+        out[p[:, 0, 0] == draws[MC_BLOCK + 5, 0, 0]] = np.nan
+        return out
+
+    with pytest.raises(pb.EvaluationError) as err:
+        pb.monte_carlo(PairsInBox(), nan_at_row, N, stream)
+    assert err.value.point.tobytes() == draws[MC_BLOCK + 5].tobytes()
 
 
 @pytest.mark.parametrize("N", [1000, 65537, 200_000])
