@@ -14,34 +14,30 @@ brightness derivative.
 
 On a polygon the measure-weighted variants are deterministic, in all three
 modes: in plain and polarized mode under Lebesgue or a density with a flux
-(the radial builtins), in functional mode when mu and f are both
-``smooth`` (Lebesgue, Gaussian, |x|^2k).  They read the edges of
-K ∩ (K + x) from ``_intersection_pieces``: ``_flux_covariogram`` integrates
-a flux over them by the divergence theorem, as ``measure_body`` does over
-facets, in one ``simplex_integrals`` call.  In plain and polarized mode
-that is mu's flux; in functional mode under gamma_n with f = gamma_n it is
-the Gaussian product rule's (``measures.product_flux``): gamma(y - x)
-gamma(y) = gamma(x / sqrt 2) gamma(sqrt 2 (y - x/2)), so the value is
-gamma(x / sqrt 2) times the flux z -> G(sqrt 2 z) over the polarized
-pieces.  Every other functional pair (|x|^2k, Lebesgue) is
-``_functional_covariogram``, which integrates f(y - x) phi(y) over a fan
-of triangles lifted to R^4.  Their brightness derivatives are slopes at 0
-of Chebyshev interpolants on the first piece of ``_breakpoints``, where
-r -> g(r theta) is analytic (``_chebyshev_slope``).  Every other variant (3-D bodies,
-``exp_norm``, custom densities, balls) is ``numerics.monte_carlo`` over the
-intersection, known in H-representation (membership tests against K's
-facets).  Several translations are the columns of one integrand: they share
-one draw from K's own box (each of these sets lies in K), one projection
-onto K's normals and one phi at K's points, and each column gets the bits
-of a draw of its own.  Their brightness derivatives are ``monte_carlo`` of
-Richardson-combined difference quotients 4 v(h/2) - v(h) - 3 v(0) on common
-random points.  In the plain and polarized modes that quotient is zero
-outside a sliver of K within one step h of its shadow boundary, so
-``PrismSampler`` draws the points from thin prisms on K's facets that hold
-the sliver: their volume is h h_{Pi K}(theta) by Cauchy's formula, and each
-draw's depth in its prism is its reach.  The functional quotient is nonzero
-on all of K, so it combines the covariogram integrand at the translations
-0, h theta / 2 and h theta on points of K's box.
+(the radial builtins), in functional mode when mu and f are both ``smooth``
+(Lebesgue, Gaussian, |x|^2k).  ``_flux_covariogram`` integrates mu's flux
+over the edges of K ∩ (K + x) by the divergence theorem, and
+``_functional_covariogram`` f(y - x) phi(y) over a fan of triangles lifted
+to R^4.  A gamma_n x gamma_n pair is first rewritten, in every dimension,
+as a weighted polarized query by the Gaussian product rule
+(``_polarized_gaussian``).  The brightness derivatives are slopes at 0 of
+Chebyshev interpolants on the first piece of ``_breakpoints``, where
+r -> g(r theta) is analytic (``_chebyshev_slope``).  Every other variant
+(3-D bodies, ``exp_norm``, custom densities, balls) is
+``numerics.monte_carlo`` over the intersection, known in H-representation
+(membership tests against K's facets).  Several translations are the
+columns of one integrand: they share one draw from K's own box (each of
+these sets lies in K), one projection onto K's normals and one phi at K's
+points, and each column gets the bits of a draw of its own.  Their
+brightness derivatives are ``monte_carlo`` of Richardson-combined
+difference quotients 4 v(h/2) - v(h) - 3 v(0) on common random points.  In
+the plain and polarized modes that quotient is zero outside a sliver of K
+within one step h of its shadow boundary, so ``PrismSampler`` draws the
+points from thin prisms on K's facets that hold the sliver: their volume is
+h h_{Pi K}(theta) by Cauchy's formula, and each draw's depth in its prism
+is its reach.  The functional quotient is nonzero on all of K, so it
+combines the covariogram integrand at the translations 0, h theta / 2 and h
+theta on points of K's box.
 
 Translated averages integrate a covariogram against a second measure.  On a
 polygon of at most seven vertices under a density with radial moments (the
@@ -61,7 +57,7 @@ after it are those of whole-chunk rejection.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,14 +85,12 @@ class CovariogramQuery:
 
     @property
     def sampled(self) -> bool:
-        """Whether ``mu_covariogram`` and ``brightness_derivative`` sample.
-        They do not in plain and polarized mode under Lebesgue (in every
-        dimension), nor on a polygon under a density with a ``flux`` in
-        those modes, or under a ``smooth`` mu and f in functional mode (the
-        Lebesgue and Gaussian densities and the even powers |x|^2k; the fan
-        needs no flux, but a cusp such as |x|^(1/2) at 0 would stall it).
-        Which deterministic route a functional pair takes (the product rule
-        or the fan) does not change this."""
+        """Whether ``mu_covariogram`` and ``brightness_derivative`` sample:
+        not in plain and polarized mode under Lebesgue (in any dimension) or,
+        on a polygon, a density with a ``flux``, nor in functional mode on a
+        polygon under a ``smooth`` mu and f (the fan needs no flux, but a
+        cusp such as |x|^(1/2) at 0 would stall it).  A gamma_n x gamma_n
+        pair agrees with its ``_polarized_gaussian``."""
         planar = isinstance(self.K, Polytope) and self.K.n == 2
         if self.mode == "functional":
             return not (planar and self.mu.smooth and self.f.smooth)
@@ -358,8 +352,9 @@ def _pointwise_values(q: CovariogramQuery, points: np.ndarray, xs) -> np.ndarray
 
     With c_i = <u_i, x>: p, p - x are in K iff every slack_i >= max(-c_i, 0);
     p ± x/2 iff slack_i >= |c_i| / 2 (polarized).  Such p lie in K, so phi
-    and f are evaluated only there, after one projection onto K's normals.
-    Roundoff may flip a point within an ulp of a shifted facet.
+    and f are evaluated only there, after one projection onto K's normals;
+    only facets with a positive need are compared.  Roundoff may flip a
+    point within an ulp of a shifted facet.
     """
     K = q.K
     slack = K.slack(points)
@@ -370,12 +365,19 @@ def _pointwise_values(q: CovariogramQuery, points: np.ndarray, xs) -> np.ndarray
     for row, x in zip(out, xs):
         c = K.normals @ x
         need = np.abs(c) / 2.0 if q.mode == "polarized" else np.maximum(-c, 0.0)
-        mask = np.all(slack >= need[:, None], axis=0)
-        if q.mode == "functional":
-            row[inside] = q.f.eval(p - x) * phi * mask
-        else:
-            row[inside] = phi * mask
+        mask = np.ones(len(p), dtype=bool)
+        for i in np.flatnonzero(need > 0.0):
+            mask &= slack[i] >= need[i]
+        row[inside] = (q.f.eval(p - x) * phi if q.mode == "functional" else phi) * mask
     return out
+
+
+def _polarized_gaussian(q: CovariogramQuery):
+    """(weight, polarized query of psi) for a gamma_n x gamma_n pair, else (None, q)."""
+    product = product_flux(q.mu, q.f) if q.mode == "functional" else None
+    if product is None:
+        return None, q
+    return product[0], replace(q, mu=product[1], f=None, mode="polarized")
 
 
 def mu_covariogram(q: CovariogramQuery, x):
@@ -385,23 +387,23 @@ def mu_covariogram(q: CovariogramQuery, x):
     stack (k, n) of them, which gives a list.  At x = 0 the value is mu(K)
     (plain/polarized) or the L^1(mu, K) norm of f (functional).  The
     Lebesgue plain/polarized path is one exact ``covariogram_exact`` call.
-    On a polygon the other queries that ``q.sampled`` calls deterministic
-    are cubatures, each value to ``q.tol`` (1e-9 if None), one call for all
-    the translations (``_flux_covariogram``): under a density with a
-    ``flux`` the plain/polarized values integrate the flux over the clipped
-    edges, and functional values under gamma_n with f = gamma_n integrate
-    the product rule's flux over the polarized edges, times its weight
-    gamma(x / sqrt 2) (``measures.product_flux``).  Other functional values
-    integrate f(y - x) phi(y) over a fan of triangles of each K ∩ (K + x),
-    one call per block of translations (``_functional_covariogram``).
-    Otherwise (``q.sampled``) the translations are the columns of one
-    ``monte_carlo`` call from ``q.stream`` over K's box, in every mode: the
-    polarized set (K - x/2) ∩ (K + x/2) lies in K too.  Each translation gets the bits a
+    A gamma_n x gamma_n functional query is the polarized query of psi
+    (``_polarized_gaussian``), each value and error times weight(x).  On a
+    polygon the other queries that ``q.sampled`` calls deterministic are
+    cubatures, each value to ``q.tol`` (1e-9 if None): plain/polarized
+    values integrate mu's ``flux`` over the clipped edges, one call for all
+    the translations (``_flux_covariogram``); functional values integrate
+    f(y - x) phi(y) over a fan of triangles of each K ∩ (K + x), one call
+    per block of translations (``_functional_covariogram``).  Otherwise
+    (``q.sampled``) the translations are the columns of one ``monte_carlo``
+    call from ``q.stream`` over K's box, in every mode: the polarized set
+    (K - x/2) ∩ (K + x/2) lies in K too.  Each translation gets the bits a
     draw of its own would give.
     """
     xs = np.asarray(x, dtype=float)
     single = xs.ndim == 1
     xs = np.atleast_2d(xs)
+    weight, q = _polarized_gaussian(q)
     tol = 1e-9 if q.tol is None else q.tol
     if q.mu.is_lebesgue and q.mode in ("plain", "polarized"):
         # r_{lambda,K} = g_K by translation invariance
@@ -414,34 +416,34 @@ def mu_covariogram(q: CovariogramQuery, x):
                    for v, e in zip(res.value, res.error_estimate)]
     elif q.mode != "functional":
         results = _flux_covariogram(q.K, xs, q.mu.flux, q.mode == "polarized", tol)
-    elif (product := product_flux(q.mu, q.f)) is not None:
-        weight, flux = product
-        results = _flux_covariogram(q.K, xs, flux, True, tol, weight(xs))
     else:
         results = _functional_covariogram(q, xs)
+    if weight is not None:
+        results = [QuadratureResult(float(w * res.value), float(w * res.error_estimate),
+                                    res.evaluations) for w, res in zip(weight(xs), results)]
     return results[0] if single else results
 
 
 def brightness_derivative(q: CovariogramQuery, theta) -> QuadratureResult:
     """One-sided radial derivative of the covariogram at 0.
 
-    Every query that ``q.sampled`` calls deterministic reads the first piece
-    [0, b] of ``_breakpoints``, on which K ∩ (K + r theta) keeps its
-    combinatorial type.  The exact Lebesgue path fits that piece alone: its
-    slope c_1 / b, with an error propagated from its check residual plus a
-    roundoff floor of 64 ulp of Vol K.  Every other deterministic query (a
-    polygon under a density with a ``flux``, or under a ``smooth`` mu and f
-    in functional mode, whether by the product rule or by the fan) takes
-    the slope at 0 of Chebyshev interpolants of r -> ``mu_covariogram(q,
-    r theta)``, which is analytic on [0, b], so the slope converges
-    geometrically in the degree: one stack of values at the nodes of the
-    degree-16 Chebyshev-Lobatto rule on [0, b], of which every other one is
-    the degree-8 rule's (``_chebyshev_slope``).  A mu that is not
+    A gamma_n x gamma_n functional query takes gamma(0) times the value and
+    error of its ``_polarized_gaussian`` (the weight is flat at 0).  Every
+    query that ``q.sampled`` calls deterministic reads the first piece [0, b]
+    of ``_breakpoints``, on which K ∩ (K + r theta) keeps its combinatorial
+    type.  The exact Lebesgue path fits that piece alone: its slope c_1 / b,
+    with an error propagated from its check residual plus a roundoff floor of
+    64 ulp of Vol K.  Every other deterministic query (a polygon under a
+    density with a ``flux``, or under a ``smooth`` mu and f in functional
+    mode) takes the slope at 0 of Chebyshev interpolants of r ->
+    ``mu_covariogram(q, r theta)``, which is analytic on [0, b], so the slope
+    converges geometrically in the degree: one stack of values at the nodes
+    of the degree-16 Chebyshev-Lobatto rule on [0, b], of which every other
+    one is the degree-8 rule's (``_chebyshev_slope``).  A mu that is not
     ``smooth`` (|x|^alpha) shortens b to ``_analytic_reach``.  The value is
-    the fine rule's slope, and the error is the gap to the coarse rule's
-    plus sum_k |w_k| (e_k + 64 ulp |v_k|) / b, the value errors e_k (at
-    ``q.tol``, 1e-9 if None) and roundoff carried through the fine weights
-    w_k.
+    the fine rule's slope, and the error is the gap to the coarse rule's plus
+    sum_k |w_k| (e_k + 64 ulp |v_k|) / b, the value errors e_k (at ``q.tol``,
+    1e-9 if None) and roundoff carried through the fine weights w_k.
 
     The Monte Carlo path is ``monte_carlo`` of the Richardson-combined
     difference quotients 4 v(h/2) - v(h) - 3 v(0), divided by h, on common
@@ -453,10 +455,12 @@ def brightness_derivative(q: CovariogramQuery, theta) -> QuadratureResult:
     them from K's box and reads v from ``_pointwise_values`` at the
     translations 0, h theta / 2 and h theta.
 
-    A ``q.tol`` below the error raises ``PrecisionError``; on the Monte
-    Carlo path a larger N lowers the error, on the deterministic paths N
-    plays no part.
+    A ``q.tol`` below the (scaled) error raises ``PrecisionError``; on the
+    Monte Carlo path a larger N lowers the error, on the deterministic paths
+    N plays no part.
     """
+    weight, q = _polarized_gaussian(q)
+    scale = 1.0 if weight is None else float(weight(np.zeros((1, q.K.n)))[0])
     (theta,), (rho,) = _unit_rays(q.K, theta)
     if not q.sampled:
         # normalised once more, as the slope was always fitted (its bits are pinned)
@@ -490,6 +494,7 @@ def brightness_derivative(q: CovariogramQuery, theta) -> QuadratureResult:
 
         res = monte_carlo(sampler, quotients, q.N, q.stream)
         value, err, evals = res.value, res.error_estimate, 3 * q.N
+    value, err = scale * value, scale * err
     if q.tol is not None and err > q.tol:
         remedy = (f"increase N (currently {q.N})" if q.sampled else
                   f"its covariogram values were taken at tol {q.tol:.1e} each "
@@ -658,31 +663,25 @@ def _intersection_pieces(K: Polytope, xs: np.ndarray, polarized: bool = False):
     return tuple(np.concatenate(a) for a in (segments, offsets, owner))
 
 
-def _flux_covariogram(K: Polytope, xs: np.ndarray, flux, polarized: bool, tol,
-                      weight=1.0) -> list:
-    """weight(x) sum_s b_s ∫_s G ds over the edges s of K ∩ (K + x), with
-    offsets b_s, for G = ``flux`` at a stack (N, 2) of translations of a
-    polygon; the edges are moved by -x/2 when ``polarized``.  ``weight`` is
-    one number or one per translation.
+def _flux_covariogram(K: Polytope, xs: np.ndarray, flux, polarized: bool, tol) -> list:
+    """sum_s b_s ∫_s G ds over the edges s of K ∩ (K + x), with offsets b_s,
+    for G = ``flux`` at a stack (N, 2) of translations of a polygon; the
+    edges are moved by -x/2 when ``polarized``.
 
-    By the divergence theorem, as in ``measure_body``, the sum is the
-    integral of phi = div(G(y) y) over the polygon: g_{mu,K}(x) for G =
-    ``mu.flux`` (plain), r_{mu,K}(x) (polarized), and with the product
-    rule's flux and weight (``measures.product_flux``, polarized)
-    g_{gamma,gamma}(K, x).  The error is weight sum_s |b_s| e_s; the
-    integrals come from ``simplex_integrals``, each piece of a translation
-    with S pieces at budget tol / (S |b_s|), so that the error is at most
-    weight tol (the product rule's weight is at most 1/(2 pi)).  A
-    translation without pieces (``_intersection_pieces``) gets 0.  All
-    pieces of all translations make one cubature call, and each result
+    By the divergence theorem, as in ``measure_body``, the sum is g_{mu,K}(x)
+    (plain) or r_{mu,K}(x) (polarized) for G = ``mu.flux``.  The error is
+    sum_s |b_s| e_s, each piece of a translation with S pieces integrated by
+    ``simplex_integrals`` at budget tol / (S |b_s|), so that it is at most
+    tol.  A translation without pieces (``_intersection_pieces``) gets 0.
+    All pieces of all translations make one cubature call, and each result
     carries that call's evaluations.
     """
     segments, b, owner = _intersection_pieces(K, xs, polarized)
     with np.errstate(divide="ignore"):
         budgets = tol / (np.bincount(owner)[owner] * np.abs(b))
     v, e, evaluations = simplex_integrals(segments, np.arange(len(b)), flux, budgets)
-    values = weight * np.bincount(owner, b * v, len(xs))
-    errors = weight * np.bincount(owner, np.abs(b) * e, len(xs))
+    values = np.bincount(owner, b * v, len(xs))
+    errors = np.bincount(owner, np.abs(b) * e, len(xs))
     return [QuadratureResult(float(v), float(e), evaluations)
             for v, e in zip(values, errors)]
 

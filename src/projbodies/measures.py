@@ -25,9 +25,9 @@ cubature by the divergence theorem: the density's ``flux`` G makes G(y) y a
 field of divergence phi, so mu(K) = sum_i b_i ∫_{F_i} G dA over the facets
 with offsets b_i.  Every other density, and every ``Ball``, is
 ``numerics.monte_carlo_in``: Monte Carlo over the body's box, with phi
-evaluated only at the body's points.  ``product_flux`` rewrites the product
-gamma_n(y - x) gamma_n(y) as a weight times a Gaussian with a flux, so the
-functional covariogram of two Gaussians takes the same divergence route.
+evaluated only at the body's points.  ``product_flux`` rewrites
+gamma_n(y - x) gamma_n(y) as a weight times a Gaussian density of y - x/2
+with a flux: a weighted polarized covariogram.
 """
 
 from __future__ import annotations
@@ -63,19 +63,18 @@ class Density:
     on symmetric convex bodies) carry the power-concavity exponent.
     ``kind`` names the builtin family ("lebesgue", "gaussian", "exp_norm",
     "radial_power") and is "custom" otherwise; exact paths dispatch on it,
-    never on the free-form ``label``.  ``flux``, set only by the radial
-    builtins, is G(y) = |y|^-n Psi(|y|) with Psi(r) = ∫_0^r psi(s) s^(n-1) ds
+    never on the free-form ``label``.  ``flux``, set by radial densities
+    only, is G(y) = |y|^-n Psi(|y|) with Psi(r) = ∫_0^r psi(s) s^(n-1) ds
     for phi(x) = psi(|x|): the field G(y) y has divergence phi, which
     ``measure_body`` integrates over the boundary of a polytope.
     ``radial_moment``, also set only by the radial builtins, is
     (j, a, b) -> ∫_a^b r^j psi(r) dr, vectorised over the arrays a and b:
     the polar translated average integrates g_K along rays with it.
-    ``smooth``, set only by the builtins whose phi is a smooth function on
-    all of R^n (``lebesgue``, ``gaussian``, ``radial_power`` with an even
-    integer exponent), lets the planar functional covariogram integrate phi
-    by cubature over triangles that may hold any point: a cusp or kink
-    inside a triangle (|x|^alpha at 0, the ridges of ``exp_norm``) would
-    stall its refinement.
+    ``smooth``, set only where phi is smooth on all of R^n (``lebesgue``,
+    ``gaussian``, |x|^alpha for even alpha, ``product_flux``'s Gaussian),
+    lets the planar functional covariogram integrate phi by cubature over
+    triangles that may hold any point: a cusp or kink inside a triangle
+    (|x|^alpha at 0, the ridges of ``exp_norm``) would stall its refinement.
     """
 
     n: int
@@ -278,21 +277,23 @@ def compose_linear(mu: Density, T) -> Density:
 
 
 def product_flux(mu: Density, f: Density):
-    """The Gaussian product rule for f(y - x) phi(y): (weight, flux) when f
+    """The Gaussian product rule for f(y - x) phi(y): (weight, psi) when f
     and phi are both the standard Gaussian gamma_n, and None otherwise.
 
     Completing the square, gamma(y - x) gamma(y) = gamma(x / sqrt 2)
-    gamma(sqrt 2 (y - x/2)), a Gaussian centred at x/2.  If G is gamma's
-    ``flux`` (div(G(z) z) = gamma(z)), then div(G(sqrt 2 z) z) =
-    gamma(sqrt 2 z).  So ``weight`` is x -> gamma(x / sqrt 2) and ``flux``
-    is z -> G(sqrt 2 z), both vectorised over rows: the integral of f(y - x)
-    phi(y) over a polytope P is weight(x) times the integral of that flux
-    against the offsets of the facets of P - x/2.
+    psi(y - x/2) with psi(z) = gamma(sqrt 2 z), so the integral over
+    K ∩ (K + x) is weight(x) = gamma(x / sqrt 2), vectorised over rows,
+    times psi((K - x/2) ∩ (K + x/2)).  The ``Density`` psi is ``smooth``,
+    ``even`` and has the flux z -> G(sqrt 2 z); of kind "custom" and mass
+    2^(-n/2), it takes neither ``total_mass``, this rule nor concavity flags.
     """
     if not (mu.kind == f.kind == "gaussian" and mu.n == f.n):
         return None
     root2 = math.sqrt(2.0)
-    return lambda x: mu.eval(x / root2), lambda z: mu.flux(root2 * z)
+    psi = Density(mu.n, lambda z: mu.eval(root2 * z), lambda z: root2 * mu.grad(root2 * z),
+                  even=True, label=f"{mu.label}(sqrt 2 z)",
+                  flux=lambda z: mu.flux(root2 * z), smooth=True)
+    return lambda x: mu.eval(x / root2), psi
 
 
 # -- measures of bodies -------------------------------------------------------

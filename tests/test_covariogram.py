@@ -1137,10 +1137,12 @@ def test_mu_covariogram_stack_matches_one_draw_per_translation(mode):
     """Translations that share a draw get the bits of a Monte Carlo run of
     their own: K's box for every x, the integrand phi(p) [p, p - x in K]
     (f(p - x) phi(p) [...] in functional mode; p ± x/2 in K in polarized
-    mode)."""
+    mode).  The functional f is a flux-free copy of gamma_3, so the pair
+    keeps the functional integrand (the builtin pair is a polarized query
+    of psi)."""
     K = pb.random_polytope(3, pb.RandomStream(424242).substream(20))
     g = pb.gaussian(3)
-    q = pb.CovariogramQuery(K, g, f=g if mode == "functional" else None,
+    q = pb.CovariogramQuery(K, g, f=flux_free(g) if mode == "functional" else None,
                             mode=mode, stream=pb.RandomStream(11), N=20_000)
     theta = np.array([0.6, -0.48, 0.64])
     xs = np.outer([0.0, 0.2, 0.7, 1.3, 9.0], theta)
@@ -1167,23 +1169,34 @@ def test_mu_covariogram_stack_matches_one_draw_per_translation(mode):
 @pytest.mark.parametrize("what", ["plain", "functional", "polarized", "brightness"])
 def test_box_sampled_covariograms_draw_once_from_K_box(monkeypatch, what):
     """A sampled stack of 10 translations, in every mode, and the functional
-    brightness derivative make one draw, from exactly K's bounding box."""
+    brightness derivative make one draw, from exactly K's bounding box.  The
+    derivative's f is a flux-free copy of gamma_3, which keeps the box
+    quotient; with the builtin gamma_3 it is psi's polarized derivative,
+    which draws once from the polarized prisms and never from the box."""
     K = pb.random_polytope(3, pb.RandomStream(424242).substream(31), symmetric=True)
     g = pb.gaussian(3)
-    draws = []
-    sample = pb.BoxSampler.sample
+    draws, prism_draws = [], []
+    sample, prism_sample = pb.BoxSampler.sample, PrismSampler.sample
 
     def recording(self, gen, count):
         draws.append((self.lows.tobytes(), self.highs.tobytes(), count))
         return sample(self, gen, count)
 
+    def recording_prisms(self, gen, count):
+        prism_draws.append((self.polarized, count))
+        return prism_sample(self, gen, count)
+
     monkeypatch.setattr(pb.BoxSampler, "sample", recording)
+    monkeypatch.setattr(PrismSampler, "sample", recording_prisms)
     mode = "functional" if what == "brightness" else what
-    q = pb.CovariogramQuery(K, g, g if mode == "functional" else None, mode=mode,
-                            stream=pb.RandomStream(12), N=25_000)
+    f = {"functional": g, "brightness": flux_free(g)}.get(what)
+    q = pb.CovariogramQuery(K, g, f, mode=mode, stream=pb.RandomStream(12), N=25_000)
     theta = np.array([0.6, -0.48, 0.64])
     if what == "brightness":
         pb.brightness_derivative(q, theta)
+        assert prism_draws == []
+        pb.brightness_derivative(dataclasses.replace(q, f=g), theta)
+        assert prism_draws == [(True, q.N)]
     else:
         got = pb.mu_covariogram(q, np.outer(np.linspace(0.0, 0.9, 10), theta))
         assert len(got) == 10 and got[0].value > got[-1].value > 0.0
@@ -1471,7 +1484,8 @@ def test_only_gaussian_pairs_take_the_product_route(triangle, gauss2, leb2):
     """The product rule covers gamma_n x gamma_n alone: (gamma, |x|^2),
     (|x|^2, gamma), (lambda, gamma) and (gamma, lambda) keep the fan's bits
     and evaluations, a custom density labelled "gaussian" samples, and the
-    gamma x gamma values are not the fan's."""
+    gamma x gamma values are not the fan's: they are the weight
+    gamma(x / sqrt 2) times the polarized values of psi, bit for bit."""
     square_norm = pb.radial_power(2, 2.0)
     lookalike = pb.custom_density(2, gauss2.eval, gauss2.grad, label="gaussian",
                                   even=True, radially_decreasing=True)
@@ -1490,6 +1504,43 @@ def test_only_gaussian_pairs_take_the_product_route(triangle, gauss2, leb2):
     assert product_flux(gauss2, pb.gaussian(2)) is not None
     assert product[0].evaluations < fan[0].evaluations
     assert [r.value for r in product] != [r.value for r in fan]
+    # the gamma x gamma stack is the weight times the polarized stack of psi
+    weight, psi = product_flux(gauss2, gauss2)
+    polarized = pb.mu_covariogram(pb.CovariogramQuery(triangle, psi, mode="polarized"), xs)
+    assert [(r.value, r.error_estimate, r.evaluations) for r in product] == [
+        (w * r.value, w * r.error_estimate, r.evaluations)
+        for w, r in zip(weight(xs), polarized)]
+
+
+def test_spatial_gaussian_pairs_are_polarized_prism_derivatives():
+    """On four of c04's 3-D bodies at two directions each (N = 200k), the
+    builtin gamma_3 x gamma_3 functional derivative is gamma(0) times the
+    polarized derivative of psi(z) = gamma(sqrt 2 z), bit for bit: both draw
+    from the polarized prisms.  Its budget is at most 5% of h_{Pi_{gamma,
+    gamma} K}(theta) (the box quotient's sat near 60%) and covers its
+    residual to -h of the tol-1e-10 f-weighted zonoid, whose offset tau is 0
+    because f is mu."""
+    g = pb.gaussian(3)
+    psi = product_flux(g, g)[1]
+    gamma0 = g.eval(np.zeros((1, 3)))[0]
+    gen = pb.RandomStream(2727).generator()
+    for i, K in enumerate(_c04_bodies()[12:20:2]):
+        zon = pb.projection_zonoid(K, g, f=g, tol=1e-10)
+        assert not np.any(pb.offset_vector(K, g, f=g, stream=pb.RandomStream(1), N=1000).value)
+        thetas = gen.standard_normal((2, 3))
+        for d, theta in enumerate(thetas / np.linalg.norm(thetas, axis=1, keepdims=True)):
+            stream = pb.RandomStream(2828, 10 * i + d)
+            res = pb.brightness_derivative(pb.CovariogramQuery(
+                K, g, g, mode="functional", stream=stream, N=200_000), theta)
+            ref = pb.brightness_derivative(pb.CovariogramQuery(
+                K, psi, mode="polarized", stream=stream, N=200_000), theta)
+            assert res.value == gamma0 * ref.value
+            assert res.error_estimate == gamma0 * ref.error_estimate
+            assert res.evaluations == ref.evaluations
+            h = float(zon.support(theta[None, :])[0])
+            h_err = float(zon.support_error(theta[None, :])[0])
+            assert res.error_estimate <= 0.05 * h, (K.facet_count, res.error_estimate / h)
+            assert abs(res.value + h) <= res.error_estimate + h_err, (K.facet_count, theta)
 
 
 def _reference_slopes(K, mode, thetas):

@@ -15,7 +15,11 @@ reduces them to a mean and a budget.  Rays have one breakpoint finder,
 the face pairs.  Their pieces have one fitter, ``covariogram._fit_pieces``,
 the one raiser of a missed check node.  The covariogram routes read what a density can do (``flux``,
 ``radial_moment``, ``smooth``, ``is_lebesgue`` and the Gaussian product
-rule of ``measures.product_flux``), never its ``kind`` or ``label``.
+rule of ``measures.product_flux``), never its ``kind`` or ``label``.  The
+product rule is one query rewrite, ``covariogram._polarized_gaussian``, the
+only reader of ``product_flux`` in that module: a gamma_n x gamma_n pair
+becomes a weight and a polarized query, and ``_flux_covariogram`` takes no
+weight of its own.
 """
 
 from __future__ import annotations
@@ -223,3 +227,14 @@ def test_covariogram_routes_read_capabilities():
     assert not reads, f"covariogram.py reads a density's kind or label: {reads}"
     # the scan finds such reads where they are, so it is not vacuous
     assert _attribute_reads(SRC / "measures.py", ("kind", "label"))
+
+
+def test_the_gaussian_product_rule_is_one_query_rewrite():
+    functions = {node.name: node for node in _tree(SRC / "covariogram.py").body
+                 if isinstance(node, ast.FunctionDef)}
+    arguments = functions["_flux_covariogram"].args
+    names = [a.arg for a in arguments.args + arguments.kwonlyargs]
+    assert "weight" not in names and "tol" in names
+    readers = {where for module, where in _references("product_flux")
+               if module == "covariogram.py"}
+    assert readers == {"<module>", "_polarized_gaussian"}   # the import and the rewrite
