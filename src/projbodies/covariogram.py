@@ -424,6 +424,26 @@ def mu_covariogram(q: CovariogramQuery, x):
     return results[0] if single else results
 
 
+@dataclass
+class _RayPlan:
+    """The geometry of K along one direction theta that every brightness
+    mode reads, kept on K as ``K._ray_plan`` by ``brightness_derivative``
+    for the last theta it was given (keyed by the bytes of theta):
+    ``_unit_rays`` of theta and of that ray again, the first piece (a, b,
+    ray) of ``_breakpoints`` along the second, the translations of the
+    Chebyshev stack on [0, b], and ``_intersection_pieces``' clip of that
+    stack, a (x, sides, area, <u_i, x>) per block.  The last three are
+    filled on first use, so a sampled mode finds no breakpoints and the
+    exact mode clips nothing."""
+
+    key: bytes
+    once: tuple
+    twice: tuple
+    piece: tuple | None = None
+    stack: np.ndarray | None = None
+    clip: list | None = None
+
+
 def brightness_derivative(q: CovariogramQuery, theta) -> QuadratureResult:
     """One-sided radial derivative of the covariogram at 0.
 
@@ -458,14 +478,31 @@ def brightness_derivative(q: CovariogramQuery, theta) -> QuadratureResult:
     A ``q.tol`` below the (scaled) error raises ``PrecisionError``; on the
     Monte Carlo path a larger N lowers the error, on the deterministic paths
     N plays no part.
+
+    The modes at one direction share its geometry: K keeps a ``_RayPlan``
+    for the last theta (by its bytes) with the unit rays, rho_DK, the first
+    piece and the clip of the Chebyshev stack on it.  Each is what a fresh
+    computation gives, so every value, error and evaluation count has the
+    bits of a body without a plan, in any order of modes and directions.
     """
     weight, q = _polarized_gaussian(q)
     scale = 1.0 if weight is None else float(weight(np.zeros((1, q.K.n)))[0])
-    (theta,), (rho,) = _unit_rays(q.K, theta)
+    key = np.asarray(theta, dtype=float).tobytes()
+    plan = getattr(q.K, "_ray_plan", None)
+    if plan is None or plan.key != key:
+        # the slope reads the ray normalised twice, as it always did (its bits are pinned)
+        units = []
+        for _ in range(2):
+            theta, rho = _unit_rays(q.K, theta)
+            units.append((theta, rho))
+        plan = q.K._ray_plan = _RayPlan(key, *units)
+    (theta,), (rho,) = plan.once
     if not q.sampled:
-        # normalised once more, as the slope was always fitted (its bits are pinned)
-        rays, rhos = _unit_rays(q.K, theta)
-        a, b, ray = (x[:1] for x in _breakpoints(q.K, rays, rhos))
+        rays, rhos = plan.twice
+        if plan.piece is None:
+            plan.piece = tuple(x[:1] for x in _breakpoints(q.K, rays, rhos))
+            plan.stack = _chebyshev_stack(rays[0], plan.piece[1][0])
+        a, b, ray = plan.piece
         if q.mu.is_lebesgue and q.mode != "functional":
             first = _fit_pieces(q.K, rays, rhos, a, b, ray,
                                 1e-9 if q.tol is None else q.tol)
@@ -645,12 +682,27 @@ def _intersection_pieces(K: Polytope, xs: np.ndarray, polarized: bool = False):
     moved by -x/2, its offsets by -<u_i, x> / 2.  ``owner`` is each piece's
     row in ``xs``.  Where the shoelace area of the pieces is 0 (on and
     beyond the boundary of DK) a translation has none.
+
+    Handed exactly the Chebyshev stack of K's ``_RayPlan`` (equal shape and
+    bytes), it clips that stack once and keeps the clip with the plan, so
+    the plain, polarized and Gaussian functional slopes along one direction
+    redo only their own shift; the clip is deterministic, so the pieces
+    have the bits of a fresh clip.  Any other stack is clipped afresh, a
+    block at a time, and nothing is kept.
     """
     E = _polygon_edges(K)
+    plan = getattr(K, "_ray_plan", None)
+    shared = (plan is not None and plan.stack is not None and plan.stack.shape == xs.shape
+              and plan.stack.tobytes() == xs.tobytes())
+    if shared and plan.clip is not None:
+        blocks = plan.clip
+    else:
+        blocks = ((x, sides, _shoelace(K, c, sides), K.normals @ x.T)   # <u_i, x>
+                  for x, c, sides in _clipped_edges(K, xs))
+        if shared:
+            blocks = plan.clip = list(blocks)
     segments, offsets, owner, begin = [], [], [], 0
-    for x, c, sides in _clipped_edges(K, xs):
-        area = _shoelace(K, c, sides)
-        shift = K.normals @ x.T              # <u_i, x>, with unit normals
+    for x, sides, area, shift in blocks:
         for s, own, lo, hi in sides:
             i, k = np.nonzero(own & (hi > lo) & (area > 0.0))
             w = (s < 0.0) - 0.5 * polarized       # the piece moves by w x
@@ -785,13 +837,18 @@ def _analytic_reach(q: CovariogramQuery, theta: np.ndarray) -> float:
     return 0.5 * leaves
 
 
+def _chebyshev_stack(theta: np.ndarray, b: float) -> np.ndarray:
+    """The translations r theta at the fine ``_chebyshev_rule``'s nodes on [0, b]."""
+    return np.outer(b * _chebyshev_rule(_CHEBYSHEV_DEGREE)[0], theta)
+
+
 def _chebyshev_slope(q: CovariogramQuery, theta: np.ndarray, b: float):
     """The slope at 0 of r -> ``mu_covariogram(q, r theta)`` on [0, b], where
     it is analytic: (value, error, evaluations) for ``brightness_derivative``
     from one stack of values at the nodes of ``_chebyshev_rule``."""
-    t, fine = _chebyshev_rule(_CHEBYSHEV_DEGREE)
+    fine = _chebyshev_rule(_CHEBYSHEV_DEGREE)[1]
     coarse = _chebyshev_rule(_CHEBYSHEV_DEGREE // 2)[1]
-    results = mu_covariogram(q, np.outer(b * t, theta))
+    results = mu_covariogram(q, _chebyshev_stack(theta, b))
     v = np.array([res.value for res in results])
     e = np.array([res.error_estimate for res in results])
     value = fine @ v / b

@@ -161,6 +161,79 @@ def test_exact_brightness_keeps_its_bits():
             assert (fd.value.hex(), fd.error_estimate.hex()) == (value, error)
 
 
+def _plan_queries(K):
+    """The brightness modes of one direction in the benchmark's order: exact,
+    plain, polarized (symmetric bodies), functional gamma x gamma; then a
+    cusped mu, whose slope stops at ``_analytic_reach`` (another stack)."""
+    g = pb.gaussian(K.n)
+    modes = [(None, None, "plain"), (g, None, "plain")]
+    if K.is_symmetric():
+        modes.append((g, None, "polarized"))
+    modes += [(g, g, "functional"), (pb.radial_power(K.n, 0.5), None, "plain")]
+    return [pb.CovariogramQuery(K, mu, f, mode=mode) for mu, f, mode in modes]
+
+
+def test_ray_plans_change_no_bit():
+    """Every brightness derivative on a body that keeps a ray plan equals
+    the one on a fresh ``build_polytope(K.vertices)``, which has none: an
+    asymmetric and a symmetric c04 polygon with directions theta_1, theta_2,
+    theta_1 in turn and every mode at each, and a sampled 3-D query beside
+    the exact one."""
+    c04 = _c04_bodies()
+    gen = np.random.default_rng(2828)
+    cases = [(K, _plan_queries(K)) for K in (c04[2], c04[10])]
+    K3, g3 = c04[13], pb.gaussian(3)
+    cases.append((K3, [pb.CovariogramQuery(K3),
+                       pb.CovariogramQuery(K3, g3, stream=pb.RandomStream(7), N=20_000)]))
+    for K, queries in cases:
+        fresh = pb.build_polytope(K.vertices)
+        for name in ("vertices", "normals", "offsets", "facet_simplices"):
+            assert getattr(fresh, name).tobytes() == getattr(K, name).tobytes()
+        thetas = gen.standard_normal((2, K.n))
+        thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+        for theta in thetas[[0, 1, 0]]:
+            for q in queries:
+                got = pb.brightness_derivative(q, theta)
+                ref = pb.brightness_derivative(
+                    dataclasses.replace(q, K=pb.build_polytope(K.vertices)), theta)
+                assert got == ref, (q.mode, q.mu.label)
+        assert K._ray_plan.key == theta.tobytes()
+    assert cases[1][0]._ray_plan.clip is not None   # a clip was kept
+
+
+def test_a_body_keeps_one_ray_plan(monkeypatch):
+    """After 50 directions a body holds one plan, the last direction's.  The
+    modes at one direction clip its Chebyshev stack once, and a direct
+    ``mu_covariogram`` on another stack neither reads nor overwrites that
+    clip: with the kept areas zeroed, the other stacks keep a fresh body's
+    bits and the plan's own stack reads 0."""
+    K = _c04_bodies()[10]
+    plain, polarized, functional = _plan_queries(K)[1:4]
+    for angle in np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False):
+        theta = np.array([np.cos(angle), np.sin(angle)])
+        pb.brightness_derivative(plain, theta)
+    plans = [v for v in vars(K).values() if isinstance(v, covariogram._RayPlan)]
+    assert len(plans) == 1 and plans[0].key == theta.tobytes()
+
+    stacks, clipped = [], covariogram._clipped_edges
+    monkeypatch.setattr(covariogram, "_clipped_edges",
+                        lambda K, xs: stacks.append(xs.copy()) or clipped(K, xs))
+    theta = np.array([0.6, -0.8])
+    for q in (plain, polarized, functional):
+        pb.brightness_derivative(q, theta)
+    plan = K._ray_plan
+    assert sum(xs.tobytes() == plan.stack.tobytes() for xs in stacks) == 1
+
+    poisoned = [(x, sides, 0.0 * area, shift) for x, sides, area, shift in plan.clip]
+    plan.clip = poisoned
+    fresh = dataclasses.replace(plain, K=pb.build_polytope(K.vertices))
+    for xs in (plan.stack[::-1], plan.stack[:5], 0.5 * plan.stack):
+        assert pb.mu_covariogram(plain, xs) == pb.mu_covariogram(fresh, xs)
+    assert plan.clip is poisoned
+    assert all(res.value == 0.0 for res in pb.mu_covariogram(plain, plan.stack))
+    assert pb.mu_covariogram(fresh, plan.stack)[0].value > 0.0
+
+
 def test_support_is_difference_body(triangle, stream):
     DK = pb.difference_body(triangle)
     gen = stream.generator()
