@@ -491,11 +491,9 @@ def brightness_derivative(q: CovariogramQuery, theta) -> QuadratureResult:
     plan = getattr(q.K, "_ray_plan", None)
     if plan is None or plan.key != key:
         # the slope reads the ray normalised twice, as it always did (its bits are pinned)
-        units = []
-        for _ in range(2):
-            theta, rho = _unit_rays(q.K, theta)
-            units.append((theta, rho))
-        plan = q.K._ray_plan = _RayPlan(key, *units)
+        once = _unit_rays(q.K, theta)
+        twice = _unit_rays(q.K, once[0])
+        plan = q.K._ray_plan = _RayPlan(key, once, twice)
     (theta,), (rho,) = plan.once
     if not q.sampled:
         rays, rhos = plan.twice

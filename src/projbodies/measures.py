@@ -155,12 +155,9 @@ def gaussian(n: int) -> Density:
         # Psi(r) = P(n/2, r^2/2) / (n kappa_n); below r^2 = 1e-20 the
         # limit G(0) = (2 pi)^(-n/2) / n is exact to double precision
         r2 = squared_norms(p)
-        far = r2 > 1e-20
-        if far.all():      # the usual case: no mask, the same bits
-            return special.gammainc(n / 2.0, r2 / 2.0) / (area * r2 ** (n / 2.0))
-        out = np.full(len(r2), norm / n)
-        out[far] = (special.gammainc(n / 2.0, r2[far] / 2.0)
-                    / (area * r2[far] ** (n / 2.0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = special.gammainc(n / 2.0, r2 / 2.0) / (area * r2 ** (n / 2.0))
+        out[r2 <= 1e-20] = norm / n
         return out
 
     def lower_gamma(s, y):

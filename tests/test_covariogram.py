@@ -203,12 +203,14 @@ def test_ray_plans_change_no_bit():
 
 def test_a_body_keeps_one_ray_plan(monkeypatch):
     """After 50 directions a body holds one plan, the last direction's.  The
-    modes at one direction clip its Chebyshev stack once, and a direct
-    ``mu_covariogram`` on another stack neither reads nor overwrites that
-    clip: with the kept areas zeroed, the other stacks keep a fresh body's
-    bits and the plan's own stack reads 0."""
+    modes at one direction normalise it with one ``_unit_rays`` pair and
+    clip its Chebyshev stack once, and a direct ``mu_covariogram`` on
+    another stack neither reads nor overwrites that clip: with the kept
+    areas zeroed, the other stacks keep a fresh body's bits and the plan's
+    own stack reads 0."""
     K = _c04_bodies()[10]
-    plain, polarized, functional = _plan_queries(K)[1:4]
+    queries = _plan_queries(K)
+    plain, polarized, functional = queries[1:4]
     for angle in np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False):
         theta = np.array([np.cos(angle), np.sin(angle)])
         pb.brightness_derivative(plain, theta)
@@ -218,9 +220,16 @@ def test_a_body_keeps_one_ray_plan(monkeypatch):
     stacks, clipped = [], covariogram._clipped_edges
     monkeypatch.setattr(covariogram, "_clipped_edges",
                         lambda K, xs: stacks.append(xs.copy()) or clipped(K, xs))
+    normalised, unit_rays = [], covariogram._unit_rays
+    monkeypatch.setattr(covariogram, "_unit_rays",
+                        lambda K, t: normalised.append(t) or unit_rays(K, t))
     theta = np.array([0.6, -0.8])
-    for q in (plain, polarized, functional):
+    cusp = pb.CovariogramQuery(K, pb.radial_power(2, 0.5), pb.gaussian(2), mode="functional",
+                               stream=pb.RandomStream(7), N=2_000)
+    assert cusp.sampled
+    for q in queries + [cusp]:
         pb.brightness_derivative(q, theta)
+    assert len(normalised) == 2          # theta, then its unit ray
     plan = K._ray_plan
     assert sum(xs.tobytes() == plan.stack.tobytes() for xs in stacks) == 1
 

@@ -20,8 +20,7 @@ product rule is one query rewrite, ``covariogram._polarized_gaussian``, the
 only reader of ``product_flux`` in that module: a gamma_n x gamma_n pair
 becomes a weight and a polarized query, and ``_flux_covariogram`` takes no
 weight of its own.  The brightness modes at one direction share one ray
-plan, which ``covariogram.brightness_derivative`` alone makes, with one
-``_unit_rays`` call.
+plan, which ``covariogram.brightness_derivative`` alone makes.
 """
 
 from __future__ import annotations
@@ -243,16 +242,10 @@ def test_the_gaussian_product_rule_is_one_query_rewrite():
 
 
 def test_one_ray_plan_per_body_and_direction():
-    """The ray plan that the brightness modes share is made in one place,
-    which normalises theta with one ``_unit_rays`` call."""
+    """The ray plan that the brightness modes share is made in one place."""
     stores = {(path.name, getattr(node, "name", "<module>"))
               for path in MODULES for node in _tree(path).body
               for inner in ast.walk(node)
               if isinstance(inner, ast.Attribute) and inner.attr == "_ray_plan"
               and isinstance(inner.ctx, ast.Store)}
     assert stores == {("covariogram.py", "brightness_derivative")}
-    functions = {node.name: node for node in _tree(SRC / "covariogram.py").body
-                 if isinstance(node, ast.FunctionDef)}
-    calls = [inner for inner in ast.walk(functions["brightness_derivative"])
-             if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "_unit_rays"]
-    assert len(calls) == 1
