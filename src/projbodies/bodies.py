@@ -18,6 +18,7 @@ over an interior point into simplices, summed determinants.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -183,11 +184,50 @@ class Polytope:
 
 
 def simplex_measure(coords: np.ndarray):
-    """(d)-measure of d-simplices given as (..., d+1, n) vertex coordinates."""
+    """d-measure of d-simplices given as (..., d+1, n) vertex coordinates.
+
+    An edge (d = 1) is the root of its squared length.  For d >= 2 it is
+    the root of the summed squared d x d minors of the edge matrix, over d!
+    (Cauchy-Binet), each minor expanded by elements (``_minors``).  With
+    edges of length L a minor is off by about eps L^d, so a sliver keeps
+    its tiny measure and a simplex with two equal vertices measures 0;
+    sqrt(det Gram) cancels instead, and its roundoff of eps L^(2d) leaves
+    up to about sqrt(eps) L^d of false measure.
+    """
+    d = coords.shape[-2] - 1
     edges = coords[..., 1:, :] - coords[..., :1, :]
-    gram = edges @ edges.swapaxes(-1, -2)
-    det = np.linalg.det(gram)
-    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(coords.shape[-2] - 1)
+    if d == 1:
+        squared = np.linalg.det(edges @ edges.swapaxes(-1, -2))
+    else:
+        minors = _minors(edges, d)
+        squared = (minors * minors).sum(axis=-1)
+    return np.sqrt(np.maximum(squared, 0.0)) / math.factorial(d)
+
+
+@functools.cache
+def _expansion(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the k-subsets S of range(n) in ``itertools.combinations`` order,
+    each column S_s (k, M) and the index among the (k-1)-subsets of S
+    without S_s (k, M)."""
+    subsets = list(itertools.combinations(range(n), k))
+    index = {c: i for i, c in enumerate(itertools.combinations(range(n), k - 1))}
+    return (np.array(subsets).T,
+            np.array([[index[c[:s] + c[s + 1:]] for c in subsets] for s in range(k)]))
+
+
+def _minors(rows: np.ndarray, k: int) -> np.ndarray:
+    """The k x k minors of the last k rows of ``rows`` (..., d, n), one per
+    k-subset of the columns, by Laplace expansion along their first row."""
+    row = rows[..., rows.shape[-2] - k, :]
+    if k == 1:
+        return row
+    columns, rest = _expansion(rows.shape[-1], k)
+    lower = _minors(rows, k - 1)
+    total = row[..., columns[0]] * lower[..., rest[0]]
+    for s in range(1, k):
+        term = row[..., columns[s]] * lower[..., rest[s]]
+        total = total + term if s % 2 == 0 else total - term
+    return total
 
 
 def build_polytope(points) -> Polytope:
@@ -199,6 +239,8 @@ def build_polytope(points) -> Polytope:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ConfigurationError("points must be a 2-D array")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigurationError("points must be finite")
     n = pts.shape[1]
     if n not in (2, 3, 4):
         raise ConfigurationError(f"dimension {n} unsupported (need 2..4)")

@@ -1,9 +1,10 @@
 """Batch front end: parse body/measure specs, dispatch, emit reports.
 
 Exit codes: 0 success (and inequality pass), 1 configuration or parse
-error, 2 inequality-check failure, 3 hypothesis violation.  Identical
-command lines with identical seeds produce byte-identical output: all
-numbers are serialized with Python's shortest round-trip float repr.
+error or numeric failure, 2 inequality-check failure, 3 hypothesis
+violation.  Identical command lines with identical seeds produce
+byte-identical output: all numbers are serialized with Python's shortest
+round-trip float repr.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import sys
 import numpy as np
 
 from . import bodies, isotropic, measures
-from .bodies import Ball, LinearMap
+from .bodies import Ball, DegeneracyError, LinearMap
 from .covariogram import CovariogramQuery, mu_covariogram
 from .inequalities import (INEQUALITY_IDS, ehrhard_bound_value,
                            gaussian_sharpness_sweep, pe_sweep, verify)
 from .meanbodies import (inclusion_chain_report, radial_mean_body,
                          spectral_mean_body)
 from .measures import ConcavityFamily
-from .numerics import ConfigurationError, DomainError
+from .numerics import (ConfigurationError, DomainError, EvaluationError,
+                       PrecisionError, QuadratureFailure)
 from .projection import brightness_residual, shifted_zonoid
 from .report import Report, RunConfig, direction_grid
 
@@ -445,11 +447,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# the commands that take a ``ball:`` body; every other needs a polytope
+_BALL_COMMANDS = {"body info", "body transform", "verify zhang_petty"}
+
+
 def _resolve_specs(args):
     """Parse the body, measure and --f specs and the run config, once."""
     if not hasattr(args, "body"):
         return
     args.K = parse_body(args.body)
+    command = f"{args.command} {getattr(args, 'action', None) or args.id}"
+    if isinstance(args.K, Ball) and command not in _BALL_COMMANDS:
+        raise ConfigurationError(f"{command} needs a polytope body, not a ball")
     n = args.K.n
     args.mu = parse_measure(args.measure, n) if hasattr(args, "measure") else None
     args.f = parse_measure(args.f, n) if getattr(args, "f", None) else None
@@ -466,8 +475,9 @@ def main(argv=None) -> int:
     try:
         _resolve_specs(args)
         return args.run(args, sys.stdout)
-    except (ConfigurationError, DomainError, FileNotFoundError,
-            KeyError) as exc:
+    except (ConfigurationError, DomainError, FileNotFoundError, KeyError,
+            DegeneracyError, PrecisionError, QuadratureFailure,
+            EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -22,8 +22,9 @@ to R^4.  A gamma_n x gamma_n pair is first rewritten, in every dimension,
 as a weighted polarized query by the Gaussian product rule
 (``_polarized_gaussian``).  The brightness derivatives are slopes at 0 of
 Chebyshev interpolants on the first piece of ``_breakpoints``, where
-r -> g(r theta) is analytic (``_chebyshev_slope``).  Every other variant
-(3-D bodies, ``exp_norm``, custom densities, balls) is
+r -> g(r theta) is analytic (``_chebyshev_slope``); the modes at one
+direction share its unit ray, first piece and clip (``_RayPlan``).  Every
+other variant (3-D bodies, ``exp_norm``, custom densities, balls) is
 ``numerics.monte_carlo`` over the intersection, known in H-representation
 (membership tests against K's facets).  Several translations are the
 columns of one integrand: they share one draw from K's own box (each of
@@ -401,8 +402,13 @@ def mu_covariogram(q: CovariogramQuery, x):
     draw of its own would give.
     """
     xs = np.asarray(x, dtype=float)
-    single = xs.ndim == 1
-    xs = np.atleast_2d(xs)
+    results = _covariograms(q, np.atleast_2d(xs))
+    return results[0] if xs.ndim == 1 else results
+
+
+def _covariograms(q: CovariogramQuery, xs: np.ndarray, clip=None) -> list:
+    """``mu_covariogram`` at a stack (k, n); the planar cubatures read
+    ``clip`` as ``_intersection_pieces`` does."""
     weight, q = _polarized_gaussian(q)
     tol = 1e-9 if q.tol is None else q.tol
     if q.mu.is_lebesgue and q.mode in ("plain", "polarized"):
@@ -415,30 +421,29 @@ def mu_covariogram(q: CovariogramQuery, x):
         results = [QuadratureResult(float(v), float(e), res.evaluations)
                    for v, e in zip(res.value, res.error_estimate)]
     elif q.mode != "functional":
-        results = _flux_covariogram(q.K, xs, q.mu.flux, q.mode == "polarized", tol)
+        results = _flux_covariogram(q.K, xs, q.mu.flux, q.mode == "polarized", tol, clip)
     else:
-        results = _functional_covariogram(q, xs)
-    if weight is not None:
-        results = [QuadratureResult(float(w * res.value), float(w * res.error_estimate),
-                                    res.evaluations) for w, res in zip(weight(xs), results)]
-    return results[0] if single else results
+        results = _functional_covariogram(q, xs, clip)
+    if weight is None:
+        return results
+    return [QuadratureResult(float(w * res.value), float(w * res.error_estimate),
+                             res.evaluations) for w, res in zip(weight(xs), results)]
 
 
 @dataclass
 class _RayPlan:
     """The geometry of K along one direction theta that every brightness
-    mode reads, kept on K as ``K._ray_plan`` by ``brightness_derivative``
-    for the last theta it was given (keyed by the bytes of theta):
-    ``_unit_rays`` of theta and of that ray again, the first piece (a, b,
-    ray) of ``_breakpoints`` along the second, the translations of the
-    Chebyshev stack on [0, b], and ``_intersection_pieces``' clip of that
-    stack, a (x, sides, area, <u_i, x>) per block.  The last three are
-    filled on first use, so a sampled mode finds no breakpoints and the
+    mode reads, kept on K as ``K._ray_plan`` for the last theta (keyed by
+    its bytes) by ``brightness_derivative``, its only reader and writer:
+    the unit ray and rho_DK of ``_unit_rays``; once a deterministic mode
+    needs them, the first piece (a, b, ray) of ``_breakpoints``, the
+    Chebyshev stack on [0, b]; and once a slope reads the whole piece, the
+    ``_clip`` of that stack.  A sampled mode finds no breakpoints, and the
     exact mode clips nothing."""
 
     key: bytes
-    once: tuple
-    twice: tuple
+    rays: np.ndarray
+    rhos: np.ndarray
     piece: tuple | None = None
     stack: np.ndarray | None = None
     clip: list | None = None
@@ -480,36 +485,38 @@ def brightness_derivative(q: CovariogramQuery, theta) -> QuadratureResult:
     N plays no part.
 
     The modes at one direction share its geometry: K keeps a ``_RayPlan``
-    for the last theta (by its bytes) with the unit rays, rho_DK, the first
-    piece and the clip of the Chebyshev stack on it.  Each is what a fresh
-    computation gives, so every value, error and evaluation count has the
-    bits of a body without a plan, in any order of modes and directions.
+    for the last theta (by its bytes) with its one ``_unit_rays``
+    normalisation, the first piece, and the Chebyshev stack on it and its
+    clip, which is handed down to the planar cubatures.  Each is what a
+    fresh computation gives, so every value, error and evaluation count has
+    the bits of a body without a plan, in any order of modes and directions.
     """
     weight, q = _polarized_gaussian(q)
     scale = 1.0 if weight is None else float(weight(np.zeros((1, q.K.n)))[0])
     key = np.asarray(theta, dtype=float).tobytes()
     plan = getattr(q.K, "_ray_plan", None)
     if plan is None or plan.key != key:
-        # the slope reads the ray normalised twice, as it always did (its bits are pinned)
-        once = _unit_rays(q.K, theta)
-        twice = _unit_rays(q.K, once[0])
-        plan = q.K._ray_plan = _RayPlan(key, once, twice)
-    (theta,), (rho,) = plan.once
+        plan = q.K._ray_plan = _RayPlan(key, *_unit_rays(q.K, theta))
+    (theta,), (rho,) = plan.rays, plan.rhos
     if not q.sampled:
-        rays, rhos = plan.twice
         if plan.piece is None:
-            plan.piece = tuple(x[:1] for x in _breakpoints(q.K, rays, rhos))
-            plan.stack = _chebyshev_stack(rays[0], plan.piece[1][0])
+            plan.piece = tuple(x[:1] for x in _breakpoints(q.K, plan.rays, plan.rhos))
+            plan.stack = _chebyshev_stack(theta, plan.piece[1][0])
         a, b, ray = plan.piece
         if q.mu.is_lebesgue and q.mode != "functional":
-            first = _fit_pieces(q.K, rays, rhos, a, b, ray,
+            first = _fit_pieces(q.K, plan.rays, plan.rhos, a, b, ray,
                                 1e-9 if q.tol is None else q.tol)
             noise = abs(first.residual[0]) + 64.0 * np.finfo(float).eps * q.K.volume
             value, evals = first.coefficients[0, 1] / b[0], q.K.n + 1
             err = np.abs(_nodal_inverse(q.K.n)[1]).sum() * noise / b[0]
         else:
-            reach = min(b[0], _analytic_reach(q, rays[0]))
-            value, err, evals = _chebyshev_slope(q, rays[0], reach)
+            reach = _analytic_reach(q, theta)
+            if reach < b[0]:
+                value, err, evals = _chebyshev_slope(q, _chebyshev_stack(theta, reach), reach)
+            else:
+                if plan.clip is None:
+                    plan.clip = list(_clip(q.K, plan.stack))
+                value, err, evals = _chebyshev_slope(q, plan.stack, b[0], plan.clip)
     else:
         h = 1e-3 * q.K.diameter
         if h > rho / 4.0 + 1e-12:
@@ -669,7 +676,14 @@ def _shoelace(K: Polytope, c: np.ndarray, sides) -> np.ndarray:
     return g
 
 
-def _intersection_pieces(K: Polytope, xs: np.ndarray, polarized: bool = False):
+def _clip(K: Polytope, xs: np.ndarray):
+    """The blocks of ``_clipped_edges`` of a stack (N, 2) of translations of a
+    polygon as ``_intersection_pieces`` reads them: (x, sides, area, <u_i, x>)."""
+    return ((x, sides, _shoelace(K, c, sides), K.normals @ x.T)
+            for x, c, sides in _clipped_edges(K, xs))
+
+
+def _intersection_pieces(K: Polytope, xs: np.ndarray, polarized=False, clip=None):
     """The edges of each K ∩ (K + x) of positive area, for a stack (N, 2)
     of translations of a polygon: (segments (P, 2, 2), offsets (P,),
     owner (P,)).
@@ -679,28 +693,13 @@ def _intersection_pieces(K: Polytope, xs: np.ndarray, polarized: bool = False):
     <u_i, x>; the polarized body (K - x/2) ∩ (K + x/2) is the same polygon
     moved by -x/2, its offsets by -<u_i, x> / 2.  ``owner`` is each piece's
     row in ``xs``.  Where the shoelace area of the pieces is 0 (on and
-    beyond the boundary of DK) a translation has none.
-
-    Handed exactly the Chebyshev stack of K's ``_RayPlan`` (equal shape and
-    bytes), it clips that stack once and keeps the clip with the plan, so
-    the plain, polarized and Gaussian functional slopes along one direction
-    redo only their own shift; the clip is deterministic, so the pieces
-    have the bits of a fresh clip.  Any other stack is clipped afresh, a
-    block at a time, and nothing is kept.
+    beyond the boundary of DK) a translation has none.  ``clip`` is the
+    ``_clip`` of ``xs`` where the caller keeps one (``brightness_derivative``'s
+    ray plan, shared by its modes); otherwise ``xs`` is clipped here.
     """
     E = _polygon_edges(K)
-    plan = getattr(K, "_ray_plan", None)
-    shared = (plan is not None and plan.stack is not None and plan.stack.shape == xs.shape
-              and plan.stack.tobytes() == xs.tobytes())
-    if shared and plan.clip is not None:
-        blocks = plan.clip
-    else:
-        blocks = ((x, sides, _shoelace(K, c, sides), K.normals @ x.T)   # <u_i, x>
-                  for x, c, sides in _clipped_edges(K, xs))
-        if shared:
-            blocks = plan.clip = list(blocks)
     segments, offsets, owner, begin = [], [], [], 0
-    for x, sides, area, shift in blocks:
+    for x, sides, area, shift in _clip(K, xs) if clip is None else clip:
         for s, own, lo, hi in sides:
             i, k = np.nonzero(own & (hi > lo) & (area > 0.0))
             w = (s < 0.0) - 0.5 * polarized       # the piece moves by w x
@@ -713,7 +712,8 @@ def _intersection_pieces(K: Polytope, xs: np.ndarray, polarized: bool = False):
     return tuple(np.concatenate(a) for a in (segments, offsets, owner))
 
 
-def _flux_covariogram(K: Polytope, xs: np.ndarray, flux, polarized: bool, tol) -> list:
+def _flux_covariogram(K: Polytope, xs: np.ndarray, flux, polarized: bool, tol,
+                      clip=None) -> list:
     """sum_s b_s ∫_s G ds over the edges s of K ∩ (K + x), with offsets b_s,
     for G = ``flux`` at a stack (N, 2) of translations of a polygon; the
     edges are moved by -x/2 when ``polarized``.
@@ -724,9 +724,9 @@ def _flux_covariogram(K: Polytope, xs: np.ndarray, flux, polarized: bool, tol) -
     ``simplex_integrals`` at budget tol / (S |b_s|), so that it is at most
     tol.  A translation without pieces (``_intersection_pieces``) gets 0.
     All pieces of all translations make one cubature call, and each result
-    carries that call's evaluations.
+    carries that call's evaluations.  ``clip`` is as in ``_intersection_pieces``.
     """
-    segments, b, owner = _intersection_pieces(K, xs, polarized)
+    segments, b, owner = _intersection_pieces(K, xs, polarized, clip)
     with np.errstate(divide="ignore"):
         budgets = tol / (np.bincount(owner)[owner] * np.abs(b))
     v, e, evaluations = simplex_integrals(segments, np.arange(len(b)), flux, budgets)
@@ -747,28 +747,26 @@ def _flux_covariogram(K: Polytope, xs: np.ndarray, flux, polarized: bool, tol) -
 _FAN_BLOCK = 4
 
 
-def _functional_covariogram(q: CovariogramQuery, xs: np.ndarray) -> list:
+def _functional_covariogram(q: CovariogramQuery, xs: np.ndarray, clip=None) -> list:
     """g_{mu,f}(K, x) = ∫_{K ∩ (K+x)} f(y - x) phi(y) dy at a stack (N, 2)
     of translations of a polygon, for a ``smooth`` f and mu that the
     Gaussian product rule (``measures.product_flux``) does not cover: a
     Lebesgue or |x|^2k mu or f.
 
     Each K ∩ (K + x) is fanned into triangles from the mean of the ends of
-    its edges (``_intersection_pieces``), an interior point of the convex
-    polygon.  An edge no longer than 1e-12 diam K is dropped: it is a
-    roundoff remnant of a piece of length 0 (a vertex on an edge, as at the
-    end of a ray's first piece), and the Gram-determinant area that
-    ``simplex_integrals`` would give its sliver triangle is noise of about
-    1e-8 of the triangle's squared size, which never refines to a budget.
-    Each triangle is lifted to (y, x) in R^4, its translation's x in the
-    last two coordinates of every vertex, so that the integrand
-    f(y - x) phi(y) reads x off each node; the lift changes no area.  A
-    translation's triangles are one group of ``simplex_integrals`` with
-    budget tol = ``q.tol`` (1e-9 if None), refined and summed apart from
-    the others, so a block of ``_FAN_BLOCK`` translations per call gives the
-    bits of one call for all of them, with memory that does not grow with
-    the stack.  Each result carries the evaluations of all the calls.  A
-    translation without edges gets 0.
+    its edges (``_intersection_pieces``, with ``clip`` as there), an
+    interior point of the convex polygon.  A roundoff remnant of a piece of
+    length 0 (a vertex on an edge, as at the end of a ray's first piece)
+    gives a sliver triangle of about zero area, which
+    ``bodies.simplex_measure`` measures as such.  Each triangle is lifted to
+    (y, x) in R^4, its translation's x in the last two coordinates of every
+    vertex, so that the integrand f(y - x) phi(y) reads x off each node; the
+    lift changes no area.  A translation's triangles are one group of
+    ``simplex_integrals`` with budget tol = ``q.tol`` (1e-9 if None),
+    refined and summed apart from the others, so a block of ``_FAN_BLOCK``
+    translations per call gives the bits of one call for all of them, with
+    cubature memory that does not grow with the stack.  Each result carries
+    the evaluations of all the calls.  A translation without edges gets 0.
     """
     tol = 1e-9 if q.tol is None else q.tol
 
@@ -776,12 +774,12 @@ def _functional_covariogram(q: CovariogramQuery, xs: np.ndarray) -> list:
         y = p[:, :2]
         return q.f.eval(y - p[:, 2:]) * q.mu.eval(y)
 
+    pieces, _, owners = _intersection_pieces(q.K, xs, clip=clip)
     values, errors, evaluations = np.zeros(len(xs)), np.zeros(len(xs)), 0
     for begin in range(0, len(xs), _FAN_BLOCK):
         x = xs[begin:begin + _FAN_BLOCK]
-        segments, _, owner = _intersection_pieces(q.K, x)
-        keep = np.abs(segments[:, 1] - segments[:, 0]).max(axis=1) > 1e-12 * q.K.diameter
-        segments, owner = segments[keep], owner[keep]
+        mine = (owners >= begin) & (owners < begin + len(x))
+        segments, owner = pieces[mine], owners[mine] - begin
         ends = 2.0 * np.bincount(owner, minlength=len(x))
         centre = np.stack([np.bincount(owner, segments[:, :, j].sum(axis=1), len(x))
                            for j in range(2)], axis=1) / np.maximum(ends, 1.0)[:, None]
@@ -840,13 +838,14 @@ def _chebyshev_stack(theta: np.ndarray, b: float) -> np.ndarray:
     return np.outer(b * _chebyshev_rule(_CHEBYSHEV_DEGREE)[0], theta)
 
 
-def _chebyshev_slope(q: CovariogramQuery, theta: np.ndarray, b: float):
-    """The slope at 0 of r -> ``mu_covariogram(q, r theta)`` on [0, b], where
-    it is analytic: (value, error, evaluations) for ``brightness_derivative``
-    from one stack of values at the nodes of ``_chebyshev_rule``."""
+def _chebyshev_slope(q: CovariogramQuery, xs: np.ndarray, b: float, clip=None):
+    """The slope at 0 of r -> g(r theta) on [0, b], where it is analytic,
+    from the values of ``mu_covariogram`` at its ``_chebyshev_stack`` xs
+    (taken through ``clip`` if given, as in ``_covariograms``):
+    (value, error, evaluations) for ``brightness_derivative``."""
     fine = _chebyshev_rule(_CHEBYSHEV_DEGREE)[1]
     coarse = _chebyshev_rule(_CHEBYSHEV_DEGREE // 2)[1]
-    results = mu_covariogram(q, _chebyshev_stack(theta, b))
+    results = _covariograms(q, xs, clip)
     v = np.array([res.value for res in results])
     e = np.array([res.error_estimate for res in results])
     value = fine @ v / b

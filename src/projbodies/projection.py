@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from . import bodies
 from .bodies import Ball, LinearMap, PolarDomainError, Polytope
@@ -109,8 +109,20 @@ class Zonoid:
         return value, max(measure(widest) - value, value - lo)
 
     def polar_volume(self) -> tuple[float, float]:
-        """Exact polar volume and its weight-error bound."""
-        return self.polar_bracket(lambda points: ConvexHull(points).volume)
+        """Exact polar volume and its weight-error bound.  Support values
+        that span more than double precision leave qhull a polar too flat
+        to hull: that raises ``PrecisionError`` naming the extremes."""
+        def volume(points):
+            try:
+                return ConvexHull(points).volume
+            except QhullError:
+                h = 1.0 / np.linalg.norm(points, axis=1)
+                raise PrecisionError(
+                    f"support values h(u) from {h.min():.3e} to {h.max():.3e} span "
+                    "more than double precision, so qhull cannot hull the polar's "
+                    "points u / h(u)") from None
+
+        return self.polar_bracket(volume)
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,46 @@ def test_unparsable_numbers_exit_1(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_BALL_COMMANDS = [
+    ["covariogram", "eval", "--x", "0.5,0"],
+    ["covariogram", "profile", "--theta", "1,0"],
+    ["projbody", "build"],
+    ["projbody", "polar-volume"],
+    ["projbody", "brightness", "--theta", "1,0"],
+    ["meanbody", "radial", "--p", "1"],
+    ["meanbody", "spectral", "--p", "1"],
+    ["meanbody", "chain"],
+    ["isotropic", "residual"],
+    ["isotropic", "minimize"],
+    ["isotropic", "reverse-iso", "--family", "log"],
+    ["sweep", "pe"],
+    ["verify", "rogers_shephard"],
+    ["verify", "log_concave_zhang", "--measure", "gaussian"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    *[argv + ["--body", "ball:2"] for argv in _BALL_COMMANDS],
+    ["body", "info", "--body", "@collinear.json"],
+    ["body", "info", "--body", "@nan.json"],
+    ["projbody", "polar-volume", "--body", "cube:2:8", "--measure", "gaussian"],
+    ["projbody", "polar-volume", "--body", "cube:2:8", "--measure", "radial_power:inf"],
+    ["verify", "exp_norm_gradient_identity", "--body", "cross:3",
+     "--measure", "exp_norm:cube:3"],
+], ids=[*("ball-" + "-".join(argv[:2]) for argv in _BALL_COMMANDS),
+        "collinear", "nan-vertex", "precision", "evaluation", "quadrature"])
+def test_library_failures_exit_1(argv, tmp_path, monkeypatch, capsys):
+    """A ball where a polytope is needed, a degenerate or non-finite vertex
+    file, and the library's numeric failures (``PrecisionError``,
+    ``EvaluationError``, ``QuadratureFailure``) each print one error line."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "collinear.json").write_text('{"vertices": [[0, 0], [1, 1], [2, 2], [3, 3]]}')
+    (tmp_path / "nan.json").write_text('{"vertices": [[0, 0], [NaN, 1], [2, 0]]}')
+    code, out = run_cli(argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_byte_identical_reruns():
     argv = ["verify", "log_concave_zhang", "--body", "cube:2",
             "--measure", "gaussian", "--seed", "3"]
@@ -352,6 +392,8 @@ def test_body_info_and_transform_ball():
     code, _ = run_cli(["body", "transform", "--body", "ball:2:1.5",
                        "--map", "2,0;0,0.5"])
     assert code == 1  # only scaled isometries map a ball to a ball
+    code, out = run_cli(["verify", "zhang_petty", "--body", "ball:2"])
+    assert code == 0 and json.loads(out)["pass"]
 
 
 # The README's command-line examples, with the stdout they printed when the

@@ -192,6 +192,40 @@ def test_q_concave_zhang_functional(square, gauss2):
         assert rep.passed
 
 
+def _bumps(sigma, c):
+    """Two Gaussian bumps of width sigma at (±c, 0), declared log-concave.
+    Random probes cannot refute that flag, but the sum is not log-concave."""
+    centres = np.array([[c, 0.0], [-c, 0.0]])
+
+    def bumps(p):
+        return [np.exp(-((p - m) ** 2).sum(axis=1) / (2.0 * sigma ** 2)) for m in centres]
+
+    return pb.custom_density(
+        2, lambda p: sum(bumps(p)),
+        lambda p: sum(-(p - m) / sigma ** 2 * b[:, None] for m, b in zip(centres, bumps(p))),
+        label="bumps", even=True, concavity=frozenset({"log_concave"}))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_q_concave_zhang_catches_a_false_log_concave_flag(square, seed):
+    """The midpoint test of log g_mu along random rays finds the bumps'
+    covariogram not log-concave: a positive margin, reported as a
+    hypothesis violation rather than a pass or fail."""
+    rep = pb.verify("q_concave_zhang", square, mu=_bumps(0.25, 0.75),
+                    family=pb.log_family(), precision=pb.RunConfig(seed=seed))
+    assert rep.verdict == "hypothesis_violation"
+    assert rep.witnesses["concavity_margin"].value > 0.0
+
+
+def test_polar_volume_beyond_double_precision_raises(square):
+    """Narrower bumps nearer two edges leave the zonoid's support values
+    from about 1e-22 to 0.08: its polar's points u / h(u) span more than
+    double precision, and qhull's failure becomes a ``PrecisionError``."""
+    with pytest.raises(pb.PrecisionError, match="span more than double precision"):
+        pb.verify("q_concave_zhang", square, mu=_bumps(0.1, 0.85),
+                  family=pb.log_family(), precision=CFG)
+
+
 def test_log_concave_zhang(square, gauss2):
     rep = pb.verify("log_concave_zhang", square, mu=gauss2, precision=CFG)
     assert rep.passed

@@ -242,10 +242,12 @@ def test_the_gaussian_product_rule_is_one_query_rewrite():
 
 
 def test_one_ray_plan_per_body_and_direction():
-    """The ray plan that the brightness modes share is made in one place."""
-    stores = {(path.name, getattr(node, "name", "<module>"))
+    """The ray plan that the brightness modes share has one owner: only
+    ``brightness_derivative`` loads or stores ``K._ray_plan``, by attribute
+    or by ``getattr`` name."""
+    owners = {(path.name, getattr(node, "name", "<module>"))
               for path in MODULES for node in _tree(path).body
               for inner in ast.walk(node)
-              if isinstance(inner, ast.Attribute) and inner.attr == "_ray_plan"
-              and isinstance(inner.ctx, ast.Store)}
-    assert stores == {("covariogram.py", "brightness_derivative")}
+              if (isinstance(inner, ast.Attribute) and inner.attr == "_ray_plan")
+              or (isinstance(inner, ast.Constant) and inner.value == "_ray_plan")}
+    assert owners == {("covariogram.py", "brightness_derivative")}
