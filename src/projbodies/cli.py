@@ -1,5 +1,10 @@
 """Batch front end: parse body/measure specs, dispatch, emit reports.
 
+Each subcommand takes only the options that its handler, or the library
+call behind it, reads (``projbody polar-volume`` also accepts --grid, and
+ignores it: its polar volume is exact).  The precision options build the
+run's ``RunConfig``, the one place handlers read precision from.
+
 Exit codes: 0 success (and inequality pass), 1 configuration or parse
 error or numeric failure, 2 inequality-check failure, 3 hypothesis
 violation.  Identical command lines with identical seeds produce
@@ -220,7 +225,7 @@ def _body(args, out) -> int:
 
 def _query(args) -> CovariogramQuery:
     return CovariogramQuery(args.K, args.mu, args.f, mode=args.mode,
-                            stream=args.cfg.stream(), N=args.samples,
+                            stream=args.cfg.stream(), N=args.cfg.samples,
                             tol=args.cfg.tol)
 
 
@@ -244,9 +249,9 @@ def _covariogram_profile(args, out) -> int:
 
 
 def _projbody_build(args, out) -> int:
-    K, mu, f = args.K, args.mu, args.f
-    zon, off = shifted_zonoid(K, mu, f, args.cfg.stream(), args.samples,
-                              args.tol)
+    cfg = args.cfg
+    zon, off = shifted_zonoid(args.K, args.mu, args.f, cfg.stream(),
+                              cfg.samples, cfg.tol)
     return emit_json({
         "generators": zon.generators.tolist(),
         "weights": zon.weights.tolist(),
@@ -257,16 +262,16 @@ def _projbody_build(args, out) -> int:
 
 
 def _projbody_polar_volume(args, out) -> int:
-    zon, _ = shifted_zonoid(args.K, args.mu, tol=args.tol)
+    zon, _ = shifted_zonoid(args.K, args.mu, tol=args.cfg.tol)
     value, error = zon.polar_volume()
     return emit_json({"value": value, "error": error}, out)
 
 
 def _projbody_brightness(args, out) -> int:
+    cfg = args.cfg
     res = brightness_residual(args.K, args.mu, parse_vector(args.theta),
-                              mode=args.mode, f=args.f,
-                              stream=args.cfg.stream(), N=args.samples,
-                              tol=args.tol)
+                              mode=args.mode, f=args.f, stream=cfg.stream(),
+                              N=cfg.samples, tol=cfg.tol)
     return emit_json({"residual": res.value,
                       "budget": res.error_estimate,
                       "pass": bool(res.value <= 3.0 * res.error_estimate
@@ -275,15 +280,15 @@ def _projbody_brightness(args, out) -> int:
 
 def _meanbody_chain(args, out) -> int:
     p_list = [float(p) for p in args.p_list.split(",")]
-    grid = direction_grid(args.K.n, min(args.grid, 256), args.cfg)
-    report = inclusion_chain_report(args.K, p_list, grid, tol=args.tol)
+    grid = direction_grid(args.K.n, min(args.cfg.grid, 256), args.cfg)
+    report = inclusion_chain_report(args.K, p_list, grid, tol=args.cfg.tol)
     return emit_report(report, args.format, out)
 
 
 def _meanbody_radii(args, out) -> int:
-    grid = direction_grid(args.K.n, min(args.grid, 256), args.cfg)
+    grid = direction_grid(args.K.n, min(args.cfg.grid, 256), args.cfg)
     p = float("inf") if args.p == "inf" else float(args.p)
-    result = args.mean_body(args.K, p, grid, tol=args.tol)
+    result = args.mean_body(args.K, p, grid, tol=args.cfg.tol)
     rows = [{"direction": list(d), "radius": float(r)}
             for d, r in zip(grid.directions, result.star.radii)]
     if args.format == "csv":
@@ -303,7 +308,7 @@ def _verify(args, out) -> int:
 
 
 def _isotropic_residual(args, out) -> int:
-    cert = isotropic.isotropy_residual(args.K, args.mu, args.tol)
+    cert = isotropic.isotropy_residual(args.K, args.mu, args.cfg.tol)
     return emit_json({"residual": cert.residual,
                       "threshold": cert.threshold,
                       "isotropic": cert.isotropic,
@@ -312,7 +317,7 @@ def _isotropic_residual(args, out) -> int:
 
 def _isotropic_minimize(args, out) -> int:
     point, value, converged = isotropic.minimize_I(args.K, args.mu,
-                                                   tol=args.tol)
+                                                   tol=args.cfg.tol)
     return emit_json({"matrix": point.matrix.tolist(),
                       "value": value,
                       "converged": converged}, out)
@@ -322,8 +327,7 @@ def _isotropic_reverse_iso(args, out) -> int:
     report = isotropic.reverse_isoperimetric(args.K, args.mu,
                                              parse_family(args.family),
                                              mode=args.mode,
-                                             stream=args.cfg.stream(),
-                                             N=args.samples, cfg=args.cfg)
+                                             N=args.cfg.samples, cfg=args.cfg)
     return emit_report(report, args.format, out)
 
 
@@ -347,17 +351,31 @@ def _sweep_ehrhard(args, out) -> int:
 
 # -- argument plumbing ----------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, run, measure=False):
+# the options several commands take; the precision defaults are RunConfig's
+_OPTIONS = {
+    "body": dict(required=True, help="body spec (or @file)"),
+    "measure": dict(default="lebesgue", help="measure spec (default lebesgue)"),
+    "seed": dict(type=int, default=RunConfig.seed),
+    "samples": dict(type=int, default=RunConfig.samples),
+    "grid": dict(type=int, default=RunConfig.grid),
+    "tol": dict(type=float, default=RunConfig.tol),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "mode": dict(choices=("plain", "polarized", "functional"), default="plain"),
+    "f": dict(default=None, help="density spec for functional forms"),
+    "theta": dict(required=True),
+    "n": dict(type=int, default=2),
+}
+_SAMPLED = ("body", "measure", "seed", "samples", "tol")
+_GRIDDED = ("body", "seed", "grid", "tol", "format")
+
+
+def _add_common(p: argparse.ArgumentParser, run, *names):
+    """Route ``p`` to ``run`` and give it the named ``_OPTIONS``: the ones
+    that ``run``, or the library call behind it, reads."""
     p.set_defaults(run=run)
-    p.add_argument("--body", required=True, help="body spec (or @file)")
-    if measure:
-        p.add_argument("--measure", default="lebesgue",
-                       help="measure spec (default lebesgue)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=measures.DEFAULT_MC_SAMPLES)
-    p.add_argument("--grid", type=int, default=4096)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    for name in names:
+        p.add_argument(f"--{name}", **_OPTIONS[name])
+    return p
 
 
 @functools.cache   # built once per process; parse_args leaves it unchanged
@@ -366,83 +384,63 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     body = sub.add_parser("body").add_subparsers(dest="action", required=True)
-    _add_common(body.add_parser("info"), _body)
-    p = body.add_parser("transform")
-    _add_common(p, _body)
-    p.add_argument("--map", required=True, help="row-major 'a,b;c,d' or rot:angle")
+    _add_common(body.add_parser("info"), _body, "body")
+    _add_common(body.add_parser("transform"), _body, "body").add_argument(
+        "--map", required=True, help="row-major 'a,b;c,d' or rot:angle")
 
     cov = sub.add_parser("covariogram").add_subparsers(dest="action", required=True)
-    p = cov.add_parser("eval")
-    _add_common(p, _covariogram_eval, measure=True)
+    p = _add_common(cov.add_parser("eval"), _covariogram_eval, *_SAMPLED,
+                    "mode", "f")
     p.add_argument("--x", required=True, help="translation vector 'x1,x2,...'")
-    p.add_argument("--mode", choices=("plain", "polarized", "functional"),
-                   default="plain")
-    p.add_argument("--f", default=None, help="density spec for functional mode")
-    p = cov.add_parser("profile")
-    _add_common(p, _covariogram_profile, measure=True)
-    p.add_argument("--theta", required=True)
+    p = _add_common(cov.add_parser("profile"), _covariogram_profile, *_SAMPLED,
+                    "format", "theta", "mode", "f")
     p.add_argument("--steps", type=int, default=32)
-    p.add_argument("--mode", choices=("plain", "polarized", "functional"),
-                   default="plain")
-    p.add_argument("--f", default=None)
 
     proj = sub.add_parser("projbody").add_subparsers(dest="action", required=True)
-    p = proj.add_parser("build")
-    _add_common(p, _projbody_build, measure=True)
-    p.add_argument("--f", default=None)
+    _add_common(proj.add_parser("build"), _projbody_build, *_SAMPLED, "f")
+    # the polar volume is exact: --grid is accepted and ignored
     _add_common(proj.add_parser("polar-volume"), _projbody_polar_volume,
-                measure=True)
-    p = proj.add_parser("brightness")
-    _add_common(p, _projbody_brightness, measure=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--mode", choices=("plain", "polarized", "functional"),
-                   default="plain")
-    p.add_argument("--f", default=None)
+                "body", "measure", "tol", "grid")
+    _add_common(proj.add_parser("brightness"), _projbody_brightness, *_SAMPLED,
+                "theta", "mode", "f")
 
     mean = sub.add_parser("meanbody").add_subparsers(dest="action", required=True)
     for action, fn in (("radial", radial_mean_body),
                        ("spectral", spectral_mean_body)):
-        p = mean.add_parser(action)
-        _add_common(p, _meanbody_radii)
+        p = _add_common(mean.add_parser(action), _meanbody_radii, *_GRIDDED)
         p.set_defaults(mean_body=fn)
         p.add_argument("--p", required=True,
                        help="exponent (a float, or 'inf')")
-    p = mean.add_parser("chain")
-    _add_common(p, _meanbody_chain)
-    p.add_argument("--p-list", default="0,1,2")
+    _add_common(mean.add_parser("chain"), _meanbody_chain,
+                *_GRIDDED).add_argument("--p-list", default="0,1,2")
 
     p = sub.add_parser("verify")
     p.add_argument("id", choices=INEQUALITY_IDS)
-    _add_common(p, _verify, measure=True)
+    _add_common(p, _verify, *_SAMPLED, "grid", "format", "f")
     p.add_argument("--nu", default=None, help="second measure spec")
-    p.add_argument("--f", default=None, help="density spec for functional forms")
     p.add_argument("--family", default=None,
                    help="log | gaussian_phi_inverse | power:s")
     p.add_argument("--s", type=float, default=None)
 
     iso = sub.add_parser("isotropic").add_subparsers(dest="action", required=True)
-    _add_common(iso.add_parser("residual"), _isotropic_residual, measure=True)
-    _add_common(iso.add_parser("minimize"), _isotropic_minimize, measure=True)
-    p = iso.add_parser("reverse-iso")
-    _add_common(p, _isotropic_reverse_iso, measure=True)
+    for action, fn in (("residual", _isotropic_residual),
+                       ("minimize", _isotropic_minimize)):
+        _add_common(iso.add_parser(action), fn, "body", "measure", "tol")
+    p = _add_common(iso.add_parser("reverse-iso"), _isotropic_reverse_iso,
+                    *_SAMPLED, "format")
     p.add_argument("--family", required=True)
     p.add_argument("--mode", choices=("q_form", "f_form"), default="q_form")
 
     sweep = sub.add_parser("sweep").add_subparsers(dest="action", required=True)
-    p = sweep.add_parser("pe")
-    _add_common(p, _sweep_pe)
-    p.add_argument("--t-list", default="0.5,1,2,4,8,12,16")
-    p = sweep.add_parser("gaussian-sharpness")
-    p.set_defaults(run=_sweep_gaussian_sharpness)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--r-list", default="1,2,5,10,20")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p = sweep.add_parser("ehrhard")
-    p.set_defaults(run=_sweep_ehrhard)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--x-list", default="-2,-1,0,1,2")
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    _add_common(sweep.add_parser("pe"), _sweep_pe, "body", "tol",
+                "format").add_argument("--t-list", default="0.5,1,2,4,8,12,16")
+    for action, fn, name, default in (
+            ("gaussian-sharpness", _sweep_gaussian_sharpness, "--r-list",
+             "1,2,5,10,20"),
+            ("ehrhard", _sweep_ehrhard, "--x-list", "-2,-1,0,1,2")):
+        p = _add_common(sweep.add_parser(action), fn, "n", "format")
+        p.add_argument(name, default=default)
+        p.set_defaults(format="csv")
 
     return top
 
@@ -452,7 +450,8 @@ _BALL_COMMANDS = {"body info", "body transform", "verify zhang_petty"}
 
 
 def _resolve_specs(args):
-    """Parse the body, measure and --f specs and the run config, once."""
+    """Parse the body, measure and --f specs once, and build the RunConfig
+    from the precision options present (RunConfig's defaults for the rest)."""
     if not hasattr(args, "body"):
         return
     args.K = parse_body(args.body)
@@ -462,8 +461,8 @@ def _resolve_specs(args):
     n = args.K.n
     args.mu = parse_measure(args.measure, n) if hasattr(args, "measure") else None
     args.f = parse_measure(args.f, n) if getattr(args, "f", None) else None
-    args.cfg = RunConfig(seed=args.seed, samples=args.samples, grid=args.grid,
-                         tol=args.tol)
+    args.cfg = RunConfig(**{k: v for k, v in vars(args).items()
+                            if k in RunConfig.__dataclass_fields__})
 
 
 def main(argv=None) -> int:

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +104,9 @@ class CovariogramQuery:
             raise ConfigurationError(f"unknown covariogram mode {self.mode!r}")
         if self.mode == "functional" and self.f is None:
             raise ConfigurationError("functional mode requires f")
+        if self.f is not None and not isinstance(self.f, Density):
+            raise ConfigurationError(
+                f"f must be a Density, not {type(self.f).__name__}")
         if self.mode != "functional" and self.f is not None:
             raise ConfigurationError(f"mode {self.mode!r} does not take an f")
 
@@ -1038,12 +1041,8 @@ class _PairSampler:
         return pairs.transpose(1, 0, 2)
 
 
-def _as_eval(f) -> Callable[[np.ndarray], np.ndarray]:
-    return f.eval if isinstance(f, Density) else f
-
-
 def translated_average(kind: str, K, mu: Density | None = None,
-                       nu: Density | None = None, f=None,
+                       nu: Density | None = None, f: Density | None = None,
                        stream: RandomStream | None = None,
                        N: int = DEFAULT_MC_SAMPLES,
                        tol: float = 1e-9) -> QuadratureResult:
@@ -1115,11 +1114,10 @@ def _sampled_average(kind: str, K, mu: Density | None = None,
     elif kind == "nu_mu_functional":
         if mu is None or nu is None or f is None:
             raise ConfigurationError("nu_mu_functional needs mu, nu and f")
-        fe = _as_eval(f)
 
         def pair_values(p):
             y, w = p[:, 0], p[:, 1]
-            return mu.eval(y) * fe(w) * nu.eval(y - w) * vol * vol
+            return mu.eval(y) * f.eval(w) * nu.eval(y - w) * vol * vol
     else:
         raise ConfigurationError(f"unknown translated-average kind {kind!r}")
 
@@ -1134,8 +1132,7 @@ def _sampled_average(kind: str, K, mu: Density | None = None,
     return QuadratureResult(value, err, 2 * N)
 
 
-def l1_norm(f, mu: Density, K, stream: RandomStream,
+def l1_norm(f: Density, mu: Density, K, stream: RandomStream,
             N: int = DEFAULT_MC_SAMPLES) -> QuadratureResult:
     """L^1(mu, K) norm of f, by ``monte_carlo_in`` over K."""
-    fe = _as_eval(f)
-    return monte_carlo_in(K, lambda p: np.abs(fe(p)) * mu.eval(p), N, stream)
+    return monte_carlo_in(K, lambda p: np.abs(f.eval(p)) * mu.eval(p), N, stream)

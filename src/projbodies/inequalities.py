@@ -24,6 +24,7 @@ Every report passes its ``RunConfig.tol`` to each of these.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy import special
@@ -180,15 +181,18 @@ def _concavity_check(fam: ConcavityFamily, K: Polytope, mu: Density, f,
 # -- the dispatcher ------------------------------------------------------------
 
 def verify(id: str, K, mu: Density | None = None, nu: Density | None = None,
-           f=None, family: ConcavityFamily | None = None,
+           f: Density | None = None, family: ConcavityFamily | None = None,
            s: float | None = None, precision: RunConfig | None = None) -> Report:
     """Evaluate one named inequality on the given inputs and report.
 
-    Raises ConfigurationError when a required argument or density flag is
-    missing (naming the violated hypothesis); numeric hypothesis failures
-    come back as reports with verdict "hypothesis_violation".
+    Raises ConfigurationError when f is not a ``Density``, or when a
+    required argument or density flag is missing (naming the violated
+    hypothesis); numeric hypothesis failures come back as reports with
+    verdict "hypothesis_violation".
     """
     cfg = precision or RunConfig()
+    if f is not None and not isinstance(f, Density):
+        raise ConfigurationError(f"f must be a Density, not {type(f).__name__}")
     try:
         fn = _DISPATCH[id]
     except KeyError:
@@ -379,7 +383,8 @@ def _verify_set_inclusion_big(K, mu, nu, f, family, s, cfg) -> Report:
                 "mu must be s-concave on symmetric bodies for this family")
         require(K.is_symmetric() and mu.even,
                 "non-Lebesgue chain needs symmetric K and even mu")
-    grid = direction_grid(n, min(cfg.grid, 512), cfg)
+    cfg = replace(cfg, grid=min(cfg.grid, 512))   # echo the grid sampled
+    grid = direction_grid(n, cfg.grid, cfg)
     zon_mu = projection_zonoid(K, mu, tol=cfg.tol)
     h_mu = zon_mu.support(grid.directions)
     h_mu_err = zon_mu.support_error(grid.directions)
@@ -641,27 +646,28 @@ INEQUALITY_IDS = tuple(sorted(_DISPATCH))
 # -- auxiliary checks and sweeps ----------------------------------------------
 
 def berwald_1d_check(q, phi, n: int, xi: float, y_grid,
-                     tol: float = 1e-10, cfg: RunConfig | None = None) -> Report:
+                     cfg: RunConfig | None = None) -> Report:
     """One-dimensional Berwald-type comparison at every y in y_grid.
 
     Checks beta ∫_0^y phi r^{n-1} dr >= ∫_0^y q(xi (1 - r/y)) phi r^{n-1} dr
-    with beta = n ∫_0^1 q(xi t) (1-t)^{n-1} dt, for phi nondecreasing.
+    with beta = n ∫_0^1 q(xi t) (1-t)^{n-1} dt, for phi nondecreasing.  The
+    integrals are taken at ``cfg.tol`` (default 1e-10).
     """
-    cfg = cfg or RunConfig()
+    cfg = cfg or RunConfig(tol=1e-10)
     require(xi > 0, "berwald_1d_check needs xi > 0")
     y_grid = np.asarray(y_grid, dtype=float)
     probe = np.linspace(1e-9, float(y_grid.max()), 64)
     require(bool(np.all(np.diff([phi(r) for r in probe]) >= -1e-12)),
             "berwald_1d_check needs phi nondecreasing")
     beta = n * integrate_1d(lambda t: q(xi * t) * (1 - t) ** (n - 1), 0.0, 1.0,
-                            tol).value
+                            cfg.tol).value
     worst = np.inf
     worst_y = None
     errs = 0.0
     for y in y_grid:
-        lhs = integrate_1d(lambda r: phi(r) * r ** (n - 1), 0.0, y, tol)
+        lhs = integrate_1d(lambda r: phi(r) * r ** (n - 1), 0.0, y, cfg.tol)
         rhs = integrate_1d(lambda r: q(xi * (1 - r / y)) * phi(r) * r ** (n - 1),
-                           0.0, y, tol)
+                           0.0, y, cfg.tol)
         margin = beta * lhs.value - rhs.value
         errs = max(errs, beta * lhs.error_estimate + rhs.error_estimate)
         if margin < worst:

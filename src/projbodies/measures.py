@@ -215,26 +215,32 @@ def radial_power(n: int, alpha: float) -> Density:
     """phi(x) = |x|^alpha, alpha >= 0: the radially non-decreasing exemplar.
 
     Undefined gradient at 0; bodies whose boundary passes through the origin
-    are rejected by the facet cubature.
+    are rejected by the facet cubature.  alpha must be finite.  ``eval``,
+    ``grad`` and ``flux`` give inf without a numpy warning where a power
+    overflows: their callers check finiteness and raise.
     """
-    if alpha < 0:
-        raise ConfigurationError("radial_power needs alpha >= 0")
+    if not 0.0 <= alpha < np.inf:
+        raise ConfigurationError(f"radial_power needs a finite alpha >= 0, "
+                                 f"got {alpha}")
 
     def ev(p):
-        return np.sqrt(squared_norms(p)) ** alpha
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.sqrt(squared_norms(p)) ** alpha
 
     def gr(p):
         p = np.atleast_2d(p)
         r = np.sqrt(squared_norms(p))
         r = np.where(r == 0.0, np.inf, r)
-        scale = alpha * r ** (alpha - 2.0)
         out = np.empty_like(p, dtype=float)
-        for j in range(p.shape[1]):   # by columns: rows are only n long
-            out[:, j] = scale * p[:, j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = alpha * r ** (alpha - 2.0)
+            for j in range(p.shape[1]):   # by columns: rows are only n long
+                out[:, j] = scale * p[:, j]
         return out
 
     def flux(p):
-        return np.sqrt(squared_norms(p)) ** alpha / (n + alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.sqrt(squared_norms(p)) ** alpha / (n + alpha)
 
     def radial_moment(j, a, b):
         p = j + alpha + 1.0

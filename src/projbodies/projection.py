@@ -150,7 +150,7 @@ class OffsetVector:
 
 
 def projection_zonoid(K: Polytope, mu: Density | None = None,
-                      f=None, tol: float = 1e-9) -> Zonoid:
+                      f: Density | None = None, tol: float = 1e-9) -> Zonoid:
     """Projection body of K (weighted by mu, and optionally by f) as a zonoid.
 
     Weights per facet: the facet area (Lebesgue), the facet integral of phi
@@ -163,8 +163,7 @@ def projection_zonoid(K: Polytope, mu: Density | None = None,
     if f is None:
         w, e = facet_weights(mu, K, tol)
     else:
-        fe = f.eval if isinstance(f, Density) else f
-        w, e, _ = facet_integrals(K, lambda p: fe(p) * mu.eval(p), tol)
+        w, e, _ = facet_integrals(K, lambda p: f.eval(p) * mu.eval(p), tol)
     return Zonoid(K.n, K.normals.copy(), w, weight_errors=e)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -443,3 +445,106 @@ def test_golden_reverse_iso_tolerance_is_first_order():
     slope = 4.0 * n * vol ** (-1.0 / n)
     expected = 3.0 * math.hypot(w["mu_boundary"]["error"], slope * w["mu_K"]["error"])
     assert rep["tolerance"] == pytest.approx(expected, rel=1e-6)
+
+
+# The options each subcommand takes: the ones its handler, or the library
+# call behind it, reads.  polar-volume's --grid is the one accepted and
+# ignored, since README commands pass it.
+_SAMPLED = ["--body", "--measure", "--seed", "--samples", "--tol"]
+_GRIDDED = ["--body", "--seed", "--grid", "--tol", "--format"]
+COMMAND_OPTIONS = {
+    "body info": ["--body"],
+    "body transform": ["--body", "--map"],
+    "covariogram eval": _SAMPLED + ["--x", "--mode", "--f"],
+    "covariogram profile": _SAMPLED + ["--format", "--theta", "--steps", "--mode", "--f"],
+    "projbody build": _SAMPLED + ["--f"],
+    "projbody polar-volume": ["--body", "--measure", "--tol", "--grid"],
+    "projbody brightness": _SAMPLED + ["--theta", "--mode", "--f"],
+    "meanbody radial": _GRIDDED + ["--p"],
+    "meanbody spectral": _GRIDDED + ["--p"],
+    "meanbody chain": _GRIDDED + ["--p-list"],
+    "verify": ["id"] + _SAMPLED + ["--grid", "--format", "--nu", "--f", "--family", "--s"],
+    "isotropic residual": ["--body", "--measure", "--tol"],
+    "isotropic minimize": ["--body", "--measure", "--tol"],
+    "isotropic reverse-iso": _SAMPLED + ["--format", "--family", "--mode"],
+    "sweep pe": ["--body", "--tol", "--format", "--t-list"],
+    "sweep gaussian-sharpness": ["--n", "--r-list", "--format"],
+    "sweep ehrhard": ["--n", "--x-list", "--format"],
+}
+
+
+def _parser_options(parser, prefix=()):
+    """{command: its settable values} for every leaf of the parser tree."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(prefix): [a.option_strings[0] if a.option_strings else a.dest
+                                   for a in parser._actions
+                                   if not isinstance(a, argparse._HelpAction)]}
+    return {cmd: opts for name, p in subs[0].choices.items()
+            for cmd, opts in _parser_options(p, prefix + (name,)).items()}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    options = _parser_options(cli._build_parser())
+    assert {cmd: sorted(o) for cmd, o in options.items()} == \
+        {cmd: sorted(o) for cmd, o in COMMAND_OPTIONS.items()}
+    assert sum(len(o) for o in options.values()) == 93
+    assert len(_REMOVED_CASES) == 129 - 93
+
+
+# each command's required arguments, and the options it no longer takes
+_REMOVED_OPTIONS = [
+    (["body", "info", "--body", "cube:2"], "--seed --samples --grid --tol --format"),
+    (["body", "transform", "--body", "cube:2", "--map", "rot:0.1"],
+     "--seed --samples --grid --tol --format"),
+    (["covariogram", "eval", "--body", "cube:2", "--x", "0.5,0"], "--grid --format"),
+    (["covariogram", "profile", "--body", "cube:2", "--theta", "1,0"], "--grid"),
+    (["projbody", "build", "--body", "cube:2"], "--grid --format"),
+    (["projbody", "polar-volume", "--body", "cube:2"], "--seed --samples --format"),
+    (["projbody", "brightness", "--body", "cube:2", "--theta", "1,0"], "--grid --format"),
+    (["meanbody", "radial", "--body", "cube:2", "--p", "1"], "--samples"),
+    (["meanbody", "spectral", "--body", "cube:2", "--p", "1"], "--samples"),
+    (["meanbody", "chain", "--body", "cube:2"], "--samples"),
+    (["isotropic", "residual", "--body", "cube:2"], "--seed --samples --grid --format"),
+    (["isotropic", "minimize", "--body", "cube:2"], "--seed --samples --grid --format"),
+    (["isotropic", "reverse-iso", "--body", "cube:2", "--family", "log"], "--grid"),
+    (["sweep", "pe", "--body", "cube:2"], "--seed --samples --grid"),
+    (["sweep", "gaussian-sharpness"], "--seed"),
+]
+_REMOVED_VALUES = {"--seed": "1", "--samples": "20000", "--grid": "64",
+                   "--tol": "1e-6", "--format": "json"}
+_REMOVED_CASES = [(argv, option) for argv, options in _REMOVED_OPTIONS
+                  for option in options.split()]
+
+
+@pytest.mark.parametrize("argv,option", _REMOVED_CASES,
+                         ids=[f"{a[0]}-{a[1]}{option}" for a, option in _REMOVED_CASES])
+def test_unread_options_are_rejected(argv, option, capsys):
+    """The (command, option) pairs no handler reads: each is a usage error,
+    exit 1 with nothing on stdout."""
+    code, out = run_cli(argv + [option, _REMOVED_VALUES[option]])
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_hypothesis_violation_exit_3():
+    """|x|^2 is not certified log-concave, so q_concave_zhang reports a
+    hypothesis violation and the command exits 3."""
+    code, out = run_cli(["verify", "q_concave_zhang", "--body", "cube:2",
+                         "--measure", "lebesgue", "--family", "power:0.5",
+                         "--f", "radial_power:2"])
+    assert code == cli.EXIT_HYPOTHESIS == 3
+    assert json.loads(out)["verdict"] == "hypothesis_violation"
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan", "1000"])
+def test_overflowing_radial_power_prints_one_error_line(alpha, capsys):
+    """A non-finite alpha is a configuration error, and |x|^1000 on
+    cube(2, 8) overflows to a non-finite facet density: either way no numpy
+    warning is raised before the error line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["covariogram", "eval", "--body", "cube:2:8",
+                             "--measure", f"radial_power:{alpha}", "--x", "0.5,0"])
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert capsys.readouterr().err.startswith("error: ")

@@ -570,3 +570,14 @@ def test_translated_average_reports_reach_eight_digits(monkeypatch, triangle,
     assert rep.tolerance <= 1e-8 * max(abs(rep.lhs), abs(rep.rhs))
     for name in averages:
         assert rep.witnesses[name].error <= 1e-9 * rep.witnesses[name].value
+
+
+def test_function_weight_must_be_a_density(square, gauss2):
+    """f is a Density: a plain callable is a configuration error naming f,
+    not an AttributeError deep in the covariogram."""
+    with pytest.raises(pb.ConfigurationError, match="f must be a Density"):
+        pb.verify("q_concave_zhang", square, mu=gauss2,
+                  f=lambda p: np.ones(len(p)), family=pb.log_family())
+    with pytest.raises(pb.ConfigurationError, match="f must be a Density"):
+        pb.CovariogramQuery(square, gauss2, f=lambda p: np.ones(len(p)),
+                            mode="functional")

@@ -164,6 +164,32 @@ def test_reported_grid_is_the_grid_used(square, gauss2):
     assert pb.ball_zonoid_volume_bound(w, square.normals).config["grid"] == 4096
 
 
+def test_reported_settings_are_the_settings_used(square, gauss2):
+    """set_inclusion_big samples at most 512 directions and echoes the grid
+    it sampled; berwald_1d_check integrates at cfg.tol (default 1e-10) and
+    echoes it."""
+    family = pb.power_family(0.5)
+    reps = {g: pb.verify("set_inclusion_big", square, mu=gauss2, family=family,
+                         precision=pb.RunConfig(grid=g)) for g in (64, 512, 4096)}
+    assert {g: rep.config["grid"] for g, rep in reps.items()} == \
+        {64: 64, 512: 512, 4096: 512}
+    assert (reps[4096].margin, reps[4096].tolerance) == \
+        (reps[512].margin, reps[512].tolerance)
+    assert reps[4096].to_json_dict()["witnesses"] == reps[512].to_json_dict()["witnesses"]
+    assert pb.verify("set_inclusion_big", square, mu=gauss2,
+                     family=family).config == reps[4096].config
+
+    def q(t):
+        return t * t
+
+    for cfg in (None, pb.RunConfig(tol=1e-6)):
+        rep = pb.berwald_1d_check(q, lambda r: 1.0 + r, 2, 1.0, [0.5, 1.0], cfg=cfg)
+        tol = rep.config["tol"]
+        beta = 2 * pb.integrate_1d(lambda t: q(t) * (1 - t), 0.0, 1.0, tol).value
+        assert tol == (cfg.tol if cfg else 1e-10)
+        assert rep.witnesses["beta"].value == beta
+
+
 def test_isotropic_volume_sandwich(square, cross2, leb2, gauss2):
     rep = pb.isotropic_volume_sandwich(square, leb2)
     assert rep.passed

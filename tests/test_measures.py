@@ -46,6 +46,30 @@ def test_flag_certification_rejects_lies():
             even=True)
 
 
+def _zero_grad(p):
+    return np.zeros_like(np.atleast_2d(p), dtype=float)
+
+
+@pytest.mark.parametrize("ev,flags,message", [
+    (lambda p: -np.ones(len(np.atleast_2d(p))), {}, "finite and >= 0"),
+    (lambda p: np.exp(-np.sum(np.atleast_2d(p) ** 2, axis=1)),
+     {"radially_nondecreasing": True}, "radially_nondecreasing flag violated"),
+    (lambda p: np.sum(np.atleast_2d(p) ** 2, axis=1),
+     {"radially_decreasing": True}, "radially_decreasing flag violated"),
+], ids=["negative", "nondecreasing", "decreasing"])
+def test_flag_certification_rejects_each_lie(ev, flags, message):
+    """A negative density, exp(-|x|^2) declared radially non-decreasing and
+    |x|^2 declared radially decreasing each fail their probe."""
+    with pytest.raises(pb.ConfigurationError, match=message):
+        pb.custom_density(2, eval=ev, grad=_zero_grad, **flags)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])
+def test_radial_power_needs_a_finite_nonnegative_alpha(alpha):
+    with pytest.raises(pb.ConfigurationError, match="finite alpha >= 0"):
+        pb.radial_power(2, alpha)
+
+
 def test_gradient_consistency(gauss2):
     """Central differences match the declared gradient at smooth points."""
     gen = pb.RandomStream(5).generator()

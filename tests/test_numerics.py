@@ -403,3 +403,13 @@ def test_measure_body_and_l1_norm_evaluate_only_at_points_of_K():
         assert len(seen) == len(per_block)
         for got, want in zip(seen, per_block):
             assert got.tobytes() == want.tobytes()
+
+
+def test_integrate_1d_failure_carries_its_best_result():
+    """sin(1/x)/x oscillates without bound at 0: quadrature misses 1e-12 and
+    raises with its best result attached."""
+    with pytest.raises(pb.QuadratureFailure) as info:
+        pb.integrate_1d(lambda x: np.sin(1.0 / x) / x, 0.0, 1.0, 1e-12)
+    best = info.value.best
+    assert isinstance(best, pb.QuadratureResult)
+    assert best.error_estimate > 1e-12 and best.evaluations > 0
