@@ -36,6 +36,5 @@ rep = pb.verify("log_concave_zhang", square, mu=gauss, precision=cfg)
 print(json.dumps(rep.to_json_dict(), indent=2))
 
 print("\nreverse isoperimetric bound (log-concave shortcut):")
-rev = pb.reverse_isoperimetric(square, gauss, pb.log_family(),
-                               stream=cfg.stream())
+rev = pb.reverse_isoperimetric(square, gauss, pb.log_family(), cfg=cfg)
 print(f"gamma(dK) = {rev.lhs:.5f} <= 4 n gamma(K) Vol^(-1/2) = {rev.rhs:.5f}")

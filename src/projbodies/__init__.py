@@ -22,7 +22,7 @@ from .bodies import (Ball, DegeneracyError, LinearMap, PolarDomainError,
                      star_body_of, star_volume, support, support_many, volume)
 from .measures import (ConcavityFamily, Density, boundary_measure,
                        compose_linear, custom_density, exp_norm,
-                       exp_norm_mass_of_scaled, facet_weights, family_eval,
+                       exp_norm_mass_of_scaled, facet_weights,
                        gaussian, gaussian_ball_mass,
                        gaussian_phi_inverse_family, lebesgue, log_family,
                        measure_body, power_family, radial_power, total_mass)

@@ -154,11 +154,11 @@ class Polytope:
     def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         return np.all(self.slack(points, tol) >= 0.0, axis=0)
 
-    def is_symmetric(self, tol: float = 1e-9) -> bool:
-        """True when K = -K as vertex sets."""
+    def is_symmetric(self) -> bool:
+        """True when K = -K as vertex sets, to 1e-9 max(1, diam K)."""
         v = self.vertices
         d = np.linalg.norm(v[:, None, :] + v[None, :, :], axis=-1)
-        return bool(np.all(d.min(axis=1) <= tol * max(1.0, self.diameter)))
+        return bool(np.all(d.min(axis=1) <= 1e-9 * max(1.0, self.diameter)))
 
     # -- cheap derived bodies ---------------------------------------------
 

@@ -326,8 +326,7 @@ def _isotropic_minimize(args, out) -> int:
 def _isotropic_reverse_iso(args, out) -> int:
     report = isotropic.reverse_isoperimetric(args.K, args.mu,
                                              parse_family(args.family),
-                                             mode=args.mode,
-                                             N=args.cfg.samples, cfg=args.cfg)
+                                             mode=args.mode, cfg=args.cfg)
     return emit_report(report, args.format, out)
 
 

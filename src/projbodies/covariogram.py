@@ -68,8 +68,8 @@ from .bodies import Polytope
 from .measures import (RELATIVE_FLOOR, Density, lebesgue, measure_body,
                        product_flux, simplex_integrals, DEFAULT_MC_SAMPLES)
 from .numerics import (MC_BLOCK, BoxSampler, ConfigurationError, DomainError,
-                       PrecisionError, QuadratureFailure, QuadratureResult,
-                       RandomStream, monte_carlo, monte_carlo_in)
+                       EvaluationError, PrecisionError, QuadratureFailure,
+                       QuadratureResult, RandomStream, monte_carlo, monte_carlo_in)
 
 
 @dataclass
@@ -92,12 +92,15 @@ class CovariogramQuery:
         polygon under a ``smooth`` mu and f (the fan needs no flux, but a
         cusp such as |x|^(1/2) at 0 would stall it).  A gamma_n x gamma_n
         pair agrees with its ``_polarized_gaussian``."""
-        planar = isinstance(self.K, Polytope) and self.K.n == 2
+        planar = self.K.n == 2
         if self.mode == "functional":
             return not (planar and self.mu.smooth and self.f.smooth)
         return not (self.mu.is_lebesgue or (planar and self.mu.flux is not None))
 
     def __post_init__(self):
+        if not isinstance(self.K, Polytope):
+            raise ConfigurationError(
+                f"a covariogram query needs a Polytope, not {type(self.K).__name__}")
         if self.mu is None:
             self.mu = lebesgue(self.K.n)
         if self.mode not in ("plain", "functional", "polarized"):
@@ -372,7 +375,8 @@ def _pointwise_values(q: CovariogramQuery, points: np.ndarray, xs) -> np.ndarray
         mask = np.ones(len(p), dtype=bool)
         for i in np.flatnonzero(need > 0.0):
             mask &= slack[i] >= need[i]
-        row[inside] = (q.f.eval(p - x) * phi if q.mode == "functional" else phi) * mask
+        with np.errstate(invalid="ignore"):  # inf * 0: monte_carlo rejects the nan
+            row[inside] = (q.f.eval(p - x) * phi if q.mode == "functional" else phi) * mask
     return out
 
 
@@ -896,7 +900,8 @@ def _polar_rule(K: Polytope, mu: Density, arcs: np.ndarray, angular: np.ndarray,
     ``_nodal_inverse`` into the c_k, and so into the value, since
     0 <= m_k <= m_0.  The rays are taken a block of about ``_POLAR_BLOCK``
     rays times face pairs (2 m^2 on m vertices) at a time, so memory stays
-    flat as the polygon grows.
+    flat as the polygon grows.  Moments that overflow raise
+    ``EvaluationError``.
     """
     angle, angle_w, arc = _arc_nodes(arcs, angular)
     theta = np.c_[np.cos(angle), np.sin(angle)]
@@ -912,13 +917,17 @@ def _polar_rule(K: Polytope, mu: Density, arcs: np.ndarray, angular: np.ndarray,
         pieces = _fit_pieces(K, theta, rho, a, b, ray, tol)
         points += 2 * len(a) + np.count_nonzero(b < rho[ray])
         c, length = pieces.coefficients.T, b - a
-        M1, M2, M3 = (mu.radial_moment(j, a, b) for j in (1, 2, 3))
-        m = (M1, (M2 - a * M1) / length, (M3 - 2.0 * a * M2 + a * a * M1) / length ** 2)
-        value = c[0] * m[0] + c[1] * m[1] + c[2] * m[2]
-        error = np.abs(N).sum() * (np.abs(pieces.residual) + floor) * m[0]
-        w = angle_w[ray]
-        sums += np.bincount(arc[ray], w * value, len(arcs))
-        errors += np.bincount(arc[ray], w * error, len(arcs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            M1, M2, M3 = (mu.radial_moment(j, a, b) for j in (1, 2, 3))
+            m = (M1, (M2 - a * M1) / length,
+                 (M3 - 2.0 * a * M2 + a * a * M1) / length ** 2)
+            value = c[0] * m[0] + c[1] * m[1] + c[2] * m[2]
+            error = np.abs(N).sum() * (np.abs(pieces.residual) + floor) * m[0]
+            w = angle_w[ray]
+            sums += np.bincount(arc[ray], w * value, len(arcs))
+            errors += np.bincount(arc[ray], w * error, len(arcs))
+    if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(errors))):
+        raise EvaluationError("radial moments of the density are not finite on DK")
     return sums, errors, points
 
 

@@ -708,8 +708,7 @@ def pe_sweep(K: Polytope, t_list, cfg: RunConfig | None = None) -> list[dict]:
     return out
 
 
-def gaussian_sharpness_sweep(R_list, n: int = 2,
-                             cfg: RunConfig | None = None) -> list[dict]:
+def gaussian_sharpness_sweep(R_list, n: int = 2) -> list[dict]:
     """(gamma_n)_lambda(R B) and gamma_n of the Zhang body, along R.
 
     The translated average of the Gaussian over R*B reduces to a radial
@@ -724,9 +723,9 @@ def gaussian_sharpness_sweep(R_list, n: int = 2,
 
     which for n = 2 reads 1 - sqrt(2/pi)/R ~ 1 - 0.798/R: 0.9601 at
     R = 20, first reaching 0.99 near R = 79.8.  The Zhang-body mass
-    gamma_n(c_n R B) tends to 1 like a Gaussian tail.
+    gamma_n(c_n R B) tends to 1 like a Gaussian tail.  The radial integral
+    runs at tol 1e-8.
     """
-    cfg = cfg or RunConfig()
     require(n in (2, 3), "gaussian_sharpness_sweep supports n in {2, 3}")
     c_n = n * ball_volume(n) / ball_volume(n - 1)
     out = []
@@ -736,7 +735,7 @@ def gaussian_sharpness_sweep(R_list, n: int = 2,
         def f(r):
             return n * r ** (n - 1) * special.chndtr(R * R, n, (R * r) ** 2)
 
-        avg = integrate_1d(f, 0.0, 1.0, max(cfg.tol, 1e-10))
+        avg = integrate_1d(f, 0.0, 1.0, 1e-8)
         zhang_mass = gaussian_ball_mass(n, c_n * R)
         out.append({"R": R, "mu_lambda": avg.value,
                     "mu_lambda_error": avg.error_estimate,

@@ -29,7 +29,7 @@ from .bodies import Polytope
 from .inequalities import (family_matches, int_decay, int_unit, require,
                            surface_product)
 from .measures import (ConcavityFamily, Density, boundary_measure,
-                       facet_weights, measure_body, DEFAULT_MC_SAMPLES)
+                       facet_weights, measure_body)
 from .numerics import ConfigurationError, DomainError, RandomStream
 from .projection import Zonoid, offset_vector, projection_zonoid
 from .report import (Report, RunConfig, Witness, direction_grid,
@@ -90,10 +90,10 @@ def isotropy_residual(K: Polytope, mu: Density,
     return IsotropyCertificate(residual, w, e, threshold)
 
 
-def I_functional(K: Polytope, mu: Density, A, tol: float = 1e-9) -> float:
+def I_functional(K: Polytope, mu: Density, A) -> float:
     """I(A) = sum_i w_i |A u_i| over the weighted facet normals."""
     M = A.matrix if hasattr(A, "matrix") else np.asarray(A, dtype=float)
-    w, _ = facet_weights(mu, K, tol)
+    w, _ = facet_weights(mu, K)
     return _I(w, K.normals, M)[0]
 
 
@@ -135,11 +135,11 @@ def minimize_I(K: Polytope, mu: Density, stream: RandomStream | None = None,
     return point, _I(w, K.normals, point.matrix)[0], bool(converged)
 
 
-def ball_zonoid_volume_bound(weights, normals, total: float | None = None,
+def ball_zonoid_volume_bound(weights, normals,
                              cfg: RunConfig | None = None) -> Report:
     """Volume bound for the polar of an isotropic weighted zonoid.
 
-    With c_j = n w_j / total and alpha_j = w_j / 2 (the support weights of
+    With c_j = n w_j / sum_i w_i and alpha_j = w_j / 2 (the support weights of
     the projection body), the polar unit ball L satisfies
     Vol(L) <= (2^n / n!) prod (c_j / alpha_j)^{c_j}.  Requires the c_j
     decomposition of the identity to hold (residual <= 1e-8), otherwise the
@@ -149,8 +149,7 @@ def ball_zonoid_volume_bound(weights, normals, total: float | None = None,
     weights = np.asarray(weights, dtype=float)
     normals = np.asarray(normals, dtype=float)
     n = normals.shape[1]
-    total = float(weights.sum()) if total is None else float(total)
-    c = n * weights / total
+    c = n * weights / float(weights.sum())
     M = _moment(c, normals)
     residual = float(np.linalg.norm(np.eye(n) - M))
     alpha = weights / 2.0
@@ -174,15 +173,14 @@ def _require_isotropic(K: Polytope, mu: Density, tol: float) -> IsotropyCertific
 
 def reverse_isoperimetric(K: Polytope, mu: Density, family: ConcavityFamily,
                           mode: str = "q_form",
-                          stream: RandomStream | None = None,
-                          N: int = DEFAULT_MC_SAMPLES,
                           cfg: RunConfig | None = None) -> Report:
     """mu(dK) against the isotropic reverse isoperimetric bound.
 
     q_form uses the decay integral of the family (log-concave shortcut:
     mu(dK) <= 4 n mu(K) Vol(K)^{-1/n}); f_form uses the unit-interval
     integral of a nonnegative power family.  Both are reported with the
-    n-th root taken, so lhs is mu(dK) itself.
+    n-th root taken, so lhs is mu(dK) itself.  mu(K) draws cfg.samples
+    points from cfg's stream when it is not exact.
     """
     cfg = cfg or RunConfig()
     if mode not in ("q_form", "f_form"):
@@ -194,8 +192,7 @@ def reverse_isoperimetric(K: Polytope, mu: Density, family: ConcavityFamily,
             "K is not mu-projective within budget")
     n = K.n
     bm = boundary_measure(mu, K, cfg.tol)
-    st = stream or cfg.stream()
-    muK = measure_body(mu, K, st.substream(0), N, cfg.tol)
+    muK = measure_body(mu, K, cfg.stream().substream(0), cfg.samples, cfg.tol)
     vol = K.volume
 
     def rhs_of(a):
@@ -238,11 +235,10 @@ def isotropic_sandwich_check(K: Polytope, mu: Density,
                          [herr, 1e-12 * upper], witnesses, cfg)
 
 
-def isotropic_volume_sandwich(K: Polytope, mu: Density,
-                              cfg: RunConfig | None = None) -> Report:
+def isotropic_volume_sandwich(K: Polytope, mu: Density) -> Report:
     """(n kappa_n / kappa_{n-1})^n kappa_n <= mu(dK)^n Vol(Pi_mu°)
     <= 4^n n^n / n! on isotropic fixtures."""
-    cfg = cfg or RunConfig()
+    cfg = RunConfig()
     _require_isotropic(K, mu, cfg.tol)
     n = K.n
     _, _, product, lower = surface_product("isotropic_volume_sandwich", K, mu,

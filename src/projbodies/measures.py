@@ -562,7 +562,6 @@ class ConcavityFamily:
     F: Callable[[float], float]
     Finv: Callable[[float], float]
     Fprime: Callable[[float], float]
-    domain: tuple[float, float] = (0.0, np.inf)
     s: float | None = None
     F_at_zero: float = 0.0  # limit of F at 0+, used for hypothesis checks
 
@@ -590,15 +589,4 @@ def gaussian_phi_inverse_family() -> ConcavityFamily:
         F=gaussian_quantile,
         Finv=lambda y: float(gaussian_cdf(y)),
         Fprime=lambda x: float(1.0 / gaussian_pdf(gaussian_quantile(x))),
-        domain=(0.0, 1.0), F_at_zero=-np.inf)
-
-
-def family_eval(fam: ConcavityFamily, which: str, x: float) -> float:
-    """Evaluate F, F^{-1} or F' with domain checking."""
-    if which in ("F", "Fprime"):
-        lo, hi = fam.domain
-        if not lo < x < hi:
-            raise DomainError(f"{x} outside domain ({lo}, {hi}) of {fam.kind}")
-    elif which != "Finv":
-        raise ConfigurationError(f"unknown selector {which!r}")
-    return float(getattr(fam, which)(x))
+        F_at_zero=-np.inf)

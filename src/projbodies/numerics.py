@@ -129,30 +129,27 @@ def sphere_surface(n: int) -> float:
     return n * ball_volume(n)
 
 
-def sphere_directions(n: int, count: int, mode: str = "auto",
+def sphere_directions(n: int, count: int,
                       stream: RandomStream | None = None) -> SphereGrid:
     """Build a quadrature grid of directions on S^{n-1}.
 
-    Modes: ``equal_angle_2d`` (n=2 only), ``fibonacci_3d`` (n=3 only) and
-    ``uniform_random`` (any n, requires a stream).  ``auto`` picks the
-    deterministic mode for n in {2, 3} and the random one otherwise.
+    With a stream, uniform random directions (any n).  Without one, the
+    equal-angle grid for n = 2 and the Fibonacci grid for n = 3; n = 4
+    needs a stream.
     """
     if n not in (2, 3, 4):
         raise ConfigurationError(f"dimension {n} unsupported (need 2..4)")
     if count < 2 * n:
         raise ConfigurationError(f"count {count} too small (need >= {2 * n})")
-    if mode == "auto":
-        mode = {2: "equal_angle_2d", 3: "fibonacci_3d"}.get(n, "uniform_random")
 
-    if mode == "equal_angle_2d":
-        if n != 2:
-            raise ConfigurationError("equal_angle_2d requires n = 2")
+    if stream is not None:
+        dirs = _unit_normals(stream.generator(), count, n)
+        weights = np.full(count, sphere_surface(n) / count)
+    elif n == 2:
         ang = 2.0 * np.pi * np.arange(count) / count
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         weights = np.full(count, 2.0 * np.pi / count)
-    elif mode == "fibonacci_3d":
-        if n != 3:
-            raise ConfigurationError("fibonacci_3d requires n = 3")
+    elif n == 3:
         i = np.arange(count)
         golden = (1.0 + np.sqrt(5.0)) / 2.0
         z = 1.0 - (2.0 * i + 1.0) / count
@@ -160,13 +157,8 @@ def sphere_directions(n: int, count: int, mode: str = "auto",
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         dirs = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
         weights = np.full(count, 4.0 * np.pi / count)
-    elif mode == "uniform_random":
-        if stream is None:
-            raise ConfigurationError("uniform_random mode requires a RandomStream")
-        dirs = _unit_normals(stream.generator(), count, n)
-        weights = np.full(count, sphere_surface(n) / count)
     else:
-        raise ConfigurationError(f"unknown sphere grid mode {mode!r}")
+        raise ConfigurationError("a 4-D sphere grid needs a RandomStream")
 
     grid = SphereGrid(n, dirs, weights)
     grid.validate()
@@ -248,7 +240,7 @@ class BoxSampler:
 
 class SphereSampler:
     """Uniform directions on S^{n-1}, with its surface measure n kappa_n:
-    the draws of ``sphere_directions``' ``uniform_random`` mode."""
+    the draws of ``sphere_directions`` given a stream."""
 
     def __init__(self, n: int):
         self.n, self.measure = n, sphere_surface(n)

@@ -294,8 +294,7 @@ def zonoid_polar_volume(Z: Zonoid, grid: SphereGrid) -> float:
     return bodies.polar_volume_from_support(Z.support, grid)
 
 
-def halfspace_integral_identity(K: Polytope, mu: Density, theta,
-                                tol: float = 1e-9):
+def halfspace_integral_identity(K: Polytope, mu: Density, theta):
     """Half-boundary integral vs <theta, eta> + h_{Pi_mu K}(theta).
 
     Returns (lhs, rhs, residual): lhs sums <u_i, theta> w_i over facets with
@@ -303,7 +302,7 @@ def halfspace_integral_identity(K: Polytope, mu: Density, theta,
     """
     theta = np.asarray(theta, dtype=float)
     theta = theta / np.linalg.norm(theta)
-    zon, off = shifted_zonoid(K, mu, tol=tol)
+    zon, off = shifted_zonoid(K, mu)
     comp = K.normals @ theta
     lhs = float(np.sum(np.where(comp >= 0.0, comp, 0.0) * zon.weights))
     # zon is Pi_mu K - eta, whose support is h_{Pi_mu K}(theta) - <theta, eta>

@@ -117,7 +117,5 @@ def worst_link(names, radii):
 
 def direction_grid(n: int, count: int, cfg: RunConfig):
     """Deterministic grid for n in {2, 3}, seeded random directions for n = 4."""
-    if n in (2, 3):
-        return sphere_directions(n, count)
-    return sphere_directions(n, count, "uniform_random", cfg.stream().substream(999))
+    return sphere_directions(n, count, cfg.stream().substream(999) if n == 4 else None)
 

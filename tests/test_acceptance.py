@@ -253,9 +253,9 @@ def test_c10_isotropic_suite():
     attained = 8.0 ** 2 * pv
     ok &= prod_ok and abs(attained - 32.0) <= 1e-6
     r1 = pb.reverse_isoperimetric(square, leb, pb.log_family(),
-                                  stream=pb.RandomStream(SEED))
+                                  cfg=pb.RunConfig(seed=SEED))
     r2 = pb.reverse_isoperimetric(square, gauss, pb.log_family(),
-                                  stream=pb.RandomStream(SEED))
+                                  cfg=pb.RunConfig(seed=SEED))
     ok &= r1.passed and abs(r1.lhs - 8.0) <= 1e-9 and abs(r1.rhs - 16.0) <= 1e-9
     a = gauss_edge_weight()
     gamma_sq = (2 * pb.gaussian_cdf(1.0) - 1) ** 2

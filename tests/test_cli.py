@@ -537,14 +537,27 @@ def test_hypothesis_violation_exit_3():
     assert json.loads(out)["verdict"] == "hypothesis_violation"
 
 
-@pytest.mark.parametrize("alpha", ["inf", "nan", "1000"])
-def test_overflowing_radial_power_prints_one_error_line(alpha, capsys):
+_OVERFLOWS = {
+    alpha: ["covariogram", "eval", "--body", "cube:2:8",
+            "--measure", f"radial_power:{alpha}", "--x", "0.5,0"]
+    for alpha in ("inf", "nan", "1000")} | {
+    "1000-3d": ["covariogram", "eval", "--body", "cube:3:8",
+                "--measure", "radial_power:1000", "--x", "0.5,0,0"],
+    "zhang_radial_nondecreasing": ["verify", "zhang_radial_nondecreasing",
+                                   "--body", "cube:2:8", "--nu", "radial_power:1000"],
+    "two_measure_zhang": ["verify", "two_measure_zhang", "--body", "cube:2:8",
+                          "--nu", "radial_power:1000", "--family", "power:0.5"]}
+
+
+@pytest.mark.parametrize("argv", _OVERFLOWS.values(), ids=_OVERFLOWS)
+def test_overflowing_radial_power_prints_one_error_line(argv, capsys):
     """A non-finite alpha is a configuration error, and |x|^1000 on
-    cube(2, 8) overflows to a non-finite facet density: either way no numpy
-    warning is raised before the error line."""
+    cube(n, 8) overflows: to a non-finite facet density in 2-D, a non-finite
+    sampled covariogram in 3-D and non-finite radial moments on the polar
+    route of the translated average.  In every case the command exits 1
+    with one error line and no numpy warning before it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out = run_cli(["covariogram", "eval", "--body", "cube:2:8",
-                             "--measure", f"radial_power:{alpha}", "--x", "0.5,0"])
+        code, out = run_cli(argv)
     assert code == cli.EXIT_CONFIG and out == ""
     assert capsys.readouterr().err.startswith("error: ")

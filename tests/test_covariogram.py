@@ -316,6 +316,16 @@ def test_query_validation(square, gauss2):
         pb.CovariogramQuery(square, gauss2, mode="weird")
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_query_needs_a_polytope(n):
+    """A covariogram query reads facet normals and slacks, which a Ball
+    lacks: it is refused when built, not later with an AttributeError in
+    ``mu_covariogram`` or ``brightness_derivative``."""
+    for mu in (None, pb.gaussian(n)):
+        with pytest.raises(pb.ConfigurationError, match="needs a Polytope"):
+            pb.CovariogramQuery(pb.Ball(n, 1.0), mu)
+
+
 def test_evenness(square, gauss2):
     """r(x) = r(-x) on any polygon, and g(x) = g(-x) on symmetric ones under
     an even mu (K ∩ (K - x) = -(K ∩ (K + x)) there), within the two
@@ -688,6 +698,27 @@ def test_lebesgue_nu_mu_body_is_mu_lambda_under_nu(triangle, leb2):
             two = pb.translated_average("nu_mu_body", body, mu=leb2, nu=nu)
             one = pb.translated_average("mu_lambda", body, mu=nu)
             assert two == one
+
+
+def test_mu_lambda_of_minus_K_is_mu_lambda_of_K(triangle):
+    """g_{-K}(x) = g_K(-x) = g_K(x) and D(-K) = DK, so nu_lambda(-K) =
+    nu_lambda(K) for every body, not only for symmetric ones: on the polar
+    route for a triangle and an irregular pentagon under gamma_2 and |x|,
+    and by Monte Carlo (independent substreams) on the 3-simplex, each pair
+    within its two budgets summed."""
+    pentagon = pb.random_polytope(2, pb.RandomStream(424242).substream(2))
+    assert len(pentagon.vertices) == 5
+    stream = pb.RandomStream(1820)
+    cases = [(K, mu, {}, {}) for K in (triangle, pentagon)
+             for mu in (pb.gaussian(2), pb.radial_power(2, 1.0))]
+    cases.append((pb.standard_simplex(3), pb.gaussian(3),
+                  {"stream": stream.substream(0), "N": 100_000},
+                  {"stream": stream.substream(1), "N": 100_000}))
+    for K, mu, kw, kw_minus in cases:
+        assert not K.is_symmetric()
+        one = pb.translated_average("mu_lambda", K, mu=mu, **kw)
+        minus = pb.translated_average("mu_lambda", K.negate(), mu=mu, **kw_minus)
+        assert abs(one.value - minus.value) <= one.error_estimate + minus.error_estimate
 
 
 def test_lebesgue_mu_lambda_is_the_volume(monkeypatch):

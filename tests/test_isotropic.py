@@ -95,7 +95,7 @@ def test_minimize_I_image_is_isotropic(n, index):
     image = pb.apply_linear(K, pb.LinearMap(np.linalg.inv(point.matrix).T))
     assert pb.isotropy_residual(image, leb).isotropic
     rep = pb.reverse_isoperimetric(image, leb, pb.log_family(),
-                                   stream=pb.RandomStream(7))
+                                   cfg=pb.RunConfig(seed=7))
     assert rep.lhs == pytest.approx(value, rel=1e-9)
     assert float(image.areas.sum()) == pytest.approx(value, rel=1e-12, abs=0)
 
@@ -199,14 +199,12 @@ def test_isotropic_volume_sandwich(square, cross2, leb2, gauss2):
     assert pb.isotropic_volume_sandwich(square, gauss2).passed
 
 
-def test_reverse_isoperimetric(square, leb2, gauss2, stream):
-    rep = pb.reverse_isoperimetric(square, leb2, pb.log_family(),
-                                   stream=stream)
+def test_reverse_isoperimetric(square, leb2, gauss2):
+    rep = pb.reverse_isoperimetric(square, leb2, pb.log_family())
     assert rep.passed
     assert rep.lhs == pytest.approx(8.0)
     assert rep.rhs == pytest.approx(16.0, rel=1e-9)
-    rep = pb.reverse_isoperimetric(square, gauss2, pb.log_family(),
-                                   stream=stream)
+    rep = pb.reverse_isoperimetric(square, gauss2, pb.log_family())
     assert rep.passed
     from conftest import gauss_edge_weight
     assert rep.lhs == pytest.approx(4 * gauss_edge_weight(), abs=1e-6)
@@ -214,36 +212,33 @@ def test_reverse_isoperimetric(square, leb2, gauss2, stream):
     assert rep.rhs == pytest.approx(truth, rel=1e-2)
 
 
-def test_reverse_isoperimetric_tolerance_is_first_order(square, gauss2, stream):
+def test_reverse_isoperimetric_tolerance_is_first_order(square, gauss2):
     """Log family, q_form: rhs = 4 n mu(K) Vol^(-1/n) is linear in mu(K),
     so the tolerance is 3 RSS(e_boundary, 4 n Vol^(-1/n) e_mu)."""
-    rep = pb.reverse_isoperimetric(square, gauss2, pb.log_family(), stream=stream)
+    rep = pb.reverse_isoperimetric(square, gauss2, pb.log_family())
     w, n = rep.witnesses, 2
     slope = 4.0 * n * square.volume ** (-1.0 / n)
     expected = 3.0 * math.hypot(w["mu_boundary"].error, slope * w["mu_K"].error)
     assert rep.tolerance == pytest.approx(expected, rel=1e-6)
 
 
-def test_reverse_isoperimetric_f_form(square, leb2, stream):
+def test_reverse_isoperimetric_f_form(square, leb2):
     """Power family at s = 1/n: the Beta integral gives 16/sqrt(3)."""
     rep = pb.reverse_isoperimetric(square, leb2, pb.power_family(0.5),
-                                   mode="f_form", stream=stream)
+                                   mode="f_form")
     assert rep.passed
     assert rep.rhs == pytest.approx(16 / math.sqrt(3), rel=1e-9)
     # q_form with the same power family must be weaker or equal (comparison
     # of concavity strengths), and the log shortcut weaker still
     repq = pb.reverse_isoperimetric(square, leb2, pb.power_family(0.5),
-                                    mode="q_form", stream=stream)
+                                    mode="q_form")
     assert rep.rhs <= repq.rhs + 1e-9
-    replog = pb.reverse_isoperimetric(square, leb2, pb.log_family(),
-                                      stream=stream)
+    replog = pb.reverse_isoperimetric(square, leb2, pb.log_family())
     assert repq.rhs <= replog.rhs + 1e-9
 
 
-def test_reverse_isoperimetric_guards(triangle, leb2, gauss2, stream):
-    with pytest.raises(pb.ConfigurationError):
-        pb.reverse_isoperimetric(triangle, leb2, pb.log_family(),
-                                 stream=stream)  # not isotropic
-    with pytest.raises(pb.ConfigurationError):
-        pb.reverse_isoperimetric(pb.cube(2), gauss2, pb.power_family(0.5),
-                                 stream=stream)  # gaussian is not s-concave
+def test_reverse_isoperimetric_guards(triangle, leb2, gauss2):
+    with pytest.raises(pb.ConfigurationError):  # not isotropic
+        pb.reverse_isoperimetric(triangle, leb2, pb.log_family())
+    with pytest.raises(pb.ConfigurationError):  # gaussian is not s-concave
+        pb.reverse_isoperimetric(pb.cube(2), gauss2, pb.power_family(0.5))

@@ -147,7 +147,7 @@ def _cube_radius(theta, p):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_cube_radii_match_quadrature(n):
-    grid = pb.sphere_directions(n, 16, "uniform_random", pb.RandomStream(11))
+    grid = pb.sphere_directions(n, 16, pb.RandomStream(11))
     for p in (1.0, 2.0):
         radii = pb.radial_mean_body(pb.cube(n), p, grid).star.radii
         ref = [_cube_radius(theta, p) for theta in grid.directions]

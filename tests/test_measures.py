@@ -177,25 +177,11 @@ def test_radial_power_rejects_boundary_origin():
         pb.facet_weights(rp, K)
 
 
-def test_family_eval():
-    pf = pb.power_family(0.5)
-    assert pb.family_eval(pf, "F", 4.0) == pytest.approx(2.0)
-    lf = pb.log_family()
-    assert pb.family_eval(lf, "Finv", 0.0) == pytest.approx(1.0)
-    gf = pb.gaussian_phi_inverse_family()
-    assert pb.family_eval(gf, "F", 0.841345) == pytest.approx(1.0, abs=1e-5)
-    with pytest.raises(pb.DomainError):
-        pb.family_eval(pf, "F", -1.0)
-    with pytest.raises(pb.DomainError):
-        pb.family_eval(gf, "F", 1.5)
-
-
 @pytest.mark.parametrize("fam_name", ["power", "log", "gaussian_phi_inverse"])
 def test_family_derivative_consistency(fam_name):
-    fam = {"power": pb.power_family(0.3), "log": pb.log_family(),
-           "gaussian_phi_inverse": pb.gaussian_phi_inverse_family()}[fam_name]
-    lo, hi = fam.domain
-    xs = np.linspace(max(lo, 0.05), min(hi, 4.0) - 0.05, 9)
+    fam, hi = {"power": (pb.power_family(0.3), 4.0), "log": (pb.log_family(), 4.0),
+               "gaussian_phi_inverse": (pb.gaussian_phi_inverse_family(), 1.0)}[fam_name]
+    xs = np.linspace(0.05, hi - 0.05, 9)
     for x in xs:
         h = 1e-6 * max(1.0, abs(x))
         fd = (fam.F(x + h) - fam.F(x - h)) / (2 * h)

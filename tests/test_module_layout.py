@@ -20,7 +20,9 @@ product rule is one query rewrite, ``covariogram._polarized_gaussian``, the
 only reader of ``product_flux`` in that module: a gamma_n x gamma_n pair
 becomes a weight and a polarized query, and ``_flux_covariogram`` takes no
 weight of its own.  The brightness modes at one direction share one ray
-plan, which ``covariogram.brightness_derivative`` alone makes.
+plan, which ``covariogram.brightness_derivative`` alone makes.  Every
+setting of the library, a public parameter with a default, is listed, so a
+new one is added with the caller that needs it.
 """
 
 from __future__ import annotations
@@ -251,3 +253,91 @@ def test_one_ray_plan_per_body_and_direction():
               if (isinstance(inner, ast.Attribute) and inner.attr == "_ray_plan")
               or (isinstance(inner, ast.Constant) and inner.value == "_ray_plan")}
     assert owners == {("covariogram.py", "brightness_derivative")}
+
+
+# The settings of the library: every parameter with a default of a public
+# function or method (cli.py, which has its own census in test_cli, and
+# __init__.py left out), by module.[class.]function.  A value that no
+# caller sets is a constant of the function instead, so a new setting is
+# added here with the caller that needs it.  minimize_I's stream is unused:
+# the benchmark's workloads pass it, and it goes when they change.
+LIBRARY_SETTINGS = {
+    "bodies.Ball.contains": "tol",
+    "bodies.Polytope.slack": "tol",
+    "bodies.Polytope.contains": "tol",
+    "bodies.radial_many": "x",
+    "bodies.cube": "half_width",
+    "bodies.cross_polytope": "radius",
+    "bodies.regular_polygon": "radius",
+    "bodies.random_polytope": "count symmetric",
+    "covariogram.ray_pieces": "tol",
+    "covariogram.translated_average": "mu nu f stream N tol",
+    "covariogram.l1_norm": "N",
+    "inequalities.int_decay": "tol",
+    "inequalities.int_unit": "tol",
+    "inequalities.ehrhard_bound_value": "tol",
+    "inequalities.verify": "mu nu f family s precision",
+    "inequalities.berwald_1d_check": "cfg",
+    "inequalities.pe_sweep": "cfg",
+    "inequalities.gaussian_sharpness_sweep": "n",
+    "isotropic.isotropy_residual": "tol",
+    "isotropic.minimize_I": "stream tol",
+    "isotropic.ball_zonoid_volume_bound": "cfg",
+    "isotropic.reverse_isoperimetric": "mode cfg",
+    "isotropic.isotropic_sandwich_check": "cfg",
+    "meanbodies.radial_mean_body": "tol",
+    "meanbodies.spectral_mean_body": "tol",
+    "meanbodies.inclusion_chain_report": "tol",
+    "measures.custom_density": "label",
+    "measures.measure_body": "stream N tol",
+    "measures.total_mass": "grid tol body",
+    "measures.facet_integrals": "tol",
+    "measures.simplex_integrals": "tol",
+    "measures.facet_weights": "tol",
+    "measures.boundary_measure": "tol",
+    "numerics.ball_volume": "radius",
+    "numerics.sphere_directions": "stream",
+    "numerics.integrate_1d": "tol",
+    "projection.Zonoid.polar_points": "weights",
+    "projection.projection_zonoid": "mu f tol",
+    "projection.offset_vector": "f stream N tol",
+    "projection.shifted_zonoid": "f stream N tol",
+    "projection.brightness_residual": "mode f stream N tol",
+    "projection.transform_law_residual": "tol",
+    "report.finish_report": "verdict",
+}
+
+
+def _defaulted_parameters(path):
+    """{module.[class.]function: its defaulted parameters} for the public
+    functions and methods of public classes at a module's top."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if (not isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                    or child.name.startswith("_")):
+                continue
+            name = f"{prefix}.{child.name}"
+            if isinstance(child, ast.ClassDef):
+                visit(child, name)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+            names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+            if names:
+                found[name] = " ".join(names)
+
+    visit(_tree(path), path.stem)
+    return found
+
+
+def test_every_library_setting_has_a_caller():
+    found = {}
+    for path in MODULES:
+        if path.name not in ("cli.py", "__init__.py"):
+            found |= _defaulted_parameters(path)
+    assert found == LIBRARY_SETTINGS
+    assert sum(len(names.split()) for names in found.values()) == 72

@@ -11,42 +11,40 @@ from projbodies.numerics import (MC_BLOCK, BoxSampler, mean_with_budget, row_blo
 
 
 def test_sphere_grid_2d_axes():
-    grid = pb.sphere_directions(2, 4, "equal_angle_2d")
+    grid = pb.sphere_directions(2, 4)
     expected = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
     assert np.allclose(grid.directions, expected, atol=1e-15)
     assert np.allclose(grid.weights, np.pi / 2)
 
 
 def test_sphere_grid_2d_weights_uniform():
-    grid = pb.sphere_directions(2, 360, "equal_angle_2d")
+    grid = pb.sphere_directions(2, 360)
     assert np.allclose(grid.weights, 2 * np.pi / 360)
     assert abs(grid.weights.sum() - 2 * np.pi) < 1e-10
 
 
 def test_sphere_grid_3d_normalization():
-    grid = pb.sphere_directions(3, 1000, "fibonacci_3d")
+    grid = pb.sphere_directions(3, 1000)
     assert abs(grid.weights.sum() - 4 * np.pi) < 1e-10
     assert np.max(np.abs(np.linalg.norm(grid.directions, axis=1) - 1)) < 1e-12
 
 
 def test_sphere_grid_mode_guards(stream):
     with pytest.raises(pb.ConfigurationError):
-        pb.sphere_directions(3, 100, "equal_angle_2d")
+        pb.sphere_directions(2, 2)  # count < 2n
     with pytest.raises(pb.ConfigurationError):
-        pb.sphere_directions(2, 100, "fibonacci_3d")
-    with pytest.raises(pb.ConfigurationError):
-        pb.sphere_directions(2, 2, "equal_angle_2d")  # count < 2n
-    grid = pb.sphere_directions(4, 64, "uniform_random", stream)
+        pb.sphere_directions(4, 64)  # no deterministic 4-D grid
+    grid = pb.sphere_directions(4, 64, stream)
     assert abs(grid.weights.sum() - pb.sphere_surface(4)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_sphere_sampler_draws_the_uniform_random_grid(stream, n):
-    """``SphereSampler`` draws the directions of the ``uniform_random``
-    grid, bit for bit, and carries the sphere's surface as its measure."""
+    """``SphereSampler`` draws the directions of the random grid, bit for
+    bit, and carries the sphere's surface as its measure."""
     sampler = pb.SphereSampler(n)
     directions = sampler.sample(stream.generator(), 5000)
-    grid = pb.sphere_directions(n, 5000, "uniform_random", stream)
+    grid = pb.sphere_directions(n, 5000, stream)
     assert directions.tobytes() == grid.directions.tobytes()
     assert sampler.measure == pb.sphere_surface(n)
 
