@@ -123,7 +123,7 @@ def parse_family(spec: str) -> ConcavityFamily:
     if spec == "gaussian_phi_inverse":
         return measures.gaussian_phi_inverse_family()
     if spec.startswith("power:"):
-        return measures.power_family(float(spec.split(":", 1)[1]))
+        return measures.power_family(_parse_float(spec.split(":", 1)[1], spec))
     raise ConfigurationError(f"unknown family {spec!r} "
                              "(log | gaussian_phi_inverse | power:s)")
 
@@ -140,12 +140,27 @@ def parse_map(spec: str, n: int) -> LinearMap:
         matrix = np.asarray(rows, dtype=float)
     except ValueError as exc:   # ragged rows
         raise ConfigurationError(f"bad matrix {spec!r}: {exc}") from exc
+    if matrix.shape != (n, n):
+        raise ConfigurationError(f"map {spec!r} is not a {n}x{n} matrix")
     return LinearMap(matrix)
 
 
 def parse_vector(spec: str) -> np.ndarray:
     return np.asarray([_parse_float(v, spec) for v in spec.split(",")],
                       dtype=float)
+
+
+def _body_vector(args, name: str) -> np.ndarray:
+    """``--name`` as a finite vector with one coordinate per dimension of
+    the body, and nonzero if it is the direction ``--theta``."""
+    spec = getattr(args, name)
+    v = parse_vector(spec)
+    if len(v) != args.K.n or not np.all(np.isfinite(v)):
+        raise ConfigurationError(f"--{name} {spec!r} is not a finite vector "
+                                 f"of dimension {args.K.n}")
+    if name == "theta" and not np.any(v):
+        raise ConfigurationError(f"--theta {spec!r} is not a direction")
+    return v
 
 
 def _parse_float(text: str, spec: str) -> float:
@@ -230,15 +245,17 @@ def _query(args) -> CovariogramQuery:
 
 
 def _covariogram_eval(args, out) -> int:
-    res = mu_covariogram(_query(args), parse_vector(args.x))
+    res = mu_covariogram(_query(args), _body_vector(args, "x"))
     return emit_json({"value": res.value,
                       "error": res.error_estimate,
                       "evaluations": res.evaluations}, out)
 
 
 def _covariogram_profile(args, out) -> int:
+    if args.steps < 1:
+        raise ConfigurationError(f"--steps must be at least 1, got {args.steps}")
     query = _query(args)
-    theta = parse_vector(args.theta)
+    theta = _body_vector(args, "theta")
     theta = theta / np.linalg.norm(theta)
     rho = bodies.radial_many(bodies.difference_body(args.K), theta[None, :])[0]
     radii = [rho * i / args.steps for i in range(args.steps + 1)]
@@ -269,7 +286,7 @@ def _projbody_polar_volume(args, out) -> int:
 
 def _projbody_brightness(args, out) -> int:
     cfg = args.cfg
-    res = brightness_residual(args.K, args.mu, parse_vector(args.theta),
+    res = brightness_residual(args.K, args.mu, _body_vector(args, "theta"),
                               mode=args.mode, f=args.f, stream=cfg.stream(),
                               N=cfg.samples, tol=cfg.tol)
     return emit_json({"residual": res.value,
@@ -279,7 +296,7 @@ def _projbody_brightness(args, out) -> int:
 
 
 def _meanbody_chain(args, out) -> int:
-    p_list = [float(p) for p in args.p_list.split(",")]
+    p_list = parse_vector(args.p_list).tolist()
     grid = direction_grid(args.K.n, min(args.cfg.grid, 256), args.cfg)
     report = inclusion_chain_report(args.K, p_list, grid, tol=args.cfg.tol)
     return emit_report(report, args.format, out)
@@ -287,8 +304,8 @@ def _meanbody_chain(args, out) -> int:
 
 def _meanbody_radii(args, out) -> int:
     grid = direction_grid(args.K.n, min(args.cfg.grid, 256), args.cfg)
-    p = float("inf") if args.p == "inf" else float(args.p)
-    result = args.mean_body(args.K, p, grid, tol=args.cfg.tol)
+    result = args.mean_body(args.K, _parse_float(args.p, "--p"), grid,
+                            tol=args.cfg.tol)
     rows = [{"direction": list(d), "radius": float(r)}
             for d, r in zip(grid.directions, result.star.radii)]
     if args.format == "csv":
@@ -331,20 +348,18 @@ def _isotropic_reverse_iso(args, out) -> int:
 
 
 def _sweep_pe(args, out) -> int:
-    t_list = [float(t) for t in args.t_list.split(",")]
-    return emit_rows(pe_sweep(args.K, t_list, args.cfg), args.format, out)
+    return emit_rows(pe_sweep(args.K, parse_vector(args.t_list).tolist(),
+                              args.cfg), args.format, out)
 
 
 def _sweep_gaussian_sharpness(args, out) -> int:
-    r_list = [float(r) for r in args.r_list.split(",")]
-    return emit_rows(gaussian_sharpness_sweep(r_list, n=args.n), args.format,
-                     out)
+    return emit_rows(gaussian_sharpness_sweep(parse_vector(args.r_list).tolist(),
+                                              n=args.n), args.format, out)
 
 
 def _sweep_ehrhard(args, out) -> int:
-    x_list = [float(x) for x in args.x_list.split(",")]
     rows = [{"x": x, "value": ehrhard_bound_value(args.n, x),
-             "error": 0.0} for x in x_list]
+             "error": 0.0} for x in parse_vector(args.x_list).tolist()]
     return emit_rows(rows, args.format, out)
 
 

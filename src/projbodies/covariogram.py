@@ -40,9 +40,11 @@ is its reach.  The functional quotient is nonzero on all of K, so it
 combines the covariogram integrand at the translations 0, h theta / 2 and h
 theta on points of K's box.
 
-Translated averages integrate a covariogram against a second measure.  On a
-polygon of at most seven vertices under a density with radial moments (the
-radial builtins) the average (1/Vol K) ∫_DK g_K dmu is deterministic:
+Translated averages integrate a covariogram against a second measure: one
+quantity, (1/||f||_{L^1(mu, K)}) ∫_DK g_{mu,f}(K, .) dnu, which is
+nu_lambda(K) = (1/Vol K) ∫_DK g_K dnu at mu = lambda and f = 1.  On a
+polygon of at most seven vertices under a nu with radial moments (the
+radial builtins) nu_lambda(K) is deterministic:
 ``_polar_average`` integrates g_K in polar coordinates, with Gauss-Legendre
 rules on the arcs between the directions of v_i - v_j.  Along each ray g_K
 is one quadratic on each piece of ``_breakpoints``, which integrates in
@@ -1050,91 +1052,69 @@ class _PairSampler:
         return pairs.transpose(1, 0, 2)
 
 
-def translated_average(kind: str, K, mu: Density | None = None,
-                       nu: Density | None = None, f: Density | None = None,
+def translated_average(K, nu: Density, mu: Density | None = None,
+                       f: Density | None = None,
                        stream: RandomStream | None = None,
                        N: int = DEFAULT_MC_SAMPLES,
                        tol: float = 1e-9) -> QuadratureResult:
-    """Covariogram integrated against a second measure, normalized.
+    """(1/||f||_{L^1(mu, K)}) ∫_DK g_{mu,f}(K, .) dnu, where mu = None is
+    Lebesgue and f = None is 1: (1/mu K) ∫_DK g_{mu,K} dnu at f = 1, and
+    nu_lambda(K) = (1/Vol K) ∫_DK g_K dnu at mu = lambda too.
 
-    * ``mu_lambda``:  (1/Vol K) ∫_DK g_K dmu
-    * ``nu_mu_body``: (1/mu K)  ∫_DK g_{mu,K} dnu
-    * ``nu_mu_functional``: (1/||f||_{L^1(mu, K)}) ∫_DK g_{mu,f}(K, .) dnu
-
-    A Lebesgue ``mu_lambda`` is Vol K for every body, since ∫ g_K dx =
+    A Lebesgue nu_lambda(K) is Vol K for every body, since ∫ g_K dx =
     Vol(K)^2.  On a polygon of at most ``_POLAR_MAX_VERTICES`` vertices,
-    ``mu_lambda`` under a density with a ``radial_moment`` (the radial
-    builtins) is deterministic: ``_polar_average`` integrates the exact
-    covariogram in polar coordinates, each radial piece in closed form, to
-    ``tol``, or raises ``QuadratureFailure``.  ``nu_mu_body`` with a
-    Lebesgue mu is that same integral under nu, since g_{lambda,K} = g_K and
-    lambda(K) = Vol K.  Everything else (3-D bodies, balls, polygons with
-    more vertices, where the route is slower than sampling, densities
-    without radial moments, a non-Lebesgue mu in ``nu_mu_body``, and
-    ``nu_mu_functional``) is Monte Carlo from ``stream`` with N pairs of
-    uniform points of K (``_sampled_average``).
+    nu_lambda(K) under a nu with a ``radial_moment`` (the radial builtins)
+    is deterministic: ``_polar_average`` integrates the exact covariogram
+    in polar coordinates, each radial piece in closed form, to ``tol``, or
+    raises ``QuadratureFailure``.  Everything else (3-D bodies, balls,
+    polygons with more vertices, where the route is slower than sampling,
+    densities without radial moments, a non-Lebesgue mu, and any f) is
+    Monte Carlo from ``stream`` with N pairs of uniform points of K
+    (``_sampled_average``).
     """
-    if kind == "mu_lambda" and mu is not None and mu.is_lebesgue:
-        return QuadratureResult(bodies.volume(K), 0.0, 0)
-    density = mu if kind == "mu_lambda" else None
-    if kind == "nu_mu_body" and mu is not None and mu.is_lebesgue:
-        density = nu
-    if (density is not None and density.radial_moment is not None
-            and isinstance(K, Polytope) and K.n == 2
-            and len(K.vertices) <= _POLAR_MAX_VERTICES):
-        return _polar_average(K, density, tol)
-    return _sampled_average(kind, K, mu, nu, f, stream, N, tol)
+    if f is None and (mu is None or mu.is_lebesgue):
+        if nu.is_lebesgue:
+            return QuadratureResult(bodies.volume(K), 0.0, 0)
+        if (nu.radial_moment is not None and isinstance(K, Polytope)
+                and K.n == 2 and len(K.vertices) <= _POLAR_MAX_VERTICES):
+            return _polar_average(K, nu, tol)
+        mu = None   # g_{lambda,K} = g_K and lambda(K) = Vol K
+    return _sampled_average(K, nu, mu, f, stream, N, tol)
 
 
-def _sampled_average(kind: str, K, mu: Density | None = None,
-                     nu: Density | None = None, f=None,
+def _sampled_average(K, nu: Density, mu: Density | None = None,
+                     f: Density | None = None,
                      stream: RandomStream | None = None,
                      N: int = DEFAULT_MC_SAMPLES,
                      tol: float = 1e-9) -> QuadratureResult:
     """``translated_average`` by Monte Carlo over pairs of uniform points of
-    K (y, acted on by mu, and the translate w), by Fubini:
-
-    * ``mu_lambda``:  Vol(K) E[phi_mu(y - w)]
-    * ``nu_mu_body``: Vol(K)^2 E[phi_mu(y) phi_nu(y - w)] / mu(K)
-    * ``nu_mu_functional``: the same with f(w) inserted, normalized by the
-      L^1(mu, K) norm of f.
-
-    mu(K) comes from ``measure_body`` at ``tol``.  The means are
-    ``monte_carlo`` over ``_PairSampler``: a non-finite value raises with
-    its pair (y, w) as the point.
+    K (y, acted on by mu, and the translate w), by Fubini: Vol(K)^2
+    E[phi_mu(y) f(w) phi_nu(y - w)] over ||f||_{L^1(mu, K)}, which is
+    mu(K) from ``measure_body`` at ``tol`` when f = None.  With mu and f
+    both None it is nu_lambda(K) = Vol(K) E[phi_nu(y - w)], the normalizer
+    Vol K cancelled.  The means are ``monte_carlo`` over ``_PairSampler``: a
+    non-finite value raises with its pair (y, w) as the point.
     """
     vol = bodies.volume(K)
     if vol <= 0:
         raise DomainError("zero-volume normalizer")
-    pairs = _PairSampler(K)
-    if kind == "mu_lambda":
-        if mu is None:
-            raise ConfigurationError("mu_lambda needs mu")
-        return monte_carlo(pairs, lambda p: mu.eval(p[:, 0] - p[:, 1]) * vol,
-                           N, stream)
+    plain = mu is None and f is None
+    mu = lebesgue(K.n) if mu is None else mu
 
-    if kind == "nu_mu_body":
-        if mu is None or nu is None:
-            raise ConfigurationError("nu_mu_body needs mu and nu")
+    def pair_values(p):
+        y, w = p[:, 0], p[:, 1]
+        if plain:
+            return nu.eval(y - w) * vol
+        weight = mu.eval(y) if f is None else mu.eval(y) * f.eval(w)
+        return weight * nu.eval(y - w) * vol * vol
 
-        def pair_values(p):
-            y, w = p[:, 0], p[:, 1]
-            return mu.eval(y) * nu.eval(y - w) * vol * vol
-    elif kind == "nu_mu_functional":
-        if mu is None or nu is None or f is None:
-            raise ConfigurationError("nu_mu_functional needs mu, nu and f")
-
-        def pair_values(p):
-            y, w = p[:, 0], p[:, 1]
-            return mu.eval(y) * f.eval(w) * nu.eval(y - w) * vol * vol
-    else:
-        raise ConfigurationError(f"unknown translated-average kind {kind!r}")
-
-    num = monte_carlo(pairs, pair_values, N, stream)
-    den = (measure_body(mu, K, stream.substream(1), N, tol) if kind == "nu_mu_body"
+    num = monte_carlo(_PairSampler(K), pair_values, N, stream)
+    if plain:
+        return num
+    den = (measure_body(mu, K, stream.substream(1), N, tol) if f is None
            else l1_norm(f, mu, K, stream.substream(1), N))
     if den.value <= 0:
-        raise DomainError(f"zero normalizer for kind {kind!r}")
+        raise DomainError("zero normalizer")
     value = num.value / den.value
     err = (num.error_estimate / den.value
            + abs(num.value) * den.error_estimate / den.value ** 2)

@@ -11,13 +11,15 @@ failed inequality.  ``isotropic`` shares ``require`` and ``surface_product``.
 
 mu(K), nu(DK) and the support-set measures nu((Z - c)° scaled) are
 deterministic for Lebesgue and for the radial builtins on polytopes
-(``measures.measure_body``), and so are the translated averages of the
-radial builtins on polygons (``covariogram.translated_average``) and the
-concavity checks of plain covariograms under Lebesgue, or under the radial
-builtins on polygons, and of functional ones on polygons whose mu and f
-are both ``smooth`` builtins (``covariogram.mu_covariogram``);
-other densities, other translated averages and the other concavity checks
-are Monte Carlo.
+(``measures.measure_body``), and so are the translated averages
+nu_lambda(K) of the radial builtins on polygons and the concavity checks
+of plain covariograms under Lebesgue, or under the radial builtins on
+polygons, and of functional ones on polygons whose mu and f are both
+``smooth`` builtins (``covariogram.mu_covariogram``); other densities,
+other translated averages and the other concavity checks are Monte Carlo.
+Every translated average is one call with measures only: nu_lambda(K) is
+``translated_average(K, nu)``, nu_mu(K) adds ``mu=`` and its functional
+form ``f=`` (``covariogram.translated_average``).
 Every report passes its ``RunConfig.tol`` to each of these.
 """
 
@@ -247,8 +249,8 @@ def _verify_rst(K, mu, nu, f, family, s, cfg) -> Report:
     DK = bodies.difference_body(K)
     st = cfg.stream()
     lhs = measure_body(nu, DK, st.substream(0), cfg.samples, cfg.tol)
-    avg = translated_average("mu_lambda", K, mu=nu, stream=st.substream(1),
-                             N=cfg.samples, tol=cfg.tol)
+    avg = translated_average(K, nu, stream=st.substream(1), N=cfg.samples,
+                             tol=cfg.tol)
     rhs = _binom(2 * n, n) * avg.value
     witnesses = {"nu_DK": Witness(lhs.value, lhs.error_estimate),
                  "nu_lambda": Witness(avg.value, avg.error_estimate)}
@@ -261,8 +263,8 @@ def _verify_weak_zhang(K, mu, nu, f, family, s, cfg) -> Report:
     require(mu is not None, "weak_zhang needs a measure mu")
     n = K.n
     st = cfg.stream()
-    lhs = translated_average("mu_lambda", K, mu=mu, stream=st.substream(0),
-                             N=cfg.samples, tol=cfg.tol)
+    lhs = translated_average(K, mu, stream=st.substream(0), N=cfg.samples,
+                             tol=cfg.tol)
     Z = projection_zonoid(K)
     rhs = _measure_support_set(mu, Z, n * K.volume, cfg, st.substream(1))
     witnesses = {"mu_lambda": Witness(lhs.value, lhs.error_estimate),
@@ -274,23 +276,18 @@ def _verify_weak_zhang(K, mu, nu, f, family, s, cfg) -> Report:
 def _verify_zhang_rad(K, mu, nu, f, family, s, cfg) -> Report:
     require(nu is not None and nu.radially_nondecreasing,
             "zhang_radial_nondecreasing needs nu in Lambda_rad")
-    n = K.n
+    n, coeff = K.n, _binom(2 * K.n, K.n)
     st = cfg.stream()
-    avg_pos = translated_average("mu_lambda", K, mu=nu, stream=st.substream(0),
-                                 N=cfg.samples, tol=cfg.tol)
-    avg_neg = translated_average("mu_lambda", K.negate(), mu=nu,
-                                 stream=st.substream(1), N=cfg.samples,
-                                 tol=cfg.tol)
-    lhs = _binom(2 * n, n) * max(avg_pos.value, avg_neg.value)
-    lhs_err = _binom(2 * n, n) * max(avg_pos.error_estimate,
-                                     avg_neg.error_estimate)
+    # g_{-K}(x) = g_K(-x) and D(-K) = DK, so nu_lambda(-K) = nu_lambda(K)
+    avg = translated_average(K, nu, stream=st.substream(0), N=cfg.samples,
+                             tol=cfg.tol)
     Z = projection_zonoid(K)
     rhs = _measure_support_set(nu, Z, n * K.volume, cfg, st.substream(2))
-    witnesses = {"nu_lambda_K": Witness(avg_pos.value, avg_pos.error_estimate),
-                 "nu_lambda_negK": Witness(avg_neg.value, avg_neg.error_estimate),
+    witnesses = {"nu_lambda_K": Witness(avg.value, avg.error_estimate),
                  "nu_of_nV_polar": Witness(rhs.value, rhs.error_estimate)}
-    return finish_report("zhang_radial_nondecreasing", lhs, rhs.value,
-                         [lhs_err, rhs.error_estimate], witnesses, cfg)
+    return finish_report("zhang_radial_nondecreasing", coeff * avg.value,
+                         rhs.value, [coeff * avg.error_estimate,
+                                     rhs.error_estimate], witnesses, cfg)
 
 
 def surface_product(id_: str, K: Polytope, mu: Density, tol: float):
@@ -528,17 +525,14 @@ def _verify_two_measure(K, mu, nu, f, family, s, cfg) -> Report:
     n = K.n
     st = cfg.stream()
     muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
+    avg = translated_average(K, nu, mu=mu, f=f, stream=st.substream(1),
+                             N=cfg.samples, tol=cfg.tol)
     if f is None:
-        avg = translated_average("nu_mu_body", K, mu=mu, nu=nu,
-                                 stream=st.substream(1), N=cfg.samples,
-                                 tol=cfg.tol)
         lhs, lhs_err = avg.value, avg.error_estimate
         a, a_err = muK.value, muK.error_estimate
         pre = n / muK.value
     else:
         norm = l1_norm(f, mu, K, st.substream(2), cfg.samples)
-        avg = translated_average("nu_mu_functional", K, mu=mu, nu=nu, f=f,
-                                 stream=st.substream(1), N=cfg.samples)
         lhs = norm.value * avg.value
         lhs_err = (norm.error_estimate * avg.value
                    + norm.value * avg.error_estimate)
@@ -569,9 +563,8 @@ def _s_concave_region_bound(id_, K, mu, nu, s, zon, cfg,
     n = K.n
     st = cfg.stream()
     muK = measure_body(mu, K, st.substream(0), cfg.samples, cfg.tol)
-    avg = translated_average("nu_mu_body", K, mu=mu, nu=nu,
-                             stream=st.substream(1), N=cfg.samples,
-                             tol=cfg.tol)
+    avg = translated_average(K, nu, mu=mu, stream=st.substream(1),
+                             N=cfg.samples, tol=cfg.tol)
     coeff = _binom(n + 1.0 / s, n)
     region = _measure_support_set(nu, zon, muK.value / s, cfg, st.substream(2))
     witnesses = {"nu_mu": Witness(avg.value, avg.error_estimate),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DEFAULT_MC_SAMPLES
-from .numerics import RandomStream, sphere_directions
+from .numerics import DomainError, RandomStream, sphere_directions
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,17 @@ def finish_report(id_, lhs, rhs, errors, witnesses, cfg,
 def first_order_error(fn, a: float, a_err: float) -> float:
     """|fn'(a)| a_err for a positive input a: a central difference at step
     max(a_err, 1e-9 |a|) (floored above roundoff, lower point clamped at
-    1e-12), scaled from the step back to a_err; zero when a_err = 0."""
+    1e-12), scaled from the step back to a_err; a backward difference when
+    the upper point leaves fn's domain (a quantile of a mass just below 1);
+    zero when a_err = 0."""
     if a_err == 0.0:
         return 0.0
     delta = max(a_err, 1e-9 * abs(a))
-    return abs(fn(a + delta) - fn(max(a - delta, 1e-12))) / 2.0 * (a_err / delta)
+    lower = fn(max(a - delta, 1e-12))
+    try:
+        return abs(fn(a + delta) - lower) / 2.0 * (a_err / delta)
+    except DomainError:
+        return abs(fn(a) - lower) * (a_err / delta)
 
 
 def worst_link(names, radii):

@@ -266,18 +266,52 @@ def test_bad_specs_exit_1():
         assert code == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["covariogram", "eval", "--body", "cube:2", "--x", "a,b"],
-    ["body", "transform", "--body", "cube:2", "--map", "x"],
-    ["body", "transform", "--body", "cube:2", "--map", "1,0;0"],
-    ["body", "transform", "--body", "cube:2", "--map", "rot:q"],
-    ["covariogram", "eval", "--body", "cube:2", "--x", "0.1,0",
-     "--measure", "radial_power:abc"],
-], ids=["vector", "map", "ragged-map", "rot", "alpha"])
+_MALFORMED = {
+    "vector": ["covariogram", "eval", "--body", "cube:2", "--x", "a,b"],
+    "map": ["body", "transform", "--body", "cube:2", "--map", "x"],
+    "ragged-map": ["body", "transform", "--body", "cube:2", "--map", "1,0;0"],
+    "rot": ["body", "transform", "--body", "cube:2", "--map", "rot:q"],
+    "alpha": ["covariogram", "eval", "--body", "cube:2", "--x", "0.1,0",
+              "--measure", "radial_power:abc"],
+    "p-list": ["meanbody", "chain", "--body", "cube:2", "--p-list", "a"],
+    "p": ["meanbody", "radial", "--body", "cube:2", "--p", "x"],
+    "t-list": ["sweep", "pe", "--body", "cube:2", "--t-list", "x"],
+    "r-list": ["sweep", "gaussian-sharpness", "--r-list", "x"],
+    "x-list": ["sweep", "ehrhard", "--x-list", "x"],
+    "family-power": ["verify", "two_measure_zhang", "--body", "cube:2",
+                     "--nu", "radial_power:1", "--family", "power:x"],
+    "x-dimension": ["covariogram", "eval", "--body", "cube:2", "--x", "1"],
+    "theta-dimension-profile": ["covariogram", "profile", "--body", "cube:3",
+                                "--theta", "1,0"],
+    "theta-dimension-brightness": ["projbody", "brightness", "--body", "cube:3",
+                                   "--theta", "1,0"],
+    "theta-zero-profile": ["covariogram", "profile", "--body", "cube:2",
+                           "--theta", "0,0"],
+    "theta-zero-brightness": ["projbody", "brightness", "--body", "cube:2",
+                              "--theta", "0,0"],
+    "theta-nan": ["covariogram", "profile", "--body", "cube:2", "--theta", "nan,1"],
+    "steps-zero": ["covariogram", "profile", "--body", "cube:2", "--theta", "1,0",
+                   "--steps", "0"],
+    "steps-negative": ["covariogram", "profile", "--body", "cube:2", "--theta",
+                       "1,0", "--steps", "-3"],
+    "map-dimension": ["body", "transform", "--body", "cube:2",
+                      "--map", "1,0,0;0,1,0;0,0,1"],
+}
+
+
+@pytest.mark.parametrize("argv", _MALFORMED.values(), ids=_MALFORMED)
 def test_unparsable_numbers_exit_1(argv, capsys):
-    code, out = run_cli(argv)
+    """A number that does not parse (in a spec, a list or --p), a vector or
+    map of the wrong dimension, a zero or non-finite direction and fewer
+    than one profile step each exit 1 with one error line: no traceback,
+    no numpy warning and no NaN output."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(argv)
+    err = capsys.readouterr().err
     assert code == 1 and out == ""
-    assert capsys.readouterr().err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 _BALL_COMMANDS = [

@@ -441,12 +441,11 @@ def test_l1_norm_without_a_stream_is_a_configuration_error(square, gauss2):
 
 
 def test_translated_average_identities(triangle, gauss2, leb2, stream):
-    # integral of g_K against Lebesgue = Vol(K)^2, so mu_lambda = Vol(K)
-    res = pb.translated_average("mu_lambda", triangle, mu=leb2, stream=stream)
+    # integral of g_K against Lebesgue = Vol(K)^2, so lambda_lambda = Vol(K)
+    res = pb.translated_average(triangle, leb2, stream=stream)
     assert res.value == pytest.approx(0.5, abs=1e-12)
     # nu = Lebesgue: integral of g_{mu,K} dx = Vol(K) mu(K)
-    res = pb.translated_average("nu_mu_body", triangle, mu=gauss2, nu=leb2,
-                                stream=stream)
+    res = pb.translated_average(triangle, leb2, mu=gauss2, stream=stream)
     assert abs(res.value - 0.5) <= res.error_estimate
     # functional, f = phi: integral of g_{mu,phi} dx = mu(K) * int_K phi,
     # normalized by int_K phi^2; oracle by 2-D quadrature
@@ -455,13 +454,13 @@ def test_translated_average_identities(triangle, gauss2, leb2, stream):
                          / (2 * math.pi), 0, 1, 0, lambda x: 1 - x)
     phi2_T, _ = dblquad(lambda y, x: math.exp(-(x * x + y * y))
                         / (2 * math.pi) ** 2, 0, 1, 0, lambda x: 1 - x)
-    fres = pb.translated_average("nu_mu_functional", triangle, mu=gauss2,
-                                 nu=leb2, f=gauss2, stream=stream)
+    fres = pb.translated_average(triangle, leb2, mu=gauss2, f=gauss2,
+                                 stream=stream)
     assert abs(fres.value - gamma_T ** 2 / phi2_T) <= fres.error_estimate
 
 
 def test_translated_average_gaussian_ball(stream, gauss2):
-    """mu_lambda of a large disk under the Gaussian approaches 1.
+    """gamma_lambda of a large disk approaches 1.
 
     Exact oracle: mean over the disk of noncentral chi-square ball masses;
     at R = 20 the value is 0.96012 (the deficit decays like 0.8/R).
@@ -471,26 +470,19 @@ def test_translated_average_gaussian_ball(stream, gauss2):
     oracle, _ = integrate.quad(
         lambda r: 2 * r * stats.ncx2.cdf(R * R, 2, (R * r) ** 2), 0, 1)
     big = pb.Ball(2, R)
-    res = pb.translated_average("mu_lambda", big, mu=gauss2, stream=stream,
-                                N=200_000)
+    res = pb.translated_average(big, gauss2, stream=stream, N=200_000)
     assert abs(res.value - oracle) <= res.error_estimate
     assert oracle == pytest.approx(0.96012, abs=1e-4)
 
 
-def test_translated_average_guards(triangle, stream, gauss2):
-    with pytest.raises(pb.ConfigurationError):
-        pb.translated_average("mu_lambda", triangle, stream=stream)
-    with pytest.raises(pb.ConfigurationError):
-        pb.translated_average("nu_mu_body", triangle, mu=gauss2, stream=stream)
-    with pytest.raises(pb.ConfigurationError):
-        pb.translated_average("bogus", triangle, mu=gauss2, stream=stream)
-    # the sampled pair averages keep monte_carlo's stream and N >= 1000 guards
+def test_translated_average_guards(stream):
+    """The sampled pair averages keep monte_carlo's stream and N >= 1000
+    guards, with and without mu and f."""
     cube3, g3 = pb.cube(3), pb.gaussian(3)
     for kwargs in ({"N": 999, "stream": stream}, {"stream": None}):
-        with pytest.raises(pb.ConfigurationError):
-            pb.translated_average("nu_mu_body", cube3, mu=g3, nu=g3, **kwargs)
-        with pytest.raises(pb.ConfigurationError):
-            pb.translated_average("mu_lambda", cube3, mu=g3, **kwargs)
+        for weights in ({}, {"mu": g3}, {"mu": g3, "f": g3}):
+            with pytest.raises(pb.ConfigurationError):
+                pb.translated_average(cube3, g3, **weights, **kwargs)
 
 
 def test_translated_average_rejects_non_finite_pair_values(stream):
@@ -502,10 +494,9 @@ def test_translated_average_rejects_non_finite_pair_values(stream):
         out[np.all(p > 0.0, axis=1)] = np.nan   # nan for y - w in the open octant
         return out
 
-    mu = dataclasses.replace(g3, eval=ev, label="nan-octant")
+    nu = dataclasses.replace(g3, eval=ev, label="nan-octant")
     with pytest.raises(pb.EvaluationError) as err:
-        pb.translated_average("mu_lambda", pb.cube(3), mu=mu, stream=stream,
-                              N=1000)
+        pb.translated_average(pb.cube(3), nu, stream=stream, N=1000)
     y, w = err.value.point
     assert np.all(y - w > 0.0)
 
@@ -633,7 +624,7 @@ def test_polar_average_of_the_gaussian_on_a_square_meets_the_closed_form(R, gaus
     """From the unit square to one 10^30 times the Gaussian's scale, whose
     mass sits in the first 10^-30 of each ray: the radial moments are exact,
     so no radial node can miss it."""
-    res = pb.translated_average("mu_lambda", pb.cube(2).scale(R), mu=gauss2, tol=1e-12)
+    res = pb.translated_average(pb.cube(2).scale(R), gauss2, tol=1e-12)
     ref = _gaussian_square_average(R)
     assert abs(res.value - ref) <= res.error_estimate <= 1e-12
     assert abs(res.value - ref) <= 4e-15
@@ -643,7 +634,7 @@ def test_polar_average_of_the_gaussian_on_a_square_meets_the_closed_form(R, gaus
 def test_polar_average_on_a_tiny_square_keeps_its_relative_digits(R, gauss2):
     """Vol K = 4R^2 is far below 1 and so is every g_K; the roundoff floor is
     relative to Vol K, so the average is about Vol K phi(0) and not 0."""
-    res = pb.translated_average("mu_lambda", pb.cube(2).scale(R), mu=gauss2, tol=1e-9)
+    res = pb.translated_average(pb.cube(2).scale(R), gauss2, tol=1e-9)
     ref = _gaussian_square_average(R)
     assert ref == pytest.approx(4.0 * R * R / (2.0 * math.pi), rel=1e-6)
     assert abs(res.value - ref) <= res.error_estimate <= 1e-9
@@ -670,9 +661,9 @@ def test_polar_average_agrees_with_pooled_monte_carlo(alpha):
     standard errors of 2M pairs of uniform points (ten runs of 200k)."""
     K = pb.random_polytope(2, pb.RandomStream(424242).substream(2))
     assert len(K.vertices) == 5
-    mu = pb.radial_power(2, alpha)
-    res = pb.translated_average("mu_lambda", K, mu=mu)
-    runs = [_sampled_average("mu_lambda", K, mu=mu, stream=pb.RandomStream(1818, i))
+    nu = pb.radial_power(2, alpha)
+    res = pb.translated_average(K, nu)
+    runs = [_sampled_average(K, nu, stream=pb.RandomStream(1818, i))
             for i in range(10)]
     pooled = np.mean([r.value for r in runs])
     three_sigma = np.sqrt(np.mean([r.error_estimate ** 2 for r in runs]) / len(runs))
@@ -683,21 +674,28 @@ def test_polar_average_agrees_with_pooled_monte_carlo(alpha):
 def test_fractional_powers_need_no_more_nodes_than_integer_ones(triangle):
     """|x|^alpha is singular at 0 for fractional alpha; |x|^0.25 and |x|^0.5
     meet tol with the first rules, as |x| does."""
-    counts = {alpha: pb.translated_average("mu_lambda", triangle,
-                                           mu=pb.radial_power(2, alpha)).evaluations
+    counts = {alpha: pb.translated_average(triangle,
+                                           pb.radial_power(2, alpha)).evaluations
               for alpha in (0.25, 0.5, 1.0)}
     assert counts[0.25] == counts[0.5] == counts[1.0]
 
 
-def test_lebesgue_nu_mu_body_is_mu_lambda_under_nu(triangle, leb2):
-    """g_{lambda,K} = g_K and lambda(K) = Vol K: the same integral, bit for
-    bit, and no stream is needed."""
+def test_lebesgue_nu_mu_body_is_mu_lambda_under_nu(triangle, leb2, gauss2):
+    """g_{lambda,K} = g_K and lambda(K) = Vol K: a Lebesgue mu is mu = None,
+    bit for bit, on the polar route (no stream needed) and on the Monte
+    Carlo route, where it draws N pairs and no mu(K)."""
     K = pb.random_polytope(2, pb.RandomStream(424242).substream(3))
     for body in (triangle, K):
-        for nu in (pb.radial_power(2, 1.0), pb.gaussian(2)):
-            two = pb.translated_average("nu_mu_body", body, mu=leb2, nu=nu)
-            one = pb.translated_average("mu_lambda", body, mu=nu)
-            assert two == one
+        for nu in (pb.radial_power(2, 1.0), gauss2):
+            assert pb.translated_average(body, nu, mu=leb2) == pb.translated_average(body, nu)
+    lookalike = pb.custom_density(2, gauss2.eval, gauss2.grad, label="gaussian")
+    stream, N = pb.RandomStream(1821), 2_000
+    for body, nu in ((triangle, lookalike), (_ellipse_polygon(8), gauss2),
+                     (pb.cube(3), pb.gaussian(3))):
+        res = pb.translated_average(body, nu, mu=pb.lebesgue(body.n),
+                                    stream=stream, N=N)
+        assert res == pb.translated_average(body, nu, stream=stream, N=N)
+        assert res.evaluations == N
 
 
 def test_mu_lambda_of_minus_K_is_mu_lambda_of_K(triangle):
@@ -716,8 +714,8 @@ def test_mu_lambda_of_minus_K_is_mu_lambda_of_K(triangle):
                   {"stream": stream.substream(1), "N": 100_000}))
     for K, mu, kw, kw_minus in cases:
         assert not K.is_symmetric()
-        one = pb.translated_average("mu_lambda", K, mu=mu, **kw)
-        minus = pb.translated_average("mu_lambda", K.negate(), mu=mu, **kw_minus)
+        one = pb.translated_average(K, mu, **kw)
+        minus = pb.translated_average(K.negate(), mu, **kw_minus)
         assert abs(one.value - minus.value) <= one.error_estimate + minus.error_estimate
 
 
@@ -725,32 +723,32 @@ def test_lebesgue_mu_lambda_is_the_volume(monkeypatch):
     """(1/Vol K) ∫ g_K dx = Vol K for every body, with no sampling."""
     monkeypatch.setattr(covariogram, "sample_uniform", None)
     for K in (pb.standard_simplex(2), pb.cube(3), pb.Ball(3, 0.7)):
-        res = pb.translated_average("mu_lambda", K, mu=pb.lebesgue(K.n))
+        res = pb.translated_average(K, pb.lebesgue(K.n))
         assert (res.value, res.error_estimate, res.evaluations) == (pb.volume(K), 0.0, 0)
 
 
 def test_translated_average_keeps_monte_carlo_bits_off_the_route(triangle, gauss2):
-    """3-D bodies, balls, densities without a flux (custom, even one labelled
-    "gaussian", composed, exp_norm), a non-Lebesgue mu in nu_mu_body and
-    the functional kind stay on the Monte Carlo kernel, bit for bit."""
+    """3-D bodies, balls, a nu without a flux (custom, even one labelled
+    "gaussian", composed, exp_norm), a non-Lebesgue mu and any f stay on the
+    Monte Carlo kernel, bit for bit: N pairs, and N more for a normalizer."""
     stream, N = pb.RandomStream(1819), 20_000
     lookalike = pb.custom_density(2, gauss2.eval, gauss2.grad, label="gaussian",
                                   even=True, radially_decreasing=True)
     rp = pb.radial_power(2, 1.0)
     cases = [
-        ("mu_lambda", pb.standard_simplex(3), {"mu": pb.gaussian(3)}),
-        ("mu_lambda", pb.Ball(2, 1.5), {"mu": gauss2}),
-        ("mu_lambda", triangle, {"mu": lookalike}),
-        ("mu_lambda", triangle, {"mu": pb.compose_linear(gauss2, np.diag([1.0, 2.0]))}),
-        ("mu_lambda", triangle, {"mu": pb.exp_norm(pb.cube(2))}),
-        ("nu_mu_body", triangle, {"mu": gauss2, "nu": rp}),
-        ("nu_mu_body", triangle, {"mu": pb.lebesgue(2), "nu": lookalike}),
-        ("nu_mu_functional", triangle, {"mu": pb.lebesgue(2), "nu": rp, "f": gauss2}),
+        (pb.standard_simplex(3), pb.gaussian(3), {}),
+        (pb.Ball(2, 1.5), gauss2, {}),
+        (triangle, lookalike, {}),
+        (triangle, pb.compose_linear(gauss2, np.diag([1.0, 2.0])), {}),
+        (triangle, pb.exp_norm(pb.cube(2)), {}),
+        (triangle, rp, {"mu": gauss2}),
+        (triangle, rp, {"mu": pb.lebesgue(2), "f": gauss2}),
+        (triangle, rp, {"f": gauss2}),
     ]
-    for kind, K, kw in cases:
-        res = pb.translated_average(kind, K, stream=stream, N=N, **kw)
-        ref = _sampled_average(kind, K, stream=stream, N=N, **kw)
-        assert res == ref and res.evaluations in (N, 2 * N)
+    for K, nu, kw in cases:
+        res = pb.translated_average(K, nu, stream=stream, N=N, **kw)
+        ref = _sampled_average(K, nu, stream=stream, N=N, **kw)
+        assert res == ref and res.evaluations == (2 * N if kw else N)
 
 
 def _ellipse_polygon(m):
@@ -767,15 +765,14 @@ def _ellipse_polygon(m):
 def test_translated_average_routes_by_vertex_count(K, gauss2, leb2):
     """The polar route's work grows much faster with the vertex count than
     sampling's: up to seven vertices it is taken (no stream needed), beyond
-    that mu_lambda and a Lebesgue nu_mu_body keep the Monte Carlo bits."""
+    that nu_lambda(K), with mu = None or Lebesgue, keeps the Monte Carlo bits."""
     stream, N = pb.RandomStream(1820), 2_000
-    for kind, kw in (("mu_lambda", {"mu": gauss2}),
-                     ("nu_mu_body", {"mu": leb2, "nu": gauss2})):
-        res = pb.translated_average(kind, K, stream=stream, N=N, **kw)
+    for kw in ({}, {"mu": leb2}):
+        res = pb.translated_average(K, gauss2, stream=stream, N=N, **kw)
         if len(K.vertices) <= covariogram._POLAR_MAX_VERTICES:
             assert res == _polar_average(K, gauss2, 1e-9)
         else:
-            assert res == _sampled_average(kind, K, stream=stream, N=N, **kw)
+            assert res == _sampled_average(K, gauss2, stream=stream, N=N)
 
 
 def test_polar_rule_blocks_match_one_batch(monkeypatch, gauss2):
@@ -795,10 +792,10 @@ def test_polar_rule_blocks_match_one_batch(monkeypatch, gauss2):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_blocked_translated_average_matches_whole_array(n):
-    """Over 2.3 blocks of rows, every kind has the bits of its integrand
-    evaluated on the whole (N,) arrays at once.  A planar Gaussian mu_lambda
-    is deterministic in ``translated_average``, so its Monte Carlo kernel is
-    called directly."""
+    """Over 2.3 blocks of rows, the pair integrand has, with and without mu
+    and f, the bits of its evaluation on the whole (N,) arrays at once.  A
+    planar Gaussian nu_lambda(K) is deterministic in ``translated_average``,
+    so its Monte Carlo kernel is called directly."""
     K = pb.random_polytope(n, pb.RandomStream(424242).substream(20 if n == 3 else 0))
     mu, nu, f = pb.gaussian(n), pb.radial_power(n, 1.0), pb.gaussian(n)
     N, stream = 2 * MC_BLOCK + 9_000, pb.RandomStream(61)
@@ -806,19 +803,18 @@ def test_blocked_translated_average_matches_whole_array(n):
     ys = sample_uniform(K, gen, np.empty((N, n)))
     ws = sample_uniform(K, gen, np.empty((N, n)))
     vol = K.volume
-    res = _sampled_average("mu_lambda", K, mu=mu, stream=stream, N=N)
+    res = _sampled_average(K, mu, stream=stream, N=N)
     mean, err = pb.numerics.mean_with_budget(mu.eval(ys - ws) * vol)
     assert (res.value, res.error_estimate) == (mean, err)
     den = pb.measure_body(mu, K, stream.substream(1), N)
-    res = pb.translated_average("nu_mu_body", K, mu=mu, nu=nu, stream=stream, N=N)
+    res = pb.translated_average(K, nu, mu=mu, stream=stream, N=N)
     num, num_err = pb.numerics.mean_with_budget(
         mu.eval(ys) * nu.eval(ys - ws) * vol * vol)
     assert res.value == num / den.value
     assert res.error_estimate == (num_err / den.value
                                   + abs(num) * den.error_estimate / den.value ** 2)
     den = l1_norm(f, mu, K, stream.substream(1), N)
-    res = pb.translated_average("nu_mu_functional", K, mu=mu, nu=nu, f=f,
-                                stream=stream, N=N)
+    res = pb.translated_average(K, nu, mu=mu, f=f, stream=stream, N=N)
     num, _ = pb.numerics.mean_with_budget(
         mu.eval(ys) * f.eval(ws) * nu.eval(ys - ws) * vol * vol)
     assert res.value == num / den.value

@@ -297,6 +297,28 @@ def test_first_order_error_scales_the_difference_to_the_input_error():
     assert first_order_error(lambda a: a ** 2, 3.0, 1e-14) == pytest.approx(6e-14, rel=1e-6)
     assert first_order_error(math.log, 2.0, 0.0) == 0.0
 
+    # where a + delta leaves fn's domain the difference is backward
+    def below_one(a):
+        if a > 1.0:
+            raise pb.DomainError(f"{a} > 1")
+        return 3.0 * a
+
+    assert first_order_error(below_one, 1.0 - 1e-10, 1e-9) == pytest.approx(3e-9, rel=1e-6)
+
+
+@pytest.mark.parametrize("id_, kw, mass", [
+    ("ehrhard_gaussian", {}, "gamma_K"),
+    ("q_concave_zhang", {"family": pb.gaussian_phi_inverse_family()}, "a"),
+], ids=["ehrhard", "q_concave"])
+def test_gaussian_quantile_reports_near_full_mass(id_, kw, mass):
+    """gamma_2(6.5 [-1, 1]^2) = 0.99999999984 lies within the first-order
+    step of 1, past which the Gaussian quantile is undefined; both reports
+    that take the quantile of mu(K) still return their verdict."""
+    rep = pb.verify(id_, pb.cube(2, 6.5), mu=pb.gaussian(2),
+                    precision=pb.RunConfig(tol=1e-10), **kw)
+    assert 1.0 - 1e-9 < rep.witnesses[mass].value < 1.0
+    assert rep.verdict == "pass"
+
 
 def test_two_measure_zhang_equality(triangle, leb2):
     rep = pb.verify("two_measure_zhang", triangle, mu=leb2, nu=leb2,
@@ -534,7 +556,7 @@ TRANSLATED_AVERAGE_REPORTS = [
     ("rst_radially_decreasing", {"nu": pb.gaussian(2)}, ["nu_lambda"]),
     ("weak_zhang", {"mu": pb.gaussian(2)}, ["mu_lambda"]),
     ("zhang_radial_nondecreasing", {"nu": pb.radial_power(2, 1.0)},
-     ["nu_lambda_K", "nu_lambda_negK"]),
+     ["nu_lambda_K"]),
     ("two_measure_zhang", {"mu": pb.lebesgue(2), "nu": pb.radial_power(2, 1.0),
                            "family": pb.power_family(0.5)}, ["nu_mu"]),
     ("s_concave_zhang", {"mu": pb.lebesgue(2), "nu": pb.radial_power(2, 1.0),
@@ -554,7 +576,7 @@ def test_translated_averages_take_the_report_tol(monkeypatch, triangle):
     cfg = pb.RunConfig(seed=11, samples=20_000, tol=1e-7)
     for id_, kw, _ in TRANSLATED_AVERAGE_REPORTS:
         pb.verify(id_, triangle, precision=cfg, **kw)
-    assert tols == [cfg.tol] * 6
+    assert tols == [cfg.tol] * 5
 
 
 @pytest.mark.parametrize("id_, kw, averages", TRANSLATED_AVERAGE_REPORTS,

@@ -213,10 +213,10 @@ def test_ray_pieces_check_node_catches_missed_breakpoints(monkeypatch):
     thetas = np.array([[0.3, 0.7], [-0.9, 0.2]])
     assert len(pb.ray_pieces(pentagon, thetas).a) > 2
     gauss2 = pb.gaussian(2)
-    pb.translated_average("mu_lambda", pentagon, mu=gauss2)
+    pb.translated_average(pentagon, gauss2)
     monkeypatch.setattr(covariogram, "_breakpoints", lambda K, thetas, rhos: (
         np.zeros(len(rhos)), rhos, np.arange(len(rhos))))
     with pytest.raises(pb.QuadratureFailure, match="check node"):
         pb.ray_pieces(pentagon, thetas)
     with pytest.raises(pb.QuadratureFailure, match="check node"):
-        pb.translated_average("mu_lambda", pentagon, mu=gauss2)
+        pb.translated_average(pentagon, gauss2)

@@ -271,7 +271,7 @@ LIBRARY_SETTINGS = {
     "bodies.regular_polygon": "radius",
     "bodies.random_polytope": "count symmetric",
     "covariogram.ray_pieces": "tol",
-    "covariogram.translated_average": "mu nu f stream N tol",
+    "covariogram.translated_average": "mu f stream N tol",
     "covariogram.l1_norm": "N",
     "inequalities.int_decay": "tol",
     "inequalities.int_unit": "tol",
@@ -340,4 +340,4 @@ def test_every_library_setting_has_a_caller():
         if path.name not in ("cli.py", "__init__.py"):
             found |= _defaulted_parameters(path)
     assert found == LIBRARY_SETTINGS
-    assert sum(len(names.split()) for names in found.values()) == 72
+    assert sum(len(names.split()) for names in found.values()) == 71
